@@ -5,7 +5,8 @@ Exit codes separate logical verdicts from tool failures:
     0  satisfiable / consistent / subsumption holds
     1  unsatisfiable / inconsistent / subsumption does not hold
     2  parse or usage error
-    3  internal invariant violation (e.g. a measure-decrease failure)
+    3  internal invariant violation (e.g. a measure-decrease failure) or
+       any other internal error
     4  step limit or oracle enumeration ceiling hit
 """
 
@@ -183,6 +184,10 @@ def cli(argv: Optional[list[str]] = None) -> int:
     except (StepLimitExceeded, OracleCeilingError) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except Exception as exc:
+        # any other failure (RecursionError included) must not exit with a verdict code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 def main() -> None:

@@ -33,6 +33,7 @@ from .syntax import (
     fresh_individual,
     individuals_of,
     is_nnf_abox,
+    lookup,
     nnf,
 )
 
@@ -110,7 +111,8 @@ def contains_clash(abox: Abox) -> bool:
         if isinstance(f, Inst):
             if isinstance(f.concept, Bottom):
                 return True
-            if Inst(f.subject, Not(f.concept)) in facts:
+            # each x : not D is matched against x : D, so no fact is built
+            if isinstance(f.concept, Not) and lookup(Inst, f.subject, f.concept.child) in facts:
                 return True
     return False
 

@@ -29,6 +29,7 @@ from .syntax import (
     Or,
     Rel,
     Some,
+    asserted,
     existential_count,
     fresh_individual,
     individuals_of,
@@ -91,7 +92,7 @@ def _pair(abox: Abox, fact: Fact, shared_ex_count: int) -> MeasurePair:
             if isinstance(g, Rel)
             and g.role == d.role
             and g.source == fact.subject
-            and Inst(g.target, d.child) not in abox
+            and not asserted(abox, g.target, d.child)
         )
         return (size_concept(d), pending + shared_ex_count)
     # atoms, negations, Top, Bottom: no rule ever fires on these

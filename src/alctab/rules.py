@@ -23,6 +23,7 @@ from .syntax import (
     Or,
     Rel,
     Some,
+    asserted,
     dedup_facts,
     fresh_individual,
 )
@@ -63,9 +64,7 @@ def appcond_and(abox: Abox, fact: Fact) -> bool:
     if not (isinstance(fact, Inst) and isinstance(fact.concept, And)):
         return False
     c = fact.concept
-    return not (
-        Inst(fact.subject, c.left) in abox and Inst(fact.subject, c.right) in abox
-    )
+    return not (asserted(abox, fact.subject, c.left) and asserted(abox, fact.subject, c.right))
 
 
 def action_and(prefix: Abox, pivot: Fact, suffix: Abox) -> Tableau:
@@ -81,10 +80,7 @@ def appcond_or(abox: Abox, fact: Fact) -> bool:
     if not (isinstance(fact, Inst) and isinstance(fact.concept, Or)):
         return False
     c = fact.concept
-    return (
-        Inst(fact.subject, c.left) not in abox
-        and Inst(fact.subject, c.right) not in abox
-    )
+    return not (asserted(abox, fact.subject, c.left) or asserted(abox, fact.subject, c.right))
 
 
 def action_or(prefix: Abox, pivot: Fact, suffix: Abox) -> Tableau:
@@ -107,7 +103,7 @@ def appcond_all(abox: Abox, fact: Fact) -> bool:
         isinstance(g, Rel)
         and g.role == c.role
         and g.source == fact.subject
-        and Inst(g.target, c.child) not in abox
+        and not asserted(abox, g.target, c.child)
         for g in abox
     )
 
@@ -122,7 +118,7 @@ def action_all(prefix: Abox, pivot: Fact, suffix: Abox) -> Tableau:
             isinstance(g, Rel)
             and g.role == c.role
             and g.source == pivot.subject
-            and Inst(g.target, c.child) not in whole
+            and not asserted(whole, g.target, c.child)
         ):
             # first violating successor in branch order; iteration reaches the rest
             return [dedup_facts((Inst(g.target, c.child),) + whole)]
@@ -138,7 +134,7 @@ def appcond_some(abox: Abox, fact: Fact) -> bool:
         isinstance(g, Rel)
         and g.role == c.role
         and g.source == fact.subject
-        and Inst(g.target, c.child) in abox
+        and asserted(abox, g.target, c.child)
         for g in abox
     )
 

@@ -1,23 +1,88 @@
 """Core syntax of the description logic ALC.
 
-Concepts, roles, individuals and facts are immutable values with structural
-equality, so they can be hashed, shared between tableau branches and used as
-dict keys. An ABox branch is an ordered, duplicate-free tuple of facts: the
-order carries the deterministic scan order of the tableau rules, while
+Concepts, roles, individuals and facts are immutable, hash-consed values:
+every constructor call with the same fields returns the same object, so
+equality is identity and hashing takes constant time, however deep the
+concept. Values can be shared between tableau branches and used as dict
+keys. An ABox branch is an ordered, duplicate-free tuple of facts: the order
+carries the deterministic scan order of the tableau rules, while
 ``set(abox)`` recovers the set-level view.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
+from weakref import WeakValueDictionary
 
 ConceptName = str
 RoleName = str
 
+_BUILD_LOCK = threading.Lock()
 
-@dataclass(frozen=True)
-class Role:
+
+class _Interned:
+    """Base of the syntax values, which are hash-consed.
+
+    Each subclass keeps a table from field tuples to the one live instance
+    with those fields, and construction returns that instance when there is
+    one. The table holds its values weakly, so an instance leaves it once
+    nothing else refers to it. A new instance is validated by its
+    ``__post_init__`` before it enters the table. Equality is identity and
+    the hash is the id; copies and pickles come back as the interned
+    instance.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table = WeakValueDictionary()
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls.__match_args__  # the dataclass fields, in order
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args) :]
+            if len(args) > len(fields) or set(kwargs) != set(rest):
+                raise TypeError(f"{cls.__name__} takes exactly the fields {fields}")
+            args += tuple(kwargs[name] for name in rest)
+        instance = cls._table.get(args)
+        if instance is None:
+            with _BUILD_LOCK:  # two threads must not both build one value
+                instance = cls._table.get(args)
+                if instance is None:
+                    instance = object.__new__(cls)
+                    for name, value in zip(fields, args):
+                        object.__setattr__(instance, name, value)
+                    instance.__post_init__()
+                    cls._table[args] = instance
+        return instance
+
+    def __post_init__(self) -> None:
+        """Reject invalid fields; runs once, before the table holds the value."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def lookup(cls: type, *fields) -> Optional[_Interned]:
+    """The live instance of `cls` with these fields, or None; builds nothing.
+
+    A value that has no live instance occurs in no branch, so a rule test
+    can ask whether a fact is present without constructing it.
+    """
+    return cls._table.get(fields)
+
+
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Role(_Interned):
     """An atomic role. ALC has no other role formers."""
 
     name: RoleName
@@ -27,8 +92,8 @@ class Role:
             raise ValueError("role name must be non-empty")
 
 
-@dataclass(frozen=True)
-class Named:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Named(_Interned):
     """An individual from the input namespace."""
 
     name: str
@@ -38,8 +103,8 @@ class Named:
             raise ValueError("individual name must be non-empty")
 
 
-@dataclass(frozen=True)
-class Anon:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Anon(_Interned):
     """A generated witness individual, identified by its allocation index."""
 
     index: int
@@ -52,8 +117,8 @@ class Anon:
 Individual = Union[Named, Anon]
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Atom(_Interned):
     name: ConceptName
 
     def __post_init__(self) -> None:
@@ -61,41 +126,41 @@ class Atom:
             raise ValueError("concept name must be non-empty")
 
 
-@dataclass(frozen=True)
-class Top:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Top(_Interned):
     pass
 
 
-@dataclass(frozen=True)
-class Bottom:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Bottom(_Interned):
     pass
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Not(_Interned):
     child: "Concept"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class And(_Interned):
     left: "Concept"
     right: "Concept"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Or(_Interned):
     left: "Concept"
     right: "Concept"
 
 
-@dataclass(frozen=True)
-class All:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class All(_Interned):
     role: Role
     child: "Concept"
 
 
-@dataclass(frozen=True)
-class Some:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Some(_Interned):
     role: Role
     child: "Concept"
 
@@ -106,16 +171,16 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
-@dataclass(frozen=True)
-class Inst:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Inst(_Interned):
     """Concept assertion: the subject individual belongs to the concept."""
 
     subject: Individual
     concept: Concept
 
 
-@dataclass(frozen=True)
-class Rel:
+@dataclass(init=False, eq=False, frozen=True, slots=True)
+class Rel(_Interned):
     """Role assertion: (source, target) is in the role's extension."""
 
     role: Role
@@ -139,6 +204,12 @@ def make_abox(facts: Iterable[Fact]) -> Abox:
     if len(set(out)) != len(out):
         raise ValueError("duplicate facts in abox")
     return out
+
+
+def asserted(abox: Abox, subject: Individual, concept: Concept) -> bool:
+    """Whether the branch holds the fact `subject : concept`; builds no fact."""
+    fact = lookup(Inst, subject, concept)
+    return fact is not None and fact in abox
 
 
 def size_concept(concept: Concept) -> int:

@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The measure-decrease criterion writes any non-decreasing rule steps
-to tests/artifacts/measure_violations.jsonl for inspection; such steps are
-accepted only when they match the known exposed-existential pattern and the
-unconditional progress check still holds.
+lines. The measure-decrease criterion records any non-decreasing rule steps
+and requires them to match tests/artifacts/measure_violations.jsonl byte for
+byte; such steps are accepted only when they match the known
+exposed-existential pattern and the unconditional progress check still
+holds.
 """
 
 import json
@@ -196,10 +197,9 @@ def test_c06_oracle_agreement(small_runs):
     )
 
 
-def test_c07_measure_decrease(concept_runs, abox_runs, small_runs):
+def test_c07_measure_decrease(concept_runs, abox_runs, small_runs, tmp_path):
     violations = concept_runs[1] + abox_runs[1] + small_runs[1]
-    ARTIFACTS.mkdir(exist_ok=True)
-    path = ARTIFACTS / "measure_violations.jsonl"
+    path = tmp_path / "measure_violations.jsonl"
     with path.open("w", encoding="utf-8") as handle:
         for violation in violations:
             handle.write(
@@ -212,6 +212,8 @@ def test_c07_measure_decrease(concept_runs, abox_runs, small_runs):
                 )
                 + "\n"
             )
+    # the recorded violations are the committed artifact, byte for byte
+    assert path.read_bytes() == (ARTIFACTS / path.name).read_bytes()
     for violation in violations:
         # only the documented ambiguity is tolerated: the step exposed
         # existentials nested inside an added concept
@@ -226,7 +228,7 @@ def test_c07_measure_decrease(concept_runs, abox_runs, small_runs):
         assert progress_check(violation.before, violation.after)
     print(
         f"CRITERION 7 PASS: measure decreased everywhere except {len(violations)} "
-        f"exposed-existential steps (reported to {path.name}); progress check 100%"
+        f"exposed-existential steps (as recorded in {path.name}); progress check 100%"
     )
 
 

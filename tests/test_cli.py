@@ -1,6 +1,7 @@
 import json
 import random
 
+import alctab.cli
 from alctab.cli import cli
 from alctab.engine import Satisfiable, decide_concept_sat
 from alctab.parser import print_concept
@@ -140,3 +141,20 @@ def test_cli_verdict_agrees_with_library(capsys, tmp_path):
         atoms, roles = abox_signature(abox)
         model = oracle_find_model(abox, OracleConfig(2, atoms=atoms, roles=roles))
         assert code == (0 if model is not None else 1)
+
+
+def test_long_conjunction_chain(capsys):
+    chain = " and ".join(f"A{i}" for i in range(400))
+    code, out, _ = run(capsys, "sat", chain)
+    assert code == 0 and out == "SAT\n"
+
+
+def test_unexpected_error_exits_3_without_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(alctab.cli, "decide_concept_sat", broken)
+    code, out, err = run(capsys, "sat", "A")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: injected failure\n"
+    assert "Traceback" not in err

@@ -1,4 +1,9 @@
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -25,6 +30,7 @@ from alctab.syntax import (
     individuals_of,
     is_nnf,
     is_nnf_abox,
+    lookup,
     make_abox,
     nnf,
     quantifier_free,
@@ -131,3 +137,89 @@ def test_nnf_semantic_equivalence_small_exhaustive():
         for m in (1, 2):
             for interp in enumerate_interpretations(ATOMS2, ROLE1, m):
                 assert interp_concept(interp, c) == interp_concept(interp, n)
+
+
+def test_equal_values_are_one_object():
+    assert Atom("A") is Atom("A")
+    assert Atom(name="A") is Atom("A")
+    assert Inst(subject=x, concept=A) is Inst(x, A)
+    assert Some(r, child=And(A, B)) is Some(Role("r"), And(Atom("A"), Atom("B")))
+    assert Rel(r, x, target=y) is Rel(Role("r"), Named("x"), Named("y"))
+    assert Anon(3) is Anon(index=3)
+    assert Atom("A") is not Atom("B") and Named("A") is not Atom("A")
+
+
+def test_nnf_of_equal_inputs_is_one_object():
+    rng = random.Random(104)
+    for _ in range(100):
+        state = rng.getstate()
+        first = nnf(random_concept(rng, 4))
+        rng.setstate(state)
+        assert nnf(random_concept(rng, 4)) is first
+
+
+def test_validation_runs_before_interning():
+    for bad in (lambda: Atom(""), lambda: Anon(-1), lambda: Role(""), lambda: Named("")):
+        with pytest.raises(ValueError):
+            bad()
+    assert lookup(Atom, "") is None and lookup(Anon, -1) is None
+    with pytest.raises(TypeError):
+        Atom("A", "B")
+    with pytest.raises(TypeError):
+        Inst(x, concept=A, subject=y)
+
+
+def test_dropped_values_leave_the_table():
+    assert lookup(Atom, "Unused_in_any_other_test") is None
+    value = Some(r, Atom("Unused_in_any_other_test"))
+    assert lookup(Atom, "Unused_in_any_other_test") is value.child
+    del value
+    gc.collect()
+    assert lookup(Atom, "Unused_in_any_other_test") is None
+
+
+def test_copy_and_pickle_return_the_interned_object():
+    c = And(Some(r, Not(A)), All(s, Or(B, TOP)))
+    fact = Inst(Anon(2), c)
+    for value in (c, fact, Rel(r, x, Anon(0)), TOP, BOTTOM):
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+        assert pickle.loads(pickle.dumps(value)) is value
+
+
+def test_hash_and_equality_do_not_recurse():
+    # 5,000 levels is far beyond the interpreter's recursion limit
+    chain = A
+    for i in range(5000):
+        chain = And(Atom(f"D{i}"), chain)
+    again = A
+    for i in range(5000):
+        again = And(Atom(f"D{i}"), again)
+    assert again is chain
+    assert hash(chain) == hash(again)
+    assert chain == again and chain != And(A, chain)
+    assert {chain: 1}[again] == 1
+
+
+def test_threads_building_the_same_values_get_one_object():
+    # more threads than cores, switching often, all building the same values
+    built = [[] for _ in range(8)]
+
+    def build(out):
+        for i in range(2000):
+            out.append(Inst(Named(f"t{i % 40}"), And(Atom(f"T{i}"), Not(Atom(f"T{i}")))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 2000 for out in built)
+    for out in built[1:]:
+        assert all(a is b for a, b in zip(built[0], out))

@@ -4,58 +4,32 @@ Satisfiability of concepts, consistency of ABoxes and subsumption between
 concepts, decided by a semantic-tableau procedure over list ABoxes, with a
 bounded brute-force model search as an independent oracle and an
 instrumented multiset termination measure.
+
+The names below are the documented API (see the README); everything else is
+reached through its module, such as `alctab.rules` or `alctab.measure`.
 """
 
 from .engine import (
     EngineConfig,
     MeasureDecreaseError,
-    MeasureViolation,
     ProgressCheckError,
     Satisfiable,
     StepLimitExceeded,
     Unsatisfiable,
     Verdict,
-    canonical_interpretation,
-    check_run_soundness,
-    contains_clash,
     decide_concept_sat,
     decide_sat_abox,
-    expand_once,
-    next_application,
     replay_trace,
-    saturated,
     subsumes,
 )
-from .measure import (
-    assert_decrease,
-    measure_abox,
-    measure_fact,
-    multiset_less,
-    progress_check,
-    reducible_hidden_ex_count,
-)
-from .parser import ParseError, SourceSpan, parse_abox, parse_concept, print_concept, print_fact
+from .parser import ParseError, parse_abox, parse_concept, print_concept, print_fact
 from .render import emit_model, emit_trace
-from .rules import (
-    RuleApplication,
-    RuleKind,
-    TableauRule,
-    abstract,
-    abstract_rule_holds,
-    alc_rules,
-    apply_srule,
-)
 from .semantics import (
     Interpretation,
     OracleCeilingError,
     OracleConfig,
-    SignatureError,
-    interp_concept,
-    interp_role,
-    is_model,
     oracle_find_model,
     satisfies_abox,
-    satisfies_fact,
 )
 from .syntax import (
     Abox,
@@ -77,12 +51,7 @@ from .syntax import (
     Some,
     TOP,
     Top,
-    fresh_individual,
-    individuals_of,
-    is_nnf,
-    make_abox,
     nnf,
-    size_concept,
 )
 
 __version__ = "0.1.0"

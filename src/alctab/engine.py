@@ -14,12 +14,7 @@ from typing import Iterable, Optional, Union
 
 from .measure import assert_decrease, progress_check
 from .rules import RULES_BY_KIND, RuleApplication, RuleKind, alc_rules
-from .semantics import (
-    Interpretation,
-    OracleConfig,
-    oracle_find_model,
-    satisfies_abox,
-)
+from .semantics import Interpretation
 from .syntax import (
     Abox,
     And,
@@ -30,7 +25,6 @@ from .syntax import (
     Named,
     Not,
     abox_signature,
-    fresh_individual,
     individuals_of,
     is_nnf_abox,
     lookup,
@@ -126,20 +120,10 @@ def next_application(abox: Abox) -> Optional[RuleApplication]:
         for i, fact in enumerate(abox):
             if rule.appcond(abox, fact):
                 successors = tuple(rule.action(abox[:i], fact, abox[i + 1 :]))
-                fresh = fresh_individual(abox) if rule.kind is RuleKind.SOME else None
+                # the ∃ action puts the edge to its witness first in its successor
+                fresh = successors[0][0].target if rule.kind is RuleKind.SOME else None
                 return RuleApplication(rule.kind, fact, i, abox, successors, fresh)
     return None
-
-
-def expand_once(abox: Abox) -> Optional[list[Abox]]:
-    """Successors of the first applicable rule, or None when saturated."""
-    app = next_application(abox)
-    return None if app is None else list(app.successors)
-
-
-def saturated(abox: Abox) -> bool:
-    """True iff no rule is applicable anywhere in the branch."""
-    return next_application(abox) is None
 
 
 def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
@@ -233,38 +217,6 @@ def canonical_interpretation(abox: Abox) -> Interpretation:
     )
 
 
-def check_run_soundness(
-    trace: Iterable[RuleApplication],
-    initial: Abox,
-    final: Abox,
-    cfg: OracleConfig,
-) -> bool:
-    """Test helper: a model of the final branch must satisfy the initial one.
-
-    The trace must be the single branch path leading from `initial` to
-    `final`. Returns True when the final branch is unsatisfiable within the
-    oracle bound, or when the oracle's model of the final branch also
-    satisfies the initial facts.
-    """
-    path = tuple(trace)
-    initial = tuple(initial)
-    final = tuple(final)
-    if path:
-        if path[0].before != initial:
-            raise ValueError("trace does not start at the initial abox")
-        for prev, cur in zip(path, path[1:]):
-            if cur.before not in prev.successors:
-                raise ValueError("trace is not a single branch path")
-        if final not in path[-1].successors:
-            raise ValueError("final abox is not a successor of the last step")
-    elif final != initial:
-        raise ValueError("empty trace but distinct initial and final aboxes")
-    model = oracle_find_model(final, cfg)
-    if model is None:
-        return True
-    return satisfies_abox(model, initial)
-
-
 def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Abox]:
     """Re-run the depth-first loop, driving rule choice from a recorded trace.
 
@@ -306,13 +258,10 @@ __all__ = [
     "Unsatisfiable",
     "Verdict",
     "canonical_interpretation",
-    "check_run_soundness",
     "contains_clash",
     "decide_concept_sat",
     "decide_sat_abox",
-    "expand_once",
     "next_application",
     "replay_trace",
-    "saturated",
     "subsumes",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping
 
-from .rules import appcond_and, appcond_or, appcond_some
+from .rules import AND_RULE, OR_RULE, SOME_RULE, appcond_some, pending
 from .syntax import (
     Abox,
     All,
@@ -29,7 +29,6 @@ from .syntax import (
     Or,
     Rel,
     Some,
-    asserted,
     existential_count,
     fresh_individual,
     individuals_of,
@@ -54,7 +53,7 @@ def reducible_hidden_ex_count(abox: Abox) -> int:
             continue
         d = fact.concept
         hidden = existential_count(d) - (1 if isinstance(d, Some) else 0)
-        reducible = 1 if isinstance(d, Some) and appcond_some(abox, fact) else 0
+        reducible = 1 if appcond_some(abox, fact) else 0
         total += hidden + reducible
     return total
 
@@ -75,27 +74,21 @@ def measure_fact(abox: Abox, fact: Fact) -> MeasurePair:
     return _pair(abox, fact, reducible_hidden_ex_count(abox))
 
 
+# pivots of these shapes weigh their concept size while their rule applies
+_RULE_FOR = {And: AND_RULE, Or: OR_RULE, Some: SOME_RULE}
+
+
 def _pair(abox: Abox, fact: Fact, shared_ex_count: int) -> MeasurePair:
     if isinstance(fact, Rel):
         return (0, 0)
     d = fact.concept
-    if isinstance(d, And):
-        return (size_concept(d), 0) if appcond_and(abox, fact) else (0, 0)
-    if isinstance(d, Or):
-        return (size_concept(d), 0) if appcond_or(abox, fact) else (0, 0)
-    if isinstance(d, Some):
-        return (size_concept(d), 0) if appcond_some(abox, fact) else (0, 0)
     if isinstance(d, All):
-        pending = sum(
-            1
-            for g in abox
-            if isinstance(g, Rel)
-            and g.role == d.role
-            and g.source == fact.subject
-            and not asserted(abox, g.target, d.child)
-        )
-        return (size_concept(d), pending + shared_ex_count)
-    # atoms, negations, Top, Bottom: no rule ever fires on these
+        waiting = sum(1 for _ in pending(abox, fact.subject, d))
+        return (size_concept(d), waiting + shared_ex_count)
+    rule = _RULE_FOR.get(type(d))
+    if rule is not None and rule.appcond(abox, fact):
+        return (size_concept(d), 0)
+    # atoms, negations, Top, Bottom, and pivots whose rule no longer applies
     return (0, 0)
 
 

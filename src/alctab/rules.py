@@ -1,27 +1,33 @@
 """The four ALC decomposition rules as (applicability, action) pairs over
-list ABoxes, and checkers for the corresponding set-level rule relations.
+list ABoxes.
 
-Each action receives the branch split around its pivot fact and returns the
+Each rule is given once, by the shape of its pivot concept, its premise and
+the facts it adds; `_rule` turns those into the applicability test and the
+action. A premise only reads the branch: it builds no fact and no witness.
+An action receives the branch split around its pivot fact and returns the
 successor branches, always shaped ``new facts + prefix + pivot + suffix``
-and de-duplicated. The set-level relation checkers let tests validate every
-list-level application against the abstract calculus.
+and de-duplicated, so the new facts lead every successor. The set-level
+rule relations that tests check every application against live in the
+test suite.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .syntax import (
     Abox,
     All,
     And,
+    Concept,
     Fact,
     Individual,
     Inst,
     Or,
     Rel,
+    Role,
     Some,
     asserted,
     dedup_facts,
@@ -59,100 +65,94 @@ class RuleApplication:
     fresh: Optional[Individual] = None
 
 
-def appcond_and(abox: Abox, fact: Fact) -> bool:
-    """Conjunction fact whose parts are not already both asserted."""
-    if not (isinstance(fact, Inst) and isinstance(fact.concept, And)):
-        return False
-    c = fact.concept
-    return not (asserted(abox, fact.subject, c.left) and asserted(abox, fact.subject, c.right))
+def role_successors(abox: Abox, role: Role, source: Individual) -> Iterator[Individual]:
+    """Targets of the `role` edges from `source`, in branch order."""
+    for g in abox:
+        if isinstance(g, Rel) and g.role == role and g.source == source:
+            yield g.target
 
 
-def action_and(prefix: Abox, pivot: Fact, suffix: Abox) -> Tableau:
-    if not (isinstance(pivot, Inst) and isinstance(pivot.concept, And)):
-        return []
-    c = pivot.concept
-    new = (Inst(pivot.subject, c.left), Inst(pivot.subject, c.right))
-    return [dedup_facts(new + prefix + (pivot,) + suffix)]
+def pending(abox: Abox, subject: Individual, concept: All) -> Iterator[Individual]:
+    """Successors of `subject` that the universal restriction has not reached:
+    those along its role that miss its body concept, in branch order."""
+    body = concept.child
+    return (y for y in role_successors(abox, concept.role, subject) if not asserted(abox, y, body))
 
 
-def appcond_or(abox: Abox, fact: Fact) -> bool:
-    """Disjunction fact with neither alternative asserted yet."""
-    if not (isinstance(fact, Inst) and isinstance(fact.concept, Or)):
-        return False
-    c = fact.concept
-    return not (asserted(abox, fact.subject, c.left) or asserted(abox, fact.subject, c.right))
+def _rule(
+    kind: RuleKind,
+    shape: type,
+    premise: Callable[[Abox, Individual, Concept], bool],
+    adds: Callable[[Abox, Individual, Concept], list[tuple[Fact, ...]]],
+) -> TableauRule:
+    """The rule that fires on pivots `x : C` with C of type `shape` when
+    `premise(branch, x, C)` holds, with one successor per tuple of facts in
+    `adds(branch, x, C)`. An action on a pivot where the rule does not apply
+    has no successors."""
+
+    def appcond(abox: Abox, fact: Fact) -> bool:
+        return (
+            isinstance(fact, Inst)
+            and isinstance(fact.concept, shape)
+            and premise(abox, fact.subject, fact.concept)
+        )
+
+    def action(prefix: Abox, pivot: Fact, suffix: Abox) -> Tableau:
+        whole = prefix + (pivot,) + suffix
+        if not appcond(whole, pivot):
+            return []
+        return [dedup_facts(new + whole) for new in adds(whole, pivot.subject, pivot.concept)]
+
+    return TableauRule(kind, appcond, action)
 
 
-def action_or(prefix: Abox, pivot: Fact, suffix: Abox) -> Tableau:
-    if not (isinstance(pivot, Inst) and isinstance(pivot.concept, Or)):
-        return []
-    c = pivot.concept
-    rest = prefix + (pivot,) + suffix
-    return [
-        dedup_facts((Inst(pivot.subject, c.left),) + rest),
-        dedup_facts((Inst(pivot.subject, c.right),) + rest),
-    ]
+def _and_premise(abox: Abox, x: Individual, c: And) -> bool:
+    """Not both parts asserted yet."""
+    return not (asserted(abox, x, c.left) and asserted(abox, x, c.right))
 
 
-def appcond_all(abox: Abox, fact: Fact) -> bool:
-    """Universal restriction with a successor that misses the body concept."""
-    if not (isinstance(fact, Inst) and isinstance(fact.concept, All)):
-        return False
-    c = fact.concept
-    return any(
-        isinstance(g, Rel)
-        and g.role == c.role
-        and g.source == fact.subject
-        and not asserted(abox, g.target, c.child)
-        for g in abox
-    )
+def _and_adds(abox: Abox, x: Individual, c: And) -> list[tuple[Fact, ...]]:
+    return [(Inst(x, c.left), Inst(x, c.right))]
 
 
-def action_all(prefix: Abox, pivot: Fact, suffix: Abox) -> Tableau:
-    if not (isinstance(pivot, Inst) and isinstance(pivot.concept, All)):
-        return []
-    c = pivot.concept
-    whole = prefix + (pivot,) + suffix
-    for g in whole:
-        if (
-            isinstance(g, Rel)
-            and g.role == c.role
-            and g.source == pivot.subject
-            and not asserted(whole, g.target, c.child)
-        ):
-            # first violating successor in branch order; iteration reaches the rest
-            return [dedup_facts((Inst(g.target, c.child),) + whole)]
-    return []
+def _or_premise(abox: Abox, x: Individual, c: Or) -> bool:
+    """Neither alternative asserted yet."""
+    return not (asserted(abox, x, c.left) or asserted(abox, x, c.right))
 
 
-def appcond_some(abox: Abox, fact: Fact) -> bool:
-    """Existential restriction with no individual witnessing edge and body."""
-    if not (isinstance(fact, Inst) and isinstance(fact.concept, Some)):
-        return False
-    c = fact.concept
-    return not any(
-        isinstance(g, Rel)
-        and g.role == c.role
-        and g.source == fact.subject
-        and asserted(abox, g.target, c.child)
-        for g in abox
-    )
+def _or_adds(abox: Abox, x: Individual, c: Or) -> list[tuple[Fact, ...]]:
+    return [(Inst(x, c.left),), (Inst(x, c.right),)]
 
 
-def action_some(prefix: Abox, pivot: Fact, suffix: Abox) -> Tableau:
-    if not (isinstance(pivot, Inst) and isinstance(pivot.concept, Some)):
-        return []
-    c = pivot.concept
-    whole = prefix + (pivot,) + suffix
-    witness = fresh_individual(whole)
-    new = (Rel(c.role, pivot.subject, witness), Inst(witness, c.child))
-    return [dedup_facts(new + whole)]
+def _all_premise(abox: Abox, x: Individual, c: All) -> bool:
+    """Some successor along the role misses the body concept."""
+    return next(pending(abox, x, c), None) is not None
 
 
-AND_RULE = TableauRule(RuleKind.AND, appcond_and, action_and)
-OR_RULE = TableauRule(RuleKind.OR, appcond_or, action_or)
-ALL_RULE = TableauRule(RuleKind.ALL, appcond_all, action_all)
-SOME_RULE = TableauRule(RuleKind.SOME, appcond_some, action_some)
+def _all_adds(abox: Abox, x: Individual, c: All) -> list[tuple[Fact, ...]]:
+    # first pending successor in branch order; later steps reach the rest
+    return [(Inst(next(pending(abox, x, c)), c.child),)]
+
+
+def _some_premise(abox: Abox, x: Individual, c: Some) -> bool:
+    """No successor along the role holds the body concept."""
+    return not any(asserted(abox, y, c.child) for y in role_successors(abox, c.role, x))
+
+
+def _some_adds(abox: Abox, x: Individual, c: Some) -> list[tuple[Fact, ...]]:
+    witness = fresh_individual(abox)
+    return [(Rel(c.role, x, witness), Inst(witness, c.child))]
+
+
+AND_RULE = _rule(RuleKind.AND, And, _and_premise, _and_adds)
+OR_RULE = _rule(RuleKind.OR, Or, _or_premise, _or_adds)
+ALL_RULE = _rule(RuleKind.ALL, All, _all_premise, _all_adds)
+SOME_RULE = _rule(RuleKind.SOME, Some, _some_premise, _some_adds)
+
+appcond_and, action_and = AND_RULE.appcond, AND_RULE.action
+appcond_or, action_or = OR_RULE.appcond, OR_RULE.action
+appcond_all, action_all = ALL_RULE.appcond, ALL_RULE.action
+appcond_some, action_some = SOME_RULE.appcond, SOME_RULE.action
 
 RULES_BY_KIND = {r.kind: r for r in (AND_RULE, OR_RULE, ALL_RULE, SOME_RULE)}
 
@@ -165,88 +165,3 @@ def alc_rules() -> tuple[TableauRule, ...]:
     one is fixed for reproducibility.
     """
     return (AND_RULE, ALL_RULE, OR_RULE, SOME_RULE)
-
-
-def apply_srule(rule: TableauRule, abox: Abox) -> Tableau:
-    """Apply a rule at its first applicable pivot, scanning left to right.
-
-    Returns the successor branches, or an empty list when the rule is not
-    applicable anywhere in the branch.
-    """
-    for i, fact in enumerate(abox):
-        if rule.appcond(abox, fact):
-            return rule.action(abox[:i], fact, abox[i + 1 :])
-    return []
-
-
-def abstract(abox: Abox) -> frozenset[Fact]:
-    """Forget the branch order: the set of facts."""
-    return frozenset(abox)
-
-
-def abstract_rule_holds(
-    kind: RuleKind, before: frozenset[Fact], after: frozenset[Fact]
-) -> bool:
-    """Decide whether the set-level rule relation relates `before` to `after`.
-
-    The relation holds when some pivot fact of `before` satisfies the rule's
-    condition together with its negative applicability condition, and `after`
-    is exactly `before` plus the facts the rule's action adds. The witness
-    individual of the existential rule is the same deterministic allocation
-    the list-level action uses.
-    """
-    before = frozenset(before)
-    after = frozenset(after)
-    if kind is RuleKind.AND:
-        for f in before:
-            if isinstance(f, Inst) and isinstance(f.concept, And):
-                c1 = Inst(f.subject, f.concept.left)
-                c2 = Inst(f.subject, f.concept.right)
-                if c1 in before and c2 in before:
-                    continue
-                if after == before | {c1, c2}:
-                    return True
-        return False
-    if kind is RuleKind.OR:
-        for f in before:
-            if isinstance(f, Inst) and isinstance(f.concept, Or):
-                c1 = Inst(f.subject, f.concept.left)
-                c2 = Inst(f.subject, f.concept.right)
-                if c1 in before or c2 in before:
-                    continue
-                if after == before | {c1} or after == before | {c2}:
-                    return True
-        return False
-    if kind is RuleKind.ALL:
-        for f in before:
-            if isinstance(f, Inst) and isinstance(f.concept, All):
-                c = f.concept
-                for g in before:
-                    if (
-                        isinstance(g, Rel)
-                        and g.role == c.role
-                        and g.source == f.subject
-                        and Inst(g.target, c.child) not in before
-                        and after == before | {Inst(g.target, c.child)}
-                    ):
-                        return True
-        return False
-    if kind is RuleKind.SOME:
-        witness = fresh_individual(tuple(before))
-        for f in before:
-            if isinstance(f, Inst) and isinstance(f.concept, Some):
-                c = f.concept
-                blocked = any(
-                    isinstance(g, Rel)
-                    and g.role == c.role
-                    and g.source == f.subject
-                    and Inst(g.target, c.child) in before
-                    for g in before
-                )
-                if blocked:
-                    continue
-                added = {Rel(c.role, f.subject, witness), Inst(witness, c.child)}
-                if after == before | added:
-                    return True
-        return False
-    raise ValueError(f"unknown rule kind: {kind!r}")

@@ -32,6 +32,7 @@ from .syntax import (
     abox_signature,
     individuals_of,
     quantifier_free,
+    subterms,
 )
 
 #: Refuse oracle searches whose full enumeration is larger than this.
@@ -285,16 +286,11 @@ def oracle_find_model(
     return None
 
 
-def _qf_flags(concept: Concept, out: dict) -> bool:
-    if concept not in out:
-        out[concept] = quantifier_free(concept)
-        match concept:
-            case Not(child) | All(_, child) | Some(_, child):
-                _qf_flags(child, out)
-            case And(left, right) | Or(left, right):
-                _qf_flags(left, out)
-                _qf_flags(right, out)
-    return out[concept]
+def _qf_flags(concept: Concept, out: dict) -> None:
+    """Record in `out` whether each subterm of `concept` is quantifier-free."""
+    for node in subterms(concept):
+        if node not in out:
+            out[node] = quantifier_free(node)
 
 
 def _mask_eval(concept, cbits, rows, m, dom_mask, qf, cache_qf, cache_full):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 from weakref import WeakValueDictionary
 
 ConceptName = str
@@ -212,47 +212,42 @@ def asserted(abox: Abox, subject: Individual, concept: Concept) -> bool:
     return fact is not None and fact in abox
 
 
+def subterms(concept: Concept) -> Iterator[Concept]:
+    """Every node of the concept tree in pre-order, left child before right.
+
+    A subterm shared by several parents is visited once per occurrence, so
+    counts over the walk are tree counts. The walk keeps its own stack, so
+    any depth that fits in memory works.
+    """
+    stack = [concept]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (And, Or)):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, (Not, All, Some)):
+            stack.append(node.child)
+        elif not isinstance(node, (Atom, Top, Bottom)):
+            raise TypeError(f"not a concept: {node!r}")
+
+
 def size_concept(concept: Concept) -> int:
     """Number of constructor nodes in the concept tree.
 
     Every constructor counts one, including Top, Bottom and atoms.
     """
-    match concept:
-        case Atom() | Top() | Bottom():
-            return 1
-        case Not(child) | All(_, child) | Some(_, child):
-            return 1 + size_concept(child)
-        case And(left, right) | Or(left, right):
-            return 1 + size_concept(left) + size_concept(right)
-    raise TypeError(f"not a concept: {concept!r}")
+    return sum(1 for _ in subterms(concept))
 
 
 def existential_count(concept: Concept) -> int:
     """Total number of existential-restriction nodes in the tree."""
-    match concept:
-        case Atom() | Top() | Bottom():
-            return 0
-        case Not(child) | All(_, child):
-            return existential_count(child)
-        case Some(_, child):
-            return 1 + existential_count(child)
-        case And(left, right) | Or(left, right):
-            return existential_count(left) + existential_count(right)
-    raise TypeError(f"not a concept: {concept!r}")
+    return sum(1 for node in subterms(concept) if isinstance(node, Some))
 
 
 def quantifier_free(concept: Concept) -> bool:
     """True when the concept contains no role restriction."""
-    match concept:
-        case Atom() | Top() | Bottom():
-            return True
-        case Not(child):
-            return quantifier_free(child)
-        case And(left, right) | Or(left, right):
-            return quantifier_free(left) and quantifier_free(right)
-        case All() | Some():
-            return False
-    raise TypeError(f"not a concept: {concept!r}")
+    return not any(isinstance(node, (All, Some)) for node in subterms(concept))
 
 
 def nnf(concept: Concept) -> Concept:
@@ -302,16 +297,9 @@ def _nnf_complement(concept: Concept) -> Concept:
 
 def is_nnf(concept: Concept) -> bool:
     """True iff every negation in the concept applies directly to an atom."""
-    match concept:
-        case Atom() | Top() | Bottom():
-            return True
-        case Not(child):
-            return isinstance(child, Atom)
-        case And(left, right) | Or(left, right):
-            return is_nnf(left) and is_nnf(right)
-        case All(_, child) | Some(_, child):
-            return is_nnf(child)
-    raise TypeError(f"not a concept: {concept!r}")
+    return all(
+        isinstance(node.child, Atom) for node in subterms(concept) if isinstance(node, Not)
+    )
 
 
 def is_nnf_abox(abox: Abox) -> bool:
@@ -343,29 +331,11 @@ def fresh_individual(abox: Abox) -> Anon:
 
 
 def concept_names(concept: Concept) -> frozenset[ConceptName]:
-    match concept:
-        case Atom(name):
-            return frozenset({name})
-        case Top() | Bottom():
-            return frozenset()
-        case Not(child) | All(_, child) | Some(_, child):
-            return concept_names(child)
-        case And(left, right) | Or(left, right):
-            return concept_names(left) | concept_names(right)
-    raise TypeError(f"not a concept: {concept!r}")
+    return frozenset(node.name for node in subterms(concept) if isinstance(node, Atom))
 
 
 def role_names(concept: Concept) -> frozenset[RoleName]:
-    match concept:
-        case Atom() | Top() | Bottom():
-            return frozenset()
-        case Not(child):
-            return role_names(child)
-        case All(role, child) | Some(role, child):
-            return frozenset({role.name}) | role_names(child)
-        case And(left, right) | Or(left, right):
-            return role_names(left) | role_names(right)
-    raise TypeError(f"not a concept: {concept!r}")
+    return frozenset(node.role.name for node in subterms(concept) if isinstance(node, (All, Some)))
 
 
 def abox_signature(abox: Abox) -> tuple[tuple[ConceptName, ...], tuple[RoleName, ...]]:
@@ -374,8 +344,11 @@ def abox_signature(abox: Abox) -> tuple[tuple[ConceptName, ...], tuple[RoleName,
     roles: set[RoleName] = set()
     for fact in abox:
         if isinstance(fact, Inst):
-            atoms |= concept_names(fact.concept)
-            roles |= role_names(fact.concept)
+            for node in subterms(fact.concept):
+                if isinstance(node, Atom):
+                    atoms.add(node.name)
+                elif isinstance(node, (All, Some)):
+                    roles.add(node.role.name)
         else:
             roles.add(fact.role.name)
     return tuple(sorted(atoms)), tuple(sorted(roles))

@@ -12,6 +12,7 @@ import json
 import random
 import time
 from pathlib import Path
+from weakref import WeakValueDictionary
 
 import pytest
 
@@ -21,12 +22,12 @@ from alctab.engine import (
     Unsatisfiable,
     decide_concept_sat,
     decide_sat_abox,
-    saturated,
+    next_application,
     subsumes,
 )
 from alctab.measure import progress_check, reducible_hidden_ex_count
 from alctab.parser import parse_concept, print_concept, print_fact
-from alctab.rules import abstract, abstract_rule_holds
+from alctab.rules import alc_rules
 from alctab.semantics import (
     OracleConfig,
     interp_concept,
@@ -36,8 +37,10 @@ from alctab.semantics import (
     satisfies_fact,
 )
 from alctab.syntax import (
+    Anon,
     Inst,
     Named,
+    Rel,
     concept_names,
     existential_count,
     is_nnf,
@@ -53,6 +56,7 @@ from corpus import (
     random_nnf_abox,
     random_nnf_concept,
 )
+from reference import abstract_rule_holds
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 
@@ -128,9 +132,9 @@ def test_c02_per_rule_abstraction_soundness(concept_runs, abox_runs):
     assert len(applications) >= 2000, f"only {len(applications)} applications harvested"
     checked = 0
     for app in applications:
-        before = abstract(app.before)
+        before = frozenset(app.before)
         for successor in app.successors:
-            assert abstract_rule_holds(app.kind, before, abstract(successor))
+            assert abstract_rule_holds(app.kind, before, frozenset(successor))
             checked += 1
     print(
         f"CRITERION 2 PASS: {len(applications)} applications, "
@@ -156,11 +160,46 @@ def test_c04_canonical_model_completeness(concept_runs):
     for _, verdict in runs:
         if isinstance(verdict, Satisfiable):
             open_branches += 1
-            assert saturated(verdict.open_branch)
+            assert next_application(verdict.open_branch) is None
             for fact in verdict.open_branch:
                 assert satisfies_fact(verdict.model, fact)
     assert open_branches > 0
     print(f"CRITERION 4 PASS: canonical models satisfy all facts on {open_branches} open branches")
+
+
+class _CountingTable(WeakValueDictionary):
+    """An interning table that counts the values entered into it."""
+
+    def __init__(self, live):
+        super().__init__(live)
+        self.entered = 0
+
+    def __setitem__(self, key, value):
+        self.entered += 1
+        super().__setitem__(key, value)
+
+
+def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):
+    branches = []  # every branch the corpus expanded, and every open branch
+    for runs, _ in (concept_runs, abox_runs):
+        for _, verdict in runs:
+            branches.extend(app.before for app in verdict.trace)
+            if isinstance(verdict, Satisfiable):
+                branches.append(verdict.open_branch)
+    # a fact or witness built and dropped at once still enters its table
+    tables = {cls: _CountingTable(cls._table) for cls in (Inst, Rel, Anon)}
+    for cls, table in tables.items():
+        monkeypatch.setattr(cls, "_table", table)
+    applicable = 0
+    for branch in branches:
+        for rule in alc_rules():
+            applicable += sum(rule.appcond(branch, fact) for fact in branch)
+    assert applicable > 0
+    assert {cls.__name__: table.entered for cls, table in tables.items()} == {
+        "Inst": 0,
+        "Rel": 0,
+        "Anon": 0,
+    }
 
 
 def test_c05_end_to_end_soundness(concept_runs):
@@ -217,7 +256,7 @@ def test_c07_measure_decrease(concept_runs, abox_runs, small_runs, tmp_path):
     for violation in violations:
         # only the documented ambiguity is tolerated: the step exposed
         # existentials nested inside an added concept
-        added = abstract(violation.after) - abstract(violation.before)
+        added = frozenset(violation.after) - frozenset(violation.before)
         assert any(
             isinstance(f, Inst) and existential_count(f.concept) > 0 for f in added
         ), f"unexplained measure violation: {violation}"

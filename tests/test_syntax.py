@@ -201,6 +201,30 @@ def test_hash_and_equality_do_not_recurse():
     assert {chain: 1}[again] == 1
 
 
+def _nest(wrap, bottom, depth):
+    for _ in range(depth):
+        bottom = wrap(bottom)
+    return bottom
+
+
+def test_walks_do_not_recurse():
+    # built with the constructors, because the parser still recurses
+    depth = 10_000
+    chain = _nest(lambda c: Some(r, c), Not(A), depth)
+    assert size_concept(chain) == depth + 2
+    assert existential_count(chain) == depth
+    assert existential_count(And(chain, chain)) == 2 * depth  # tree counts
+    assert is_nnf(chain)
+    assert not is_nnf(_nest(lambda c: Some(r, c), Not(Some(r, A)), depth))
+    assert concept_names(chain) == {"A"}
+    assert role_names(chain) == {"r"}
+    assert abox_signature((Inst(x, chain), Rel(s, x, y))) == (("A",), ("r", "s"))
+    # a leading restriction stops quantifier_free at the root, so it walks
+    # And chains whose only possible restriction is the deepest node
+    assert quantifier_free(_nest(lambda c: And(B, c), A, depth))
+    assert not quantifier_free(_nest(lambda c: And(B, c), Some(r, A), depth))
+
+
 def test_threads_building_the_same_values_get_one_object():
     # more threads than cores, switching often, all building the same values
     built = [[] for _ in range(8)]

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .measure import assert_decrease, progress_check
-from .rules import RULES_BY_KIND, RuleApplication, RuleKind, alc_rules
+from .rules import (
+    MONOTONE,
+    RULES_BY_KIND,
+    RuleApplication,
+    RuleKind,
+    alc_rules,
+    pivot_kind,
+    pivots,
+)
 from .semantics import Interpretation
 from .syntax import (
     Abox,
@@ -21,6 +29,7 @@ from .syntax import (
     Atom,
     Bottom,
     Concept,
+    Fact,
     Inst,
     Named,
     Not,
@@ -95,35 +104,85 @@ class Unsatisfiable:
 Verdict = Union[Satisfiable, Unsatisfiable]
 
 
-def contains_clash(abox: Abox) -> bool:
+def contains_clash(abox: Abox, added: Optional[Abox] = None) -> bool:
     """Syntactic contradiction: x : C together with x : not C, or x : Bottom.
 
-    C ranges over all concepts, not only atoms.
+    C ranges over all concepts, not only atoms. Given the facts a step
+    `added` to a clash-free branch in negation normal form, only clashes
+    through those facts are looked for, since no other can have arisen;
+    without it the whole branch is tested.
     """
-    facts = set(abox)
-    for f in abox:
+    whole = added is None
+    facts = set(abox) if whole else abox
+    for f in abox if whole else added:
         if isinstance(f, Inst):
-            if isinstance(f.concept, Bottom):
+            c = f.concept
+            if isinstance(c, Bottom):
                 return True
-            # each x : not D is matched against x : D, so no fact is built
-            if isinstance(f.concept, Not) and lookup(Inst, f.subject, f.concept.child) in facts:
+            # the complement fact is looked up, never built
+            if isinstance(c, Not):
+                other = lookup(Inst, f.subject, c.child)
+            elif whole or not isinstance(c, Atom):
+                # a whole branch shows each clash from its negated side, and
+                # in negation normal form only atoms are negated
+                continue
+            else:
+                # an atom never negated has no Not, and (x, None) no Inst
+                other = lookup(Inst, f.subject, lookup(Not, c))
+            if other is not None and other in facts:
                 return True
     return False
 
 
-def next_application(abox: Abox) -> Optional[RuleApplication]:
+Live = dict[RuleKind, list[Fact]]
+
+
+def next_application(abox: Abox, live: Optional[Live] = None) -> Optional[RuleApplication]:
     """First applicable rule in strategy order, at its first pivot.
 
-    None means the branch is saturated.
+    None means the branch is saturated. `live` holds, per rule kind, the
+    branch's pivots of that kind in branch order, and must include every
+    pivot the rule applies at; without it they are read off the whole
+    branch. Conjunction, disjunction and existential pivots tested here and
+    found not to apply, and the pivot that fires, cannot fire on any branch
+    grown from this one, so their entries in `live` are replaced by lists
+    without them. Universal pivots always stay: a new edge can make them
+    apply again.
     """
+    if live is None:
+        live = pivots(abox)
     for rule in alc_rules():
-        for i, fact in enumerate(abox):
+        candidates = live[rule.kind]
+        prune = rule.kind in MONOTONE
+        for n, fact in enumerate(candidates):
             if rule.appcond(abox, fact):
+                if prune:
+                    live[rule.kind] = candidates[n + 1 :]
+                i = abox.index(fact)
                 successors = tuple(rule.action(abox[:i], fact, abox[i + 1 :]))
                 # the ∃ action puts the edge to its witness first in its successor
                 fresh = successors[0][0].target if rule.kind is RuleKind.SOME else None
                 return RuleApplication(rule.kind, fact, i, abox, successors, fresh)
+        if prune and candidates:
+            live[rule.kind] = []
     return None
+
+
+def _added(before: Abox, after: Abox) -> Optional[Abox]:
+    """The facts a step put in front of `before` to make `after`, or None
+    when it also moved facts of `before` (re-asserted them) to the front."""
+    n = len(after) - len(before)
+    return after[:n] if after[n:] == before else None
+
+
+def _grow(live: Live, added: Abox) -> Live:
+    """A successor's live pivots: its parent's, after the new facts' own."""
+    grown = dict(live)
+    for fact in reversed(added):
+        kind = pivot_kind(fact)
+        if kind is not None:
+            grown[kind] = [fact, *grown[kind]]
+    return grown
 
 
 def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
@@ -133,21 +192,27 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     clash-free branch wins and is returned with its canonical model, and if
     every branch closes the ABox is unsatisfiable. Raises StepLimitExceeded
     after `cfg.max_steps` rule applications.
+
+    Each stacked branch carries its parent's live pivots and the facts the
+    step added, so that the clash test looks only at those facts and rule
+    selection only at pivots not yet known dead. A successor in which the
+    step re-asserted facts its parent held is tested and scanned whole.
     """
     cfg = cfg or EngineConfig()
     root = tuple(abox)
     if not is_nnf_abox(root):
         raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
-    stack: list[Abox] = [root]
+    stack: list[tuple[Abox, Optional[Live], Optional[Abox]]] = [(root, None, None)]
     closed = 0
     steps = 0
     while stack:
-        branch = stack.pop()
-        if contains_clash(branch):
+        branch, inherited, added = stack.pop()
+        if contains_clash(branch, added):
             closed += 1
             continue
-        app = next_application(branch)
+        live = pivots(branch) if added is None else _grow(inherited, added)
+        app = next_application(branch, live)
         if app is None:
             return Satisfiable(canonical_interpretation(branch), branch, tuple(trace))
         steps += 1
@@ -157,7 +222,8 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             _check_measures(app, cfg)
         if cfg.record_trace:
             trace.append(app)
-        stack.extend(reversed(app.successors))
+        for succ in reversed(app.successors):
+            stack.append((succ, live, _added(branch, succ)))
     return Unsatisfiable(tuple(trace), closed)
 
 

@@ -14,6 +14,12 @@ that follows them:
 IDENT is [A-Za-z_][A-Za-z0-9_]* minus the keywords. So
 "some r. A and B" reads as (some r. A) and B.
 
+The parser recurses once per prefix operator and open parenthesis, and so
+do the normal form and the printer on what it returns. At most
+MAX_NESTING of them may enclose any point of the input; a deeper input is
+a ParseError, well before any of these walks reaches Python's recursion
+limit. Long and/or chains do not nest.
+
 ABox files are line oriented: blank lines and lines starting with "#" are
 ignored; every other line is either "x : Concept" or "r(x, y)" with the
 role name first. Duplicate facts are rejected.
@@ -46,6 +52,8 @@ from .syntax import (
 )
 
 KEYWORDS = frozenset({"and", "or", "not", "all", "some", "Top", "Bottom"})
+
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[().:,]")
 _SPACE_RE = re.compile(r"[ \t\r]*")
@@ -110,6 +118,7 @@ class _ConceptParser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # prefix operators and parentheses open here
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -149,16 +158,27 @@ class _ConceptParser:
             left = And(left, self.unary())
         return left
 
+    def nested(self, opener: _Token, parse) -> Concept:
+        """`parse()` one nesting level below `opener`, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                opener.span, f"at most {MAX_NESTING} nested operators and parentheses", opener.describe
+            )
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
+
     def unary(self) -> Concept:
         tok = self.peek()
         if tok.text == "not":
             self.advance()
-            return Not(self.unary())
+            return Not(self.nested(tok, self.unary))
         if tok.text in ("all", "some"):
             self.advance()
             role = Role(self.ident("a role name"))
             self.expect(".")
-            body = self.unary()
+            body = self.nested(tok, self.unary)
             return All(role, body) if tok.text == "all" else Some(role, body)
         return self.primary()
 
@@ -172,7 +192,7 @@ class _ConceptParser:
             return BOTTOM
         if tok.text == "(":
             self.advance()
-            inner = self.concept()
+            inner = self.nested(tok, self.concept)
             self.expect(")")
             return inner
         return Atom(self.ident("a concept"))
@@ -278,6 +298,7 @@ def print_fact(fact: Fact) -> str:
 
 __all__ = [
     "KEYWORDS",
+    "MAX_NESTING",
     "ParseError",
     "SourceSpan",
     "parse_abox",

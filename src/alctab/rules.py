@@ -6,16 +6,18 @@ the facts it adds; `_rule` turns those into the applicability test and the
 action. A premise only reads the branch: it builds no fact and no witness.
 An action receives the branch split around its pivot fact and returns the
 successor branches, always shaped ``new facts + prefix + pivot + suffix``
-and de-duplicated, so the new facts lead every successor. The set-level
-rule relations that tests check every application against live in the
-test suite.
+and de-duplicated, so the new facts lead every successor and branches only
+grow. Growing a branch can only make the conjunction, disjunction and
+existential premises false, never true again; only the universal premise
+can turn true again, when an edge is added. The set-level rule relations
+that tests check every application against live in the test suite.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .syntax import (
     Abox,
@@ -42,6 +44,10 @@ class RuleKind(enum.Enum):
     OR = "or"
     ALL = "all"
     SOME = "some"
+
+    # members are singletons; Enum's own __hash__ runs in Python on every
+    # lookup of the engine's per-kind pivot lists
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -79,16 +85,39 @@ def pending(abox: Abox, subject: Individual, concept: All) -> Iterator[Individua
     return (y for y in role_successors(abox, concept.role, subject) if not asserted(abox, y, body))
 
 
+# the concept constructor each rule's pivots have
+_PIVOT_SHAPE = {RuleKind.AND: And, RuleKind.OR: Or, RuleKind.ALL: All, RuleKind.SOME: Some}
+_KIND_OF_SHAPE = {shape: kind for kind, shape in _PIVOT_SHAPE.items()}
+
+# the kinds whose premise, once false, stays false as the branch grows
+MONOTONE = frozenset({RuleKind.AND, RuleKind.OR, RuleKind.SOME})
+
+
+def pivot_kind(fact: Fact) -> Optional[RuleKind]:
+    """The kind of the one rule whose pivot shape `fact` has, if any."""
+    return _KIND_OF_SHAPE.get(type(fact.concept)) if isinstance(fact, Inst) else None
+
+
+def pivots(facts: Iterable[Fact]) -> dict[RuleKind, list[Fact]]:
+    """The facts each rule could fire on, by pivot shape, in the given order."""
+    out: dict[RuleKind, list[Fact]] = {kind: [] for kind in _PIVOT_SHAPE}
+    for fact in facts:
+        kind = pivot_kind(fact)
+        if kind is not None:
+            out[kind].append(fact)
+    return out
+
+
 def _rule(
     kind: RuleKind,
-    shape: type,
     premise: Callable[[Abox, Individual, Concept], bool],
     adds: Callable[[Abox, Individual, Concept], list[tuple[Fact, ...]]],
 ) -> TableauRule:
-    """The rule that fires on pivots `x : C` with C of type `shape` when
-    `premise(branch, x, C)` holds, with one successor per tuple of facts in
-    `adds(branch, x, C)`. An action on a pivot where the rule does not apply
-    has no successors."""
+    """The rule that fires on pivots `x : C` with C of the kind's pivot shape
+    when `premise(branch, x, C)` holds, with one successor per tuple of facts
+    in `adds(branch, x, C)`. An action on a pivot where the rule does not
+    apply has no successors."""
+    shape = _PIVOT_SHAPE[kind]
 
     def appcond(abox: Abox, fact: Fact) -> bool:
         return (
@@ -144,10 +173,10 @@ def _some_adds(abox: Abox, x: Individual, c: Some) -> list[tuple[Fact, ...]]:
     return [(Rel(c.role, x, witness), Inst(witness, c.child))]
 
 
-AND_RULE = _rule(RuleKind.AND, And, _and_premise, _and_adds)
-OR_RULE = _rule(RuleKind.OR, Or, _or_premise, _or_adds)
-ALL_RULE = _rule(RuleKind.ALL, All, _all_premise, _all_adds)
-SOME_RULE = _rule(RuleKind.SOME, Some, _some_premise, _some_adds)
+AND_RULE = _rule(RuleKind.AND, _and_premise, _and_adds)
+OR_RULE = _rule(RuleKind.OR, _or_premise, _or_adds)
+ALL_RULE = _rule(RuleKind.ALL, _all_premise, _all_adds)
+SOME_RULE = _rule(RuleKind.SOME, _some_premise, _some_adds)
 
 appcond_and, action_and = AND_RULE.appcond, AND_RULE.action
 appcond_or, action_or = OR_RULE.appcond, OR_RULE.action

@@ -212,16 +212,23 @@ def asserted(abox: Abox, subject: Individual, concept: Concept) -> bool:
     return fact is not None and fact in abox
 
 
-def subterms(concept: Concept) -> Iterator[Concept]:
+def subterms(concept: Concept, seen: Optional[set] = None) -> Iterator[Concept]:
     """Every node of the concept tree in pre-order, left child before right.
 
     A subterm shared by several parents is visited once per occurrence, so
-    counts over the walk are tree counts. The walk keeps its own stack, so
-    any depth that fits in memory works.
+    counts over the walk are tree counts. Given a set `seen`, the walk
+    visits the concept as a DAG instead: it skips every node already in
+    `seen`, with its subterms, and adds each node it visits, so one set
+    shared by several walks visits each distinct subterm once in all. The
+    walk keeps its own stack, so any depth that fits in memory works.
     """
     stack = [concept]
     while stack:
         node = stack.pop()
+        if seen is not None:
+            if node in seen:
+                continue
+            seen.add(node)
         yield node
         if isinstance(node, (And, Or)):
             stack.append(node.right)
@@ -339,12 +346,17 @@ def role_names(concept: Concept) -> frozenset[RoleName]:
 
 
 def abox_signature(abox: Abox) -> tuple[tuple[ConceptName, ...], tuple[RoleName, ...]]:
-    """Concept and role names mentioned anywhere in the ABox, sorted."""
+    """Concept and role names mentioned anywhere in the ABox, sorted.
+
+    Concepts are hash-consed, so the facts' concepts share subterms; one
+    walk over all of them visits each distinct subterm once.
+    """
     atoms: set[ConceptName] = set()
     roles: set[RoleName] = set()
+    seen: set[Concept] = set()
     for fact in abox:
         if isinstance(fact, Inst):
-            for node in subterms(fact.concept):
+            for node in subterms(fact.concept, seen):
                 if isinstance(node, Atom):
                     atoms.add(node.name)
                 elif isinstance(node, (All, Some)):

@@ -158,3 +158,12 @@ def test_unexpected_error_exits_3_without_traceback(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: injected failure\n"
     assert "Traceback" not in err
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    for depth in (3_000, 10_000):
+        for prefix in ("not ", "some r. "):
+            code, out, err = run(capsys, "sat", prefix * depth + "A")
+            assert code == 2 and out == ""
+            assert err.startswith("error: line 1, column ") and err.count("\n") == 1
+            assert "at most 100 nested" in err and "Traceback" not in err

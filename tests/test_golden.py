@@ -8,13 +8,25 @@ acceptance fixtures) and three reference instances: wide existentials with
 n=25, irrelevant disjunctions with n=10 and the binary existential tree T_6.
 Any change to search order, rule actions, witness allocation, model
 extraction or rendering changes the digest.
+
+The same runs gate the engine's incremental bookkeeping: at every recorded
+step, the rule choice from its live pivots and the clash test on the facts
+the step added must agree with the whole-branch scans.
 """
 
 import hashlib
 import random
 from functools import reduce
 
-from alctab.engine import EngineConfig, Satisfiable, decide_concept_sat, decide_sat_abox
+from alctab.engine import (
+    EngineConfig,
+    Satisfiable,
+    _added,
+    contains_clash,
+    decide_concept_sat,
+    decide_sat_abox,
+    next_application,
+)
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
 from alctab.syntax import TOP, All, And, Atom, Not, Or, Role, Some
@@ -80,3 +92,23 @@ def test_golden_outputs():
         for line in output_lines(verdict):
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_incremental_steps_match_whole_branch_scans():
+    successors = incremental = clashes = 0
+    for verdict in verdicts():
+        for rec in verdict.trace:
+            whole = next_application(rec.before)
+            assert (whole.kind, whole.pivot_index) == (rec.kind, rec.pivot_index)
+            for succ in rec.successors:
+                successors += 1
+                added = _added(rec.before, succ)
+                if added is not None:
+                    incremental += 1
+                    clashes += contains_clash(succ)
+                    assert contains_clash(succ, added) == contains_clash(succ)
+        if isinstance(verdict, Satisfiable):
+            assert next_application(verdict.open_branch) is None
+            assert not contains_clash(verdict.open_branch)
+    # both the incremental and the whole-branch path ran, and clashes were found
+    assert 0 < incremental < successors and clashes > 0

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from alctab.engine import decide_concept_sat
 from alctab.parser import (
+    MAX_NESTING,
     ParseError,
     parse_abox,
     parse_concept,
@@ -24,6 +26,7 @@ from alctab.syntax import (
     Role,
     Some,
     TOP,
+    nnf,
 )
 from corpus import random_concept
 
@@ -80,6 +83,31 @@ def test_parse_concept_errors_carry_positions():
         parse_concept("")
     with pytest.raises(ParseError):
         parse_concept("some Top. A")  # keywords are not role names
+
+
+def test_nesting_limit():
+    n = MAX_NESTING
+    deepest = [
+        "not " * n + "A",
+        "all r. " * n + "A",
+        "(" * n + "A" + ")" * n,
+        "some r. (" * (n // 2) + "A and B" + ")" * (n // 2),
+    ]
+    # at the limit the concept parses, and the walks that still recurse
+    # (normal form, printer, search) handle it
+    for text in deepest:
+        concept = parse_concept(text)
+        assert parse_concept(print_concept(concept)) == concept
+        decide_concept_sat(nnf(concept))
+    # the error points at the first operator or parenthesis past the limit
+    for text, column in (("not " * (n + 1) + "A", 4 * n + 1), ("(" * (n + 1) + "A" + ")" * (n + 1), n + 1)):
+        with pytest.raises(ParseError) as exc:
+            parse_concept(text)
+        assert exc.value.expected == f"at most {n} nested operators and parentheses"
+        assert exc.value.span.column == column
+    with pytest.raises(ParseError) as exc:
+        parse_abox("x : " + "some r. " * (n + 1) + "A\n")
+    assert exc.value.found == "'some'"
 
 
 def test_parse_determinism():

@@ -36,6 +36,7 @@ from alctab.syntax import (
     quantifier_free,
     role_names,
     size_concept,
+    subterms,
 )
 from corpus import ATOMS2, ROLE1, enumerate_interpretations, random_concept
 
@@ -223,6 +224,21 @@ def test_walks_do_not_recurse():
     # And chains whose only possible restriction is the deepest node
     assert quantifier_free(_nest(lambda c: And(B, c), A, depth))
     assert not quantifier_free(_nest(lambda c: And(B, c), Some(r, A), depth))
+
+
+def test_shared_walk_visits_each_distinct_subterm_once():
+    assert list(subterms(And(A, A), set())) == [And(A, A), A]
+    # the ⊓-rule leaves every prefix of a left-nested chain in the branch,
+    # which a walk per fact would visit n²/2 nodes for
+    n = 2_000
+    prefixes = [Atom("A0")]
+    for k in range(1, n):
+        prefixes.append(And(prefixes[-1], Atom(f"A{k}")))
+    seen = set()
+    visits = sum(1 for c in prefixes for _ in subterms(c, seen))
+    assert visits == len(seen) == 2 * n - 1
+    branch = tuple(Inst(x, c) for c in reversed(prefixes))
+    assert abox_signature(branch) == (tuple(sorted(f"A{k}" for k in range(n))), ())
 
 
 def test_threads_building_the_same_values_get_one_object():

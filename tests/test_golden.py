@@ -1,13 +1,16 @@
 """Golden-output regression: verdicts, open branches, models and traces are
-pinned byte for byte.
+pinned byte for byte, by two digests.
 
-The digest covers, for every run, the printed open branch and the rendered
-model (satisfiable runs) and the full JSONL trace (all runs). The runs are
-the seeded acceptance corpus (the same generators and seeds as the
-acceptance fixtures) and three reference instances: wide existentials with
-n=25, irrelevant disjunctions with n=10 and the binary existential tree T_6.
-Any change to search order, rule actions, witness allocation, model
-extraction or rendering changes the digest.
+The verdict digest covers, for every run, the verdict and, for satisfiable
+runs, the printed open branch and the rendered model: what a caller gets.
+The search digest covers the full JSONL trace and, for unsatisfiable runs,
+the number of closed branches: how the search got there. A change that
+prunes the search may change the second, never the first. The runs are the
+seeded acceptance corpus (the same generators and seeds as the acceptance
+fixtures) and three reference instances: wide existentials with n=25,
+irrelevant disjunctions with n=10 and the binary existential tree T_6. Any
+change to search order, rule actions, witness allocation, model extraction
+or rendering changes a digest.
 
 The same runs gate the engine's incremental bookkeeping: at every recorded
 step, the rule choice from its live pivots and the clash test on the facts
@@ -32,7 +35,8 @@ from alctab.render import emit_model, emit_trace
 from alctab.syntax import TOP, All, And, Atom, Not, Or, Role, Some
 from corpus import ATOMS2, ROLE1, random_nnf_abox, random_nnf_concept
 
-GOLDEN_SHA256 = "95aa2cfd4e175a45cccf3d38dec3a1072f2dda18af784e7988a41418e659ff74"
+VERDICTS_SHA256 = "d8b3b1a724a9d914766b8c2ad5fd6c5c1ea002ba6c4ae00fdf3efac1eba5ad14"
+SEARCH_SHA256 = "5d2aaf7274884ed27d15d0fd8c8024c49bec41cbbb26eb0f23bee2d8fad0ca9b"
 
 r = Role("r")
 
@@ -76,22 +80,33 @@ def verdicts():
         yield decide_concept_sat(concept, cfg())
 
 
-def output_lines(verdict):
+def verdict_lines(verdict):
     yield type(verdict).__name__
     if isinstance(verdict, Satisfiable):
         yield from (print_fact(f) for f in verdict.open_branch)
         yield emit_model(verdict.model)
-    else:
+
+
+def search_lines(verdict):
+    if not isinstance(verdict, Satisfiable):
         yield str(verdict.closed_branches)
     yield from emit_trace(verdict.trace)
 
 
-def test_golden_outputs():
-    digest = hashlib.sha256()
+def digest(lines):
+    h = hashlib.sha256()
     for verdict in verdicts():
-        for line in output_lines(verdict):
-            digest.update(line.encode() + b"\n")
-    assert digest.hexdigest() == GOLDEN_SHA256
+        for line in lines(verdict):
+            h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_golden_outputs():
+    assert digest(verdict_lines) == VERDICTS_SHA256
+
+
+def test_golden_search():
+    assert digest(search_lines) == SEARCH_SHA256
 
 
 def test_incremental_steps_match_whole_branch_scans():

@@ -4,12 +4,13 @@ A branch closes as soon as it contains a clash; a saturated clash-free
 branch is open and yields the canonical model read off its facts. Rules are
 tried in a fixed order (conjunction, universal, disjunction, existential)
 and disjunction branches are explored left first, so verdicts and traces
-are fully deterministic.
+are fully deterministic. A right alternative is skipped when the clashes
+below its left sibling did not depend on that choice (backjumping).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 from .measure import assert_decrease, progress_check
@@ -33,6 +34,7 @@ from .syntax import (
     Inst,
     Named,
     Not,
+    Rel,
     abox_signature,
     individuals_of,
     is_nnf_abox,
@@ -112,13 +114,19 @@ def contains_clash(abox: Abox, added: Optional[Abox] = None) -> bool:
     through those facts are looked for, since no other can have arisen;
     without it the whole branch is tested.
     """
+    return _clash(abox, added) is not None
+
+
+def _clash(abox: Abox, added: Optional[Abox] = None) -> Optional[tuple[Fact, Fact]]:
+    """The first clashing pair `contains_clash` finds, or None; `x : Bottom`
+    clashes with itself."""
     whole = added is None
     facts = set(abox) if whole else abox
     for f in abox if whole else added:
         if isinstance(f, Inst):
             c = f.concept
             if isinstance(c, Bottom):
-                return True
+                return f, f
             # the complement fact is looked up, never built
             if isinstance(c, Not):
                 other = lookup(Inst, f.subject, c.child)
@@ -130,8 +138,8 @@ def contains_clash(abox: Abox, added: Optional[Abox] = None) -> bool:
                 # an atom never negated has no Not, and (x, None) no Inst
                 other = lookup(Inst, f.subject, lookup(Not, c))
             if other is not None and other in facts:
-                return True
-    return False
+                return f, other
+    return None
 
 
 Live = dict[RuleKind, list[Fact]]
@@ -185,6 +193,14 @@ def _grow(live: Live, added: Abox) -> Live:
     return grown
 
 
+def _new_facts(before: Abox, after: Abox, added: Optional[Abox]) -> Iterable[Fact]:
+    """The facts of `after` that `before` does not hold, given `_added`."""
+    if added is not None:
+        return added
+    held = set(before)
+    return [f for f in after if f not in held]
+
+
 def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     """Decide satisfiability of an ABox whose concepts are already normalized.
 
@@ -193,23 +209,54 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     every branch closes the ABox is unsatisfiable. Raises StepLimitExceeded
     after `cfg.max_steps` rule applications.
 
-    Each stacked branch carries its parent's live pivots and the facts the
-    step added, so that the clash test looks only at those facts and rule
+    Each branch carries its parent's live pivots and the facts the step
+    added, so that the clash test looks only at those facts and rule
     selection only at pivots not yet known dead. A successor in which the
     step re-asserted facts its parent held is tested and scanned whole.
+
+    The search backjumps. The right successors of the disjunction steps on
+    the current path that are still to be tried wait in `pending`, oldest
+    first, and bit q of a fact's label says that the fact depends on the
+    choice made at the step whose alternative is `pending[q]`. Facts that
+    depend on no such choice have label 0 and are not stored, so while
+    nothing is pending no label is kept. A closing branch depends on the
+    labels of its two clashing facts; every pending alternative whose bit is
+    not among them is discarded unexplored (its step's trace record is
+    marked `skipped`), since the same clash would close every branch below
+    it, and the search resumes at the newest one left.
     """
     cfg = cfg or EngineConfig()
     root = tuple(abox)
     if not is_nnf_abox(root):
         raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
-    stack: list[tuple[Abox, Optional[Live], Optional[Abox]]] = [(root, None, None)]
+    # (right successor, live pivots, added facts, labels, label of the ⊔
+    # pivot, index of the step's trace record when traces are recorded)
+    pending: list[tuple[Abox, Live, Optional[Abox], dict[Fact, int], int, int]] = []
+    branch, inherited, added = root, None, None
+    labels: dict[Fact, int] = {}
     closed = 0
     steps = 0
-    while stack:
-        branch, inherited, added = stack.pop()
+    while True:
         if contains_clash(branch, added):
             closed += 1
+            depends = 0
+            if pending:
+                a, b = _clash(branch, added)
+                depends = labels.get(a, 0) | labels.get(b, 0)
+                keep = depends.bit_length()
+                if cfg.record_trace:
+                    for alt in pending[keep:]:
+                        trace[alt[5]] = replace(trace[alt[5]], skipped=True)
+                del pending[keep:]
+            if not pending:
+                return Unsatisfiable(tuple(trace), closed)
+            branch, inherited, added, labels, label, _ = pending.pop()
+            # the right disjunct depends on what the left one's clash
+            # depended on, less that choice itself
+            label |= depends & ~(1 << len(pending))
+            if label:
+                labels[branch[0]] = label
             continue
         live = pivots(branch) if added is None else _grow(inherited, added)
         app = next_application(branch, live)
@@ -222,9 +269,23 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             _check_measures(app, cfg)
         if cfg.record_trace:
             trace.append(app)
-        for succ in reversed(app.successors):
-            stack.append((succ, live, _added(branch, succ)))
-    return Unsatisfiable(tuple(trace), closed)
+        succ = app.successors[0]
+        succ_added = _added(branch, succ)
+        if app.kind is RuleKind.OR:
+            right = app.successors[1]
+            label = labels.get(app.pivot, 0)
+            pending.append((right, live, _added(branch, right), labels, label, len(trace) - 1))
+            labels = {**labels, succ[0]: label | 1 << (len(pending) - 1)}
+        elif pending:
+            label = labels.get(app.pivot, 0)
+            if app.kind is RuleKind.ALL:
+                # the new fact also depends on the edge the step followed
+                edge = Rel(app.pivot.concept.role, app.pivot.subject, succ[0].subject)
+                label |= labels.get(edge, 0)
+            if label:
+                for fact in _new_facts(branch, succ, succ_added):
+                    labels[fact] = label
+        branch, inherited, added = succ, live, succ_added
 
 
 def _check_measures(app: RuleApplication, cfg: EngineConfig) -> None:
@@ -287,9 +348,11 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
     """Re-run the depth-first loop, driving rule choice from a recorded trace.
 
     Only the recorded rule kinds and pivot indices steer the replay; each
-    successor list is recomputed from scratch. Returns the branch on which
-    the original run stopped (its open branch), or None when every branch
-    closed. Raises ValueError if the trace does not fit the search.
+    successor list is recomputed from scratch, and the right successor of a
+    record marked `skipped` is dropped, as the run discarded it. Returns the
+    branch on which the original run stopped (its open branch), or None when
+    every branch closed. Raises ValueError if the trace does not fit the
+    search.
     """
     records = iter(trace)
     pending = next(records, None)
@@ -307,6 +370,8 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
         if i >= len(branch) or not rule.appcond(branch, branch[i]):
             raise ValueError("recorded pivot is not applicable on replay")
         successors = rule.action(branch[:i], branch[i], branch[i + 1 :])
+        if pending.skipped:
+            successors = successors[:1]
         stack.extend(reversed(successors))
         pending = next(records, None)
     if pending is not None:

@@ -43,7 +43,8 @@ def emit_trace(trace: Iterable[RuleApplication]) -> Iterator[str]:
     """One JSON line per rule application, in application order.
 
     `measure_after` is the measure of the first successor, the branch the
-    depth-first search expands next.
+    depth-first search expands next. `skipped` is true on a disjunction step
+    whose right successor the search discarded unexplored.
     """
     for step, app in enumerate(trace):
         record = {
@@ -53,6 +54,7 @@ def emit_trace(trace: Iterable[RuleApplication]) -> Iterator[str]:
             "pivot_index": app.pivot_index,
             "successors": len(app.successors),
             "fresh": print_individual(app.fresh) if app.fresh is not None else None,
+            "skipped": app.skipped,
             "measure_before": _measure_pairs(app.before),
             "measure_after": _measure_pairs(app.successors[0]),
         }

@@ -61,7 +61,12 @@ class TableauRule:
 
 @dataclass(frozen=True)
 class RuleApplication:
-    """Trace record of one rule application on one branch."""
+    """Trace record of one rule application on one branch.
+
+    `skipped` marks a disjunction step whose right successor the search
+    discarded unexplored, because a clash below the left one did not depend
+    on the choice.
+    """
 
     kind: RuleKind
     pivot: Fact
@@ -69,6 +74,7 @@ class RuleApplication:
     before: Abox
     successors: tuple[Abox, ...]
     fresh: Optional[Individual] = None
+    skipped: bool = False
 
 
 def role_successors(abox: Abox, role: Role, source: Individual) -> Iterator[Individual]:

@@ -257,49 +257,49 @@ def quantifier_free(concept: Concept) -> bool:
     return not any(isinstance(node, (All, Some)) for node in subterms(concept))
 
 
+# the constructor that builds the complement of each binary or quantified
+# constructor's concepts
+_DUAL = {And: Or, Or: And, All: Some, Some: All}
+
+
 def nnf(concept: Concept) -> Concept:
     """Rewrite into negation normal form.
 
     Negations are pushed inward by De Morgan's laws and quantifier duality
     until they apply only to atoms; double negations and negated constants
-    are eliminated. The result is logically equivalent to the input.
+    are eliminated. The result is logically equivalent to the input. The
+    rewrite keeps its own stack, so any depth that fits in memory works.
     """
-    match concept:
-        case Atom() | Top() | Bottom():
-            return concept
-        case Not(child):
-            return _nnf_complement(child)
-        case And(left, right):
-            return And(nnf(left), nnf(right))
-        case Or(left, right):
-            return Or(nnf(left), nnf(right))
-        case All(role, child):
-            return All(role, nnf(child))
-        case Some(role, child):
-            return Some(role, nnf(child))
-    raise TypeError(f"not a concept: {concept!r}")
-
-
-def _nnf_complement(concept: Concept) -> Concept:
-    """Negation normal form of the complement of `concept`."""
-    match concept:
-        case Atom():
-            return Not(concept)
-        case Top():
-            return BOTTOM
-        case Bottom():
-            return TOP
-        case Not(child):
-            return nnf(child)
-        case And(left, right):
-            return Or(_nnf_complement(left), _nnf_complement(right))
-        case Or(left, right):
-            return And(_nnf_complement(left), _nnf_complement(right))
-        case All(role, child):
-            return Some(role, _nnf_complement(child))
-        case Some(role, child):
-            return All(role, _nnf_complement(child))
-    raise TypeError(f"not a concept: {concept!r}")
+    done: list[Concept] = []
+    # (subterm, negated) visits the subterm, rewriting its complement when
+    # negated is True; (constructor, None) builds a binary concept from the
+    # last two results, (constructor, role) a quantified one from the last
+    todo: list[tuple] = [(concept, False)]
+    while todo:
+        node, tag = todo.pop()
+        if tag is True or tag is False:
+            kind = type(node)
+            if kind is Atom:
+                done.append(Not(node) if tag else node)
+            elif kind is Not:
+                todo.append((node.child, not tag))
+            elif kind is And or kind is Or:
+                todo.append((_DUAL[kind] if tag else kind, None))
+                todo.append((node.right, tag))
+                todo.append((node.left, tag))
+            elif kind is All or kind is Some:
+                todo.append((_DUAL[kind] if tag else kind, node.role))
+                todo.append((node.child, tag))
+            elif kind is Top or kind is Bottom:
+                done.append((BOTTOM if kind is Top else TOP) if tag else node)
+            else:
+                raise TypeError(f"not a concept: {node!r}")
+        elif tag is None:
+            right = done.pop()
+            done[-1] = node(done[-1], right)
+        else:
+            done[-1] = node(tag, done[-1])
+    return done[0]
 
 
 def is_nnf(concept: Concept) -> bool:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import reduce
 
 from alctab.semantics import Interpretation, OracleConfig, satisfies_abox
 from alctab.syntax import (
@@ -74,6 +75,59 @@ def random_nnf_abox(rng: random.Random, atoms=ATOMS3, roles=ROLES2) -> Abox:
     for _ in range(rng.randint(0, 3)):
         facts.append(Rel(Role(rng.choice(roles)), rng.choice(inds), rng.choice(inds)))
     return dedup_facts(facts)
+
+
+def random_or_heavy_concept(rng: random.Random, atoms=ATOMS3, roles=ROLES2) -> Concept:
+    """Random NNF conjunction of two to six disjunctions and a few random
+    conjuncts, so that clashes often depend on only some of the choices."""
+    parts = [
+        Or(random_concept(rng, 2, atoms, roles), random_concept(rng, 2, atoms, roles))
+        for _ in range(rng.randint(2, 6))
+    ]
+    parts += [random_concept(rng, 3, atoms, roles) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(parts)
+    return nnf(reduce(And, parts))
+
+
+def wide_exists(n: int) -> Concept:
+    """⊓_{i<n} ∃r.A_i ⊓ ∀r.B: satisfiable, one branch of 5n+1 facts."""
+    r = Role("r")
+    parts = [Some(r, Atom(f"A{i}")) for i in range(n)] + [All(r, Atom("B"))]
+    return reduce(And, parts)
+
+
+def irrelevant_or(n: int) -> Concept:
+    """⊓_{i<n}(A_i ⊔ B_i) ⊓ ∃r.C ⊓ ∀r.¬C: unsatisfiable, and the clash under
+    the witness depends on no disjunction, so a plain depth-first search
+    closes 2^n branches."""
+    r = Role("r")
+    parts = [Or(Atom(f"A{i}"), Atom(f"B{i}")) for i in range(n)]
+    parts += [Some(r, Atom("C")), All(r, Not(Atom("C")))]
+    return reduce(And, parts)
+
+
+def exists_tree(d: int) -> Concept:
+    """T_d = ∃r.(P_d ⊓ T_{d-1}) ⊓ ∃r.(¬P_d ⊓ T_{d-1}), T_0 = ⊤."""
+    r = Role("r")
+    tree = TOP
+    for k in range(1, d + 1):
+        p = Atom(f"P{k}")
+        tree = And(Some(r, And(p, tree)), Some(r, And(Not(p), tree)))
+    return tree
+
+
+def pigeonhole(pigeons: int, holes: int) -> Concept:
+    """Propositional PHP(p, h): each pigeon sits in some hole and no hole
+    holds two pigeons. Unsatisfiable exactly when p > h."""
+    var = {(i, j): Atom(f"P{i}_{j}") for i in range(pigeons) for j in range(holes)}
+    clauses = [reduce(Or, (var[i, j] for j in range(holes))) for i in range(pigeons)]
+    clauses += [
+        Or(Not(var[i, j]), Not(var[k, j]))
+        for j in range(holes)
+        for i in range(pigeons)
+        for k in range(i + 1, pigeons)
+    ]
+    return reduce(And, clauses)
 
 
 def random_clash_abox(rng: random.Random) -> Abox:

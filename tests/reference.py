@@ -5,24 +5,42 @@ abstract reference, and as actions on ordered list ABoxes, which the engine
 runs. `abstract_rule_holds` restates the set level without `alctab.rules`,
 so every list-level application can be checked against it. `apply_srule`
 fires one rule on its own, and `check_run_soundness` checks a recorded run
-with the bounded oracle. Deciding needs none of them.
+with the bounded oracle. `reference_search` is the depth-first search with
+no dependency labels and no jumps, which the engine's backjumping search
+must agree with, and `recursive_nnf` is the textbook recursive rewrite
+into negation normal form. Deciding needs none of them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from alctab.engine import (
+    Satisfiable,
+    Unsatisfiable,
+    Verdict,
+    canonical_interpretation,
+    contains_clash,
+    next_application,
+)
 from alctab.rules import RuleApplication, RuleKind, Tableau, TableauRule
 from alctab.semantics import OracleConfig, oracle_find_model, satisfies_abox
 from alctab.syntax import (
+    BOTTOM,
+    TOP,
     Abox,
     All,
     And,
+    Atom,
+    Bottom,
+    Concept,
     Fact,
     Inst,
+    Not,
     Or,
     Rel,
     Some,
+    Top,
     fresh_individual,
 )
 
@@ -137,3 +155,65 @@ def check_run_soundness(
     if model is None:
         return True
     return satisfies_abox(model, initial)
+
+
+def reference_search(abox: Abox) -> Verdict:
+    """Depth-first search over whole branches that tries every alternative.
+
+    Each popped branch is tested for a clash and scanned for its next rule
+    whole, with no live pivots, no dependency labels and no jumps. Returns
+    the verdict with an empty trace; an unsatisfiable one counts every
+    closed branch.
+    """
+    stack = [tuple(abox)]
+    closed = 0
+    while stack:
+        branch = stack.pop()
+        if contains_clash(branch):
+            closed += 1
+            continue
+        app = next_application(branch)
+        if app is None:
+            return Satisfiable(canonical_interpretation(branch), branch)
+        stack.extend(reversed(app.successors))
+    return Unsatisfiable(closed_branches=closed)
+
+
+def recursive_nnf(concept: Concept) -> Concept:
+    """Negation normal form by structural recursion (limited in depth by the
+    interpreter's recursion limit)."""
+    match concept:
+        case Atom() | Top() | Bottom():
+            return concept
+        case Not(child):
+            return _recursive_complement(child)
+        case And(left, right):
+            return And(recursive_nnf(left), recursive_nnf(right))
+        case Or(left, right):
+            return Or(recursive_nnf(left), recursive_nnf(right))
+        case All(role, child):
+            return All(role, recursive_nnf(child))
+        case Some(role, child):
+            return Some(role, recursive_nnf(child))
+    raise TypeError(f"not a concept: {concept!r}")
+
+
+def _recursive_complement(concept: Concept) -> Concept:
+    match concept:
+        case Atom():
+            return Not(concept)
+        case Top():
+            return BOTTOM
+        case Bottom():
+            return TOP
+        case Not(child):
+            return recursive_nnf(child)
+        case And(left, right):
+            return Or(_recursive_complement(left), _recursive_complement(right))
+        case Or(left, right):
+            return And(_recursive_complement(left), _recursive_complement(right))
+        case All(role, child):
+            return Some(role, _recursive_complement(child))
+        case Some(role, child):
+            return All(role, _recursive_complement(child))
+    raise TypeError(f"not a concept: {concept!r}")

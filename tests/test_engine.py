@@ -1,4 +1,6 @@
 import random
+from contextlib import suppress
+from dataclasses import replace
 
 import pytest
 
@@ -34,7 +36,7 @@ from alctab.syntax import (
     TOP,
     nnf,
 )
-from corpus import ATOMS2, ROLE1, random_concept, random_nnf_abox
+from corpus import ATOMS2, ROLE1, irrelevant_or, random_concept, random_nnf_abox
 from reference import check_run_soundness
 
 A, B = Atom("A"), Atom("B")
@@ -228,3 +230,21 @@ def test_unsatisfiable_counts_closed_branches():
     )
     assert isinstance(verdict, Unsatisfiable)
     assert verdict.closed_branches == 2  # both disjunction alternatives clash
+    assert not any(app.skipped for app in verdict.trace)
+
+
+def test_backjumping_skips_alternatives_the_clash_does_not_depend_on():
+    abox = (Inst(x0, nnf(irrelevant_or(4))),)
+    verdict = decide_sat_abox(abox, EngineConfig(record_trace=True))
+    assert isinstance(verdict, Unsatisfiable)
+    assert verdict.closed_branches == 1
+    skipped = [n for n, app in enumerate(verdict.trace) if app.skipped]
+    assert len(skipped) == 4
+    assert all(verdict.trace[n].kind is RuleKind.OR for n in skipped)
+    assert replay_trace(abox, verdict.trace) is None
+    # a replay that explores a discarded alternative does not end as the run did
+    for n in skipped:
+        trace = list(verdict.trace)
+        trace[n] = replace(trace[n], skipped=False)
+        with suppress(ValueError):
+            assert replay_trace(abox, trace) is not None

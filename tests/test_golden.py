@@ -14,70 +14,69 @@ or rendering changes a digest.
 
 The same runs gate the engine's incremental bookkeeping: at every recorded
 step, the rule choice from its live pivots and the clash test on the facts
-the step added must agree with the whole-branch scans.
+the step added must agree with the whole-branch scans. With more runs that
+backjumping prunes, they also gate the jumps: the engine must return what a
+search that tries every alternative returns, after closing no more
+branches, and its trace must replay.
 """
 
 import hashlib
 import random
-from functools import reduce
 
 from alctab.engine import (
     EngineConfig,
     Satisfiable,
     _added,
     contains_clash,
-    decide_concept_sat,
     decide_sat_abox,
     next_application,
+    replay_trace,
 )
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
-from alctab.syntax import TOP, All, And, Atom, Not, Or, Role, Some
-from corpus import ATOMS2, ROLE1, random_nnf_abox, random_nnf_concept
+from alctab.syntax import Inst, Named, nnf
+from corpus import (
+    ATOMS2,
+    ROLE1,
+    exists_tree,
+    irrelevant_or,
+    pigeonhole,
+    random_nnf_abox,
+    random_nnf_concept,
+    random_or_heavy_concept,
+    wide_exists,
+)
+from reference import reference_search
 
 VERDICTS_SHA256 = "d8b3b1a724a9d914766b8c2ad5fd6c5c1ea002ba6c4ae00fdf3efac1eba5ad14"
-SEARCH_SHA256 = "5d2aaf7274884ed27d15d0fd8c8024c49bec41cbbb26eb0f23bee2d8fad0ca9b"
-
-r = Role("r")
+SEARCH_SHA256 = "c003bcc984aa40214840d10af355146d12d598762cabde2137a53053c1041717"
 
 
-def wide_exists(n):
-    """⊓_{i<n} ∃r.A_i ⊓ ∀r.B: satisfiable, one branch of 5n+1 facts."""
-    parts = [Some(r, Atom(f"A{i}")) for i in range(n)] + [All(r, Atom("B"))]
-    return reduce(And, parts)
+X0 = Named("x0")
 
 
-def irrelevant_or(n):
-    """⊓_{i<n}(A_i ⊔ B_i) ⊓ ∃r.C ⊓ ∀r.¬C: unsatisfiable, 2^n closed branches."""
-    parts = [Or(Atom(f"A{i}"), Atom(f"B{i}")) for i in range(n)]
-    parts += [Some(r, Atom("C")), All(r, Not(Atom("C")))]
-    return reduce(And, parts)
+def concept_abox(concept):
+    return (Inst(X0, nnf(concept)),)
 
 
-def exists_tree(d):
-    """T_d = ∃r.(P_d ⊓ T_{d-1}) ⊓ ∃r.(¬P_d ⊓ T_{d-1}), T_0 = ⊤."""
-    tree = TOP
-    for k in range(1, d + 1):
-        p = Atom(f"P{k}")
-        tree = And(Some(r, And(p, tree)), Some(r, And(Not(p), tree)))
-    return tree
+def golden_inputs():
+    """The ABoxes of the golden runs, concepts C as { x0 : nnf(C) }."""
+    rng = random.Random(20260809)
+    for _ in range(500):
+        yield concept_abox(random_nnf_concept(rng, 4))
+    rng = random.Random(20260810)
+    for _ in range(500):
+        yield random_nnf_abox(rng)
+    rng = random.Random(20260811)
+    for _ in range(300):
+        yield concept_abox(random_nnf_concept(rng, 3, ATOMS2, ROLE1))
+    for concept in (wide_exists(25), irrelevant_or(10), exists_tree(6)):
+        yield concept_abox(concept)
 
 
 def verdicts():
-    def cfg():
-        return EngineConfig(record_trace=True)
-
-    rng = random.Random(20260809)
-    for _ in range(500):
-        yield decide_concept_sat(random_nnf_concept(rng, 4), cfg())
-    rng = random.Random(20260810)
-    for _ in range(500):
-        yield decide_sat_abox(random_nnf_abox(rng), cfg())
-    rng = random.Random(20260811)
-    for _ in range(300):
-        yield decide_concept_sat(random_nnf_concept(rng, 3, ATOMS2, ROLE1), cfg())
-    for concept in (wide_exists(25), irrelevant_or(10), exists_tree(6)):
-        yield decide_concept_sat(concept, cfg())
+    for abox in golden_inputs():
+        yield decide_sat_abox(abox, EngineConfig(record_trace=True))
 
 
 def verdict_lines(verdict):
@@ -127,3 +126,29 @@ def test_incremental_steps_match_whole_branch_scans():
             assert not contains_clash(verdict.open_branch)
     # both the incremental and the whole-branch path ran, and clashes were found
     assert 0 < incremental < successors and clashes > 0
+
+
+def test_backjumping_returns_what_the_full_search_returns():
+    rng = random.Random(20261018)
+    inputs = [
+        *golden_inputs(),
+        *(concept_abox(irrelevant_or(n)) for n in range(9)),
+        concept_abox(pigeonhole(3, 2)),
+        concept_abox(pigeonhole(3, 3)),
+        *(concept_abox(random_or_heavy_concept(rng)) for _ in range(300)),
+    ]
+    kinds, pruned = set(), 0
+    for abox in inputs:
+        verdict = decide_sat_abox(abox, EngineConfig(record_trace=True))
+        full = reference_search(abox)
+        assert type(verdict) is type(full)
+        kinds.add(type(verdict))
+        if isinstance(verdict, Satisfiable):
+            assert verdict.open_branch == full.open_branch
+            assert verdict.model == full.model
+            assert replay_trace(abox, verdict.trace) == verdict.open_branch
+        else:
+            assert verdict.closed_branches <= full.closed_branches
+            pruned += verdict.closed_branches < full.closed_branches
+            assert replay_trace(abox, verdict.trace) is None
+    assert len(kinds) == 2 and pruned > 0

@@ -2,7 +2,7 @@ import json
 
 from alctab.engine import EngineConfig, Satisfiable, canonical_interpretation, decide_sat_abox
 from alctab.render import emit_model, emit_trace
-from alctab.syntax import And, Atom, Inst, Named, Rel, Role, Some
+from alctab.syntax import All, And, Atom, Inst, Named, Not, Or, Rel, Role, Some
 
 A, B = Atom("A"), Atom("B")
 r = Role("r")
@@ -51,6 +51,7 @@ def test_emit_trace_and_rule_record():
     assert record["pivot_index"] == 0
     assert record["successors"] == 1
     assert record["fresh"] is None
+    assert record["skipped"] is False
     assert record["measure_before"] == [[3, 0]]
     assert record["measure_after"] == [[0, 0], [0, 0], [0, 0]]
 
@@ -60,6 +61,15 @@ def test_emit_trace_some_rule_records_witness():
     record = json.loads(next(emit_trace(verdict.trace)))
     assert record["rule"] == "some"
     assert record["fresh"] == "_0"
+
+
+def test_emit_trace_marks_skipped_alternatives():
+    # the clash under the witness depends on neither disjunction
+    concept = And(And(Or(A, B), Or(Atom("C"), Atom("D"))), And(Some(r, A), All(r, Not(A))))
+    verdict = decide_sat_abox((Inst(x, concept),), EngineConfig(record_trace=True))
+    records = [json.loads(line) for line in emit_trace(verdict.trace)]
+    assert [rec["skipped"] for rec in records if rec["rule"] == "or"] == [True, True]
+    assert not any(rec["skipped"] for rec in records if rec["rule"] != "or")
 
 
 def test_emit_trace_empty():

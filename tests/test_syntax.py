@@ -39,6 +39,7 @@ from alctab.syntax import (
     subterms,
 )
 from corpus import ATOMS2, ROLE1, enumerate_interpretations, random_concept
+from reference import recursive_nnf
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 r, s = Role("r"), Role("s")
@@ -115,6 +116,7 @@ def test_nnf_properties_random():
     for _ in range(300):
         c = random_concept(rng, 4)
         n = nnf(c)
+        assert n is recursive_nnf(c)
         assert is_nnf(n)
         assert nnf(n) == n
         assert size_concept(n) <= 2 * size_concept(c)
@@ -224,6 +226,19 @@ def test_walks_do_not_recurse():
     # And chains whose only possible restriction is the deepest node
     assert quantifier_free(_nest(lambda c: And(B, c), A, depth))
     assert not quantifier_free(_nest(lambda c: And(B, c), Some(r, A), depth))
+
+
+def test_nnf_does_not_recurse():
+    # built with the constructors, because the parser limits nesting
+    depth = 10_000
+    chain = _nest(lambda c: And(c, B), A, depth)
+    assert nnf(chain) is chain
+    # De Morgan turns the negated chain into a chain of negated atoms
+    assert nnf(Not(chain)) is _nest(lambda c: Or(c, Not(B)), Not(A), depth)
+    nested = _nest(lambda c: Not(Some(r, c)), A, depth)
+    assert nnf(nested) is _nest(lambda c: All(r, Some(r, c)), A, depth // 2)
+    assert nnf(_nest(Not, A, depth)) is A
+    assert nnf(_nest(Not, A, depth + 1)) is Not(A)
 
 
 def test_shared_walk_visits_each_distinct_subterm_once():

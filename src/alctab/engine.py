@@ -29,6 +29,7 @@ from .syntax import (
     And,
     Atom,
     Bottom,
+    BranchIndex,
     Concept,
     Fact,
     Inst,
@@ -106,22 +107,30 @@ class Unsatisfiable:
 Verdict = Union[Satisfiable, Unsatisfiable]
 
 
-def contains_clash(abox: Abox, added: Optional[Abox] = None) -> bool:
+def contains_clash(
+    abox: Abox, added: Optional[Abox] = None, index: Optional[BranchIndex] = None
+) -> bool:
     """Syntactic contradiction: x : C together with x : not C, or x : Bottom.
 
     C ranges over all concepts, not only atoms. Given the facts a step
     `added` to a clash-free branch in negation normal form, only clashes
     through those facts are looked for, since no other can have arisen;
-    without it the whole branch is tested.
+    without it the whole branch is tested. Given the branch's `index`,
+    membership is read off it.
     """
-    return _clash(abox, added) is not None
+    return _clash(abox, added, index) is not None
 
 
-def _clash(abox: Abox, added: Optional[Abox] = None) -> Optional[tuple[Fact, Fact]]:
+def _clash(
+    abox: Abox, added: Optional[Abox] = None, index: Optional[BranchIndex] = None
+) -> Optional[tuple[Fact, Fact]]:
     """The first clashing pair `contains_clash` finds, or None; `x : Bottom`
     clashes with itself."""
     whole = added is None
-    facts = set(abox) if whole else abox
+    if index is not None:
+        facts = index.at
+    else:
+        facts = set(abox) if whole else abox
     for f in abox if whole else added:
         if isinstance(f, Inst):
             c = f.concept
@@ -145,7 +154,9 @@ def _clash(abox: Abox, added: Optional[Abox] = None) -> Optional[tuple[Fact, Fac
 Live = dict[RuleKind, list[Fact]]
 
 
-def next_application(abox: Abox, live: Optional[Live] = None) -> Optional[RuleApplication]:
+def next_application(
+    abox: Abox, live: Optional[Live] = None, index: Optional[BranchIndex] = None
+) -> Optional[RuleApplication]:
     """First applicable rule in strategy order, at its first pivot.
 
     None means the branch is saturated. `live` holds, per rule kind, the
@@ -155,7 +166,8 @@ def next_application(abox: Abox, live: Optional[Live] = None) -> Optional[RuleAp
     found not to apply, and the pivot that fires, cannot fire on any branch
     grown from this one, so their entries in `live` are replaced by lists
     without them. Universal pivots always stay: a new edge can make them
-    apply again.
+    apply again. Given the branch's `index`, the rules read it, and it
+    gives the pivot's position.
     """
     if live is None:
         live = pivots(abox)
@@ -163,11 +175,11 @@ def next_application(abox: Abox, live: Optional[Live] = None) -> Optional[RuleAp
         candidates = live[rule.kind]
         prune = rule.kind in MONOTONE
         for n, fact in enumerate(candidates):
-            if rule.appcond(abox, fact):
+            if rule.appcond(abox, fact, index):
                 if prune:
                     live[rule.kind] = candidates[n + 1 :]
-                i = abox.index(fact)
-                successors = tuple(rule.action(abox[:i], fact, abox[i + 1 :]))
+                i = abox.index(fact) if index is None else index.position(fact)
+                successors = tuple(rule.action(abox[:i], fact, abox[i + 1 :], index))
                 # the ∃ action puts the edge to its witness first in its successor
                 fresh = successors[0][0].target if rule.kind is RuleKind.SOME else None
                 return RuleApplication(rule.kind, fact, i, abox, successors, fresh)
@@ -209,10 +221,14 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     every branch closes the ABox is unsatisfiable. Raises StepLimitExceeded
     after `cfg.max_steps` rule applications.
 
-    Each branch carries its parent's live pivots and the facts the step
-    added, so that the clash test looks only at those facts and rule
-    selection only at pivots not yet known dead. A successor in which the
-    step re-asserted facts its parent held is tested and scanned whole.
+    Each branch carries its parent's live pivots, its parent's index and
+    the facts the step added, so that the clash test looks only at those
+    facts and rule selection only at pivots not yet known dead, and rules
+    read the index instead of scanning the branch. The index grows in place
+    by the added facts: a step's only or left successor takes its parent's
+    index over, and a disjunction step copies it once for the right one. A
+    successor in which the step re-asserted facts its parent held is tested
+    and scanned whole, and its index is built anew.
 
     The search backjumps. The right successors of the disjunction steps on
     the current path that are still to be tried wait in `pending`, oldest
@@ -231,18 +247,22 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
         raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
     # (right successor, live pivots, added facts, labels, label of the ⊔
-    # pivot, index of the step's trace record when traces are recorded)
-    pending: list[tuple[Abox, Live, Optional[Abox], dict[Fact, int], int, int]] = []
-    branch, inherited, added = root, None, None
+    # pivot, index of the step's trace record when traces are recorded,
+    # the ⊔ step's branch index)
+    pending: list[
+        tuple[Abox, Live, Optional[Abox], dict[Fact, int], int, int, BranchIndex]
+    ] = []
+    branch, inherited, added, index = root, None, None, None
     labels: dict[Fact, int] = {}
     closed = 0
     steps = 0
     while True:
-        if contains_clash(branch, added):
+        index = BranchIndex(branch) if added is None else index.grow(added)
+        if contains_clash(branch, added, index):
             closed += 1
             depends = 0
             if pending:
-                a, b = _clash(branch, added)
+                a, b = _clash(branch, added, index)
                 depends = labels.get(a, 0) | labels.get(b, 0)
                 keep = depends.bit_length()
                 if cfg.record_trace:
@@ -251,7 +271,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
                 del pending[keep:]
             if not pending:
                 return Unsatisfiable(tuple(trace), closed)
-            branch, inherited, added, labels, label, _ = pending.pop()
+            branch, inherited, added, labels, label, _, index = pending.pop()
             # the right disjunct depends on what the left one's clash
             # depended on, less that choice itself
             label |= depends & ~(1 << len(pending))
@@ -259,7 +279,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
                 labels[branch[0]] = label
             continue
         live = pivots(branch) if added is None else _grow(inherited, added)
-        app = next_application(branch, live)
+        app = next_application(branch, live, index)
         if app is None:
             return Satisfiable(canonical_interpretation(branch), branch, tuple(trace))
         steps += 1
@@ -274,7 +294,9 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
         if app.kind is RuleKind.OR:
             right = app.successors[1]
             label = labels.get(app.pivot, 0)
-            pending.append((right, live, _added(branch, right), labels, label, len(trace) - 1))
+            pending.append(
+                (right, live, _added(branch, right), labels, label, len(trace) - 1, index.copy())
+            )
             labels = {**labels, succ[0]: label | 1 << (len(pending) - 1)}
         elif pending:
             label = labels.get(app.pivot, 0)

@@ -15,10 +15,11 @@ IDENT is [A-Za-z_][A-Za-z0-9_]* minus the keywords. So
 "some r. A and B" reads as (some r. A) and B.
 
 The parser recurses once per prefix operator and open parenthesis, and so
-do the normal form and the printer on what it returns. At most
-MAX_NESTING of them may enclose any point of the input; a deeper input is
-a ParseError, well before any of these walks reaches Python's recursion
-limit. Long and/or chains do not nest.
+do the evaluators of `semantics` on what it returns. At most MAX_NESTING
+of them may enclose any point of the input; a deeper input is a
+ParseError, well before any of these walks reaches Python's recursion
+limit. Long and/or chains do not nest. The normal form and the printer
+keep their own stacks.
 
 ABox files are line oriented: blank lines and lines starting with "#" are
 ignored; every other line is either "x : Concept" or "r(x, y)" with the
@@ -27,8 +28,10 @@ role name first. Duplicate facts are rejected.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
+from typing import Optional
 
 from .syntax import (
     Abox,
@@ -56,7 +59,9 @@ KEYWORDS = frozenset({"and", "or", "not", "all", "some", "Top", "Bottom"})
 MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[().:,]")
-_SPACE_RE = re.compile(r"[ \t\r]*")
+# the first character no token can hold: one outside the token and space
+# alphabet, or a digit that does not continue a name
+_BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_().:, \t\r\n]|(?<![A-Za-z0-9_])[0-9]")
 
 
 @dataclass(frozen=True)
@@ -77,122 +82,126 @@ class ParseError(ValueError):
         self.found = found
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str  # empty for end of input
-    span: SourceSpan
+def _tokenize(text: str, first_line: int = 1) -> list[str]:
+    """The token texts of `text`, ending with "" for the end of input.
 
-    @property
-    def describe(self) -> str:
-        return f"'{self.text}'" if self.text else "end of input"
-
-
-def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
-    tokens = []
-    line = first_line
-    col = 1
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        space = _SPACE_RE.match(text, pos)
-        if space and space.end() > pos:
-            col += space.end() - pos
-            pos = space.end()
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(SourceSpan(line, col), "a token", f"'{ch}'")
-        tokens.append(_Token(m.group(), SourceSpan(line, col)))
-        col += m.end() - pos
-        pos = m.end()
-    tokens.append(_Token("", SourceSpan(line, col)))
+    Spaces, tabs, carriage returns and newlines separate tokens. Positions
+    are worked out only for an error, by `_span`.
+    """
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        span = _offset_span(text, bad.start(), first_line)
+        raise ParseError(span, "a token", f"'{bad.group()}'")
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
+def _span(text: str, k: int, first_line: int = 1) -> SourceSpan:
+    """The position of the k-th token of `text` (the end of input when k is
+    the number of tokens)."""
+    token = next(itertools.islice(_TOKEN_RE.finditer(text), k, None), None)
+    return _offset_span(text, len(text) if token is None else token.start(), first_line)
+
+
+def _offset_span(text: str, offset: int, first_line: int) -> SourceSpan:
+    line = first_line + text.count("\n", 0, offset)
+    return SourceSpan(line, offset - text.rfind("\n", 0, offset))
+
+
 class _ConceptParser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str, first_line: int = 1):
+        self.text = text
+        self.first_line = first_line
+        self.tokens = _tokenize(text, first_line)
         self.pos = 0
         self.depth = 0  # prefix operators and parentheses open here
 
-    def peek(self) -> _Token:
+    def error(self, expected: str, k: Optional[int] = None) -> ParseError:
+        """What was expected at the k-th token, by default the next one."""
+        k = self.pos if k is None else k
+        token = self.tokens[k]
+        found = f"'{token}'" if token else "end of input"
+        return ParseError(_span(self.text, k, self.first_line), expected, found)
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise ParseError(tok.span, f"'{text}'", tok.describe)
-        return self.advance()
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            raise self.error(f"'{text}'")
+        self.pos += 1
 
     def ident(self, what: str) -> str:
-        tok = self.peek()
-        text = tok.text
+        text = self.tokens[self.pos]
         if not text or not (text[0].isalpha() or text[0] == "_") or text in KEYWORDS:
-            raise ParseError(tok.span, what, tok.describe)
-        return self.advance().text
+            raise self.error(what)
+        self.pos += 1
+        return text
+
+    def end(self, what: str) -> None:
+        """Fail unless all tokens are read."""
+        if self.tokens[self.pos]:
+            raise self.error(what)
 
     def concept(self) -> Concept:
         return self.or_expr()
 
     def or_expr(self) -> Concept:
         left = self.and_expr()
-        while self.peek().text == "or":
-            self.advance()
+        while self.tokens[self.pos] == "or":
+            self.pos += 1
             left = Or(left, self.and_expr())
         return left
 
     def and_expr(self) -> Concept:
         left = self.unary()
-        while self.peek().text == "and":
-            self.advance()
+        while self.tokens[self.pos] == "and":
+            self.pos += 1
             left = And(left, self.unary())
         return left
 
-    def nested(self, opener: _Token, parse) -> Concept:
-        """`parse()` one nesting level below `opener`, within MAX_NESTING."""
+    def nested(self, opener: int, parse) -> Concept:
+        """`parse()` one nesting level below the opener, the token at
+        `opener`, within MAX_NESTING."""
         if self.depth == MAX_NESTING:
-            raise ParseError(
-                opener.span, f"at most {MAX_NESTING} nested operators and parentheses", opener.describe
-            )
+            raise self.error(f"at most {MAX_NESTING} nested operators and parentheses", opener)
         self.depth += 1
         inner = parse()
         self.depth -= 1
         return inner
 
     def unary(self) -> Concept:
-        tok = self.peek()
-        if tok.text == "not":
-            self.advance()
-            return Not(self.nested(tok, self.unary))
-        if tok.text in ("all", "some"):
-            self.advance()
+        at = self.pos
+        tok = self.tokens[at]
+        if tok == "not":
+            self.pos += 1
+            return Not(self.nested(at, self.unary))
+        if tok == "all" or tok == "some":
+            self.pos += 1
             role = Role(self.ident("a role name"))
             self.expect(".")
-            body = self.nested(tok, self.unary)
-            return All(role, body) if tok.text == "all" else Some(role, body)
+            body = self.nested(at, self.unary)
+            return All(role, body) if tok == "all" else Some(role, body)
         return self.primary()
 
     def primary(self) -> Concept:
-        tok = self.peek()
-        if tok.text == "Top":
-            self.advance()
+        at = self.pos
+        tok = self.tokens[at]
+        if tok == "Top":
+            self.pos += 1
             return TOP
-        if tok.text == "Bottom":
-            self.advance()
+        if tok == "Bottom":
+            self.pos += 1
             return BOTTOM
-        if tok.text == "(":
-            self.advance()
-            inner = self.nested(tok, self.concept)
+        if tok == "(":
+            self.pos += 1
+            inner = self.nested(at, self.concept)
             self.expect(")")
             return inner
         return Atom(self.ident("a concept"))
@@ -200,11 +209,9 @@ class _ConceptParser:
 
 def parse_concept(text: str) -> Concept:
     """Parse a concept expression; raises ParseError with position on failure."""
-    parser = _ConceptParser(_tokenize(text))
+    parser = _ConceptParser(text)
     concept = parser.concept()
-    trailing = parser.peek()
-    if trailing.text:
-        raise ParseError(trailing.span, "end of input", trailing.describe)
+    parser.end("end of input")
     return concept
 
 
@@ -225,27 +232,23 @@ def parse_abox(text: str) -> Abox:
 
 
 def _parse_fact_line(line: str, lineno: int) -> Fact:
-    parser = _ConceptParser(_tokenize(line, first_line=lineno))
+    parser = _ConceptParser(line, first_line=lineno)
     head = parser.ident("an individual or role name")
     tok = parser.peek()
-    if tok.text == ":":
+    if tok == ":":
         parser.advance()
         concept = parser.concept()
-        trailing = parser.peek()
-        if trailing.text:
-            raise ParseError(trailing.span, "end of line", trailing.describe)
+        parser.end("end of line")
         return Inst(Named(head), concept)
-    if tok.text == "(":
+    if tok == "(":
         parser.advance()
         source = parser.ident("an individual name")
         parser.expect(",")
         target = parser.ident("an individual name")
         parser.expect(")")
-        trailing = parser.peek()
-        if trailing.text:
-            raise ParseError(trailing.span, "end of line", trailing.describe)
+        parser.end("end of line")
         return Rel(Role(head), Named(source), Named(target))
-    raise ParseError(tok.span, "':' or '('", tok.describe)
+    raise parser.error("':' or '('")
 
 
 # precedence levels used by the printer; higher binds tighter
@@ -253,36 +256,44 @@ _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 1, 2, 3
 
 
 def print_concept(concept: Concept) -> str:
-    """Minimally parenthesized text that parses back to the same concept."""
-    return _render(concept, _LEVEL_OR)
+    """Minimally parenthesized text that parses back to the same concept.
 
-
-def _render(concept: Concept, min_level: int) -> str:
-    match concept:
-        case Atom(name):
-            return name
-        case Top():
-            return "Top"
-        case Bottom():
-            return "Bottom"
-        case Not(child):
-            body = f"not {_render(child, _LEVEL_UNARY)}"
-            level = _LEVEL_UNARY
-        case All(role, child):
-            body = f"all {role.name}. {_render(child, _LEVEL_UNARY)}"
-            level = _LEVEL_UNARY
-        case Some(role, child):
-            body = f"some {role.name}. {_render(child, _LEVEL_UNARY)}"
-            level = _LEVEL_UNARY
-        case And(left, right):
-            body = f"{_render(left, _LEVEL_AND)} and {_render(right, _LEVEL_UNARY)}"
+    The printer keeps its own stack, so any depth that fits in memory works.
+    """
+    out: list[str] = []
+    # a str is text to write; (concept, level) prints the concept, in
+    # parentheses when it binds looser than the level asks
+    todo: list = [(concept, _LEVEL_OR)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, min_level = item
+        kind = type(node)
+        if kind is Atom:
+            out.append(node.name)
+            continue
+        if kind is Top or kind is Bottom:
+            out.append(kind.__name__)
+            continue
+        if kind is Not:
+            parts, level = ["not ", (node.child, _LEVEL_UNARY)], _LEVEL_UNARY
+        elif kind is All or kind is Some:
+            head = f"{'all' if kind is All else 'some'} {node.role.name}. "
+            parts, level = [head, (node.child, _LEVEL_UNARY)], _LEVEL_UNARY
+        elif kind is And:
+            parts = [(node.left, _LEVEL_AND), " and ", (node.right, _LEVEL_UNARY)]
             level = _LEVEL_AND
-        case Or(left, right):
-            body = f"{_render(left, _LEVEL_OR)} or {_render(right, _LEVEL_AND)}"
+        elif kind is Or:
+            parts = [(node.left, _LEVEL_OR), " or ", (node.right, _LEVEL_AND)]
             level = _LEVEL_OR
-        case _:
-            raise TypeError(f"not a concept: {concept!r}")
-    return body if level >= min_level else f"({body})"
+        else:
+            raise TypeError(f"not a concept: {node!r}")
+        if level < min_level:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
 def print_individual(ind: Individual) -> str:

@@ -9,8 +9,10 @@ successor branches, always shaped ``new facts + prefix + pivot + suffix``
 and de-duplicated, so the new facts lead every successor and branches only
 grow. Growing a branch can only make the conjunction, disjunction and
 existential premises false, never true again; only the universal premise
-can turn true again, when an edge is added. The set-level rule relations
-that tests check every application against live in the test suite.
+can turn true again, when an edge is added. Premises and actions take the
+branch's `BranchIndex` as an optional last argument, and then read it
+instead of scanning the branch. The set-level rule relations that tests
+check every application against live in the test suite.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .syntax import (
     Abox,
     All,
     And,
+    BranchIndex,
     Concept,
     Fact,
     Individual,
@@ -55,8 +58,8 @@ class TableauRule:
     """A rule given by its applicability condition and its action."""
 
     kind: RuleKind
-    appcond: Callable[[Abox, Fact], bool]
-    action: Callable[[Abox, Fact, Abox], Tableau]
+    appcond: Callable[[Abox, Fact, Optional[BranchIndex]], bool]
+    action: Callable[[Abox, Fact, Abox, Optional[BranchIndex]], Tableau]
 
 
 @dataclass(frozen=True)
@@ -77,18 +80,33 @@ class RuleApplication:
     skipped: bool = False
 
 
-def role_successors(abox: Abox, role: Role, source: Individual) -> Iterator[Individual]:
-    """Targets of the `role` edges from `source`, in branch order."""
+def role_successors(
+    abox: Abox, role: Role, source: Individual, index: Optional[BranchIndex] = None
+) -> Iterable[Individual]:
+    """Targets of the `role` edges from `source`, in branch order; read off
+    `index`, the branch's index, when given one."""
+    if index is not None:
+        return index.edges.get((role, source), ())
+    return _scan_successors(abox, role, source)
+
+
+def _scan_successors(abox: Abox, role: Role, source: Individual) -> Iterator[Individual]:
     for g in abox:
         if isinstance(g, Rel) and g.role == role and g.source == source:
             yield g.target
 
 
-def pending(abox: Abox, subject: Individual, concept: All) -> Iterator[Individual]:
+def pending(
+    abox: Abox, subject: Individual, concept: All, index: Optional[BranchIndex] = None
+) -> Iterator[Individual]:
     """Successors of `subject` that the universal restriction has not reached:
     those along its role that miss its body concept, in branch order."""
     body = concept.child
-    return (y for y in role_successors(abox, concept.role, subject) if not asserted(abox, y, body))
+    return (
+        y
+        for y in role_successors(abox, concept.role, subject, index)
+        if not asserted(abox, y, body, index)
+    )
 
 
 # the concept constructor each rule's pivots have
@@ -114,68 +132,94 @@ def pivots(facts: Iterable[Fact]) -> dict[RuleKind, list[Fact]]:
     return out
 
 
-def _rule(
-    kind: RuleKind,
-    premise: Callable[[Abox, Individual, Concept], bool],
-    adds: Callable[[Abox, Individual, Concept], list[tuple[Fact, ...]]],
-) -> TableauRule:
+Premise = Callable[[Abox, Individual, Concept, Optional[BranchIndex]], bool]
+Adds = Callable[[Abox, Individual, Concept, Optional[BranchIndex]], list[tuple[Fact, ...]]]
+
+
+def _rule(kind: RuleKind, premise: Premise, adds: Adds) -> TableauRule:
     """The rule that fires on pivots `x : C` with C of the kind's pivot shape
-    when `premise(branch, x, C)` holds, with one successor per tuple of facts
-    in `adds(branch, x, C)`. An action on a pivot where the rule does not
-    apply has no successors."""
+    when `premise(branch, x, C, index)` holds, with one successor per tuple
+    of facts in `adds(branch, x, C, index)`. An action on a pivot where the
+    rule does not apply has no successors."""
     shape = _PIVOT_SHAPE[kind]
 
-    def appcond(abox: Abox, fact: Fact) -> bool:
+    def appcond(abox: Abox, fact: Fact, index: Optional[BranchIndex] = None) -> bool:
         return (
             isinstance(fact, Inst)
             and isinstance(fact.concept, shape)
-            and premise(abox, fact.subject, fact.concept)
+            and premise(abox, fact.subject, fact.concept, index)
         )
 
-    def action(prefix: Abox, pivot: Fact, suffix: Abox) -> Tableau:
+    def action(
+        prefix: Abox, pivot: Fact, suffix: Abox, index: Optional[BranchIndex] = None
+    ) -> Tableau:
         whole = prefix + (pivot,) + suffix
-        if not appcond(whole, pivot):
+        if not appcond(whole, pivot, index):
             return []
-        return [dedup_facts(new + whole) for new in adds(whole, pivot.subject, pivot.concept)]
+        return [
+            _successor(new, whole, index)
+            for new in adds(whole, pivot.subject, pivot.concept, index)
+        ]
 
     return TableauRule(kind, appcond, action)
 
 
-def _and_premise(abox: Abox, x: Individual, c: And) -> bool:
+def _successor(new: tuple[Fact, ...], whole: Abox, index: Optional[BranchIndex]) -> Abox:
+    """`new + whole` de-duplicated. The index shows when `whole` has no
+    duplicates and holds no fact of `new`, so that it need not be hashed
+    again."""
+    if index is not None and index.size == len(index.at):
+        fresh = tuple(dict.fromkeys(new))
+        if index.at.keys().isdisjoint(fresh):
+            return fresh + whole
+    return dedup_facts(new + whole)
+
+
+def _and_premise(abox: Abox, x: Individual, c: And, index: Optional[BranchIndex]) -> bool:
     """Not both parts asserted yet."""
-    return not (asserted(abox, x, c.left) and asserted(abox, x, c.right))
+    return not (asserted(abox, x, c.left, index) and asserted(abox, x, c.right, index))
 
 
-def _and_adds(abox: Abox, x: Individual, c: And) -> list[tuple[Fact, ...]]:
+def _and_adds(
+    abox: Abox, x: Individual, c: And, index: Optional[BranchIndex]
+) -> list[tuple[Fact, ...]]:
     return [(Inst(x, c.left), Inst(x, c.right))]
 
 
-def _or_premise(abox: Abox, x: Individual, c: Or) -> bool:
+def _or_premise(abox: Abox, x: Individual, c: Or, index: Optional[BranchIndex]) -> bool:
     """Neither alternative asserted yet."""
-    return not (asserted(abox, x, c.left) or asserted(abox, x, c.right))
+    return not (asserted(abox, x, c.left, index) or asserted(abox, x, c.right, index))
 
 
-def _or_adds(abox: Abox, x: Individual, c: Or) -> list[tuple[Fact, ...]]:
+def _or_adds(
+    abox: Abox, x: Individual, c: Or, index: Optional[BranchIndex]
+) -> list[tuple[Fact, ...]]:
     return [(Inst(x, c.left),), (Inst(x, c.right),)]
 
 
-def _all_premise(abox: Abox, x: Individual, c: All) -> bool:
+def _all_premise(abox: Abox, x: Individual, c: All, index: Optional[BranchIndex]) -> bool:
     """Some successor along the role misses the body concept."""
-    return next(pending(abox, x, c), None) is not None
+    return next(pending(abox, x, c, index), None) is not None
 
 
-def _all_adds(abox: Abox, x: Individual, c: All) -> list[tuple[Fact, ...]]:
+def _all_adds(
+    abox: Abox, x: Individual, c: All, index: Optional[BranchIndex]
+) -> list[tuple[Fact, ...]]:
     # first pending successor in branch order; later steps reach the rest
-    return [(Inst(next(pending(abox, x, c)), c.child),)]
+    return [(Inst(next(pending(abox, x, c, index)), c.child),)]
 
 
-def _some_premise(abox: Abox, x: Individual, c: Some) -> bool:
+def _some_premise(abox: Abox, x: Individual, c: Some, index: Optional[BranchIndex]) -> bool:
     """No successor along the role holds the body concept."""
-    return not any(asserted(abox, y, c.child) for y in role_successors(abox, c.role, x))
+    return not any(
+        asserted(abox, y, c.child, index) for y in role_successors(abox, c.role, x, index)
+    )
 
 
-def _some_adds(abox: Abox, x: Individual, c: Some) -> list[tuple[Fact, ...]]:
-    witness = fresh_individual(abox)
+def _some_adds(
+    abox: Abox, x: Individual, c: Some, index: Optional[BranchIndex]
+) -> list[tuple[Fact, ...]]:
+    witness = fresh_individual(abox, index)
     return [(Rel(c.role, x, witness), Inst(witness, c.child))]
 
 

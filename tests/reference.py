@@ -8,11 +8,15 @@ fires one rule on its own, and `check_run_soundness` checks a recorded run
 with the bounded oracle. `reference_search` is the depth-first search with
 no dependency labels and no jumps, which the engine's backjumping search
 must agree with, and `recursive_nnf` is the textbook recursive rewrite
-into negation normal form. Deciding needs none of them.
+into negation normal form. `reference_tokenize` is the character-by-
+character lexer that positions every token, and `recursive_print_concept`
+the printer by structural recursion, which the parser's lexer and printer
+must agree with. Deciding needs none of them.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from alctab.engine import (
@@ -23,6 +27,7 @@ from alctab.engine import (
     contains_clash,
     next_application,
 )
+from alctab.parser import ParseError, SourceSpan
 from alctab.rules import RuleApplication, RuleKind, Tableau, TableauRule
 from alctab.semantics import OracleConfig, oracle_find_model, satisfies_abox
 from alctab.syntax import (
@@ -217,3 +222,77 @@ def _recursive_complement(concept: Concept) -> Concept:
         case Some(role, child):
             return All(role, _recursive_complement(child))
     raise TypeError(f"not a concept: {concept!r}")
+
+
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[().:,]")
+_SPACE_RE = re.compile(r"[ \t\r]*")
+
+
+def reference_tokenize(text: str, first_line: int = 1) -> list[tuple[str, SourceSpan]]:
+    """Each token of `text` with its position, ending with ("", position of
+    the end of input); raises the parser's ParseError on a character no
+    token can start with."""
+    tokens = []
+    line = first_line
+    col = 1
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "\n":
+            line += 1
+            col = 1
+            pos += 1
+            continue
+        space = _SPACE_RE.match(text, pos)
+        if space and space.end() > pos:
+            col += space.end() - pos
+            pos = space.end()
+            continue
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(SourceSpan(line, col), "a token", f"'{ch}'")
+        tokens.append((m.group(), SourceSpan(line, col)))
+        col += m.end() - pos
+        pos = m.end()
+    tokens.append(("", SourceSpan(line, col)))
+    return tokens
+
+
+# precedence levels of the printer; higher binds tighter
+_LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 1, 2, 3
+
+
+def recursive_print_concept(concept: Concept, min_level: int = _LEVEL_OR) -> str:
+    """Minimally parenthesized concept text by structural recursion
+    (limited in depth by the interpreter's recursion limit)."""
+    match concept:
+        case Atom(name):
+            return name
+        case Top():
+            return "Top"
+        case Bottom():
+            return "Bottom"
+        case Not(child):
+            body = f"not {recursive_print_concept(child, _LEVEL_UNARY)}"
+            level = _LEVEL_UNARY
+        case All(role, child):
+            body = f"all {role.name}. {recursive_print_concept(child, _LEVEL_UNARY)}"
+            level = _LEVEL_UNARY
+        case Some(role, child):
+            body = f"some {role.name}. {recursive_print_concept(child, _LEVEL_UNARY)}"
+            level = _LEVEL_UNARY
+        case And(left, right):
+            body = (
+                f"{recursive_print_concept(left, _LEVEL_AND)} and "
+                f"{recursive_print_concept(right, _LEVEL_UNARY)}"
+            )
+            level = _LEVEL_AND
+        case Or(left, right):
+            body = (
+                f"{recursive_print_concept(left, _LEVEL_OR)} or "
+                f"{recursive_print_concept(right, _LEVEL_AND)}"
+            )
+            level = _LEVEL_OR
+        case _:
+            raise TypeError(f"not a concept: {concept!r}")
+    return body if level >= min_level else f"({body})"

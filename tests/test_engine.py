@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from contextlib import suppress
 from dataclasses import replace
 
 import pytest
 
+from alctab import engine, rules, syntax
 from alctab.engine import (
     EngineConfig,
     MeasureDecreaseError,
@@ -18,7 +20,7 @@ from alctab.engine import (
     replay_trace,
     subsumes,
 )
-from alctab.rules import RuleKind
+from alctab.rules import RuleKind, role_successors
 from alctab.semantics import OracleConfig, is_model, oracle_find_model, satisfies_fact
 from alctab.syntax import (
     All,
@@ -34,10 +36,19 @@ from alctab.syntax import (
     Role,
     Some,
     TOP,
+    fresh_individual,
     nnf,
 )
-from corpus import ATOMS2, ROLE1, irrelevant_or, random_concept, random_nnf_abox
-from reference import check_run_soundness
+from corpus import (
+    ATOMS2,
+    ROLE1,
+    exists_tree,
+    irrelevant_or,
+    random_concept,
+    random_nnf_abox,
+    wide_exists,
+)
+from reference import check_run_soundness, reference_search
 
 A, B = Atom("A"), Atom("B")
 r = Role("r")
@@ -248,3 +259,47 @@ def test_backjumping_skips_alternatives_the_clash_does_not_depend_on():
         trace[n] = replace(trace[n], skipped=False)
         with suppress(ValueError):
             assert replay_trace(abox, trace) is not None
+
+
+def test_search_reads_the_index_not_the_branch(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # the whole-branch scans behind fresh_individual and role_successors,
+    # and the one the model extraction makes
+    scan = counted("scan individuals", syntax.individuals_of)
+    monkeypatch.setattr(syntax, "individuals_of", scan)
+    monkeypatch.setattr(rules, "_scan_successors", counted("scan edges", rules._scan_successors))
+    monkeypatch.setattr(engine, "individuals_of", counted("model", engine.individuals_of))
+    # without an index, the scans run and are counted
+    branch = (Rel(r, x, Anon(3)), Inst(x, Some(r, A)))
+    assert fresh_individual(branch) == Anon(4)
+    assert list(role_successors(branch, r, x)) == [Anon(3)]
+    assert calls == {"scan individuals": 1, "scan edges": 1}
+    for concept, facts in ((exists_tree(6), 631), (wide_exists(25), 126)):
+        calls.clear()
+        verdict = decide_concept_sat(concept)
+        assert isinstance(verdict, Satisfiable) and len(verdict.open_branch) == facts
+        assert calls == {"model": 1}
+
+
+def test_repeated_input_facts_decide_as_the_whole_branch_search_does():
+    # the index of a branch with a fact twice keeps its first position, and
+    # the first step's successor drops the repeat
+    for abox in (
+        (Inst(x, And(A, B)), Inst(x, And(A, B))),
+        (Inst(x, Some(r, A)), Rel(r, x, y), Inst(x, Some(r, A)), Inst(x, All(r, B))),
+        (Inst(x, Or(A, B)), Inst(x, Not(A)), Inst(x, Or(A, B)), Inst(x, Not(B))),
+    ):
+        verdict = decide_sat_abox(abox, EngineConfig(record_trace=True))
+        full = reference_search(abox)
+        assert type(verdict) is type(full)
+        if isinstance(verdict, Satisfiable):
+            assert verdict.open_branch == full.open_branch
+        assert replay_trace(abox, verdict.trace) == getattr(verdict, "open_branch", None)

@@ -14,15 +14,18 @@ or rendering changes a digest.
 
 The same runs gate the engine's incremental bookkeeping: at every recorded
 step, the rule choice from its live pivots and the clash test on the facts
-the step added must agree with the whole-branch scans. With more runs that
-backjumping prunes, they also gate the jumps: the engine must return what a
-search that tries every alternative returns, after closing no more
-branches, and its trace must replay.
+the step added must agree with the whole-branch scans, and at every branch
+the search tests, its carried index must hold what scans of the branch
+tuple find. With more runs that backjumping prunes, they also gate the
+jumps: the engine must return what a search that tries every alternative
+returns, after closing no more branches, and its trace must replay.
 """
 
 import hashlib
 import random
+from collections import Counter
 
+from alctab import engine
 from alctab.engine import (
     EngineConfig,
     Satisfiable,
@@ -34,7 +37,8 @@ from alctab.engine import (
 )
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
-from alctab.syntax import Inst, Named, nnf
+from alctab.rules import role_successors
+from alctab.syntax import Anon, Inst, Named, Rel, fresh_individual, nnf
 from corpus import (
     ATOMS2,
     ROLE1,
@@ -108,9 +112,35 @@ def test_golden_search():
     assert digest(search_lines) == SEARCH_SHA256
 
 
-def test_incremental_steps_match_whole_branch_scans():
-    successors = incremental = clashes = 0
+def assert_index_matches(branch, index):
+    """The index holds the branch's facts at their positions, its edges in
+    branch order and its next witness, as scans of the tuple find them."""
+    assert index.size == len(branch)
+    assert index.at.keys() == set(branch)
+    assert all(branch[index.position(f)] is f for f in index.at)
+    keys = {(g.role, g.source) for g in branch if isinstance(g, Rel)}
+    assert index.edges.keys() == keys
+    assert all(index.edges[key] == tuple(role_successors(branch, *key)) for key in keys)
+    assert Anon(index.witness) == fresh_individual(branch)
+
+
+def test_incremental_steps_match_whole_branch_scans(monkeypatch):
+    indexed = Counter()
+
+    def checking(name, fn):
+        # contains_clash(branch, added, index), next_application(branch, live, index)
+        def wrapper(branch, arg, index):
+            assert_index_matches(branch, index)
+            indexed[name] += 1
+            return fn(branch, arg, index)
+
+        return wrapper
+
+    for name in ("contains_clash", "next_application"):
+        monkeypatch.setattr(engine, name, checking(name, getattr(engine, name)))
+    successors = incremental = clashes = steps = 0
     for verdict in verdicts():
+        steps += len(verdict.trace) + isinstance(verdict, Satisfiable)
         for rec in verdict.trace:
             whole = next_application(rec.before)
             assert (whole.kind, whole.pivot_index) == (rec.kind, rec.pivot_index)
@@ -126,6 +156,9 @@ def test_incremental_steps_match_whole_branch_scans():
             assert not contains_clash(verdict.open_branch)
     # both the incremental and the whole-branch path ran, and clashes were found
     assert 0 < incremental < successors and clashes > 0
+    # the index was checked on every branch a rule was chosen on (the last
+    # one of a satisfiable run is saturated), and on more tested for a clash
+    assert indexed["contains_clash"] > indexed["next_application"] == steps
 
 
 def test_backjumping_returns_what_the_full_search_returns():

@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,8 @@ from alctab.engine import decide_concept_sat
 from alctab.parser import (
     MAX_NESTING,
     ParseError,
+    _span,
+    _tokenize,
     parse_abox,
     parse_concept,
     print_concept,
@@ -28,7 +32,11 @@ from alctab.syntax import (
     TOP,
     nnf,
 )
-from corpus import random_concept
+from corpus import exists_tree, irrelevant_or, random_concept, wide_exists
+from reference import recursive_print_concept, reference_tokenize
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 r = Role("r")
@@ -173,3 +181,134 @@ def test_print_individual_and_fact():
     assert print_individual(Anon(0)) == "_0"
     assert print_fact(Inst(x, And(A, B))) == "x : A and B"
     assert print_fact(Rel(r, x, Anon(2))) == "r(x, _2)"
+
+
+N = MAX_NESTING
+
+# each malformed input of this file with its message, byte for byte
+ERROR_MESSAGES = [
+    (parse_concept, "A and", "line 1, column 6: expected a concept, found end of input"),
+    (parse_concept, "A B", "line 1, column 3: expected end of input, found 'B'"),
+    (parse_concept, "(A or B", "line 1, column 8: expected ')', found end of input"),
+    (parse_concept, "some r A", "line 1, column 8: expected '.', found 'A'"),
+    (parse_concept, "and A", "line 1, column 1: expected a concept, found 'and'"),
+    (parse_concept, "A and not", "line 1, column 10: expected a concept, found end of input"),
+    (parse_concept, "A ? B", "line 1, column 3: expected a token, found '?'"),
+    (parse_concept, "", "line 1, column 1: expected a concept, found end of input"),
+    (parse_concept, "some Top. A", "line 1, column 6: expected a role name, found 'Top'"),
+    (
+        parse_concept,
+        "not " * (N + 1) + "A",
+        f"line 1, column {4 * N + 1}: expected at most {N} nested operators and parentheses, "
+        "found 'not'",
+    ),
+    (
+        parse_concept,
+        "(" * (N + 1) + "A" + ")" * (N + 1),
+        f"line 1, column {N + 1}: expected at most {N} nested operators and parentheses, "
+        "found '('",
+    ),
+    (
+        parse_abox,
+        "x : " + "some r. " * (N + 1) + "A\n",
+        f"line 1, column {8 * N + 5}: expected at most {N} nested operators and parentheses, "
+        "found 'some'",
+    ),
+    (
+        parse_abox,
+        "x : A\nx : A",
+        "line 2, column 1: expected a fact not seen before, found 'x : A'",
+    ),
+    (parse_abox, "x : A\nr(x y)", "line 2, column 5: expected ',', found 'y'"),
+    (parse_abox, "x A", "line 1, column 3: expected ':' or '(', found 'A'"),
+    (parse_abox, "x : A extra", "line 1, column 7: expected end of line, found 'extra'"),
+    (parse_abox, "r(x, y) trailing", "line 1, column 9: expected end of line, found 'trailing'"),
+    (parse_concept, "A and\n  1B", "line 2, column 3: expected a token, found '1'"),
+    (parse_concept, "A\tand\r\n B or\n\n )", "line 4, column 2: expected a concept, found ')'"),
+    (parse_abox, "x : A\n\ny : B and\xa0C", "line 3, column 10: expected a token, found '\xa0'"),
+    (parse_concept, "A_1 and 2", "line 1, column 9: expected a token, found '2'"),
+    (parse_abox, "r(x, y)\nx : all r . (B", "line 2, column 15: expected ')', found end of input"),
+    (parse_concept, "A\n\nand B C", "line 3, column 7: expected end of input, found 'C'"),
+]
+
+
+def test_error_messages_are_pinned():
+    for parse, text, message in ERROR_MESSAGES:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
+def lexer_corpus():
+    """Texts the lexer must position exactly as the reference lexer: printed
+    random concepts, the malformed inputs above, the first round of every
+    benchmark workload (each ABox line alone too), and seeded random
+    strings over token, space and stray characters."""
+    rng = random.Random(72)
+    yield from (print_concept(random_concept(rng, 4)) for _ in range(200))
+    yield from (text for _, text, _ in ERROR_MESSAGES)
+    for workload in workloads.WORKLOADS:
+        for inst in next(workloads.rounds(workload, 1)):
+            yield inst.text
+            yield inst.sup
+            yield from inst.text.splitlines()
+    pieces = ["A", "r1", "_x", "and", "(", ")", ".", ":", ",", " ", "\t", "\r", "\n"]
+    pieces += ["7", "?", "\xa0", "\f"]  # no token holds these
+    for _ in range(500):
+        yield "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+
+
+def test_lexer_matches_reference_lexer():
+    errors = 0
+    for text in lexer_corpus():
+        for first_line in (1, 5):
+            try:
+                expected = reference_tokenize(text, first_line)
+            except ParseError as exc:
+                errors += 1
+                with pytest.raises(ParseError) as got:
+                    _tokenize(text, first_line)
+                assert (got.value.span, got.value.found) == (exc.span, exc.found)
+                continue
+            tokens = _tokenize(text, first_line)
+            assert tokens == [tok for tok, _ in expected]
+            # positions are found by a scan from the start, so a long text
+            # is checked at about 200 tokens spread over it and at its end
+            ks = [*range(0, len(tokens), 1 + len(tokens) // 200), len(tokens) - 1]
+            assert [_span(text, k, first_line) for k in ks] == [expected[k][1] for k in ks]
+    assert errors > 0
+
+
+DEEP = 10_000
+
+
+def deep_chains(n):
+    """n-deep left ⊓ and ⊔ chains, a right ⊓ chain and ¬, ∀ and ∃ towers."""
+    r = Role("r")
+    chains = {
+        "and": lambda c, i: And(c, Atom(f"A{i}")),
+        "or": lambda c, i: Or(c, Atom(f"A{i}")),
+        "and-right": lambda c, i: And(Atom(f"A{i}"), c),
+        "not": lambda c, i: Not(c),
+        "all": lambda c, i: All(r, c),
+        "some": lambda c, i: Some(r, c),
+    }
+    for name, grow in chains.items():
+        concept = A
+        for i in range(n):
+            concept = grow(concept, i)
+        yield name, concept
+
+
+def test_print_concept_does_not_recurse():
+    for name, concept in deep_chains(DEEP):
+        text = print_concept(concept)
+        assert text.count("A") == (DEEP + 1 if name in ("and", "or", "and-right") else 1)
+        if name == "and":
+            assert parse_concept(text) is concept
+    for _, concept in deep_chains(300):
+        assert print_concept(concept) == recursive_print_concept(concept)
+    rng = random.Random(73)
+    families = (exists_tree(5), wide_exists(9), irrelevant_or(6))
+    for concept in (*families, *(random_concept(rng, 4) for _ in range(200))):
+        assert print_concept(concept) == recursive_print_concept(concept)

@@ -14,22 +14,13 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 from .measure import assert_decrease, progress_check
-from .rules import (
-    MONOTONE,
-    RULES_BY_KIND,
-    RuleApplication,
-    RuleKind,
-    alc_rules,
-    pivot_kind,
-    pivots,
-)
+from .rules import MONOTONE, RULES_BY_KIND, BranchIndex, RuleApplication, RuleKind, alc_rules
 from .semantics import Interpretation
 from .syntax import (
     Abox,
     And,
     Atom,
     Bottom,
-    BranchIndex,
     Concept,
     Fact,
     Inst,
@@ -115,22 +106,19 @@ def contains_clash(
     C ranges over all concepts, not only atoms. Given the facts a step
     `added` to a clash-free branch in negation normal form, only clashes
     through those facts are looked for, since no other can have arisen;
-    without it the whole branch is tested. Given the branch's `index`,
-    membership is read off it.
+    without it the whole branch is tested. Membership is read off the
+    branch's `index`, which is built from the branch when not given.
     """
     return _clash(abox, added, index) is not None
 
 
 def _clash(
-    abox: Abox, added: Optional[Abox] = None, index: Optional[BranchIndex] = None
+    abox: Abox, added: Optional[Abox], index: Optional[BranchIndex]
 ) -> Optional[tuple[Fact, Fact]]:
     """The first clashing pair `contains_clash` finds, or None; `x : Bottom`
     clashes with itself."""
     whole = added is None
-    if index is not None:
-        facts = index.at
-    else:
-        facts = set(abox) if whole else abox
+    facts = (BranchIndex(abox) if index is None else index).at
     for f in abox if whole else added:
         if isinstance(f, Inst):
             c = f.concept
@@ -151,26 +139,23 @@ def _clash(
     return None
 
 
-Live = dict[RuleKind, list[Fact]]
-
-
 def next_application(
-    abox: Abox, live: Optional[Live] = None, index: Optional[BranchIndex] = None
+    abox: Abox, index: Optional[BranchIndex] = None
 ) -> Optional[RuleApplication]:
     """First applicable rule in strategy order, at its first pivot.
 
-    None means the branch is saturated. `live` holds, per rule kind, the
-    branch's pivots of that kind in branch order, and must include every
-    pivot the rule applies at; without it they are read off the whole
-    branch. Conjunction, disjunction and existential pivots tested here and
-    found not to apply, and the pivot that fires, cannot fire on any branch
-    grown from this one, so their entries in `live` are replaced by lists
-    without them. Universal pivots always stay: a new edge can make them
-    apply again. Given the branch's `index`, the rules read it, and it
-    gives the pivot's position.
+    None means the branch is saturated. The rules read the branch's
+    `index`, built from the branch when not given; its live pivots must
+    include every pivot a rule applies at, and it gives the pivot's
+    position. Conjunction, disjunction and existential pivots tested here
+    and found not to apply, and the pivot that fires, cannot fire on any
+    branch grown from this one, so the index's live tuples are replaced by
+    tuples without them. Universal pivots always stay: a new edge can make
+    them apply again.
     """
-    if live is None:
-        live = pivots(abox)
+    if index is None:
+        index = BranchIndex(abox)
+    live = index.live
     for rule in alc_rules():
         candidates = live[rule.kind]
         prune = rule.kind in MONOTONE
@@ -178,13 +163,14 @@ def next_application(
             if rule.appcond(abox, fact, index):
                 if prune:
                     live[rule.kind] = candidates[n + 1 :]
-                i = abox.index(fact) if index is None else index.position(fact)
-                successors = tuple(rule.action(abox[:i], fact, abox[i + 1 :], index))
+                successors = tuple(rule.action(abox, fact, index))
                 # the ∃ action puts the edge to its witness first in its successor
                 fresh = successors[0][0].target if rule.kind is RuleKind.SOME else None
-                return RuleApplication(rule.kind, fact, i, abox, successors, fresh)
+                return RuleApplication(
+                    rule.kind, fact, index.position(fact), abox, successors, fresh
+                )
         if prune and candidates:
-            live[rule.kind] = []
+            live[rule.kind] = ()
     return None
 
 
@@ -193,16 +179,6 @@ def _added(before: Abox, after: Abox) -> Optional[Abox]:
     when it also moved facts of `before` (re-asserted them) to the front."""
     n = len(after) - len(before)
     return after[:n] if after[n:] == before else None
-
-
-def _grow(live: Live, added: Abox) -> Live:
-    """A successor's live pivots: its parent's, after the new facts' own."""
-    grown = dict(live)
-    for fact in reversed(added):
-        kind = pivot_kind(fact)
-        if kind is not None:
-            grown[kind] = [fact, *grown[kind]]
-    return grown
 
 
 def _new_facts(before: Abox, after: Abox, added: Optional[Abox]) -> Iterable[Fact]:
@@ -221,14 +197,14 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     every branch closes the ABox is unsatisfiable. Raises StepLimitExceeded
     after `cfg.max_steps` rule applications.
 
-    Each branch carries its parent's live pivots, its parent's index and
-    the facts the step added, so that the clash test looks only at those
-    facts and rule selection only at pivots not yet known dead, and rules
-    read the index instead of scanning the branch. The index grows in place
-    by the added facts: a step's only or left successor takes its parent's
-    index over, and a disjunction step copies it once for the right one. A
-    successor in which the step re-asserted facts its parent held is tested
-    and scanned whole, and its index is built anew.
+    Each branch carries its parent's index and the facts the step added, so
+    that the clash test looks only at those facts, rule selection only at
+    the index's live pivots, and the rules read the index instead of
+    scanning the branch. The index grows in place by the added facts: a
+    step's only or left successor takes its parent's index over, and a
+    disjunction step copies it once for the right one. A successor in which
+    the step re-asserted facts its parent held is tested whole, and its
+    index is built anew from the branch.
 
     The search backjumps. The right successors of the disjunction steps on
     the current path that are still to be tried wait in `pending`, oldest
@@ -246,13 +222,11 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     if not is_nnf_abox(root):
         raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
-    # (right successor, live pivots, added facts, labels, label of the ⊔
-    # pivot, index of the step's trace record when traces are recorded,
-    # the ⊔ step's branch index)
-    pending: list[
-        tuple[Abox, Live, Optional[Abox], dict[Fact, int], int, int, BranchIndex]
-    ] = []
-    branch, inherited, added, index = root, None, None, None
+    # (right successor, added facts, labels, label of the ⊔ pivot, index of
+    # the step's trace record when traces are recorded, the ⊔ step's branch
+    # index)
+    pending: list[tuple[Abox, Optional[Abox], dict[Fact, int], int, int, BranchIndex]] = []
+    branch, added, index = root, None, None
     labels: dict[Fact, int] = {}
     closed = 0
     steps = 0
@@ -267,19 +241,18 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
                 keep = depends.bit_length()
                 if cfg.record_trace:
                     for alt in pending[keep:]:
-                        trace[alt[5]] = replace(trace[alt[5]], skipped=True)
+                        trace[alt[4]] = replace(trace[alt[4]], skipped=True)
                 del pending[keep:]
             if not pending:
                 return Unsatisfiable(tuple(trace), closed)
-            branch, inherited, added, labels, label, _, index = pending.pop()
+            branch, added, labels, label, _, index = pending.pop()
             # the right disjunct depends on what the left one's clash
             # depended on, less that choice itself
             label |= depends & ~(1 << len(pending))
             if label:
                 labels[branch[0]] = label
             continue
-        live = pivots(branch) if added is None else _grow(inherited, added)
-        app = next_application(branch, live, index)
+        app = next_application(branch, index)
         if app is None:
             return Satisfiable(canonical_interpretation(branch), branch, tuple(trace))
         steps += 1
@@ -295,7 +268,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             right = app.successors[1]
             label = labels.get(app.pivot, 0)
             pending.append(
-                (right, live, _added(branch, right), labels, label, len(trace) - 1, index.copy())
+                (right, _added(branch, right), labels, label, len(trace) - 1, index.copy())
             )
             labels = {**labels, succ[0]: label | 1 << (len(pending) - 1)}
         elif pending:
@@ -307,7 +280,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             if label:
                 for fact in _new_facts(branch, succ, succ_added):
                     labels[fact] = label
-        branch, inherited, added = succ, live, succ_added
+        branch, added = succ, succ_added
 
 
 def _check_measures(app: RuleApplication, cfg: EngineConfig) -> None:
@@ -381,7 +354,8 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
     stack: list[Abox] = [tuple(initial)]
     while stack:
         branch = stack.pop()
-        if contains_clash(branch):
+        index = BranchIndex(branch)
+        if contains_clash(branch, None, index):
             continue
         if pending is None:
             return branch
@@ -389,9 +363,9 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
             raise ValueError("trace record does not match the branch under expansion")
         rule = RULES_BY_KIND[pending.kind]
         i = pending.pivot_index
-        if i >= len(branch) or not rule.appcond(branch, branch[i]):
+        if i >= len(branch) or not rule.appcond(branch, branch[i], index):
             raise ValueError("recorded pivot is not applicable on replay")
-        successors = rule.action(branch[:i], branch[i], branch[i + 1 :])
+        successors = rule.action(branch, branch[i], index)
         if pending.skipped:
             successors = successors[:1]
         stack.extend(reversed(successors))

@@ -17,9 +17,9 @@ witness per step).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
+from typing import Mapping, Optional
 
-from .rules import AND_RULE, OR_RULE, SOME_RULE, appcond_some, pending
+from .rules import AND_RULE, OR_RULE, SOME_RULE, BranchIndex, appcond_some, pending
 from .syntax import (
     Abox,
     All,
@@ -39,21 +39,24 @@ MeasurePair = tuple[int, int]
 BranchMeasure = Counter  # Counter[MeasurePair]
 
 
-def reducible_hidden_ex_count(abox: Abox) -> int:
+def reducible_hidden_ex_count(abox: Abox, index: Optional[BranchIndex] = None) -> int:
     """Existential terms in the branch that are reducible or hidden.
 
     Sums, over every concept assertion: one if the asserted concept is an
     existential restriction on which the existential rule is applicable,
     plus the number of existential constructors strictly below the
-    concept's root.
+    concept's root. The rule reads the branch's `index`, built from the
+    branch when not given.
     """
+    if index is None:
+        index = BranchIndex(abox)
     total = 0
     for fact in abox:
         if not isinstance(fact, Inst):
             continue
         d = fact.concept
         hidden = existential_count(d) - (1 if isinstance(d, Some) else 0)
-        reducible = 1 if appcond_some(abox, fact) else 0
+        reducible = 1 if appcond_some(abox, fact, index) else 0
         total += hidden + reducible
     return total
 
@@ -71,22 +74,23 @@ def measure_fact(abox: Abox, fact: Fact) -> MeasurePair:
     """
     if fact not in abox:
         raise ValueError("measure of a fact is relative to a branch containing it")
-    return _pair(abox, fact, reducible_hidden_ex_count(abox))
+    index = BranchIndex(abox)
+    return _pair(abox, fact, reducible_hidden_ex_count(abox, index), index)
 
 
 # pivots of these shapes weigh their concept size while their rule applies
 _RULE_FOR = {And: AND_RULE, Or: OR_RULE, Some: SOME_RULE}
 
 
-def _pair(abox: Abox, fact: Fact, shared_ex_count: int) -> MeasurePair:
+def _pair(abox: Abox, fact: Fact, shared_ex_count: int, index: BranchIndex) -> MeasurePair:
     if isinstance(fact, Rel):
         return (0, 0)
     d = fact.concept
     if isinstance(d, All):
-        waiting = sum(1 for _ in pending(abox, fact.subject, d))
+        waiting = sum(1 for _ in pending(index, fact.subject, d))
         return (size_concept(d), waiting + shared_ex_count)
     rule = _RULE_FOR.get(type(d))
-    if rule is not None and rule.appcond(abox, fact):
+    if rule is not None and rule.appcond(abox, fact, index):
         return (size_concept(d), 0)
     # atoms, negations, Top, Bottom, and pivots whose rule no longer applies
     return (0, 0)
@@ -94,8 +98,9 @@ def _pair(abox: Abox, fact: Fact, shared_ex_count: int) -> MeasurePair:
 
 def measure_abox(abox: Abox) -> BranchMeasure:
     """The branch measure: the multiset of per-fact pairs."""
-    shared = reducible_hidden_ex_count(abox)
-    return Counter(_pair(abox, f, shared) for f in abox)
+    index = BranchIndex(abox)
+    shared = reducible_hidden_ex_count(abox, index)
+    return Counter(_pair(abox, f, shared, index) for f in abox)
 
 
 def multiset_less(m1: Mapping[MeasurePair, int], m2: Mapping[MeasurePair, int]) -> bool:

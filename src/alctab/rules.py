@@ -1,31 +1,31 @@
 """The four ALC decomposition rules as (applicability, action) pairs over
-list ABoxes.
+list ABoxes, and the branch index they read.
 
 Each rule is given once, by the shape of its pivot concept, its premise and
 the facts it adds; `_rule` turns those into the applicability test and the
-action. A premise only reads the branch: it builds no fact and no witness.
-An action receives the branch split around its pivot fact and returns the
-successor branches, always shaped ``new facts + prefix + pivot + suffix``
-and de-duplicated, so the new facts lead every successor and branches only
-grow. Growing a branch can only make the conjunction, disjunction and
-existential premises false, never true again; only the universal premise
-can turn true again, when an edge is added. Premises and actions take the
-branch's `BranchIndex` as an optional last argument, and then read it
-instead of scanning the branch. The set-level rule relations that tests
-check every application against live in the test suite.
+action. Both take the branch, a pivot fact of it and the branch's
+`BranchIndex`, and read the branch only through the index; a premise builds
+no fact and no witness. An action is called only on a pivot where its
+rule's applicability test holds, and returns the successor branches, always
+shaped ``new facts + branch`` and de-duplicated, so the new facts lead every
+successor and branches only grow. Growing a branch can only make the
+conjunction, disjunction and existential premises false, never true again;
+only the universal premise can turn true again, when an edge is added. The
+set-level rule relations that tests check every application against live in
+the test suite.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .syntax import (
     Abox,
     All,
     And,
-    BranchIndex,
+    Anon,
     Concept,
     Fact,
     Individual,
@@ -34,9 +34,8 @@ from .syntax import (
     Rel,
     Role,
     Some,
-    asserted,
     dedup_facts,
-    fresh_individual,
+    lookup,
 )
 
 Tableau = list[Abox]
@@ -49,8 +48,95 @@ class RuleKind(enum.Enum):
     SOME = "some"
 
     # members are singletons; Enum's own __hash__ runs in Python on every
-    # lookup of the engine's per-kind pivot lists
+    # lookup of the index's per-kind pivot lists
     __hash__ = object.__hash__
+
+
+# the concept constructor each rule's pivots have
+_PIVOT_SHAPE = {RuleKind.AND: And, RuleKind.OR: Or, RuleKind.ALL: All, RuleKind.SOME: Some}
+_KIND_OF_SHAPE = {shape: kind for kind, shape in _PIVOT_SHAPE.items()}
+
+# the kinds whose premise, once false, stays false as the branch grows
+MONOTONE = frozenset({RuleKind.AND, RuleKind.OR, RuleKind.SOME})
+
+_NO_PIVOTS: dict[RuleKind, tuple[Fact, ...]] = dict.fromkeys(RuleKind, ())
+
+
+class BranchIndex:
+    """What the rules read off a branch, kept as the branch grows: the
+    completion-tree view of Baader & Sattler 2001 (Studia Logica 69).
+
+    `at` maps each fact of the branch to its distance from the branch's
+    end, which stays fixed while facts are put in front, so it answers both
+    membership and position; `size` is the branch's length. `edges` maps
+    (role, source) to the targets of its edges in branch order, and
+    `witness` is the allocation index of the next fresh witness. `live`
+    maps each rule kind to a tuple of the branch's pivots of that kind in
+    branch order, less those the search has found can never fire again. A
+    successor that only puts facts in front of its branch takes the
+    branch's index over with `grow`; an index shared by two branches is
+    `copy`-ed first, since `grow` changes it in place.
+    """
+
+    __slots__ = ("at", "size", "edges", "witness", "live")
+
+    def __init__(self, abox: Abox) -> None:
+        self.at: dict[Fact, int] = {}
+        self.size = 0
+        self.edges: dict[tuple[Role, Individual], tuple[Individual, ...]] = {}
+        self.witness = 0
+        self.live = dict(_NO_PIVOTS)
+        self.grow(abox)
+
+    def grow(self, added: Abox) -> BranchIndex:
+        """Index `added`, facts the branch does not hold, as put in front of
+        it; returns the index itself. A fact that occurs twice in `added`
+        keeps the distance of its first occurrence."""
+        at, edges, witness, live = self.at, self.edges, self.witness, self.live
+        n = self.size
+        new_pivots: dict[RuleKind, list[Fact]] = {}
+        for fact in reversed(added):
+            at[fact] = n
+            n += 1
+            if type(fact) is Rel:
+                key = (fact.role, fact.source)
+                # a later edge comes before the earlier ones in branch order
+                edges[key] = (fact.target, *edges.get(key, ()))
+                ind = fact.target
+                if type(ind) is Anon and ind.index >= witness:
+                    witness = ind.index + 1
+                ind = fact.source
+            else:
+                kind = _KIND_OF_SHAPE.get(type(fact.concept))
+                if kind is not None:
+                    new_pivots.setdefault(kind, []).append(fact)
+                ind = fact.subject
+            if type(ind) is Anon and ind.index >= witness:
+                witness = ind.index + 1
+        for kind, facts in new_pivots.items():
+            live[kind] = (*reversed(facts), *live[kind])
+        self.size, self.witness = n, witness
+        return self
+
+    def copy(self) -> BranchIndex:
+        twin = object.__new__(BranchIndex)
+        twin.at, twin.size = dict(self.at), self.size
+        twin.edges, twin.witness = dict(self.edges), self.witness
+        twin.live = dict(self.live)
+        return twin
+
+    def position(self, fact: Fact) -> int:
+        """The index of the first occurrence of `fact` in the branch."""
+        return self.size - 1 - self.at[fact]
+
+    def holds(self, subject: Individual, concept: Concept) -> bool:
+        """Whether the branch holds the fact `subject : concept`; builds no fact."""
+        fact = lookup(Inst, subject, concept)
+        return fact is not None and fact in self.at
+
+    def successors(self, role: Role, source: Individual) -> tuple[Individual, ...]:
+        """Targets of the `role` edges from `source`, in branch order."""
+        return self.edges.get((role, source), ())
 
 
 @dataclass(frozen=True)
@@ -58,8 +144,8 @@ class TableauRule:
     """A rule given by its applicability condition and its action."""
 
     kind: RuleKind
-    appcond: Callable[[Abox, Fact, Optional[BranchIndex]], bool]
-    action: Callable[[Abox, Fact, Abox, Optional[BranchIndex]], Tableau]
+    appcond: Callable[[Abox, Fact, BranchIndex], bool]
+    action: Callable[[Abox, Fact, BranchIndex], Tableau]
 
 
 @dataclass(frozen=True)
@@ -80,146 +166,82 @@ class RuleApplication:
     skipped: bool = False
 
 
-def role_successors(
-    abox: Abox, role: Role, source: Individual, index: Optional[BranchIndex] = None
-) -> Iterable[Individual]:
-    """Targets of the `role` edges from `source`, in branch order; read off
-    `index`, the branch's index, when given one."""
-    if index is not None:
-        return index.edges.get((role, source), ())
-    return _scan_successors(abox, role, source)
-
-
-def _scan_successors(abox: Abox, role: Role, source: Individual) -> Iterator[Individual]:
-    for g in abox:
-        if isinstance(g, Rel) and g.role == role and g.source == source:
-            yield g.target
-
-
-def pending(
-    abox: Abox, subject: Individual, concept: All, index: Optional[BranchIndex] = None
-) -> Iterator[Individual]:
+def pending(index: BranchIndex, subject: Individual, concept: All) -> Iterator[Individual]:
     """Successors of `subject` that the universal restriction has not reached:
     those along its role that miss its body concept, in branch order."""
     body = concept.child
-    return (
-        y
-        for y in role_successors(abox, concept.role, subject, index)
-        if not asserted(abox, y, body, index)
-    )
+    return (y for y in index.successors(concept.role, subject) if not index.holds(y, body))
 
 
-# the concept constructor each rule's pivots have
-_PIVOT_SHAPE = {RuleKind.AND: And, RuleKind.OR: Or, RuleKind.ALL: All, RuleKind.SOME: Some}
-_KIND_OF_SHAPE = {shape: kind for kind, shape in _PIVOT_SHAPE.items()}
-
-# the kinds whose premise, once false, stays false as the branch grows
-MONOTONE = frozenset({RuleKind.AND, RuleKind.OR, RuleKind.SOME})
-
-
-def pivot_kind(fact: Fact) -> Optional[RuleKind]:
-    """The kind of the one rule whose pivot shape `fact` has, if any."""
-    return _KIND_OF_SHAPE.get(type(fact.concept)) if isinstance(fact, Inst) else None
-
-
-def pivots(facts: Iterable[Fact]) -> dict[RuleKind, list[Fact]]:
-    """The facts each rule could fire on, by pivot shape, in the given order."""
-    out: dict[RuleKind, list[Fact]] = {kind: [] for kind in _PIVOT_SHAPE}
-    for fact in facts:
-        kind = pivot_kind(fact)
-        if kind is not None:
-            out[kind].append(fact)
-    return out
-
-
-Premise = Callable[[Abox, Individual, Concept, Optional[BranchIndex]], bool]
-Adds = Callable[[Abox, Individual, Concept, Optional[BranchIndex]], list[tuple[Fact, ...]]]
+Premise = Callable[[BranchIndex, Individual, Concept], bool]
+Adds = Callable[[BranchIndex, Individual, Concept], list[tuple[Fact, ...]]]
 
 
 def _rule(kind: RuleKind, premise: Premise, adds: Adds) -> TableauRule:
     """The rule that fires on pivots `x : C` with C of the kind's pivot shape
-    when `premise(branch, x, C, index)` holds, with one successor per tuple
-    of facts in `adds(branch, x, C, index)`. An action on a pivot where the
-    rule does not apply has no successors."""
+    when `premise(index, x, C)` holds, with one successor per tuple of facts
+    in `adds(index, x, C)`."""
     shape = _PIVOT_SHAPE[kind]
 
-    def appcond(abox: Abox, fact: Fact, index: Optional[BranchIndex] = None) -> bool:
+    def appcond(abox: Abox, fact: Fact, index: BranchIndex) -> bool:
         return (
             isinstance(fact, Inst)
             and isinstance(fact.concept, shape)
-            and premise(abox, fact.subject, fact.concept, index)
+            and premise(index, fact.subject, fact.concept)
         )
 
-    def action(
-        prefix: Abox, pivot: Fact, suffix: Abox, index: Optional[BranchIndex] = None
-    ) -> Tableau:
-        whole = prefix + (pivot,) + suffix
-        if not appcond(whole, pivot, index):
-            return []
-        return [
-            _successor(new, whole, index)
-            for new in adds(whole, pivot.subject, pivot.concept, index)
-        ]
+    def action(abox: Abox, pivot: Fact, index: BranchIndex) -> Tableau:
+        return [_successor(new, abox, index) for new in adds(index, pivot.subject, pivot.concept)]
 
     return TableauRule(kind, appcond, action)
 
 
-def _successor(new: tuple[Fact, ...], whole: Abox, index: Optional[BranchIndex]) -> Abox:
-    """`new + whole` de-duplicated. The index shows when `whole` has no
+def _successor(new: tuple[Fact, ...], abox: Abox, index: BranchIndex) -> Abox:
+    """`new + abox` de-duplicated. The index shows when `abox` has no
     duplicates and holds no fact of `new`, so that it need not be hashed
     again."""
-    if index is not None and index.size == len(index.at):
+    if index.size == len(index.at):
         fresh = tuple(dict.fromkeys(new))
         if index.at.keys().isdisjoint(fresh):
-            return fresh + whole
-    return dedup_facts(new + whole)
+            return fresh + abox
+    return dedup_facts(new + abox)
 
 
-def _and_premise(abox: Abox, x: Individual, c: And, index: Optional[BranchIndex]) -> bool:
+def _and_premise(index: BranchIndex, x: Individual, c: And) -> bool:
     """Not both parts asserted yet."""
-    return not (asserted(abox, x, c.left, index) and asserted(abox, x, c.right, index))
+    return not (index.holds(x, c.left) and index.holds(x, c.right))
 
 
-def _and_adds(
-    abox: Abox, x: Individual, c: And, index: Optional[BranchIndex]
-) -> list[tuple[Fact, ...]]:
+def _and_adds(index: BranchIndex, x: Individual, c: And) -> list[tuple[Fact, ...]]:
     return [(Inst(x, c.left), Inst(x, c.right))]
 
 
-def _or_premise(abox: Abox, x: Individual, c: Or, index: Optional[BranchIndex]) -> bool:
+def _or_premise(index: BranchIndex, x: Individual, c: Or) -> bool:
     """Neither alternative asserted yet."""
-    return not (asserted(abox, x, c.left, index) or asserted(abox, x, c.right, index))
+    return not (index.holds(x, c.left) or index.holds(x, c.right))
 
 
-def _or_adds(
-    abox: Abox, x: Individual, c: Or, index: Optional[BranchIndex]
-) -> list[tuple[Fact, ...]]:
+def _or_adds(index: BranchIndex, x: Individual, c: Or) -> list[tuple[Fact, ...]]:
     return [(Inst(x, c.left),), (Inst(x, c.right),)]
 
 
-def _all_premise(abox: Abox, x: Individual, c: All, index: Optional[BranchIndex]) -> bool:
+def _all_premise(index: BranchIndex, x: Individual, c: All) -> bool:
     """Some successor along the role misses the body concept."""
-    return next(pending(abox, x, c, index), None) is not None
+    return next(pending(index, x, c), None) is not None
 
 
-def _all_adds(
-    abox: Abox, x: Individual, c: All, index: Optional[BranchIndex]
-) -> list[tuple[Fact, ...]]:
+def _all_adds(index: BranchIndex, x: Individual, c: All) -> list[tuple[Fact, ...]]:
     # first pending successor in branch order; later steps reach the rest
-    return [(Inst(next(pending(abox, x, c, index)), c.child),)]
+    return [(Inst(next(pending(index, x, c)), c.child),)]
 
 
-def _some_premise(abox: Abox, x: Individual, c: Some, index: Optional[BranchIndex]) -> bool:
+def _some_premise(index: BranchIndex, x: Individual, c: Some) -> bool:
     """No successor along the role holds the body concept."""
-    return not any(
-        asserted(abox, y, c.child, index) for y in role_successors(abox, c.role, x, index)
-    )
+    return not any(index.holds(y, c.child) for y in index.successors(c.role, x))
 
 
-def _some_adds(
-    abox: Abox, x: Individual, c: Some, index: Optional[BranchIndex]
-) -> list[tuple[Fact, ...]]:
-    witness = fresh_individual(abox, index)
+def _some_adds(index: BranchIndex, x: Individual, c: Some) -> list[tuple[Fact, ...]]:
+    witness = Anon(index.witness)
     return [(Rel(c.role, x, witness), Inst(witness, c.child))]
 
 

@@ -94,33 +94,41 @@ def interp_role(interp: Interpretation, role: Role) -> frozenset[tuple[int, int]
 
 
 def interp_concept(interp: Interpretation, concept: Concept) -> frozenset[int]:
-    """Extension of a concept, a subset of the domain."""
-    match concept:
-        case Bottom():
-            return _EMPTY
-        case Top():
-            return interp.domain
-        case Atom(name):
-            return interp.concept_map.get(name, _EMPTY)
-        case And(left, right):
-            return interp_concept(interp, left) & interp_concept(interp, right)
-        case Or(left, right):
-            return interp_concept(interp, left) | interp_concept(interp, right)
-        case Not(child):
-            return interp.domain - interp_concept(interp, child)
-        case All(role, child):
-            edges = interp_role(interp, role)
-            members = interp_concept(interp, child)
-            return frozenset(
-                x
-                for x in interp.domain
-                if all(y in members for (x2, y) in edges if x2 == x)
-            )
-        case Some(role, child):
-            edges = interp_role(interp, role)
-            members = interp_concept(interp, child)
-            return frozenset(x for (x, y) in edges if y in members)
-    raise TypeError(f"not a concept: {concept!r}")
+    """Extension of a concept, a subset of the domain.
+
+    Subterms are evaluated before the terms above them, in the reverse of
+    the iterative walk `subterms`, onto a stack of extensions; so any depth
+    that fits in memory works.
+    """
+    done: list[frozenset[int]] = []
+    for node in reversed(list(subterms(concept))):
+        match node:
+            case Bottom():
+                ext = _EMPTY
+            case Top():
+                ext = interp.domain
+            case Atom(name):
+                ext = interp.concept_map.get(name, _EMPTY)
+            case And():
+                ext = done.pop() & done.pop()
+            case Or():
+                ext = done.pop() | done.pop()
+            case Not():
+                ext = interp.domain - done.pop()
+            case All(role):
+                edges = interp_role(interp, role)
+                members = done.pop()
+                ext = frozenset(
+                    x
+                    for x in interp.domain
+                    if all(y in members for (x2, y) in edges if x2 == x)
+                )
+            case Some(role):
+                edges = interp_role(interp, role)
+                members = done.pop()
+                ext = frozenset(x for (x, y) in edges if y in members)
+        done.append(ext)
+    return done[0]
 
 
 def is_model(interp: Interpretation, concept: Concept) -> bool:

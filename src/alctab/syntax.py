@@ -206,75 +206,6 @@ def make_abox(facts: Iterable[Fact]) -> Abox:
     return out
 
 
-class BranchIndex:
-    """What the tableau rules read off a branch, kept as the branch grows.
-
-    `at` maps each fact of the branch to its distance from the branch's
-    end, which stays fixed while facts are put in front, so it answers both
-    membership and position; `size` is the branch's length. `edges` maps
-    (role, source) to the targets of its edges in branch order, and
-    `witness` is the allocation index of the next fresh witness. A
-    successor that only puts facts in front of its branch takes the
-    branch's index over with `grow`; an index shared by two branches is
-    `copy`-ed first, since `grow` changes it in place.
-    """
-
-    __slots__ = ("at", "size", "edges", "witness")
-
-    def __init__(self, abox: Abox) -> None:
-        self.at: dict[Fact, int] = {}
-        self.size = 0
-        self.edges: dict[tuple[Role, Individual], tuple[Individual, ...]] = {}
-        self.witness = 0
-        self.grow(abox)
-
-    def grow(self, added: Abox) -> BranchIndex:
-        """Index `added`, facts the branch does not hold, as put in front of
-        it; returns the index itself. A fact that occurs twice in `added`
-        keeps the distance of its first occurrence."""
-        at, edges, witness = self.at, self.edges, self.witness
-        n = self.size
-        for fact in reversed(added):
-            at[fact] = n
-            n += 1
-            if type(fact) is Rel:
-                key = (fact.role, fact.source)
-                # a later edge comes before the earlier ones in branch order
-                edges[key] = (fact.target, *edges.get(key, ()))
-                ind = fact.target
-                if type(ind) is Anon and ind.index >= witness:
-                    witness = ind.index + 1
-                ind = fact.source
-            else:
-                ind = fact.subject
-            if type(ind) is Anon and ind.index >= witness:
-                witness = ind.index + 1
-        self.size, self.witness = n, witness
-        return self
-
-    def copy(self) -> BranchIndex:
-        twin = object.__new__(BranchIndex)
-        twin.at, twin.size = dict(self.at), self.size
-        twin.edges, twin.witness = dict(self.edges), self.witness
-        return twin
-
-    def position(self, fact: Fact) -> int:
-        """The index of the first occurrence of `fact` in the branch."""
-        return self.size - 1 - self.at[fact]
-
-
-def asserted(
-    abox: Abox, subject: Individual, concept: Concept, index: Optional[BranchIndex] = None
-) -> bool:
-    """Whether the branch holds the fact `subject : concept`; builds no fact.
-
-    Reads `index`, the branch's index, when given one, and scans the branch
-    otherwise.
-    """
-    fact = lookup(Inst, subject, concept)
-    return fact is not None and fact in (abox if index is None else index.at)
-
-
 def subterms(concept: Concept, seen: Optional[set] = None) -> Iterator[Concept]:
     """Every node of the concept tree in pre-order, left child before right.
 
@@ -389,16 +320,13 @@ def individuals_of(abox: Abox) -> tuple[Individual, ...]:
     return tuple(seen)
 
 
-def fresh_individual(abox: Abox, index: Optional[BranchIndex] = None) -> Anon:
+def fresh_individual(abox: Abox) -> Anon:
     """Allocate a witness individual that occurs nowhere in the ABox.
 
     Deterministic: one plus the largest allocation index present, or index 0
     when the ABox holds no generated individuals. Named individuals never
-    influence allocation. Given the branch's index, reads it off the index
-    instead of scanning the branch.
+    influence allocation.
     """
-    if index is not None:
-        return Anon(index.witness)
     taken = [ind.index for ind in individuals_of(abox) if isinstance(ind, Anon)]
     return Anon(max(taken) + 1 if taken else 0)
 

@@ -28,7 +28,7 @@ from alctab.engine import (
     next_application,
 )
 from alctab.parser import ParseError, SourceSpan
-from alctab.rules import RuleApplication, RuleKind, Tableau, TableauRule
+from alctab.rules import BranchIndex, RuleApplication, RuleKind, Tableau, TableauRule
 from alctab.semantics import OracleConfig, oracle_find_model, satisfies_abox
 from alctab.syntax import (
     BOTTOM,
@@ -56,9 +56,10 @@ def apply_srule(rule: TableauRule, abox: Abox) -> Tableau:
     Returns the successor branches, or an empty list when the rule is not
     applicable anywhere in the branch.
     """
-    for i, fact in enumerate(abox):
-        if rule.appcond(abox, fact):
-            return rule.action(abox[:i], fact, abox[i + 1 :])
+    index = BranchIndex(abox)
+    for fact in abox:
+        if rule.appcond(abox, fact, index):
+            return rule.action(abox, fact, index)
     return []
 
 
@@ -166,18 +167,19 @@ def reference_search(abox: Abox) -> Verdict:
     """Depth-first search over whole branches that tries every alternative.
 
     Each popped branch is tested for a clash and scanned for its next rule
-    whole, with no live pivots, no dependency labels and no jumps. Returns
-    the verdict with an empty trace; an unsatisfiable one counts every
-    closed branch.
+    whole, with an index built anew for each branch, no dependency labels
+    and no jumps. Returns the verdict with an empty trace; an unsatisfiable
+    one counts every closed branch.
     """
     stack = [tuple(abox)]
     closed = 0
     while stack:
         branch = stack.pop()
-        if contains_clash(branch):
+        index = BranchIndex(branch)
+        if contains_clash(branch, None, index):
             closed += 1
             continue
-        app = next_application(branch)
+        app = next_application(branch, index)
         if app is None:
             return Satisfiable(canonical_interpretation(branch), branch)
         stack.extend(reversed(app.successors))

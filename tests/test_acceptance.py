@@ -27,7 +27,7 @@ from alctab.engine import (
 )
 from alctab.measure import progress_check, reducible_hidden_ex_count
 from alctab.parser import parse_concept, print_concept, print_fact
-from alctab.rules import alc_rules
+from alctab.rules import BranchIndex, alc_rules
 from alctab.semantics import (
     OracleConfig,
     interp_concept,
@@ -192,8 +192,9 @@ def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):
         monkeypatch.setattr(cls, "_table", table)
     applicable = 0
     for branch in branches:
+        index = BranchIndex(branch)
         for rule in alc_rules():
-            applicable += sum(rule.appcond(branch, fact) for fact in branch)
+            applicable += sum(rule.appcond(branch, fact, index) for fact in branch)
     assert applicable > 0
     assert {cls.__name__: table.entered for cls, table in tables.items()} == {
         "Inst": 0,

@@ -20,7 +20,7 @@ from alctab.engine import (
     replay_trace,
     subsumes,
 )
-from alctab.rules import RuleKind, role_successors
+from alctab.rules import RuleKind
 from alctab.semantics import OracleConfig, is_model, oracle_find_model, satisfies_fact
 from alctab.syntax import (
     All,
@@ -36,7 +36,6 @@ from alctab.syntax import (
     Role,
     Some,
     TOP,
-    fresh_individual,
     nnf,
 )
 from corpus import (
@@ -271,22 +270,20 @@ def test_search_reads_the_index_not_the_branch(monkeypatch):
 
         return wrapper
 
-    # the whole-branch scans behind fresh_individual and role_successors,
-    # and the one the model extraction makes
-    scan = counted("scan individuals", syntax.individuals_of)
+    # every index built from a whole branch, and every scan of a branch's
+    # individuals (the model extraction makes one)
+    monkeypatch.setattr(
+        rules.BranchIndex, "__init__", counted("index", rules.BranchIndex.__init__)
+    )
+    scan = counted("individuals", syntax.individuals_of)
     monkeypatch.setattr(syntax, "individuals_of", scan)
-    monkeypatch.setattr(rules, "_scan_successors", counted("scan edges", rules._scan_successors))
-    monkeypatch.setattr(engine, "individuals_of", counted("model", engine.individuals_of))
-    # without an index, the scans run and are counted
-    branch = (Rel(r, x, Anon(3)), Inst(x, Some(r, A)))
-    assert fresh_individual(branch) == Anon(4)
-    assert list(role_successors(branch, r, x)) == [Anon(3)]
-    assert calls == {"scan individuals": 1, "scan edges": 1}
+    monkeypatch.setattr(engine, "individuals_of", scan)
     for concept, facts in ((exists_tree(6), 631), (wide_exists(25), 126)):
         calls.clear()
         verdict = decide_concept_sat(concept)
         assert isinstance(verdict, Satisfiable) and len(verdict.open_branch) == facts
-        assert calls == {"model": 1}
+        # only the root's index is built, and only the model scans the branch
+        assert calls == {"index": 1, "individuals": 1}
 
 
 def test_repeated_input_facts_decide_as_the_whole_branch_search_does():

@@ -16,9 +16,10 @@ The same runs gate the engine's incremental bookkeeping: at every recorded
 step, the rule choice from its live pivots and the clash test on the facts
 the step added must agree with the whole-branch scans, and at every branch
 the search tests, its carried index must hold what scans of the branch
-tuple find. With more runs that backjumping prunes, they also gate the
-jumps: the engine must return what a search that tries every alternative
-returns, after closing no more branches, and its trace must replay.
+tuple find, and live pivots that miss no pivot a rule applies at. With
+more runs that backjumping prunes, they also gate the jumps: the engine
+must return what a search that tries every alternative returns, after
+closing no more branches, and its trace must replay.
 """
 
 import hashlib
@@ -37,8 +38,8 @@ from alctab.engine import (
 )
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
-from alctab.rules import role_successors
-from alctab.syntax import Anon, Inst, Named, Rel, fresh_individual, nnf
+from alctab.rules import RULES_BY_KIND, RuleKind
+from alctab.syntax import All, And, Anon, Inst, Named, Or, Rel, Some, fresh_individual, nnf
 from corpus import (
     ATOMS2,
     ROLE1,
@@ -112,27 +113,41 @@ def test_golden_search():
     assert digest(search_lines) == SEARCH_SHA256
 
 
+SHAPE = {RuleKind.AND: And, RuleKind.OR: Or, RuleKind.ALL: All, RuleKind.SOME: Some}
+
+
 def assert_index_matches(branch, index):
     """The index holds the branch's facts at their positions, its edges in
-    branch order and its next witness, as scans of the tuple find them."""
+    branch order and its next witness, as scans of the tuple find them, and
+    per rule kind, live pivots of that kind in branch order that include
+    every pivot the rule applies at."""
     assert index.size == len(branch)
     assert index.at.keys() == set(branch)
     assert all(branch[index.position(f)] is f for f in index.at)
-    keys = {(g.role, g.source) for g in branch if isinstance(g, Rel)}
-    assert index.edges.keys() == keys
-    assert all(index.edges[key] == tuple(role_successors(branch, *key)) for key in keys)
+    edges = {}
+    for g in branch:
+        if isinstance(g, Rel):
+            edges[g.role, g.source] = (*edges.get((g.role, g.source), ()), g.target)
+    assert index.edges == edges
     assert Anon(index.witness) == fresh_individual(branch)
+    assert index.live.keys() == set(RuleKind)
+    for kind, live in index.live.items():
+        positions = [index.position(f) for f in live]
+        assert positions == sorted(positions)
+        assert all(isinstance(f, Inst) and type(f.concept) is SHAPE[kind] for f in live)
+        appcond = RULES_BY_KIND[kind].appcond
+        assert {f for f in branch if appcond(branch, f, index)} <= set(live)
 
 
 def test_incremental_steps_match_whole_branch_scans(monkeypatch):
     indexed = Counter()
 
     def checking(name, fn):
-        # contains_clash(branch, added, index), next_application(branch, live, index)
-        def wrapper(branch, arg, index):
-            assert_index_matches(branch, index)
+        # contains_clash(branch, added, index), next_application(branch, index)
+        def wrapper(branch, *args):
+            assert_index_matches(branch, args[-1])
             indexed[name] += 1
-            return fn(branch, arg, index)
+            return fn(branch, *args)
 
         return wrapper
 

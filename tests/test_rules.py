@@ -4,6 +4,7 @@ from alctab.engine import EngineConfig, decide_sat_abox, next_application
 from alctab.rules import (
     AND_RULE,
     OR_RULE,
+    BranchIndex,
     RuleKind,
     action_all,
     action_and,
@@ -37,81 +38,90 @@ r = Role("r")
 x, y, z = Named("x"), Named("y"), Named("z")
 
 
+def holds(appcond, abox, fact):
+    return appcond(abox, fact, BranchIndex(abox))
+
+
+def fire(action, abox, pivot):
+    return action(abox, pivot, BranchIndex(abox))
+
+
 def test_appcond_and():
     abox = (Inst(x, And(A, B)),)
-    assert appcond_and(abox, abox[0])
+    assert holds(appcond_and, abox, abox[0])
     abox = (Inst(x, And(A, B)), Inst(x, A), Inst(x, B))
-    assert not appcond_and(abox, abox[0])
-    assert not appcond_and(abox, Rel(r, x, y))
+    assert not holds(appcond_and, abox, abox[0])
+    assert not holds(appcond_and, abox, Rel(r, x, y))
     # one part present is not enough to block
     abox = (Inst(x, And(A, B)), Inst(x, A))
-    assert appcond_and(abox, abox[0])
+    assert holds(appcond_and, abox, abox[0])
 
 
 def test_action_and():
-    assert action_and((), Inst(x, And(A, B)), (Inst(y, A),)) == [
+    pivot = Inst(x, And(A, B))
+    assert fire(action_and, (pivot, Inst(y, A)), pivot) == [
         (Inst(x, A), Inst(x, B), Inst(x, And(A, B)), Inst(y, A))
     ]
-    assert action_and((Inst(z, C),), Inst(x, And(A, B)), ()) == [
+    assert fire(action_and, (Inst(z, C), pivot), pivot) == [
         (Inst(x, A), Inst(x, B), Inst(z, C), Inst(x, And(A, B)))
     ]
-    assert action_and((), Rel(r, x, y), ()) == []
 
 
 def test_appcond_or():
     abox = (Inst(x, Or(A, B)),)
-    assert appcond_or(abox, abox[0])
+    assert holds(appcond_or, abox, abox[0])
     abox = (Inst(x, Or(A, B)), Inst(x, A))
-    assert not appcond_or(abox, abox[0])
-    assert not appcond_or(abox, Inst(x, And(A, B)))
+    assert not holds(appcond_or, abox, abox[0])
+    assert not holds(appcond_or, abox, Inst(x, And(A, B)))
 
 
 def test_action_or():
-    assert action_or((), Inst(x, Or(A, B)), ()) == [
+    pivot = Inst(x, Or(A, B))
+    assert fire(action_or, (pivot,), pivot) == [
         (Inst(x, A), Inst(x, Or(A, B))),
         (Inst(x, B), Inst(x, Or(A, B))),
     ]
-    assert action_or((Inst(y, C),), Inst(x, Or(A, B)), ()) == [
+    assert fire(action_or, (Inst(y, C), pivot), pivot) == [
         (Inst(x, A), Inst(y, C), Inst(x, Or(A, B))),
         (Inst(x, B), Inst(y, C), Inst(x, Or(A, B))),
     ]
-    assert action_or((), Rel(r, x, y), ()) == []
 
 
 def test_appcond_all():
     abox = (Inst(x, All(r, A)), Rel(r, x, y))
-    assert appcond_all(abox, abox[0])
+    assert holds(appcond_all, abox, abox[0])
     abox = (Inst(x, All(r, A)), Rel(r, x, y), Inst(y, A))
-    assert not appcond_all(abox, abox[0])
+    assert not holds(appcond_all, abox, abox[0])
     abox = (Inst(x, All(r, A)),)
-    assert not appcond_all(abox, abox[0])
+    assert not holds(appcond_all, abox, abox[0])
 
 
 def test_action_all():
-    assert action_all((Rel(r, x, y),), Inst(x, All(r, A)), ()) == [
+    pivot = Inst(x, All(r, A))
+    assert fire(action_all, (Rel(r, x, y), pivot), pivot) == [
         (Inst(y, A), Rel(r, x, y), Inst(x, All(r, A)))
     ]
     # first violating successor in branch order is picked
-    assert action_all(
-        (Rel(r, x, y), Inst(y, A), Rel(r, x, z)), Inst(x, All(r, A)), ()
-    ) == [(Inst(z, A), Rel(r, x, y), Inst(y, A), Rel(r, x, z), Inst(x, All(r, A)))]
-    assert action_all((), Inst(x, All(r, A)), ()) == []
+    assert fire(action_all, (Rel(r, x, y), Inst(y, A), Rel(r, x, z), pivot), pivot) == [
+        (Inst(z, A), Rel(r, x, y), Inst(y, A), Rel(r, x, z), Inst(x, All(r, A)))
+    ]
 
 
 def test_appcond_some():
     abox = (Inst(x, Some(r, A)),)
-    assert appcond_some(abox, abox[0])
+    assert holds(appcond_some, abox, abox[0])
     abox = (Inst(x, Some(r, A)), Rel(r, x, y), Inst(y, A))
-    assert not appcond_some(abox, abox[0])
+    assert not holds(appcond_some, abox, abox[0])
     abox = (Inst(x, Some(r, A)), Rel(r, x, y))
-    assert appcond_some(abox, abox[0])
+    assert holds(appcond_some, abox, abox[0])
 
 
 def test_action_some():
-    assert action_some((), Inst(x, Some(r, A)), ()) == [
+    pivot = Inst(x, Some(r, A))
+    assert fire(action_some, (pivot,), pivot) == [
         (Rel(r, x, Anon(0)), Inst(Anon(0), A), Inst(x, Some(r, A)))
     ]
-    assert action_some((Inst(Anon(0), B),), Inst(x, Some(r, A)), ()) == [
+    assert fire(action_some, (Inst(Anon(0), B), pivot), pivot) == [
         (
             Rel(r, x, Anon(1)),
             Inst(Anon(1), A),
@@ -119,7 +129,6 @@ def test_action_some():
             Inst(x, Some(r, A)),
         )
     ]
-    assert action_some((), Inst(x, All(r, A)), ()) == []
 
 
 def test_apply_srule():
@@ -242,9 +251,10 @@ def test_non_applicability_agreement():
     for _ in range(80):
         abox = random_nnf_abox(rng)
         facts = frozenset(abox)
+        index = BranchIndex(abox)
         for rule in alc_rules():
             impl_applicable = apply_srule(rule, abox) != []
-            assert impl_applicable == any(rule.appcond(abox, f) for f in abox)
+            assert impl_applicable == any(rule.appcond(abox, f, index) for f in abox)
             assert impl_applicable == _applicable_at_set_level(rule.kind, facts)
 
 

@@ -1,7 +1,9 @@
 import random
+from functools import reduce
 
 import pytest
 
+from alctab.engine import Satisfiable, decide_concept_sat
 from alctab.semantics import (
     DEFAULT_ENUMERATION_CEILING,
     Interpretation,
@@ -198,3 +200,11 @@ def test_enumeration_count():
     cfg = OracleConfig(2, atoms=("A",), roles=("r",))
     # m=1: 2*2*1 = 4 ; m=2: 4*16*4 = 256
     assert enumeration_count(abox, cfg) == 4 + 256
+
+
+def test_model_of_a_long_chain_checks_without_recursion():
+    # x0 : A0 and ... and A2999, nested 3,000 deep to the left
+    chain = reduce(And, (Atom(f"A{i}") for i in range(3000)))
+    verdict = decide_concept_sat(chain)
+    assert isinstance(verdict, Satisfiable)
+    assert satisfies_abox(verdict.model, (Inst(Named("x0"), chain),)) is True

@@ -1,5 +1,5 @@
 """Golden-output regression: verdicts, open branches, models and traces are
-pinned byte for byte, by two digests.
+pinned byte for byte, by two digests, and the oracle's witnesses by a third.
 
 The verdict digest covers, for every run, the verdict and, for satisfiable
 runs, the printed open branch and the rendered model: what a caller gets.
@@ -10,7 +10,10 @@ seeded acceptance corpus (the same generators and seeds as the acceptance
 fixtures) and three reference instances: wide existentials with n=25,
 irrelevant disjunctions with n=10 and the binary existential tree T_6. Any
 change to search order, rule actions, witness allocation, model extraction
-or rendering changes a digest.
+or rendering changes a digest. The oracle digest covers the rendered first
+witness, or None, of the bounded oracle on every golden input whose
+enumeration at domain size 2 over its own signature has at most
+ORACLE_CANDIDATES candidates.
 
 The same runs gate the engine's incremental bookkeeping: at every recorded
 step, the rule choice from its live pivots and the clash test on the facts
@@ -39,7 +42,20 @@ from alctab.engine import (
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
 from alctab.rules import RULES_BY_KIND, RuleKind
-from alctab.syntax import All, And, Anon, Inst, Named, Or, Rel, Some, fresh_individual, nnf
+from alctab.semantics import OracleConfig, enumeration_count, oracle_find_model
+from alctab.syntax import (
+    All,
+    And,
+    Anon,
+    Inst,
+    Named,
+    Or,
+    Rel,
+    Some,
+    abox_signature,
+    fresh_individual,
+    nnf,
+)
 from corpus import (
     ATOMS2,
     ROLE1,
@@ -55,6 +71,8 @@ from reference import reference_search
 
 VERDICTS_SHA256 = "d8b3b1a724a9d914766b8c2ad5fd6c5c1ea002ba6c4ae00fdf3efac1eba5ad14"
 SEARCH_SHA256 = "c003bcc984aa40214840d10af355146d12d598762cabde2137a53053c1041717"
+ORACLE_SHA256 = "1a5a1176dbc7880dfe530a4a432a91867e002478167b5ef6d436c0c312890ca0"
+ORACLE_CANDIDATES = 4096
 
 
 X0 = Named("x0")
@@ -111,6 +129,17 @@ def test_golden_outputs():
 
 def test_golden_search():
     assert digest(search_lines) == SEARCH_SHA256
+
+
+def test_golden_oracle():
+    h = hashlib.sha256()
+    for abox in golden_inputs():
+        cfg = OracleConfig(2, *abox_signature(abox))
+        if enumeration_count(abox, cfg) <= ORACLE_CANDIDATES:
+            witness = oracle_find_model(abox, cfg)
+            line = emit_model(witness) if witness is not None else "None"
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == ORACLE_SHA256
 
 
 SHAPE = {RuleKind.AND: And, RuleKind.OR: Or, RuleKind.ALL: All, RuleKind.SOME: Some}

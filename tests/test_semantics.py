@@ -31,11 +31,13 @@ from alctab.syntax import (
     Role,
     Some,
     TOP,
+    abox_signature,
 )
 from corpus import (
     ATOMS2,
     ROLE1,
     enumerate_interpretations,
+    exists_tree,
     naive_find_model,
     random_clash_abox,
     random_concept,
@@ -167,6 +169,19 @@ def test_oracle_matches_naive_reference_first_witness():
         else:
             sat += 1
     assert sat and unsat  # both outcomes exercised
+    # shared subterms, and restrictions under and, or and not: the
+    # quantifier-free and the role-dependent masks are both filled
+    c = Some(r, A)
+    for abox in (
+        (Inst(x, And(c, c)),),
+        (Inst(x, And(c, All(r, Not(A)))),),
+        (Inst(x, Not(c)), Inst(y, Or(c, Not(All(r, B)))), Rel(r, x, y)),
+        (Inst(x, And(Not(All(r, A)), Or(B, c))), Inst(y, And(A, Not(c)))),
+        (Inst(x, And(Or(A, c), Or(Not(A), Some(r, Not(A))))), Inst(y, Not(Or(B, c)))),
+        (Inst(x, exists_tree(2)),),
+    ):
+        cfg = OracleConfig(2, *abox_signature(abox))
+        assert oracle_find_model(abox, cfg) == naive_find_model(abox, cfg)
 
 
 def test_oracle_determinism():

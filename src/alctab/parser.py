@@ -14,12 +14,11 @@ that follows them:
 IDENT is [A-Za-z_][A-Za-z0-9_]* minus the keywords. So
 "some r. A and B" reads as (some r. A) and B.
 
-The parser recurses once per prefix operator and open parenthesis, and so
-do the evaluators of `semantics` on what it returns. At most MAX_NESTING
-of them may enclose any point of the input; a deeper input is a
-ParseError, well before any of these walks reaches Python's recursion
-limit. Long and/or chains do not nest. The normal form and the printer
-keep their own stacks.
+The parser recurses once per prefix operator and open parenthesis. At
+most MAX_NESTING of them may enclose any point of the input; a deeper
+input is a ParseError, well before the parser reaches Python's recursion
+limit. Long and/or chains do not nest. The normal form, the printer, the
+evaluators of `semantics` and the syntax `repr` keep their own stacks.
 
 ABox files are line oriented: blank lines and lines starting with "#" are
 ignored; every other line is either "x : Concept" or "r(x, y)" with the

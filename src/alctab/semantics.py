@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Mapping, Optional
 
 from .syntax import (
@@ -31,7 +33,6 @@ from .syntax import (
     Top,
     abox_signature,
     individuals_of,
-    quantifier_free,
     subterms,
 )
 
@@ -235,51 +236,42 @@ def oracle_find_model(
             inst_concepts[index_of[fact.subject]].append(fact.concept)
         else:
             rel_facts.append((fact.role.name, index_of[fact.source], index_of[fact.target]))
-    qf = {}
-    for concepts in inst_concepts:
-        for c in concepts:
-            _qf_flags(c, qf)
+    # each distinct subterm after its own subterms, the order interp_concept
+    # evaluates in, mapped to whether it is a restriction or has one below it
+    dependent = dict.fromkeys(
+        node
+        for fact in abox
+        if isinstance(fact, Inst)
+        for node in reversed(list(subterms(fact.concept)))
+    )
+    for node in dependent:
+        match node:
+            case All() | Some():
+                dependent[node] = True
+            case And(left, right) | Or(left, right):
+                dependent[node] = dependent[left] or dependent[right]
+            case Not(child):
+                dependent[node] = dependent[child]
+            case _:
+                dependent[node] = False
+    free = [node for node, dep in dependent.items() if not dep]
+    bound = [node for node, dep in dependent.items() if dep]
 
     for m in range(1, cfg.max_domain + 1):
         dom_mask = (1 << m) - 1
         for cmasks in itertools.product(range(1 << m), repeat=len(cfg.atoms)):
             cbits = dict(zip(cfg.atoms, cmasks))
-            cache_qf: dict[Concept, int] = {}
-            allowed_qf = []
-            feasible = True
-            for concepts in inst_concepts:
-                mask = dom_mask
-                for c in concepts:
-                    if qf[c]:
-                        mask &= _mask_eval(c, cbits, None, m, dom_mask, qf, cache_qf, cache_qf)
-                        if not mask:
-                            feasible = False
-                            break
-                allowed_qf.append(mask)
-                if not feasible:
-                    break
-            if not feasible:
+            free_masks = _fill_masks(free, {}, cbits, {}, m)
+            if not all(_allowed(inst_concepts, free_masks, dom_mask)):
                 continue
             for rmasks in itertools.product(range(1 << (m * m)), repeat=len(cfg.roles)):
                 rows = {
                     role: [(rmask >> (x * m)) & dom_mask for x in range(m)]
                     for role, rmask in zip(cfg.roles, rmasks)
                 }
-                cache_full: dict[Concept, int] = {}
-                allowed = list(allowed_qf)
-                feasible = True
-                for i, concepts in enumerate(inst_concepts):
-                    mask = allowed[i]
-                    for c in concepts:
-                        if not qf[c]:
-                            mask &= _mask_eval(c, cbits, rows, m, dom_mask, qf, cache_qf, cache_full)
-                            if not mask:
-                                break
-                    allowed[i] = mask
-                    if not mask:
-                        feasible = False
-                        break
-                if not feasible:
+                masks = _fill_masks(bound, dict(free_masks), cbits, rows, m)
+                allowed = _allowed(inst_concepts, masks, dom_mask)
+                if not all(allowed):
                     continue
                 for assign in itertools.product(range(m), repeat=len(inds)):
                     if all((allowed[i] >> e) & 1 for i, e in enumerate(assign)) and all(
@@ -294,53 +286,39 @@ def oracle_find_model(
     return None
 
 
-def _qf_flags(concept: Concept, out: dict) -> None:
-    """Record in `out` whether each subterm of `concept` is quantifier-free."""
-    for node in subterms(concept):
-        if node not in out:
-            out[node] = quantifier_free(node)
+def _fill_masks(nodes, masks, cbits, rows, m):
+    """Add to `masks` each node's extension as a membership bit-mask over the
+    domain 0..m-1, in order; a node's children must be in `masks` or earlier
+    in `nodes`."""
+    dom_mask = (1 << m) - 1
+    for node in nodes:
+        match node:
+            case Bottom():
+                v = 0
+            case Top():
+                v = dom_mask
+            case Atom(name):
+                v = cbits[name]
+            case Not(child):
+                v = dom_mask & ~masks[child]
+            case And(left, right):
+                v = masks[left] & masks[right]
+            case Or(left, right):
+                v = masks[left] | masks[right]
+            case All(role, child):
+                out, members = rows[role.name], masks[child]
+                v = sum(1 << x for x in range(m) if not out[x] & ~members)
+            case Some(role, child):
+                out, members = rows[role.name], masks[child]
+                v = sum(1 << x for x in range(m) if out[x] & members)
+        masks[node] = v
+    return masks
 
 
-def _mask_eval(concept, cbits, rows, m, dom_mask, qf, cache_qf, cache_full):
-    """Concept extension as a membership bit-mask over the domain 0..m-1."""
-    cache = cache_qf if qf[concept] else cache_full
-    if concept in cache:
-        return cache[concept]
-    match concept:
-        case Bottom():
-            v = 0
-        case Top():
-            v = dom_mask
-        case Atom(name):
-            v = cbits.get(name, 0)
-        case Not(child):
-            v = dom_mask & ~_mask_eval(child, cbits, rows, m, dom_mask, qf, cache_qf, cache_full)
-        case And(left, right):
-            v = _mask_eval(left, cbits, rows, m, dom_mask, qf, cache_qf, cache_full) & _mask_eval(
-                right, cbits, rows, m, dom_mask, qf, cache_qf, cache_full
-            )
-        case Or(left, right):
-            v = _mask_eval(left, cbits, rows, m, dom_mask, qf, cache_qf, cache_full) | _mask_eval(
-                right, cbits, rows, m, dom_mask, qf, cache_qf, cache_full
-            )
-        case All(role, child):
-            members = _mask_eval(child, cbits, rows, m, dom_mask, qf, cache_qf, cache_full)
-            out = rows[role.name]
-            v = 0
-            for x in range(m):
-                if not out[x] & ~members & dom_mask:
-                    v |= 1 << x
-        case Some(role, child):
-            members = _mask_eval(child, cbits, rows, m, dom_mask, qf, cache_qf, cache_full)
-            out = rows[role.name]
-            v = 0
-            for x in range(m):
-                if out[x] & members:
-                    v |= 1 << x
-        case _:
-            raise TypeError(f"not a concept: {concept!r}")
-    cache[concept] = v
-    return v
+def _allowed(inst_concepts, masks, dom_mask):
+    """Per individual, the AND of its concepts' masks; a concept that `masks`
+    does not hold allows every element."""
+    return [reduce(and_, [masks.get(c, dom_mask) for c in cs], dom_mask) for cs in inst_concepts]
 
 
 def _build_interpretation(m, cfg, cmasks, rmasks, inds, assign) -> Interpretation:

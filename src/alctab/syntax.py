@@ -71,6 +71,25 @@ class _Interned:
     def __deepcopy__(self, memo):
         return self
 
+    def __repr__(self) -> str:
+        """The dataclass repr, written from an explicit stack of the values
+        and text still to print, so any depth that fits in memory works."""
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is tuple:  # text to print as it is
+                out.append(item[0])
+            elif isinstance(item, _Interned):
+                out.append(f"{type(item).__qualname__}(")
+                todo.append((")",))
+                for i, name in reversed(list(enumerate(item.__match_args__))):
+                    todo.append(getattr(item, name))
+                    todo.append((f"{', ' if i else ''}{name}=",))
+            else:
+                out.append(repr(item))
+        return "".join(out)
+
 
 def lookup(cls: type, *fields) -> Optional[_Interned]:
     """The live instance of `cls` with these fields, or None; builds nothing.
@@ -81,7 +100,7 @@ def lookup(cls: type, *fields) -> Optional[_Interned]:
     return cls._table.get(fields)
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Role(_Interned):
     """An atomic role. ALC has no other role formers."""
 
@@ -92,7 +111,7 @@ class Role(_Interned):
             raise ValueError("role name must be non-empty")
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Named(_Interned):
     """An individual from the input namespace."""
 
@@ -103,7 +122,7 @@ class Named(_Interned):
             raise ValueError("individual name must be non-empty")
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Anon(_Interned):
     """A generated witness individual, identified by its allocation index."""
 
@@ -117,7 +136,7 @@ class Anon(_Interned):
 Individual = Union[Named, Anon]
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Atom(_Interned):
     name: ConceptName
 
@@ -126,40 +145,40 @@ class Atom(_Interned):
             raise ValueError("concept name must be non-empty")
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Top(_Interned):
     pass
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Bottom(_Interned):
     pass
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Not(_Interned):
     child: "Concept"
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class And(_Interned):
     left: "Concept"
     right: "Concept"
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Or(_Interned):
     left: "Concept"
     right: "Concept"
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class All(_Interned):
     role: Role
     child: "Concept"
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Some(_Interned):
     role: Role
     child: "Concept"
@@ -171,7 +190,7 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Inst(_Interned):
     """Concept assertion: the subject individual belongs to the concept."""
 
@@ -179,7 +198,7 @@ class Inst(_Interned):
     concept: Concept
 
 
-@dataclass(init=False, eq=False, frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
 class Rel(_Interned):
     """Role assertion: (source, target) is in the role's extension."""
 
@@ -244,11 +263,6 @@ def size_concept(concept: Concept) -> int:
 def existential_count(concept: Concept) -> int:
     """Total number of existential-restriction nodes in the tree."""
     return sum(1 for node in subterms(concept) if isinstance(node, Some))
-
-
-def quantifier_free(concept: Concept) -> bool:
-    """True when the concept contains no role restriction."""
-    return not any(isinstance(node, (All, Some)) for node in subterms(concept))
 
 
 # the constructor that builds the complement of each binary or quantified

@@ -150,6 +150,14 @@ def test_long_conjunction_chain(capsys):
         assert code == 0 and out == "SAT\n"
 
 
+def test_oracle_on_a_long_conjunction_chain(capsys, tmp_path):
+    path = tmp_path / "kb.abox"
+    for n in (3_000, 10_000):
+        path.write_text("x : " + " and ".join(["A"] * n) + "\n")
+        code, out, err = run(capsys, "oracle", "--file", str(path), "--max-domain", "1")
+        assert (code, out, err) == (0, "SAT\n", "")
+
+
 def test_unexpected_error_exits_3_without_traceback(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("injected failure")

@@ -223,3 +223,10 @@ def test_model_of_a_long_chain_checks_without_recursion():
     verdict = decide_concept_sat(chain)
     assert isinstance(verdict, Satisfiable)
     assert satisfies_abox(verdict.model, (Inst(Named("x0"), chain),)) is True
+
+
+def test_oracle_on_a_long_chain_evaluates_without_recursion():
+    # x : A and ... and A, nested 3,000 deep to the left
+    abox = (Inst(x, reduce(And, [A] * 3000)),)
+    model = oracle_find_model(abox, OracleConfig(1, atoms=("A",)))
+    assert model is not None and satisfies_abox(model, abox)

@@ -33,7 +33,6 @@ from alctab.syntax import (
     lookup,
     make_abox,
     nnf,
-    quantifier_free,
     role_names,
     size_concept,
     subterms,
@@ -107,8 +106,6 @@ def test_signature_helpers():
     assert role_names(c) == frozenset({"r", "s"})
     assert abox_signature((Inst(x, c), Rel(Role("t"), x, y))) == (("A", "B"), ("r", "s", "t"))
     assert existential_count(And(Some(r, Some(s, A)), All(r, B))) == 2
-    assert quantifier_free(And(A, Not(B)))
-    assert not quantifier_free(All(r, A))
 
 
 def test_nnf_properties_random():
@@ -222,10 +219,22 @@ def test_walks_do_not_recurse():
     assert concept_names(chain) == {"A"}
     assert role_names(chain) == {"r"}
     assert abox_signature((Inst(x, chain), Rel(s, x, y))) == (("A",), ("r", "s"))
-    # a leading restriction stops quantifier_free at the root, so it walks
-    # And chains whose only possible restriction is the deepest node
-    assert quantifier_free(_nest(lambda c: And(B, c), A, depth))
-    assert not quantifier_free(_nest(lambda c: And(B, c), Some(r, A), depth))
+
+
+def test_repr():
+    assert repr(And(A, Not(B))) == "And(left=Atom(name='A'), right=Not(child=Atom(name='B')))"
+    assert repr(TOP) == "Top()"
+    assert repr(Anon(3)) == "Anon(index=3)"
+    assert repr(Rel(r, x, Anon(0))) == (
+        "Rel(role=Role(name='r'), source=Named(name='x'), target=Anon(index=0))"
+    )
+    # built with the constructors, because the parser limits nesting
+    depth = 10_000
+    for wrap, head in ((lambda c: And(c, B), "And(left=" * depth), (Not, "Not(child=" * depth)):
+        text = repr(_nest(wrap, A, depth))
+        assert text.startswith(head + "Atom(name='A')")
+    text = repr(Inst(x, _nest(lambda c: Some(r, c), A, depth)))
+    assert text.endswith("child=Atom(name='A')" + ")" * (depth + 1))
 
 
 def test_nnf_does_not_recurse():

@@ -292,25 +292,27 @@ def _fill_masks(nodes, masks, cbits, rows, m):
     in `nodes`."""
     dom_mask = (1 << m) - 1
     for node in nodes:
-        match node:
-            case Bottom():
-                v = 0
-            case Top():
-                v = dom_mask
-            case Atom(name):
-                v = cbits[name]
-            case Not(child):
-                v = dom_mask & ~masks[child]
-            case And(left, right):
-                v = masks[left] & masks[right]
-            case Or(left, right):
-                v = masks[left] | masks[right]
-            case All(role, child):
-                out, members = rows[role.name], masks[child]
-                v = sum(1 << x for x in range(m) if not out[x] & ~members)
-            case Some(role, child):
-                out, members = rows[role.name], masks[child]
-                v = sum(1 << x for x in range(m) if out[x] & members)
+        kind = type(node)
+        if kind is And:
+            v = masks[node.left] & masks[node.right]
+        elif kind is Atom:
+            v = cbits[node.name]
+        elif kind is Or:
+            v = masks[node.left] | masks[node.right]
+        elif kind is Not:
+            v = dom_mask & ~masks[node.child]
+        elif kind is Some:
+            out, members, v = rows[node.role.name], masks[node.child], 0
+            for x in range(m):
+                if out[x] & members:
+                    v |= 1 << x
+        elif kind is All:
+            out, members, v = rows[node.role.name], masks[node.child], 0
+            for x in range(m):
+                if not out[x] & ~members:
+                    v |= 1 << x
+        else:
+            v = dom_mask if kind is Top else 0  # Top or Bottom
         masks[node] = v
     return masks
 

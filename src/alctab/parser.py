@@ -17,8 +17,9 @@ IDENT is [A-Za-z_][A-Za-z0-9_]* minus the keywords. So
 The parser recurses once per prefix operator and open parenthesis. At
 most MAX_NESTING of them may enclose any point of the input; a deeper
 input is a ParseError, well before the parser reaches Python's recursion
-limit. Long and/or chains do not nest. The normal form, the printer, the
-evaluators of `semantics` and the syntax `repr` keep their own stacks.
+limit. Long and/or chains do not nest. The normal form, the printer and
+the syntax `repr` keep their own stacks, and the evaluators of
+`semantics` work bottom-up over a list of subterms.
 
 ABox files are line oriented: blank lines and lines starting with "#" are
 ignored; every other line is either "x : Concept" or "r(x, y)" with the

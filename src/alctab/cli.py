@@ -27,7 +27,7 @@ from .engine import (
     decide_concept_sat,
     decide_sat_abox,
 )
-from .parser import ParseError, parse_abox, parse_concept
+from .parser import parse_abox, parse_concept
 from .render import emit_model, emit_trace
 from .semantics import OracleCeilingError, OracleConfig, oracle_find_model
 from .syntax import And, Inst, Not, abox_signature, dedup_facts, nnf
@@ -172,9 +172,6 @@ def cli(argv: Optional[list[str]] = None) -> int:
         return EXIT_POSITIVE if exc.code in (0, None) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,9 +17,10 @@ witness per step).
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from typing import Mapping, Optional
 
-from .rules import AND_RULE, OR_RULE, SOME_RULE, BranchIndex, appcond_some, pending
+from .rules import AND_RULE, OR_RULE, SOME_RULE, BranchIndex, pending
 from .syntax import (
     Abox,
     All,
@@ -56,13 +57,17 @@ def reducible_hidden_ex_count(abox: Abox, index: Optional[BranchIndex] = None) -
             continue
         d = fact.concept
         hidden = existential_count(d) - (1 if isinstance(d, Some) else 0)
-        reducible = 1 if appcond_some(abox, fact, index) else 0
+        reducible = 1 if SOME_RULE.appcond(abox, fact, index) else 0
         total += hidden + reducible
     return total
 
 
-def measure_fact(abox: Abox, fact: Fact) -> MeasurePair:
-    """The pair associated to one fact of the branch.
+# pivots of these shapes weigh their concept size while their rule applies
+_RULE_FOR = {And: AND_RULE, Or: OR_RULE, Some: SOME_RULE}
+
+
+def _pair(abox: Abox, fact: Fact, shared_ex_count: int, index: BranchIndex) -> MeasurePair:
+    """The pair of one fact of the branch.
 
     Role assertions and assertions of atoms, negations and constants weigh
     (0, 0). Conjunctions, disjunctions and existentials weigh
@@ -72,17 +77,6 @@ def measure_fact(abox: Abox, fact: Fact) -> MeasurePair:
     successor instantiations to the branch's reducible-or-hidden existential
     count.
     """
-    if fact not in abox:
-        raise ValueError("measure of a fact is relative to a branch containing it")
-    index = BranchIndex(abox)
-    return _pair(abox, fact, reducible_hidden_ex_count(abox, index), index)
-
-
-# pivots of these shapes weigh their concept size while their rule applies
-_RULE_FOR = {And: AND_RULE, Or: OR_RULE, Some: SOME_RULE}
-
-
-def _pair(abox: Abox, fact: Fact, shared_ex_count: int, index: BranchIndex) -> MeasurePair:
     if isinstance(fact, Rel):
         return (0, 0)
     d = fact.concept
@@ -97,7 +91,17 @@ def _pair(abox: Abox, fact: Fact, shared_ex_count: int, index: BranchIndex) -> M
 
 
 def measure_abox(abox: Abox) -> BranchMeasure:
-    """The branch measure: the multiset of per-fact pairs."""
+    """The branch measure: the multiset of per-fact pairs.
+
+    Each call returns a new `Counter`. The last four branches measured are
+    remembered, which covers a ⊔ step's parent, its two successors and the
+    step before it, so the trace and the checks measure each branch once.
+    """
+    return Counter(_measure(abox))
+
+
+@lru_cache(maxsize=4)
+def _measure(abox: Abox) -> BranchMeasure:
     index = BranchIndex(abox)
     shared = reducible_hidden_ex_count(abox, index)
     return Counter(_pair(abox, f, shared, index) for f in abox)

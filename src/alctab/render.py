@@ -44,13 +44,9 @@ def emit_trace(trace: Iterable[RuleApplication]) -> Iterator[str]:
 
     `measure_after` is the measure of the first successor, the branch the
     depth-first search expands next. `skipped` is true on a disjunction step
-    whose right successor the search discarded unexplored. A step whose
-    branch is the previous step's first successor reuses its measure.
+    whose right successor the search discarded unexplored.
     """
-    previous = after = None  # the previous step's first successor and its measure
     for step, app in enumerate(trace):
-        before = after if app.before is previous else _measure_pairs(app.before)
-        previous, after = app.successors[0], _measure_pairs(app.successors[0])
         record = {
             "step": step,
             "rule": app.kind.value,
@@ -59,7 +55,7 @@ def emit_trace(trace: Iterable[RuleApplication]) -> Iterator[str]:
             "successors": len(app.successors),
             "fresh": print_individual(app.fresh) if app.fresh is not None else None,
             "skipped": app.skipped,
-            "measure_before": before,
-            "measure_after": after,
+            "measure_before": _measure_pairs(app.before),
+            "measure_after": _measure_pairs(app.successors[0]),
         }
         yield json.dumps(record, sort_keys=True)

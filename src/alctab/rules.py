@@ -250,11 +250,6 @@ OR_RULE = _rule(RuleKind.OR, _or_premise, _or_adds)
 ALL_RULE = _rule(RuleKind.ALL, _all_premise, _all_adds)
 SOME_RULE = _rule(RuleKind.SOME, _some_premise, _some_adds)
 
-appcond_and, action_and = AND_RULE.appcond, AND_RULE.action
-appcond_or, action_or = OR_RULE.appcond, OR_RULE.action
-appcond_all, action_all = ALL_RULE.appcond, ALL_RULE.action
-appcond_some, action_some = SOME_RULE.appcond, SOME_RULE.action
-
 RULES_BY_KIND = {r.kind: r for r in (AND_RULE, OR_RULE, ALL_RULE, SOME_RULE)}
 
 

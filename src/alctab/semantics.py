@@ -19,7 +19,6 @@ from .syntax import (
     All,
     And,
     Atom,
-    Bottom,
     Concept,
     ConceptName,
     Fact,
@@ -103,38 +102,29 @@ def interp_concept(interp: Interpretation, concept: Concept) -> frozenset[int]:
     """
     done: list[frozenset[int]] = []
     for node in reversed(list(subterms(concept))):
-        match node:
-            case Bottom():
-                ext = _EMPTY
-            case Top():
-                ext = interp.domain
-            case Atom(name):
-                ext = interp.concept_map.get(name, _EMPTY)
-            case And():
-                ext = done.pop() & done.pop()
-            case Or():
-                ext = done.pop() | done.pop()
-            case Not():
-                ext = interp.domain - done.pop()
-            case All(role):
-                edges = interp_role(interp, role)
-                members = done.pop()
-                ext = frozenset(
-                    x
-                    for x in interp.domain
-                    if all(y in members for (x2, y) in edges if x2 == x)
-                )
-            case Some(role):
-                edges = interp_role(interp, role)
-                members = done.pop()
-                ext = frozenset(x for (x, y) in edges if y in members)
+        kind = type(node)
+        if kind is And:
+            ext = done.pop() & done.pop()
+        elif kind is Atom:
+            ext = interp.concept_map.get(node.name, _EMPTY)
+        elif kind is Or:
+            ext = done.pop() | done.pop()
+        elif kind is Not:
+            ext = interp.domain - done.pop()
+        elif kind is All:
+            edges = interp_role(interp, node.role)
+            members = done.pop()
+            ext = frozenset(
+                x for x in interp.domain if all(y in members for (x2, y) in edges if x2 == x)
+            )
+        elif kind is Some:
+            edges = interp_role(interp, node.role)
+            members = done.pop()
+            ext = frozenset(x for (x, y) in edges if y in members)
+        else:
+            ext = interp.domain if kind is Top else _EMPTY  # Top or Bottom
         done.append(ext)
     return done[0]
-
-
-def is_model(interp: Interpretation, concept: Concept) -> bool:
-    """True iff the concept has a non-empty extension."""
-    return bool(interp_concept(interp, concept))
 
 
 def satisfies_fact(interp: Interpretation, fact: Fact) -> bool:

@@ -217,14 +217,6 @@ def dedup_facts(facts: Iterable[Fact]) -> Abox:
     return tuple(dict.fromkeys(facts))
 
 
-def make_abox(facts: Iterable[Fact]) -> Abox:
-    """Build an ABox branch, rejecting duplicate facts."""
-    out = tuple(facts)
-    if len(set(out)) != len(out):
-        raise ValueError("duplicate facts in abox")
-    return out
-
-
 def subterms(concept: Concept, seen: Optional[set] = None) -> Iterator[Concept]:
     """Every node of the concept tree in pre-order, left child before right.
 
@@ -343,14 +335,6 @@ def fresh_individual(abox: Abox) -> Anon:
     """
     taken = [ind.index for ind in individuals_of(abox) if isinstance(ind, Anon)]
     return Anon(max(taken) + 1 if taken else 0)
-
-
-def concept_names(concept: Concept) -> frozenset[ConceptName]:
-    return frozenset(node.name for node in subterms(concept) if isinstance(node, Atom))
-
-
-def role_names(concept: Concept) -> frozenset[RoleName]:
-    return frozenset(node.role.name for node in subterms(concept) if isinstance(node, (All, Some)))
 
 
 def abox_signature(abox: Abox) -> tuple[tuple[ConceptName, ...], tuple[RoleName, ...]]:

@@ -31,7 +31,6 @@ from alctab.rules import BranchIndex, alc_rules
 from alctab.semantics import (
     OracleConfig,
     interp_concept,
-    is_model,
     oracle_find_model,
     satisfies_abox,
     satisfies_fact,
@@ -41,11 +40,10 @@ from alctab.syntax import (
     Inst,
     Named,
     Rel,
-    concept_names,
+    abox_signature,
     existential_count,
     is_nnf,
     nnf,
-    role_names,
 )
 from corpus import (
     ATOMS2,
@@ -115,8 +113,7 @@ def test_c01_nnf_correctness():
         concept = random_concept(rng, 4)
         normalized = nnf(concept)
         assert is_nnf(normalized)
-        atoms = tuple(sorted(concept_names(concept)))
-        roles = tuple(sorted(role_names(concept)))
+        atoms, roles = abox_signature((Inst(x0, concept),))
         for interp in enumerate_interpretations(atoms, roles, 2):
             assert interp_concept(interp, concept) == interp_concept(interp, normalized)
     print("CRITERION 1 PASS: nnf exact on 500 concepts over all 2-element interpretations")
@@ -208,7 +205,7 @@ def test_c05_end_to_end_soundness(concept_runs):
     checked = 0
     for concept, verdict in runs:
         if isinstance(verdict, Satisfiable):
-            assert is_model(verdict.model, nnf(concept))
+            assert interp_concept(verdict.model, nnf(concept))
             checked += 1
     print(f"CRITERION 5 PASS: returned models model the input concept on {checked} runs")
 
@@ -226,8 +223,7 @@ def test_c06_oracle_agreement(small_runs):
             assert satisfies_abox(verdict.model, abox)
             sat_checked += 1
         else:
-            atoms = tuple(sorted(concept_names(concept)))
-            roles = tuple(sorted(role_names(concept)))
+            atoms, roles = abox_signature((Inst(x0, concept),))
             assert oracle_find_model(abox, OracleConfig(3, atoms=atoms, roles=roles)) is None
             unsat_checked += 1
     assert excluded < 0.05 * len(runs), f"{excluded} oversized models excluded"

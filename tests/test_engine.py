@@ -21,7 +21,7 @@ from alctab.engine import (
     subsumes,
 )
 from alctab.rules import RuleKind
-from alctab.semantics import OracleConfig, is_model, oracle_find_model, satisfies_fact
+from alctab.semantics import OracleConfig, interp_concept, oracle_find_model, satisfies_fact
 from alctab.syntax import (
     All,
     And,
@@ -144,7 +144,7 @@ def test_run_soundness_verdict_models():
         if isinstance(verdict, Satisfiable):
             assert next_application(verdict.open_branch) is None
             assert not contains_clash(verdict.open_branch)
-            assert is_model(verdict.model, concept)
+            assert interp_concept(verdict.model, concept)
 
 
 def test_check_run_soundness():

@@ -4,15 +4,16 @@ from collections import Counter
 
 import pytest
 
-from alctab.engine import next_application
+import alctab.measure
+from alctab.engine import EngineConfig, decide_concept_sat, next_application
 from alctab.measure import (
     assert_decrease,
     measure_abox,
-    measure_fact,
     multiset_less,
     progress_check,
     reducible_hidden_ex_count,
 )
+from alctab.render import emit_trace
 from alctab.rules import RuleKind
 from alctab.syntax import (
     All,
@@ -25,37 +26,38 @@ from alctab.syntax import (
     Rel,
     Role,
     Some,
+    size_concept,
 )
-from corpus import random_nnf_abox
+from corpus import exists_tree, pigeonhole, random_nnf_abox
 
 A, B = Atom("A"), Atom("B")
 r, s = Role("r"), Role("s")
 x, y, z = Named("x"), Named("y"), Named("z")
 
 
-def test_measure_fact_examples():
-    abox = (Rel(r, x, y),)
-    assert measure_fact(abox, abox[0]) == (0, 0)
-
-    abox = (Inst(x, And(A, B)),)
-    assert measure_fact(abox, abox[0]) == (3, 0)
-
+def test_measure_abox_pairs_per_fact():
+    assert measure_abox((Rel(r, x, y),)) == Counter({(0, 0): 1})
+    assert measure_abox((Inst(x, And(A, B)),)) == Counter({(3, 0): 1})
+    # the rule no longer applies, so the conjunction weighs nothing
     abox = (Inst(x, And(A, B)), Inst(x, A), Inst(x, B))
-    assert measure_fact(abox, abox[0]) == (0, 0)
-
+    assert measure_abox(abox) == Counter({(0, 0): 3})
+    # one pending successor instantiation, z
     abox = (Inst(x, All(r, A)), Rel(r, x, y), Rel(r, x, z), Inst(y, A))
-    assert measure_fact(abox, abox[0]) == (2, 1)
+    assert measure_abox(abox) == Counter({(2, 1): 1, (0, 0): 3})
 
 
-def test_measure_fact_inert_shapes():
+def test_measure_abox_inert_shapes():
     abox = (Inst(x, A), Inst(x, Not(A)), Inst(y, Not(And(A, B))))
-    for fact in abox:
-        assert measure_fact(abox, fact) == (0, 0)
+    assert measure_abox(abox) == Counter({(0, 0): 3})
 
 
-def test_measure_fact_requires_membership():
-    with pytest.raises(ValueError):
-        measure_fact((Inst(x, A),), Inst(y, A))
+def test_measure_abox_returns_a_fresh_counter():
+    abox = (Inst(x, And(A, B)), Rel(r, x, y))
+    first = measure_abox(abox)
+    first[(3, 0)] += 5
+    first[(9, 9)] = 1
+    assert measure_abox(abox) == Counter({(3, 0): 1, (0, 0): 1})
+    assert measure_abox(abox) is not measure_abox(abox)
 
 
 def test_reducible_hidden_ex_count_examples():
@@ -152,9 +154,41 @@ def test_measures_on_saturated_branches():
             continue
         seen += 1
         shared = reducible_hidden_ex_count(abox)
-        for fact in abox:
-            comp1, comp2 = measure_fact(abox, fact)
-            if comp1 > 0:
-                assert isinstance(fact, Inst) and isinstance(fact.concept, All)
-                assert comp2 == shared  # pending count is zero
+        # a universal restriction adds no pending count to the shared one
+        assert measure_abox(abox) == Counter(
+            (size_concept(f.concept), shared)
+            if isinstance(f, Inst) and isinstance(f.concept, All)
+            else (0, 0)
+            for f in abox
+        )
     assert seen >= 3
+
+
+@pytest.mark.parametrize(
+    "concept, checked, traced",
+    # measuring every parent again would take 150 and 108 in the checks
+    [(exists_tree(4), 76, 76), (pigeonhole(3, 2), 60, 42)],
+    ids=["T_4", "PHP(3,2)"],
+)
+def test_each_branch_is_measured_once(monkeypatch, concept, checked, traced):
+    computed = 0
+    count = alctab.measure.reducible_hidden_ex_count
+
+    def counted(*args):
+        nonlocal computed
+        computed += 1
+        return count(*args)
+
+    def measures(run) -> int:
+        """Whole-branch measures that `run()` computes from a cold memo."""
+        nonlocal computed
+        alctab.measure._measure.cache_clear()
+        computed = 0
+        run()
+        return computed
+
+    monkeypatch.setattr(alctab.measure, "reducible_hidden_ex_count", counted)
+    cfg = EngineConfig(check_measure=True, measure_violations=[])
+    assert measures(lambda: decide_concept_sat(concept, cfg)) <= checked
+    trace = decide_concept_sat(concept, EngineConfig(record_trace=True)).trace
+    assert measures(lambda: list(emit_trace(trace))) <= traced

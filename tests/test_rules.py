@@ -2,19 +2,13 @@ import random
 
 from alctab.engine import EngineConfig, decide_sat_abox, next_application
 from alctab.rules import (
+    ALL_RULE,
     AND_RULE,
     OR_RULE,
+    SOME_RULE,
     BranchIndex,
     RuleKind,
-    action_all,
-    action_and,
-    action_or,
-    action_some,
     alc_rules,
-    appcond_all,
-    appcond_and,
-    appcond_or,
-    appcond_some,
 )
 from alctab.semantics import OracleConfig, oracle_find_model, satisfies_abox
 from alctab.syntax import (
@@ -48,40 +42,40 @@ def fire(action, abox, pivot):
 
 def test_appcond_and():
     abox = (Inst(x, And(A, B)),)
-    assert holds(appcond_and, abox, abox[0])
+    assert holds(AND_RULE.appcond, abox, abox[0])
     abox = (Inst(x, And(A, B)), Inst(x, A), Inst(x, B))
-    assert not holds(appcond_and, abox, abox[0])
-    assert not holds(appcond_and, abox, Rel(r, x, y))
+    assert not holds(AND_RULE.appcond, abox, abox[0])
+    assert not holds(AND_RULE.appcond, abox, Rel(r, x, y))
     # one part present is not enough to block
     abox = (Inst(x, And(A, B)), Inst(x, A))
-    assert holds(appcond_and, abox, abox[0])
+    assert holds(AND_RULE.appcond, abox, abox[0])
 
 
 def test_action_and():
     pivot = Inst(x, And(A, B))
-    assert fire(action_and, (pivot, Inst(y, A)), pivot) == [
+    assert fire(AND_RULE.action, (pivot, Inst(y, A)), pivot) == [
         (Inst(x, A), Inst(x, B), Inst(x, And(A, B)), Inst(y, A))
     ]
-    assert fire(action_and, (Inst(z, C), pivot), pivot) == [
+    assert fire(AND_RULE.action, (Inst(z, C), pivot), pivot) == [
         (Inst(x, A), Inst(x, B), Inst(z, C), Inst(x, And(A, B)))
     ]
 
 
 def test_appcond_or():
     abox = (Inst(x, Or(A, B)),)
-    assert holds(appcond_or, abox, abox[0])
+    assert holds(OR_RULE.appcond, abox, abox[0])
     abox = (Inst(x, Or(A, B)), Inst(x, A))
-    assert not holds(appcond_or, abox, abox[0])
-    assert not holds(appcond_or, abox, Inst(x, And(A, B)))
+    assert not holds(OR_RULE.appcond, abox, abox[0])
+    assert not holds(OR_RULE.appcond, abox, Inst(x, And(A, B)))
 
 
 def test_action_or():
     pivot = Inst(x, Or(A, B))
-    assert fire(action_or, (pivot,), pivot) == [
+    assert fire(OR_RULE.action, (pivot,), pivot) == [
         (Inst(x, A), Inst(x, Or(A, B))),
         (Inst(x, B), Inst(x, Or(A, B))),
     ]
-    assert fire(action_or, (Inst(y, C), pivot), pivot) == [
+    assert fire(OR_RULE.action, (Inst(y, C), pivot), pivot) == [
         (Inst(x, A), Inst(y, C), Inst(x, Or(A, B))),
         (Inst(x, B), Inst(y, C), Inst(x, Or(A, B))),
     ]
@@ -89,39 +83,39 @@ def test_action_or():
 
 def test_appcond_all():
     abox = (Inst(x, All(r, A)), Rel(r, x, y))
-    assert holds(appcond_all, abox, abox[0])
+    assert holds(ALL_RULE.appcond, abox, abox[0])
     abox = (Inst(x, All(r, A)), Rel(r, x, y), Inst(y, A))
-    assert not holds(appcond_all, abox, abox[0])
+    assert not holds(ALL_RULE.appcond, abox, abox[0])
     abox = (Inst(x, All(r, A)),)
-    assert not holds(appcond_all, abox, abox[0])
+    assert not holds(ALL_RULE.appcond, abox, abox[0])
 
 
 def test_action_all():
     pivot = Inst(x, All(r, A))
-    assert fire(action_all, (Rel(r, x, y), pivot), pivot) == [
+    assert fire(ALL_RULE.action, (Rel(r, x, y), pivot), pivot) == [
         (Inst(y, A), Rel(r, x, y), Inst(x, All(r, A)))
     ]
     # first violating successor in branch order is picked
-    assert fire(action_all, (Rel(r, x, y), Inst(y, A), Rel(r, x, z), pivot), pivot) == [
+    assert fire(ALL_RULE.action, (Rel(r, x, y), Inst(y, A), Rel(r, x, z), pivot), pivot) == [
         (Inst(z, A), Rel(r, x, y), Inst(y, A), Rel(r, x, z), Inst(x, All(r, A)))
     ]
 
 
 def test_appcond_some():
     abox = (Inst(x, Some(r, A)),)
-    assert holds(appcond_some, abox, abox[0])
+    assert holds(SOME_RULE.appcond, abox, abox[0])
     abox = (Inst(x, Some(r, A)), Rel(r, x, y), Inst(y, A))
-    assert not holds(appcond_some, abox, abox[0])
+    assert not holds(SOME_RULE.appcond, abox, abox[0])
     abox = (Inst(x, Some(r, A)), Rel(r, x, y))
-    assert holds(appcond_some, abox, abox[0])
+    assert holds(SOME_RULE.appcond, abox, abox[0])
 
 
 def test_action_some():
     pivot = Inst(x, Some(r, A))
-    assert fire(action_some, (pivot,), pivot) == [
+    assert fire(SOME_RULE.action, (pivot,), pivot) == [
         (Rel(r, x, Anon(0)), Inst(Anon(0), A), Inst(x, Some(r, A)))
     ]
-    assert fire(action_some, (Inst(Anon(0), B), pivot), pivot) == [
+    assert fire(SOME_RULE.action, (Inst(Anon(0), B), pivot), pivot) == [
         (
             Rel(r, x, Anon(1)),
             Inst(Anon(1), A),

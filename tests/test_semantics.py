@@ -13,7 +13,6 @@ from alctab.semantics import (
     enumeration_count,
     interp_concept,
     interp_role,
-    is_model,
     oracle_find_model,
     satisfies_abox,
     satisfies_fact,
@@ -81,9 +80,10 @@ def test_interp_concept_existential_against_definition():
 
 def test_is_model():
     i = Interpretation(frozenset({0}), {"A": set()}, {}, {})
-    assert not is_model(i, BOTTOM)
-    assert is_model(i, TOP)
-    assert not is_model(i, A)
+    # a model of a concept is one where its extension is non-empty
+    assert not interp_concept(i, BOTTOM)
+    assert interp_concept(i, TOP)
+    assert not interp_concept(i, A)
 
 
 def test_satisfies_fact():

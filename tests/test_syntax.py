@@ -23,7 +23,6 @@ from alctab.syntax import (
     Some,
     TOP,
     abox_signature,
-    concept_names,
     dedup_facts,
     existential_count,
     fresh_individual,
@@ -31,9 +30,7 @@ from alctab.syntax import (
     is_nnf,
     is_nnf_abox,
     lookup,
-    make_abox,
     nnf,
-    role_names,
     size_concept,
     subterms,
 )
@@ -89,12 +86,6 @@ def test_individuals_of_examples():
     assert individuals_of((Rel(r, x, x),)) == (x,)
 
 
-def test_make_abox_rejects_duplicates():
-    with pytest.raises(ValueError):
-        make_abox([Inst(x, A), Inst(x, A)])
-    assert make_abox([Inst(x, A), Inst(y, A)]) == (Inst(x, A), Inst(y, A))
-
-
 def test_dedup_facts_keeps_first_occurrence():
     facts = (Inst(x, A), Inst(y, B), Inst(x, A), Rel(r, x, y), Inst(y, B))
     assert dedup_facts(facts) == (Inst(x, A), Inst(y, B), Rel(r, x, y))
@@ -102,8 +93,7 @@ def test_dedup_facts_keeps_first_occurrence():
 
 def test_signature_helpers():
     c = And(Some(r, A), All(s, Not(B)))
-    assert concept_names(c) == frozenset({"A", "B"})
-    assert role_names(c) == frozenset({"r", "s"})
+    assert abox_signature((Inst(x, c),)) == (("A", "B"), ("r", "s"))
     assert abox_signature((Inst(x, c), Rel(Role("t"), x, y))) == (("A", "B"), ("r", "s", "t"))
     assert existential_count(And(Some(r, Some(s, A)), All(r, B))) == 2
 
@@ -216,8 +206,6 @@ def test_walks_do_not_recurse():
     assert existential_count(And(chain, chain)) == 2 * depth  # tree counts
     assert is_nnf(chain)
     assert not is_nnf(_nest(lambda c: Some(r, c), Not(Some(r, A)), depth))
-    assert concept_names(chain) == {"A"}
-    assert role_names(chain) == {"r"}
     assert abox_signature((Inst(x, chain), Rel(s, x, y))) == (("A",), ("r", "s"))
 
 

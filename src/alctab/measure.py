@@ -25,38 +25,78 @@ from .syntax import (
     Abox,
     All,
     And,
+    Concept,
     Fact,
     Inst,
+    Not,
     Or,
     Rel,
     Some,
-    existential_count,
     fresh_individual,
     individuals_of,
-    size_concept,
 )
 
 MeasurePair = tuple[int, int]
 BranchMeasure = Counter  # Counter[MeasurePair]
+ConceptCounts = dict  # dict[Concept, tuple[int, int]]
 
 
-def reducible_hidden_ex_count(abox: Abox, index: Optional[BranchIndex] = None) -> int:
+def _counts(concept: Concept, memo: ConceptCounts) -> tuple[int, int]:
+    """`(size_concept(concept), existential_count(concept))`.
+
+    Both are tree counts, read off the counts of the children. Every
+    subterm not yet in `memo` is counted once, after its children, and
+    entered into it; so the prefixes of a ⊓-chain, which a branch holds
+    side by side, cost one node each. The walk keeps its own stack.
+    """
+    stack = [concept]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is And or kind is Or:
+            children: tuple[Concept, ...] = (node.left, node.right)
+        elif kind is Not or kind is All or kind is Some:
+            children = (node.child,)
+        else:
+            children = ()
+        todo = [c for c in children if c not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        size, some = 1, 1 if kind is Some else 0
+        for c in children:
+            size += memo[c][0]
+            some += memo[c][1]
+        memo[node] = (size, some)
+    return memo[concept]
+
+
+def reducible_hidden_ex_count(
+    abox: Abox, index: Optional[BranchIndex] = None, counts: Optional[ConceptCounts] = None
+) -> int:
     """Existential terms in the branch that are reducible or hidden.
 
     Sums, over every concept assertion: one if the asserted concept is an
     existential restriction on which the existential rule is applicable,
     plus the number of existential constructors strictly below the
     concept's root. The rule reads the branch's `index`, built from the
-    branch when not given.
+    branch when not given; the concepts' counts are kept in `counts`, which
+    a caller measuring the same branch can pass on.
     """
     if index is None:
         index = BranchIndex(abox)
+    if counts is None:
+        counts = {}
     total = 0
     for fact in abox:
         if not isinstance(fact, Inst):
             continue
         d = fact.concept
-        hidden = existential_count(d) - (1 if isinstance(d, Some) else 0)
+        hidden = _counts(d, counts)[1] - (1 if isinstance(d, Some) else 0)
         reducible = 1 if SOME_RULE.appcond(abox, fact, index) else 0
         total += hidden + reducible
     return total
@@ -66,7 +106,9 @@ def reducible_hidden_ex_count(abox: Abox, index: Optional[BranchIndex] = None) -
 _RULE_FOR = {And: AND_RULE, Or: OR_RULE, Some: SOME_RULE}
 
 
-def _pair(abox: Abox, fact: Fact, shared_ex_count: int, index: BranchIndex) -> MeasurePair:
+def _pair(
+    abox: Abox, fact: Fact, shared_ex_count: int, index: BranchIndex, counts: ConceptCounts
+) -> MeasurePair:
     """The pair of one fact of the branch.
 
     Role assertions and assertions of atoms, negations and constants weigh
@@ -82,10 +124,10 @@ def _pair(abox: Abox, fact: Fact, shared_ex_count: int, index: BranchIndex) -> M
     d = fact.concept
     if isinstance(d, All):
         waiting = sum(1 for _ in pending(index, fact.subject, d))
-        return (size_concept(d), waiting + shared_ex_count)
+        return (_counts(d, counts)[0], waiting + shared_ex_count)
     rule = _RULE_FOR.get(type(d))
     if rule is not None and rule.appcond(abox, fact, index):
-        return (size_concept(d), 0)
+        return (_counts(d, counts)[0], 0)
     # atoms, negations, Top, Bottom, and pivots whose rule no longer applies
     return (0, 0)
 
@@ -103,8 +145,9 @@ def measure_abox(abox: Abox) -> BranchMeasure:
 @lru_cache(maxsize=4)
 def _measure(abox: Abox) -> BranchMeasure:
     index = BranchIndex(abox)
-    shared = reducible_hidden_ex_count(abox, index)
-    return Counter(_pair(abox, f, shared, index) for f in abox)
+    counts: ConceptCounts = {}  # per call, so no interned value outlives it
+    shared = reducible_hidden_ex_count(abox, index, counts)
+    return Counter(_pair(abox, f, shared, index, counts) for f in abox)
 
 
 def multiset_less(m1: Mapping[MeasurePair, int], m2: Mapping[MeasurePair, int]) -> bool:

@@ -3,18 +3,21 @@
 Concepts, roles, individuals and facts are immutable, hash-consed values:
 every constructor call with the same fields returns the same object, so
 equality is identity and hashing takes constant time, however deep the
-concept. Values can be shared between tableau branches and used as dict
-keys. An ABox branch is an ordered, duplicate-free tuple of facts: the order
-carries the deterministic scan order of the tableau rules, while
-``set(abox)`` recovers the set-level view.
+concept. Each class finds its live values in a plain dict from field tuples
+to weak references that carry their key, and a value nothing else refers to
+is released and its entry dropped. Values can be shared between tableau
+branches and used as dict keys. An ABox branch is an ordered,
+duplicate-free tuple of facts: the order carries the deterministic scan
+order of the tableau rules, while ``set(abox)`` recovers the set-level view.
 """
 
 from __future__ import annotations
 
 import threading
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
-from weakref import WeakValueDictionary
+from weakref import ref
 
 ConceptName = str
 RoleName = str
@@ -22,41 +25,66 @@ RoleName = str
 _BUILD_LOCK = threading.Lock()
 
 
+class _Ref(ref):
+    """A weak reference to an interned value that carries its table key.
+
+    It has no Python `__new__` or `__init__`: the key is set after the
+    reference is made, so building one runs no Python frame."""
+
+    __slots__ = ("key",)
+
+
+# a table's `get` default: calling it gives None, as a dead reference does
+_NO_REF = type(None)
+
+
 class _Interned:
     """Base of the syntax values, which are hash-consed.
 
-    Each subclass keeps a table from field tuples to the one live instance
-    with those fields, and construction returns that instance when there is
-    one. The table holds its values weakly, so an instance leaves it once
-    nothing else refers to it. A new instance is validated by its
-    ``__post_init__`` before it enters the table. Equality is identity and
-    the hash is the id; copies and pickles come back as the interned
-    instance.
+    Each subclass keeps a table, a plain dict from field tuples to a weak
+    reference to the one live instance with those fields, and construction
+    returns that instance when there is one. A lookup is a dict `get` and a
+    call of the reference, both in C. The references carry their key, and
+    when an instance dies its reference's callback drops the entry, unless a
+    new instance with those fields has replaced it in the meantime. A new
+    instance is validated by its ``__post_init__`` before it enters the
+    table. Equality is identity and the hash is the id; copies and pickles
+    come back as the interned instance.
     """
 
     __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._table = WeakValueDictionary()
+        table = cls._table = {}
+
+        def drop(dead: _Ref, table=table, remove=_remove_dead_weakref) -> None:
+            remove(table, dead.key)  # only if the entry is still dead
+
+        cls._drop = staticmethod(drop)
 
     def __new__(cls, *args, **kwargs):
+        if not kwargs:
+            instance = cls._table.get(args, _NO_REF)()
+            if instance is not None:
+                return instance
         fields = cls.__match_args__  # the dataclass fields, in order
         if kwargs or len(args) != len(fields):
             rest = fields[len(args) :]
             if len(args) > len(fields) or set(kwargs) != set(rest):
                 raise TypeError(f"{cls.__name__} takes exactly the fields {fields}")
             args += tuple(kwargs[name] for name in rest)
-        instance = cls._table.get(args)
-        if instance is None:
-            with _BUILD_LOCK:  # two threads must not both build one value
-                instance = cls._table.get(args)
-                if instance is None:
-                    instance = object.__new__(cls)
-                    for name, value in zip(fields, args):
-                        object.__setattr__(instance, name, value)
-                    instance.__post_init__()
-                    cls._table[args] = instance
+        table = cls._table
+        with _BUILD_LOCK:  # two threads must not both build one value
+            instance = table.get(args, _NO_REF)()
+            if instance is None:
+                instance = object.__new__(cls)
+                for name, value in zip(fields, args):
+                    object.__setattr__(instance, name, value)
+                instance.__post_init__()
+                entry = _Ref(instance, cls._drop)
+                entry.key = args
+                table[args] = entry
         return instance
 
     def __post_init__(self) -> None:
@@ -95,9 +123,10 @@ def lookup(cls: type, *fields) -> Optional[_Interned]:
     """The live instance of `cls` with these fields, or None; builds nothing.
 
     A value that has no live instance occurs in no branch, so a rule test
-    can ask whether a fact is present without constructing it.
+    can ask whether a fact is present without constructing it. The lookup is
+    a dict `get` and a call of the weak reference found, both in C.
     """
-    return cls._table.get(fields)
+    return cls._table.get(fields, _NO_REF)()
 
 
 @dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)

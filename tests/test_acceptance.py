@@ -12,7 +12,6 @@ import json
 import random
 import time
 from pathlib import Path
-from weakref import WeakValueDictionary
 
 import pytest
 
@@ -27,7 +26,7 @@ from alctab.engine import (
 )
 from alctab.measure import progress_check, reducible_hidden_ex_count
 from alctab.parser import parse_concept, print_concept, print_fact
-from alctab.rules import BranchIndex, alc_rules
+from alctab.rules import SOME_RULE, BranchIndex, alc_rules
 from alctab.semantics import (
     OracleConfig,
     interp_concept,
@@ -37,9 +36,12 @@ from alctab.semantics import (
 )
 from alctab.syntax import (
     Anon,
+    Atom,
     Inst,
     Named,
     Rel,
+    Role,
+    Some,
     abox_signature,
     existential_count,
     is_nnf,
@@ -164,12 +166,10 @@ def test_c04_canonical_model_completeness(concept_runs):
     print(f"CRITERION 4 PASS: canonical models satisfy all facts on {open_branches} open branches")
 
 
-class _CountingTable(WeakValueDictionary):
+class _CountingTable(dict):
     """An interning table that counts the values entered into it."""
 
-    def __init__(self, live):
-        super().__init__(live)
-        self.entered = 0
+    entered = 0
 
     def __setitem__(self, key, value):
         self.entered += 1
@@ -183,6 +183,9 @@ def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):
             branches.extend(app.before for app in verdict.trace)
             if isinstance(verdict, Satisfiable):
                 branches.append(verdict.open_branch)
+    # a witness far above any the corpus allocates, so that an ∃ step on it
+    # adds a new witness, edge and label
+    pivot = Inst(Anon(1_000_000), Some(Role("r"), Atom("Unused_elsewhere")))
     # a fact or witness built and dropped at once still enters its table
     tables = {cls: _CountingTable(cls._table) for cls in (Inst, Rel, Anon)}
     for cls, table in tables.items():
@@ -197,6 +200,13 @@ def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):
         "Inst": 0,
         "Rel": 0,
         "Anon": 0,
+    }
+    # the tables count: an action enters the facts it builds
+    SOME_RULE.action((pivot,), pivot, BranchIndex((pivot,)))
+    assert {cls.__name__: table.entered for cls, table in tables.items()} == {
+        "Inst": 1,
+        "Rel": 1,
+        "Anon": 1,
     }
 
 

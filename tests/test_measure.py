@@ -26,9 +26,10 @@ from alctab.syntax import (
     Rel,
     Role,
     Some,
+    existential_count,
     size_concept,
 )
-from corpus import exists_tree, pigeonhole, random_nnf_abox
+from corpus import exists_tree, pigeonhole, random_concept, random_nnf_abox
 
 A, B = Atom("A"), Atom("B")
 r, s = Role("r"), Role("s")
@@ -58,6 +59,19 @@ def test_measure_abox_returns_a_fresh_counter():
     first[(9, 9)] = 1
     assert measure_abox(abox) == Counter({(3, 0): 1, (0, 0): 1})
     assert measure_abox(abox) is not measure_abox(abox)
+
+
+def test_concept_counts_agree_with_the_tree_walks():
+    rng = random.Random(7)
+    memo = {}  # shared, as in one measure, so later concepts reuse subterms
+    concepts = [random_concept(rng, 4) for _ in range(300)]
+    chain = A
+    for _ in range(10_000):  # deeper than the recursion limit
+        chain = And(Some(r, chain), B)
+    for c in concepts + [And(chain, chain), chain]:
+        expected = (size_concept(c), existential_count(c))
+        assert alctab.measure._counts(c, {}) == expected
+        assert alctab.measure._counts(c, memo) == expected
 
 
 def test_reducible_hidden_ex_count_examples():

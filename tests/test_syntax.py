@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from alctab.engine import Satisfiable, decide_concept_sat
 from alctab.semantics import interp_concept
 from alctab.syntax import (
     All,
@@ -159,6 +160,14 @@ def test_validation_runs_before_interning():
         Inst(x, concept=A, subject=y)
 
 
+def test_a_live_value_does_not_excuse_a_wrong_call():
+    assert Atom("A") is A
+    with pytest.raises(TypeError):
+        Atom("A", name="A")
+    with pytest.raises(TypeError):
+        Atom("A", "A")
+
+
 def test_dropped_values_leave_the_table():
     assert lookup(Atom, "Unused_in_any_other_test") is None
     value = Some(r, Atom("Unused_in_any_other_test"))
@@ -166,6 +175,29 @@ def test_dropped_values_leave_the_table():
     del value
     gc.collect()
     assert lookup(Atom, "Unused_in_any_other_test") is None
+
+
+def test_tables_drain():
+    kinds = (Inst, Rel, Anon, Atom, And, Some)
+    kept = Atom("Drain_leaf")
+    witnesses = [Anon(k) for k in range(20)]  # more than a T_3 allocates
+    start = {cls.__name__: len(cls._table) for cls in kinds}
+
+    def decide_trees():
+        for i in range(50):
+            # T_3 with fresh atoms, and `kept` in place of Top at the leaves
+            tree = kept
+            for k in range(1, 4):
+                p = Atom(f"Drain{i}_{k}")
+                tree = And(Some(r, And(p, tree)), Some(r, And(Not(p), tree)))
+            verdict = decide_concept_sat(tree)
+            assert isinstance(verdict, Satisfiable)
+            assert any(lookup(Inst, w, kept) is not None for w in witnesses)
+
+    decide_trees()
+    gc.collect()
+    assert {cls.__name__: len(cls._table) for cls in kinds} == start
+    assert all(lookup(Inst, w, kept) is None for w in witnesses)
 
 
 def test_copy_and_pickle_return_the_interned_object():

@@ -73,9 +73,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("sub", help="candidate subsumee")
     p_sub.add_argument("sup", help="candidate subsumer")
 
-    p_oracle = sub.add_parser(
-        "oracle", parents=[common], help="brute-force bounded model search on an ABox"
-    )
+    # the oracle runs no search, so it takes none of the search flags
+    p_oracle = sub.add_parser("oracle", help="brute-force bounded model search on an ABox")
     p_oracle.add_argument("--file", metavar="PATH", required=True, help="ABox file")
     p_oracle.add_argument(
         "--max-domain", type=int, required=True, metavar="K", help="largest domain size to try"

@@ -19,6 +19,7 @@ from .semantics import Interpretation
 from .syntax import (
     Abox,
     And,
+    Anon,
     Atom,
     Bottom,
     Concept,
@@ -28,6 +29,7 @@ from .syntax import (
     Not,
     Rel,
     abox_signature,
+    dedup_facts,
     individuals_of,
     is_nnf_abox,
     lookup,
@@ -100,26 +102,18 @@ Verdict = Union[Satisfiable, Unsatisfiable]
 
 def contains_clash(
     abox: Abox, added: Optional[Abox] = None, index: Optional[BranchIndex] = None
-) -> bool:
-    """Syntactic contradiction: x : C together with x : not C, or x : Bottom.
-
-    C ranges over all concepts, not only atoms. Given the facts a step
-    `added` to a clash-free branch in negation normal form, only clashes
-    through those facts are looked for, since no other can have arisen;
-    without it the whole branch is tested. Membership is read off the
-    branch's `index`, which is built from the branch when not given.
-    """
-    return _clash(abox, added, index) is not None
-
-
-def _clash(
-    abox: Abox, added: Optional[Abox], index: Optional[BranchIndex]
 ) -> Optional[tuple[Fact, Fact]]:
-    """The first clashing pair `contains_clash` finds, or None; `x : Bottom`
-    clashes with itself."""
-    whole = added is None
+    """The first clashing pair through a fact of `added`, or None: x : C
+    together with x : not C, or x : Bottom, which clashes with itself.
+
+    C ranges over all concepts, not only atoms. `added` defaults to the
+    whole branch; given the facts a step added to a clash-free branch, only
+    clashes through those facts are looked for, since no other can have
+    arisen. Membership is read off the branch's `index`, which is built
+    from the branch when not given.
+    """
     facts = (BranchIndex(abox) if index is None else index).at
-    for f in abox if whole else added:
+    for f in abox if added is None else added:
         if isinstance(f, Inst):
             c = f.concept
             if isinstance(c, Bottom):
@@ -127,16 +121,39 @@ def _clash(
             # the complement fact is looked up, never built
             if isinstance(c, Not):
                 other = lookup(Inst, f.subject, c.child)
-            elif whole or not isinstance(c, Atom):
-                # a whole branch shows each clash from its negated side, and
-                # in negation normal form only atoms are negated
-                continue
-            else:
+            elif isinstance(c, Atom):
                 # an atom never negated has no Not, and (x, None) no Inst
                 other = lookup(Inst, f.subject, lookup(Not, c))
+            else:
+                # in negation normal form only atoms are negated, and a whole
+                # branch shows every other clash from its negated side
+                continue
             if other is not None and other in facts:
                 return f, other
     return None
+
+
+def successor(branch: Abox, new: tuple[Fact, ...], index: BranchIndex) -> tuple[Abox, Abox]:
+    """The successor that puts the facts `new` in front of `branch`, without
+    repeats, and its front: the facts that lead it, followed by those of
+    `branch` less the front's, in branch order.
+
+    A fact of `new` that `branch` holds moves to the front, unless the facts
+    of `new` that `branch` holds come last in `new` and already lead
+    `branch` in that order; then they stay in place, and the successor is
+    its front joined to the branch. The branch's `index` shows when
+    `branch` has no repeats and when it holds a fact of `new`.
+    """
+    front = tuple(dict.fromkeys(new))
+    at = index.at
+    if index.size == len(at):
+        if at.keys().isdisjoint(front):
+            return front + branch, front
+        # the first k facts of the front are new to the branch
+        k = len(front) - len(at.keys() & front)
+        if front[k:] == branch[: len(front) - k]:
+            return front[:k] + branch, front[:k]
+    return dedup_facts(front + branch), front
 
 
 def next_application(
@@ -163,30 +180,17 @@ def next_application(
             if rule.appcond(abox, fact, index):
                 if prune:
                     live[rule.kind] = candidates[n + 1 :]
-                successors = tuple(rule.action(abox, fact, index))
-                # the ∃ action puts the edge to its witness first in its successor
-                fresh = successors[0][0].target if rule.kind is RuleKind.SOME else None
+                successors, added = zip(
+                    *[successor(abox, new, index) for new in rule.action(abox, fact, index)]
+                )
+                # the ∃ action's witness is the index's next one
+                fresh = Anon(index.witness) if rule.kind is RuleKind.SOME else None
                 return RuleApplication(
-                    rule.kind, fact, index.position(fact), abox, successors, fresh
+                    rule.kind, fact, index.position(fact), abox, successors, added, fresh
                 )
         if prune and candidates:
             live[rule.kind] = ()
     return None
-
-
-def _added(before: Abox, after: Abox) -> Optional[Abox]:
-    """The facts a step put in front of `before` to make `after`, or None
-    when it also moved facts of `before` (re-asserted them) to the front."""
-    n = len(after) - len(before)
-    return after[:n] if after[n:] == before else None
-
-
-def _new_facts(before: Abox, after: Abox, added: Optional[Abox]) -> Iterable[Fact]:
-    """The facts of `after` that `before` does not hold, given `_added`."""
-    if added is not None:
-        return added
-    held = set(before)
-    return [f for f in after if f not in held]
 
 
 def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
@@ -197,46 +201,53 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     every branch closes the ABox is unsatisfiable. Raises StepLimitExceeded
     after `cfg.max_steps` rule applications.
 
-    Each branch carries its parent's index and the facts the step added, so
-    that the clash test looks only at those facts, rule selection only at
-    the index's live pivots, and the rules read the index instead of
-    scanning the branch. The index grows in place by the added facts: a
-    step's only or left successor takes its parent's index over, and a
-    disjunction step copies it once for the right one. A successor in which
-    the step re-asserted facts its parent held is tested whole, and its
-    index is built anew from the branch.
+    Each branch carries its parent's index and the front the step added
+    (`RuleApplication.added`), so that the clash test looks only at those
+    facts, rule selection only at the index's live pivots, and the rules
+    read the index instead of scanning the branch. The index grows in place
+    by the front: a step's only or left successor takes its parent's index
+    over, and a disjunction step copies it once for the right one. A
+    successor shorter than its parent and its front together, one in which
+    the step moved facts its parent held to the front, has its index built
+    anew from the branch. The root is the successor of the empty branch
+    whose front is the input.
 
     The search backjumps. The right successors of the disjunction steps on
     the current path that are still to be tried wait in `pending`, oldest
     first, and bit q of a fact's label says that the fact depends on the
     choice made at the step whose alternative is `pending[q]`. Facts that
     depend on no such choice have label 0 and are not stored, so while
-    nothing is pending no label is kept. A closing branch depends on the
-    labels of its two clashing facts; every pending alternative whose bit is
-    not among them is discarded unexplored (its step's trace record is
-    marked `skipped`), since the same clash would close every branch below
-    it, and the search resumes at the newest one left.
+    nothing is pending no label is kept; a re-asserted fact keeps its label.
+    A closing branch depends on the labels of its two clashing facts; every
+    pending alternative whose bit is not among them is discarded unexplored
+    (its step's trace record is marked `skipped`), since the same clash
+    would close every branch below it, and the search resumes at the newest
+    one left.
     """
     cfg = cfg or EngineConfig()
     root = tuple(abox)
     if not is_nnf_abox(root):
         raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
-    # (right successor, added facts, labels, label of the ⊔ pivot, index of
+    # (right successor, its front, labels, label of the ⊔ pivot, index of
     # the step's trace record when traces are recorded, the ⊔ step's branch
     # index)
-    pending: list[tuple[Abox, Optional[Abox], dict[Fact, int], int, int, BranchIndex]] = []
-    branch, added, index = root, None, None
+    pending: list[tuple[Abox, Abox, dict[Fact, int], int, int, BranchIndex]] = []
+    branch, added, index = root, root, BranchIndex(())
     labels: dict[Fact, int] = {}
     closed = 0
     steps = 0
     while True:
-        index = BranchIndex(branch) if added is None else index.grow(added)
-        if contains_clash(branch, added, index):
+        if len(branch) == index.size + len(added):
+            index.grow(added)
+        else:
+            index = BranchIndex(branch)
+        clash = contains_clash(branch, added, index)
+        if clash is not None:
             closed += 1
             depends = 0
             if pending:
-                a, b = _clash(branch, added, index)
+                a, b = clash
                 depends = labels.get(a, 0) | labels.get(b, 0)
                 keep = depends.bit_length()
                 if cfg.record_trace:
@@ -262,13 +273,11 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             _check_measures(app, cfg)
         if cfg.record_trace:
             trace.append(app)
-        succ = app.successors[0]
-        succ_added = _added(branch, succ)
+        succ, succ_added = app.successors[0], app.added[0]
         if app.kind is RuleKind.OR:
-            right = app.successors[1]
             label = labels.get(app.pivot, 0)
             pending.append(
-                (right, _added(branch, right), labels, label, len(trace) - 1, index.copy())
+                (app.successors[1], app.added[1], labels, label, len(trace) - 1, index.copy())
             )
             labels = {**labels, succ[0]: label | 1 << (len(pending) - 1)}
         elif pending:
@@ -278,8 +287,9 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
                 edge = Rel(app.pivot.concept.role, app.pivot.subject, succ[0].subject)
                 label |= labels.get(edge, 0)
             if label:
-                for fact in _new_facts(branch, succ, succ_added):
-                    labels[fact] = label
+                for fact in succ_added:
+                    if fact not in index.at:
+                        labels[fact] = label
         branch, added = succ, succ_added
 
 
@@ -365,7 +375,8 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
         i = pending.pivot_index
         if i >= len(branch) or not rule.appcond(branch, branch[i], index):
             raise ValueError("recorded pivot is not applicable on replay")
-        successors = rule.action(branch, branch[i], index)
+        adds = rule.action(branch, branch[i], index)
+        successors = [successor(branch, new, index)[0] for new in adds]
         if pending.skipped:
             successors = successors[:1]
         stack.extend(reversed(successors))
@@ -391,4 +402,5 @@ __all__ = [
     "next_application",
     "replay_trace",
     "subsumes",
+    "successor",
 ]

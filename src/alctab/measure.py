@@ -42,7 +42,9 @@ ConceptCounts = dict  # dict[Concept, tuple[int, int]]
 
 
 def _counts(concept: Concept, memo: ConceptCounts) -> tuple[int, int]:
-    """`(size_concept(concept), existential_count(concept))`.
+    """`(size, existentials)` of the concept: its number of constructor
+    nodes, each of Top, Bottom and the atoms counting one, and its number
+    of existential-restriction nodes.
 
     Both are tree counts, read off the counts of the children. Every
     subterm not yet in `memo` is counted once, after its children, and

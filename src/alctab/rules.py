@@ -6,13 +6,13 @@ the facts it adds; `_rule` turns those into the applicability test and the
 action. Both take the branch, a pivot fact of it and the branch's
 `BranchIndex`, and read the branch only through the index; a premise builds
 no fact and no witness. An action is called only on a pivot where its
-rule's applicability test holds, and returns the successor branches, always
-shaped ``new facts + branch`` and de-duplicated, so the new facts lead every
-successor and branches only grow. Growing a branch can only make the
-conjunction, disjunction and existential premises false, never true again;
-only the universal premise can turn true again, when an edge is added. The
-set-level rule relations that tests check every application against live in
-the test suite.
+rule's applicability test holds, and returns one tuple of facts per
+successor: the facts that successor adds. The engine builds each successor
+by putting those facts in front of the branch, so branches only grow.
+Growing a branch can only make the conjunction, disjunction and existential
+premises false, never true again; only the universal premise can turn true
+again, when an edge is added. The set-level rule relations that tests check
+every application against live in the test suite.
 """
 
 from __future__ import annotations
@@ -34,11 +34,8 @@ from .syntax import (
     Rel,
     Role,
     Some,
-    dedup_facts,
     lookup,
 )
-
-Tableau = list[Abox]
 
 
 class RuleKind(enum.Enum):
@@ -145,16 +142,19 @@ class TableauRule:
 
     kind: RuleKind
     appcond: Callable[[Abox, Fact, BranchIndex], bool]
-    action: Callable[[Abox, Fact, BranchIndex], Tableau]
+    action: Callable[[Abox, Fact, BranchIndex], list[tuple[Fact, ...]]]
 
 
 @dataclass(frozen=True)
 class RuleApplication:
     """Trace record of one rule application on one branch.
 
-    `skipped` marks a disjunction step whose right successor the search
-    discarded unexplored, because a clash below the left one did not depend
-    on the choice.
+    `added` holds, per successor, its front: the facts that lead it,
+    followed by those of `before` less the front's, in their order. A fact
+    of a front that `before` held was moved up from its place. `skipped`
+    marks a disjunction step whose right successor the search discarded
+    unexplored, because a clash below the left one did not depend on the
+    choice.
     """
 
     kind: RuleKind
@@ -162,6 +162,7 @@ class RuleApplication:
     pivot_index: int
     before: Abox
     successors: tuple[Abox, ...]
+    added: tuple[Abox, ...]
     fresh: Optional[Individual] = None
     skipped: bool = False
 
@@ -190,21 +191,10 @@ def _rule(kind: RuleKind, premise: Premise, adds: Adds) -> TableauRule:
             and premise(index, fact.subject, fact.concept)
         )
 
-    def action(abox: Abox, pivot: Fact, index: BranchIndex) -> Tableau:
-        return [_successor(new, abox, index) for new in adds(index, pivot.subject, pivot.concept)]
+    def action(abox: Abox, pivot: Fact, index: BranchIndex) -> list[tuple[Fact, ...]]:
+        return adds(index, pivot.subject, pivot.concept)
 
     return TableauRule(kind, appcond, action)
-
-
-def _successor(new: tuple[Fact, ...], abox: Abox, index: BranchIndex) -> Abox:
-    """`new + abox` de-duplicated. The index shows when `abox` has no
-    duplicates and holds no fact of `new`, so that it need not be hashed
-    again."""
-    if index.size == len(index.at):
-        fresh = tuple(dict.fromkeys(new))
-        if index.at.keys().isdisjoint(fresh):
-            return fresh + abox
-    return dedup_facts(new + abox)
 
 
 def _and_premise(index: BranchIndex, x: Individual, c: And) -> bool:

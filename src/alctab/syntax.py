@@ -273,19 +273,6 @@ def subterms(concept: Concept, seen: Optional[set] = None) -> Iterator[Concept]:
             raise TypeError(f"not a concept: {node!r}")
 
 
-def size_concept(concept: Concept) -> int:
-    """Number of constructor nodes in the concept tree.
-
-    Every constructor counts one, including Top, Bottom and atoms.
-    """
-    return sum(1 for _ in subterms(concept))
-
-
-def existential_count(concept: Concept) -> int:
-    """Total number of existential-restriction nodes in the tree."""
-    return sum(1 for node in subterms(concept) if isinstance(node, Some))
-
-
 # the constructor that builds the complement of each binary or quantified
 # constructor's concepts
 _DUAL = {And: Or, Or: And, All: Some, Some: All}

@@ -5,19 +5,23 @@ abstract reference, and as actions on ordered list ABoxes, which the engine
 runs. `abstract_rule_holds` restates the set level without `alctab.rules`,
 so every list-level application can be checked against it. `apply_srule`
 fires one rule on its own, and `check_run_soundness` checks a recorded run
-with the bounded oracle. `reference_search` is the depth-first search with
+with the bounded oracle. `reference_added` finds the facts a step put in
+front of its branch by comparing whole tuples, which the fronts the engine
+records must agree with. `reference_search` is the depth-first search with
 no dependency labels and no jumps, which the engine's backjumping search
 must agree with, and `recursive_nnf` is the textbook recursive rewrite
 into negation normal form. `reference_tokenize` is the character-by-
 character lexer that positions every token, and `recursive_print_concept`
 the printer by structural recursion, which the parser's lexer and printer
-must agree with. Deciding needs none of them.
+must agree with. `size_concept` and `existential_count` count a
+concept's nodes by walking its tree, which the measure's counts must agree
+with. Deciding needs none of them.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Optional
 
 from alctab.engine import (
     Satisfiable,
@@ -26,9 +30,10 @@ from alctab.engine import (
     canonical_interpretation,
     contains_clash,
     next_application,
+    successor,
 )
 from alctab.parser import ParseError, SourceSpan
-from alctab.rules import BranchIndex, RuleApplication, RuleKind, Tableau, TableauRule
+from alctab.rules import BranchIndex, RuleApplication, RuleKind, TableauRule
 from alctab.semantics import OracleConfig, oracle_find_model, satisfies_abox
 from alctab.syntax import (
     BOTTOM,
@@ -47,10 +52,11 @@ from alctab.syntax import (
     Some,
     Top,
     fresh_individual,
+    subterms,
 )
 
 
-def apply_srule(rule: TableauRule, abox: Abox) -> Tableau:
+def apply_srule(rule: TableauRule, abox: Abox) -> list[Abox]:
     """Apply a rule at its first applicable pivot, scanning left to right.
 
     Returns the successor branches, or an empty list when the rule is not
@@ -59,8 +65,29 @@ def apply_srule(rule: TableauRule, abox: Abox) -> Tableau:
     index = BranchIndex(abox)
     for fact in abox:
         if rule.appcond(abox, fact, index):
-            return rule.action(abox, fact, index)
+            return [successor(abox, new, index)[0] for new in rule.action(abox, fact, index)]
     return []
+
+
+def reference_added(before: Abox, after: Abox) -> Optional[Abox]:
+    """The facts a step put in front of `before` to make `after`, found by
+    comparing the tuples, or None when it also moved facts of `before`
+    (re-asserted them) to the front."""
+    n = len(after) - len(before)
+    return after[:n] if after[n:] == before else None
+
+
+def size_concept(concept: Concept) -> int:
+    """Number of constructor nodes in the concept tree.
+
+    Every constructor counts one, including Top, Bottom and atoms.
+    """
+    return sum(1 for _ in subterms(concept))
+
+
+def existential_count(concept: Concept) -> int:
+    """Total number of existential-restriction nodes in the tree."""
+    return sum(1 for node in subterms(concept) if isinstance(node, Some))
 
 
 def abstract_rule_holds(

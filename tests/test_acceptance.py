@@ -43,7 +43,6 @@ from alctab.syntax import (
     Role,
     Some,
     abox_signature,
-    existential_count,
     is_nnf,
     nnf,
 )
@@ -56,7 +55,7 @@ from corpus import (
     random_nnf_abox,
     random_nnf_concept,
 )
-from reference import abstract_rule_holds
+from reference import abstract_rule_holds, existential_count
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 

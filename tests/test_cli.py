@@ -77,6 +77,23 @@ def test_oracle(capsys, tmp_path):
     assert code == 0 and out == "SAT\n"
 
 
+def test_oracle_rejects_the_search_flags(capsys, tmp_path):
+    path = tmp_path / "kb.abox"
+    path.write_text("x : A\n")
+    trace = tmp_path / "o.jsonl"
+    oracle = ("oracle", "--file", str(path), "--max-domain", "2")
+    for flags in (
+        ("--trace", str(trace), "--check-measure", "--max-steps", "1"),
+        ("--trace", str(trace)),
+        ("--check-measure",),
+        ("--max-steps", "1"),
+    ):
+        code, out, err = run(capsys, *oracle, *flags)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+    assert not trace.exists()
+    assert run(capsys, *oracle)[:2] == (0, "SAT\n")
+
+
 def test_oracle_ceiling_exit(capsys, tmp_path):
     path = tmp_path / "kb.abox"
     path.write_text("x : A and B and C\nr(x, y)\ns(y, x)\n")

@@ -20,6 +20,7 @@ from alctab.engine import (
     replay_trace,
     subsumes,
 )
+from alctab.parser import parse_concept
 from alctab.rules import RuleKind
 from alctab.semantics import OracleConfig, interp_concept, oracle_find_model, satisfies_fact
 from alctab.syntax import (
@@ -258,6 +259,20 @@ def test_backjumping_skips_alternatives_the_clash_does_not_depend_on():
         trace[n] = replace(trace[n], skipped=False)
         with suppress(ValueError):
             assert replay_trace(abox, trace) is not None
+
+
+def test_a_reasserted_fact_keeps_its_label():
+    concept = parse_concept("((E and G) or Z1) and ((E and F) or Z2) and (not E or not E)")
+    verdict = decide_concept_sat(concept, EngineConfig(record_trace=True))
+    assert isinstance(verdict, Satisfiable)
+    # record 5's ⊓ step re-asserts x0 : E, which depends on record 2's choice
+    # only; the clash with record 6's x0 : not E so does not depend on record
+    # 4, whose right alternative is skipped
+    reassert = verdict.trace[5]
+    assert reassert.added[0][0] == Inst(x0, Atom("E")) in reassert.before
+    assert [n for n, app in enumerate(verdict.trace) if app.skipped] == [4]
+    abox = (Inst(x0, nnf(concept)),)
+    assert replay_trace(abox, verdict.trace) == verdict.open_branch
 
 
 def test_search_reads_the_index_not_the_branch(monkeypatch):

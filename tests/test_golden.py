@@ -17,7 +17,8 @@ ORACLE_CANDIDATES candidates.
 
 The same runs gate the engine's incremental bookkeeping: at every recorded
 step, the rule choice from its live pivots and the clash test on the facts
-the step added must agree with the whole-branch scans, and at every branch
+the step added must agree with the whole-branch scans, each successor's
+front must be what a comparison of the tuples finds, and at every branch
 the search tests, its carried index must hold what scans of the branch
 tuple find, and live pivots that miss no pivot a rule applies at. With
 more runs that backjumping prunes, they also gate the jumps: the engine
@@ -33,7 +34,6 @@ from alctab import engine
 from alctab.engine import (
     EngineConfig,
     Satisfiable,
-    _added,
     contains_clash,
     decide_sat_abox,
     next_application,
@@ -41,7 +41,7 @@ from alctab.engine import (
 )
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
-from alctab.rules import RULES_BY_KIND, RuleKind
+from alctab.rules import RULES_BY_KIND, BranchIndex, RuleKind
 from alctab.semantics import OracleConfig, enumeration_count, oracle_find_model
 from alctab.syntax import (
     All,
@@ -67,7 +67,7 @@ from corpus import (
     random_or_heavy_concept,
     wide_exists,
 )
-from reference import reference_search
+from reference import reference_added, reference_search
 
 VERDICTS_SHA256 = "d8b3b1a724a9d914766b8c2ad5fd6c5c1ea002ba6c4ae00fdf3efac1eba5ad14"
 SEARCH_SHA256 = "c003bcc984aa40214840d10af355146d12d598762cabde2137a53053c1041717"
@@ -182,24 +182,38 @@ def test_incremental_steps_match_whole_branch_scans(monkeypatch):
 
     for name in ("contains_clash", "next_application"):
         monkeypatch.setattr(engine, name, checking(name, getattr(engine, name)))
-    successors = incremental = clashes = steps = 0
+    successors = incremental = stayed = clashes = steps = 0
     for verdict in verdicts():
         steps += len(verdict.trace) + isinstance(verdict, Satisfiable)
         for rec in verdict.trace:
-            whole = next_application(rec.before)
+            index = BranchIndex(rec.before)
+            whole = next_application(rec.before, index)
             assert (whole.kind, whole.pivot_index) == (rec.kind, rec.pivot_index)
-            for succ in rec.successors:
+            assert (whole.successors, whole.added) == (rec.successors, rec.added)
+            adds = RULES_BY_KIND[rec.kind].action(rec.before, rec.pivot, index)
+            assert len(adds) == len(rec.added) == len(rec.successors)
+            for succ, added, new in zip(rec.successors, rec.added, adds):
                 successors += 1
-                added = _added(rec.before, succ)
-                if added is not None:
+                assert succ[: len(added)] == added
+                # the rule's facts the front lacks are ones that stayed in place
+                assert set(added) <= set(new) <= set(succ)
+                stayed += len(set(new) - set(added))
+                front = reference_added(rec.before, succ)
+                if front is not None:
                     incremental += 1
-                    clashes += contains_clash(succ)
-                    assert contains_clash(succ, added) == contains_clash(succ)
+                    assert front == added and succ == added + rec.before
+                else:
+                    # the step moved facts it re-asserted to the front
+                    assert set(succ) - set(rec.before) <= set(added)
+                clash = contains_clash(succ) is not None
+                clashes += clash
+                assert (contains_clash(succ, added) is not None) == clash
         if isinstance(verdict, Satisfiable):
             assert next_application(verdict.open_branch) is None
             assert not contains_clash(verdict.open_branch)
-    # both the incremental and the whole-branch path ran, and clashes were found
-    assert 0 < incremental < successors and clashes > 0
+    # successors that extend their parent, also by facts a step re-asserted in
+    # place, and ones that move facts were seen, and clashes were found
+    assert 0 < incremental < successors and stayed > 0 and clashes > 0
     # the index was checked on every branch a rule was chosen on (the last
     # one of a satisfiable run is saturated), and on more tested for a clash
     assert indexed["contains_clash"] > indexed["next_application"] == steps

@@ -26,10 +26,9 @@ from alctab.syntax import (
     Rel,
     Role,
     Some,
-    existential_count,
-    size_concept,
 )
 from corpus import exists_tree, pigeonhole, random_concept, random_nnf_abox
+from reference import existential_count, size_concept
 
 A, B = Atom("A"), Atom("B")
 r, s = Role("r"), Role("s")

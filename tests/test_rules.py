@@ -1,6 +1,6 @@
 import random
 
-from alctab.engine import EngineConfig, decide_sat_abox, next_application
+from alctab.engine import EngineConfig, decide_sat_abox, next_application, successor
 from alctab.rules import (
     ALL_RULE,
     AND_RULE,
@@ -37,7 +37,8 @@ def holds(appcond, abox, fact):
 
 
 def fire(action, abox, pivot):
-    return action(abox, pivot, BranchIndex(abox))
+    index = BranchIndex(abox)
+    return [successor(abox, new, index)[0] for new in action(abox, pivot, index)]
 
 
 def test_appcond_and():

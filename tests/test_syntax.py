@@ -25,18 +25,16 @@ from alctab.syntax import (
     TOP,
     abox_signature,
     dedup_facts,
-    existential_count,
     fresh_individual,
     individuals_of,
     is_nnf,
     is_nnf_abox,
     lookup,
     nnf,
-    size_concept,
     subterms,
 )
 from corpus import ATOMS2, ROLE1, enumerate_interpretations, random_concept
-from reference import recursive_nnf
+from reference import existential_count, recursive_nnf, size_concept
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 r, s = Role("r"), Role("s")

@@ -11,7 +11,7 @@ below its left sibling did not depend on that choice (backjumping).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .measure import assert_decrease, progress_check
 from .rules import MONOTONE, RULES_BY_KIND, BranchIndex, RuleApplication, RuleKind, alc_rules
@@ -35,6 +35,9 @@ from .syntax import (
     lookup,
     nnf,
 )
+
+if TYPE_CHECKING:
+    from .delta import MeasureState
 
 
 class StepLimitExceeded(RuntimeError):
@@ -69,7 +72,8 @@ class EngineConfig:
     """Search configuration.
 
     `check_measure` evaluates the progress check and the measure decrease on
-    every rule application; a progress failure always raises, a decrease
+    every rule application, from the step's facts and a `MeasureState` that
+    each branch then carries; a progress failure always raises, a decrease
     failure raises unless `measure_violations` is a list, in which case the
     violation is appended there and the search continues.
     """
@@ -209,8 +213,10 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     over, and a disjunction step copies it once for the right one. A
     successor shorter than its parent and its front together, one in which
     the step moved facts its parent held to the front, has its index built
-    anew from the branch. The root is the successor of the empty branch
-    whose front is the input.
+    anew from the branch, with the live pivots its parent had left. The
+    root is the successor of the empty branch whose front is the input.
+    When the measure is checked, each branch's `MeasureState` is carried
+    and copied the same way.
 
     The search backjumps. The right successors of the disjunction steps on
     the current path that are still to be tried wait in `pending`, oldest
@@ -231,9 +237,12 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     trace: list[RuleApplication] = []
     # (right successor, its front, labels, label of the ⊔ pivot, index of
     # the step's trace record when traces are recorded, the ⊔ step's branch
-    # index)
-    pending: list[tuple[Abox, Abox, dict[Fact, int], int, int, BranchIndex]] = []
+    # index, the right successor's measure state when the measure is checked)
+    pending: list[
+        tuple[Abox, Abox, dict[Fact, int], int, int, BranchIndex, Optional[MeasureState]]
+    ] = []
     branch, added, index = root, root, BranchIndex(())
+    measure: Optional[MeasureState] = None
     labels: dict[Fact, int] = {}
     closed = 0
     steps = 0
@@ -241,7 +250,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
         if len(branch) == index.size + len(added):
             index.grow(added)
         else:
-            index = BranchIndex(branch)
+            index = index.rebuilt(branch)
         clash = contains_clash(branch, added, index)
         if clash is not None:
             closed += 1
@@ -256,7 +265,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
                 del pending[keep:]
             if not pending:
                 return Unsatisfiable(tuple(trace), closed)
-            branch, added, labels, label, _, index = pending.pop()
+            branch, added, labels, label, _, index, measure = pending.pop()
             # the right disjunct depends on what the left one's clash
             # depended on, less that choice itself
             label |= depends & ~(1 << len(pending))
@@ -269,15 +278,30 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
         steps += 1
         if steps > cfg.max_steps:
             raise StepLimitExceeded(f"exceeded {cfg.max_steps} rule applications")
+        right_measure = None
         if cfg.check_measure:
-            _check_measures(app, cfg)
+            if measure is None:
+                # the first step is the root's; an unchecked search never
+                # imports the state
+                from .delta import MeasureState
+
+                measure = MeasureState(root)
+            right_measure = _check_measures(app, index, measure, cfg)
         if cfg.record_trace:
             trace.append(app)
         succ, succ_added = app.successors[0], app.added[0]
         if app.kind is RuleKind.OR:
             label = labels.get(app.pivot, 0)
             pending.append(
-                (app.successors[1], app.added[1], labels, label, len(trace) - 1, index.copy())
+                (
+                    app.successors[1],
+                    app.added[1],
+                    labels,
+                    label,
+                    len(trace) - 1,
+                    index.copy(),
+                    right_measure,
+                )
             )
             labels = {**labels, succ[0]: label | 1 << (len(pending) - 1)}
         elif pending:
@@ -293,17 +317,27 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
         branch, added = succ, succ_added
 
 
-def _check_measures(app: RuleApplication, cfg: EngineConfig) -> None:
-    for succ in app.successors:
-        if not progress_check(app.before, succ):
+def _check_measures(
+    app: RuleApplication, index: BranchIndex, measure: MeasureState, cfg: EngineConfig
+) -> Optional[MeasureState]:
+    """Check progress and the measure decrease from `app`'s branch, indexed
+    by `index` and measured by `measure`, to each successor.
+
+    The first successor takes `measure` over, advanced; the second one's,
+    on a disjunction step, is advanced from a copy and returned.
+    """
+    right = measure.copy() if len(app.successors) > 1 else None
+    for n, (succ, state) in enumerate(zip(app.successors, (measure, right))):
+        if not progress_check(app, n, index, state):
             raise ProgressCheckError(
                 f"no progress across a {app.kind.value}-rule step"
             )
-        if not assert_decrease(app.before, succ):
+        if not assert_decrease(app, n, index, state):
             violation = MeasureViolation(app.before, succ, app.kind)
             if cfg.measure_violations is None:
                 raise MeasureDecreaseError(violation)
             cfg.measure_violations.append(violation)
+    return right
 
 
 def decide_concept_sat(concept: Concept, cfg: Optional[EngineConfig] = None) -> Verdict:

@@ -12,29 +12,23 @@ nested in the concepts it adds; `assert_decrease` reports such steps
 honestly instead of papering over them, and `progress_check` provides the
 unconditional fallback witness (strict fact growth, at most one fresh
 witness per step).
+
+`measure_abox` measures a whole branch, for the trace. The search's checks
+read no whole branch: they read the step, the branch's index and its
+`alctab.delta.MeasureState`, which keeps what the pairs depend on.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .rules import AND_RULE, OR_RULE, SOME_RULE, BranchIndex, pending
-from .syntax import (
-    Abox,
-    All,
-    And,
-    Concept,
-    Fact,
-    Inst,
-    Not,
-    Or,
-    Rel,
-    Some,
-    fresh_individual,
-    individuals_of,
-)
+from .rules import AND_RULE, OR_RULE, SOME_RULE, BranchIndex, RuleApplication, pending
+from .syntax import Abox, All, And, Anon, Concept, Fact, Inst, Not, Or, Rel, Some, lookup
+
+if TYPE_CHECKING:
+    from .delta import MeasureState
 
 MeasurePair = tuple[int, int]
 BranchMeasure = Counter  # Counter[MeasurePair]
@@ -51,6 +45,9 @@ def _counts(concept: Concept, memo: ConceptCounts) -> tuple[int, int]:
     entered into it; so the prefixes of a ⊓-chain, which a branch holds
     side by side, cost one node each. The walk keeps its own stack.
     """
+    known = memo.get(concept)
+    if known is not None:
+        return known
     stack = [concept]
     while stack:
         node = stack[-1]
@@ -59,21 +56,23 @@ def _counts(concept: Concept, memo: ConceptCounts) -> tuple[int, int]:
             continue
         kind = type(node)
         if kind is And or kind is Or:
-            children: tuple[Concept, ...] = (node.left, node.right)
+            left, right = memo.get(node.left), memo.get(node.right)
+            if left is None or right is None:
+                if left is None:
+                    stack.append(node.left)
+                if right is None:
+                    stack.append(node.right)
+                continue
+            memo[node] = (1 + left[0] + right[0], left[1] + right[1])
         elif kind is Not or kind is All or kind is Some:
-            children = (node.child,)
+            child = memo.get(node.child)
+            if child is None:
+                stack.append(node.child)
+                continue
+            memo[node] = (1 + child[0], child[1] + (kind is Some))
         else:
-            children = ()
-        todo = [c for c in children if c not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
+            memo[node] = (1, 0)
         stack.pop()
-        size, some = 1, 1 if kind is Some else 0
-        for c in children:
-            size += memo[c][0]
-            some += memo[c][1]
-        memo[node] = (size, some)
     return memo[concept]
 
 
@@ -166,21 +165,37 @@ def multiset_less(m1: Mapping[MeasurePair, int], m2: Mapping[MeasurePair, int]) 
     return all(any(y < x for x in removed) for y in added)
 
 
-def assert_decrease(before: Abox, after: Abox) -> bool:
-    """Whether the branch measure strictly decreases across a rule step."""
-    return multiset_less(measure_abox(after), measure_abox(before))
+def progress_check(app: RuleApplication, n: int, index: BranchIndex, state: MeasureState) -> bool:
+    """Unconditional progress witness for the step to `app`'s successor n.
 
-
-def progress_check(before: Abox, after: Abox) -> bool:
-    """Unconditional progress witness for a rule step.
-
-    Requires the fact set to grow strictly and any new individual to be
-    exactly the witness the existential rule would allocate on `before`.
+    Requires its front to hold a fact that the step's branch, indexed by
+    `index`, lacks, and the only individual the front brings in to be the
+    step's witness, which must be the index's next one. A front may also
+    hold facts of the branch that the step moved up.
     """
-    b, a = frozenset(before), frozenset(after)
-    if not b < a:
+    at, known, fresh = index.at, state.incoming, app.fresh
+    if fresh is not None and fresh is not lookup(Anon, index.witness):
         return False
-    new = set(individuals_of(after)) - set(individuals_of(before))
-    if not new:
-        return True
-    return new == {fresh_individual(before)}
+    grew = False
+    for f in app.added[n]:
+        if f in at:
+            continue
+        grew = True
+        for ind in (f.subject,) if type(f) is Inst else (f.source, f.target):
+            if ind is not fresh and ind not in known:
+                return False
+    return grew
+
+
+def assert_decrease(app: RuleApplication, n: int, index: BranchIndex, state: MeasureState) -> bool:
+    """Whether the branch measure strictly decreases across the step to
+    `app`'s successor n; `state`, the measure state of the step's branch,
+    indexed by `index`, is advanced to that successor's.
+
+    A branch with repeated facts, which only an input can be, is measured
+    whole, since its successor holds each fact once.
+    """
+    step = state.advance(app.added[n], index)
+    if index.size != len(index.at):
+        return multiset_less(measure_abox(app.successors[n]), measure_abox(app.before))
+    return step.decreases()

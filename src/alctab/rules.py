@@ -122,6 +122,18 @@ class BranchIndex:
         twin.live = dict(self.live)
         return twin
 
+    def rebuilt(self, branch: Abox) -> BranchIndex:
+        """The index of `branch`, a successor of this index's branch that
+        moved facts it held to the front, so that positions change. Of the
+        conjunction, disjunction and existential pivots, it lists the new
+        ones and those this index still lists; the others were found dead."""
+        twin = BranchIndex(branch)
+        at, live = self.at, self.live
+        for kind in MONOTONE:
+            kept = set(live[kind])
+            twin.live[kind] = tuple(f for f in twin.live[kind] if f in kept or f not in at)
+        return twin
+
     def position(self, fact: Fact) -> int:
         """The index of the first occurrence of `fact` in the branch."""
         return self.size - 1 - self.at[fact]

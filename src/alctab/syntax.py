@@ -342,17 +342,6 @@ def individuals_of(abox: Abox) -> tuple[Individual, ...]:
     return tuple(seen)
 
 
-def fresh_individual(abox: Abox) -> Anon:
-    """Allocate a witness individual that occurs nowhere in the ABox.
-
-    Deterministic: one plus the largest allocation index present, or index 0
-    when the ABox holds no generated individuals. Named individuals never
-    influence allocation.
-    """
-    taken = [ind.index for ind in individuals_of(abox) if isinstance(ind, Anon)]
-    return Anon(max(taken) + 1 if taken else 0)
-
-
 def abox_signature(abox: Abox) -> tuple[tuple[ConceptName, ...], tuple[RoleName, ...]]:
     """Concept and role names mentioned anywhere in the ABox, sorted.
 

@@ -15,7 +15,10 @@ character lexer that positions every token, and `recursive_print_concept`
 the printer by structural recursion, which the parser's lexer and printer
 must agree with. `size_concept` and `existential_count` count a
 concept's nodes by walking its tree, which the measure's counts must agree
-with. Deciding needs none of them.
+with, `fresh_individual` finds the next witness by scanning a branch, and
+`assert_decrease` and `progress_check` check a step from the whole
+branches before and after it, which the search's checks from the step
+alone must agree with. Deciding needs none of them.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from alctab.engine import (
     next_application,
     successor,
 )
+from alctab.measure import measure_abox, multiset_less
 from alctab.parser import ParseError, SourceSpan
 from alctab.rules import BranchIndex, RuleApplication, RuleKind, TableauRule
 from alctab.semantics import OracleConfig, oracle_find_model, satisfies_abox
@@ -41,6 +45,7 @@ from alctab.syntax import (
     Abox,
     All,
     And,
+    Anon,
     Atom,
     Bottom,
     Concept,
@@ -51,7 +56,7 @@ from alctab.syntax import (
     Rel,
     Some,
     Top,
-    fresh_individual,
+    individuals_of,
     subterms,
 )
 
@@ -88,6 +93,39 @@ def size_concept(concept: Concept) -> int:
 def existential_count(concept: Concept) -> int:
     """Total number of existential-restriction nodes in the tree."""
     return sum(1 for node in subterms(concept) if isinstance(node, Some))
+
+
+def fresh_individual(abox: Abox) -> Anon:
+    """Allocate a witness individual that occurs nowhere in the ABox.
+
+    Deterministic: one plus the largest allocation index present, or index 0
+    when the ABox holds no generated individuals. Named individuals never
+    influence allocation.
+    """
+    taken = [ind.index for ind in individuals_of(abox) if isinstance(ind, Anon)]
+    return Anon(max(taken) + 1 if taken else 0)
+
+
+def assert_decrease(before: Abox, after: Abox) -> bool:
+    """Whether the branch measure strictly decreases across a rule step,
+    from the two whole measures."""
+    return multiset_less(measure_abox(after), measure_abox(before))
+
+
+def progress_check(before: Abox, after: Abox) -> bool:
+    """Unconditional progress witness for a rule step, from the whole
+    branches.
+
+    Requires the fact set to grow strictly and any new individual to be
+    exactly the witness the existential rule would allocate on `before`.
+    """
+    b, a = frozenset(before), frozenset(after)
+    if not b < a:
+        return False
+    new = set(individuals_of(after)) - set(individuals_of(before))
+    if not new:
+        return True
+    return new == {fresh_individual(before)}
 
 
 def abstract_rule_holds(

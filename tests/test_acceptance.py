@@ -24,7 +24,7 @@ from alctab.engine import (
     next_application,
     subsumes,
 )
-from alctab.measure import progress_check, reducible_hidden_ex_count
+from alctab.measure import reducible_hidden_ex_count
 from alctab.parser import parse_concept, print_concept, print_fact
 from alctab.rules import SOME_RULE, BranchIndex, alc_rules
 from alctab.semantics import (
@@ -55,7 +55,7 @@ from corpus import (
     random_nnf_abox,
     random_nnf_concept,
 )
-from reference import abstract_rule_holds, existential_count
+from reference import abstract_rule_holds, existential_count, progress_check
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 

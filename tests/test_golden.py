@@ -20,7 +20,10 @@ step, the rule choice from its live pivots and the clash test on the facts
 the step added must agree with the whole-branch scans, each successor's
 front must be what a comparison of the tuples finds, and at every branch
 the search tests, its carried index must hold what scans of the branch
-tuple find, and live pivots that miss no pivot a rule applies at. With
+tuple find, and live pivots that miss no pivot a rule applies at. Checked
+the same way, every step's measure change must be the difference of the
+two whole-branch measures, and the checks' answers those of the
+whole-branch checks. With
 more runs that backjumping prunes, they also gate the jumps: the engine
 must return what a search that tries every alternative returns, after
 closing no more branches, and its trace must replay.
@@ -30,6 +33,7 @@ import hashlib
 import random
 from collections import Counter
 
+import reference
 from alctab import engine
 from alctab.engine import (
     EngineConfig,
@@ -39,6 +43,14 @@ from alctab.engine import (
     next_application,
     replay_trace,
 )
+from alctab.delta import MeasureState
+from alctab.measure import (
+    assert_decrease,
+    measure_abox,
+    multiset_less,
+    progress_check,
+    reducible_hidden_ex_count,
+)
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
 from alctab.rules import RULES_BY_KIND, BranchIndex, RuleKind
@@ -47,13 +59,14 @@ from alctab.syntax import (
     All,
     And,
     Anon,
+    Atom,
     Inst,
     Named,
     Or,
     Rel,
+    Role,
     Some,
     abox_signature,
-    fresh_individual,
     nnf,
 )
 from corpus import (
@@ -67,7 +80,7 @@ from corpus import (
     random_or_heavy_concept,
     wide_exists,
 )
-from reference import reference_added, reference_search
+from reference import fresh_individual, reference_added, reference_search
 
 VERDICTS_SHA256 = "d8b3b1a724a9d914766b8c2ad5fd6c5c1ea002ba6c4ae00fdf3efac1eba5ad14"
 SEARCH_SHA256 = "c003bcc984aa40214840d10af355146d12d598762cabde2137a53053c1041717"
@@ -243,3 +256,61 @@ def test_backjumping_returns_what_the_full_search_returns():
             pruned += verdict.closed_branches < full.closed_branches
             assert replay_trace(abox, verdict.trace) is None
     assert len(kinds) == 2 and pruned > 0
+
+
+def measure_change(step):
+    """The pairs a step loses and gains, as differences of whole measures."""
+    lost, gained = Counter(step.lost), Counter(step.gained)
+    for (size, waiting) in step.keys:
+        n = step.unchanged((size, waiting))
+        lost[size, waiting + step.shared] += n
+        gained[size, waiting + step.after] += n
+    return lost - gained, gained - lost
+
+
+def test_measure_steps_match_whole_branch_measures(monkeypatch):
+    x, y, r = Named("x"), Named("y"), Role("r")
+    A, B = Atom("A"), Atom("B")
+    # inputs that repeat a fact are measured whole at their first step
+    repeats = [
+        (Inst(x, And(A, B)), Inst(x, And(A, B))),
+        (Inst(x, Some(r, A)), Rel(r, x, y), Inst(x, Some(r, A)), Inst(x, All(r, B))),
+        (Inst(x, All(r, Some(r, A))), Rel(r, x, y), Rel(r, x, y)),
+    ]
+    changes, seen = [], Counter()
+    advance = MeasureState.advance
+
+    def recording(state, front, index):
+        step = advance(state, front, index)
+        # read at once, before the state moves on
+        changes.append(measure_change(step))
+        seen["shifted"] += step.after != step.shared and any(map(step.unchanged, step.keys))
+        return step
+
+    def checked_progress(app, n, index, state):
+        answer = progress_check(app, n, index, state)
+        assert answer == reference.progress_check(app.before, app.successors[n])
+        seen["steps"] += 1
+        return answer
+
+    def checked_decrease(app, n, index, state):
+        answer = assert_decrease(app, n, index, state)
+        before, after = measure_abox(app.before), measure_abox(app.successors[n])
+        assert answer == multiset_less(after, before)
+        if index.size == len(index.at):
+            assert changes[-1] == (before - after, after - before)
+        else:
+            seen["repeats"] += 1
+        assert state.shared == reducible_hidden_ex_count(app.successors[n])
+        seen["violations"] += not answer
+        return answer
+
+    monkeypatch.setattr(MeasureState, "advance", recording)
+    monkeypatch.setattr(engine, "progress_check", checked_progress)
+    monkeypatch.setattr(engine, "assert_decrease", checked_decrease)
+    for abox in [*golden_inputs(), *repeats]:
+        decide_sat_abox(abox, EngineConfig(check_measure=True, measure_violations=[]))
+    # steps that shift the unchanged ∀ pairs, that do not decrease, and that
+    # start from repeated facts were all seen
+    assert seen["steps"] > 4000
+    assert seen["shifted"] > 0 and seen["violations"] > 0 and seen["repeats"] == 3

@@ -1,20 +1,23 @@
 import itertools
 import random
 from collections import Counter
+from functools import reduce
 
 import pytest
 
 import alctab.measure
-from alctab.engine import EngineConfig, decide_concept_sat, next_application
-from alctab.measure import (
-    assert_decrease,
-    measure_abox,
-    multiset_less,
-    progress_check,
-    reducible_hidden_ex_count,
+from alctab.engine import (
+    EngineConfig,
+    ProgressCheckError,
+    Satisfiable,
+    _check_measures,
+    decide_concept_sat,
+    next_application,
 )
+from alctab.delta import MeasureState, MeasureStep
+from alctab.measure import measure_abox, multiset_less, reducible_hidden_ex_count
 from alctab.render import emit_trace
-from alctab.rules import RuleKind
+from alctab.rules import BranchIndex, RuleApplication, RuleKind
 from alctab.syntax import (
     All,
     And,
@@ -28,7 +31,7 @@ from alctab.syntax import (
     Some,
 )
 from corpus import exists_tree, pigeonhole, random_concept, random_nnf_abox
-from reference import existential_count, size_concept
+from reference import assert_decrease, existential_count, progress_check, size_concept
 
 A, B = Atom("A"), Atom("B")
 r, s = Role("r"), Role("s")
@@ -113,6 +116,30 @@ def test_multiset_order_is_strict_partial_order():
             assert not multiset_less(m2, m1)
 
 
+def test_a_step_decides_as_the_whole_multisets_do():
+    # random steps: explicit pairs lost and gained, and universal keys that
+    # the step moved or left alone, which shift with the shared count
+    rng = random.Random(12)
+    pairs = [(a, b) for a in range(4) for b in range(6)]
+    keys = [(a, b) for a in range(2, 4) for b in range(3)]
+    shifted = 0
+    for _ in range(3000):
+        lost = Counter(rng.choices(pairs, k=rng.randrange(4)))
+        gained = Counter(rng.choices(pairs, k=rng.randrange(4)))
+        unchanged = Counter(rng.choices(keys, k=rng.randrange(4)))
+        moved = Counter(rng.choices(keys, k=rng.randrange(3)))
+        shared, after = rng.randrange(3), rng.randrange(3)
+        total = unchanged + moved
+        step = MeasureStep(
+            dict(lost), dict(gained), shared, after, dict(moved), dict(total), sorted(total)
+        )
+        before = lost + Counter({(size, w + shared): n for (size, w), n in unchanged.items()})
+        now = gained + Counter({(size, w + after): n for (size, w), n in unchanged.items()})
+        assert step.decreases() == multiset_less(now, before)
+        shifted += shared != after and bool(unchanged)
+    assert shifted > 1000
+
+
 def test_assert_decrease_examples():
     before = (Inst(x, And(A, B)),)
     after = (Inst(x, A), Inst(x, B), Inst(x, And(A, B)))
@@ -179,8 +206,8 @@ def test_measures_on_saturated_branches():
 
 @pytest.mark.parametrize(
     "concept, checked, traced",
-    # measuring every parent again would take 150 and 108 in the checks
-    [(exists_tree(4), 76, 76), (pigeonhole(3, 2), 60, 42)],
+    # the checks measure no whole branch; the trace measures each once
+    [(exists_tree(4), 0, 76), (pigeonhole(3, 2), 0, 42)],
     ids=["T_4", "PHP(3,2)"],
 )
 def test_each_branch_is_measured_once(monkeypatch, concept, checked, traced):
@@ -205,3 +232,57 @@ def test_each_branch_is_measured_once(monkeypatch, concept, checked, traced):
     assert measures(lambda: decide_concept_sat(concept, cfg)) <= checked
     trace = decide_concept_sat(concept, EngineConfig(record_trace=True)).trace
     assert measures(lambda: list(emit_trace(trace))) <= traced
+
+
+@pytest.mark.parametrize(
+    "concept, sat",
+    [
+        (exists_tree(6), True),
+        (pigeonhole(3, 2), False),
+        (reduce(And, [Atom(f"A{i}") for i in range(3000)]), True),
+    ],
+    ids=["T_6", "PHP(3,2)", "chain-3000"],
+)
+def test_a_checked_search_measures_no_whole_branch(monkeypatch, concept, sat):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_measure", "reducible_hidden_ex_count"):
+        monkeypatch.setattr(alctab.measure, name, counted(name, getattr(alctab.measure, name)))
+    violations = []
+    verdict = decide_concept_sat(
+        concept, EngineConfig(check_measure=True, measure_violations=violations)
+    )
+    assert calls == {}
+    assert isinstance(verdict, Satisfiable) == sat and violations == []
+
+
+def _forged(before, kind, front, fresh=None):
+    """A one-successor record of a step from `before` that put `front` in
+    front of it."""
+    succ = front + tuple(f for f in before if f not in front)
+    return RuleApplication(kind, before[0], 0, before, (succ,), (front,), fresh)
+
+
+def test_forged_steps_fail_the_progress_check():
+    conj, some = Inst(x, And(A, B)), Inst(x, Some(r, A))
+    forged = [
+        # re-asserts facts the branch holds and adds none
+        _forged((conj, Inst(x, A), Inst(x, B)), RuleKind.AND, (Inst(x, A), Inst(x, B))),
+        # brings in an individual that is not the step's witness
+        _forged((conj,), RuleKind.AND, (Inst(Anon(7), A), Inst(x, B))),
+        # its witness is not the branch's next one, Anon(0)
+        _forged((some,), RuleKind.SOME, (Rel(r, x, Anon(3)), Inst(Anon(3), A)), Anon(3)),
+    ]
+    for app in forged:
+        # the whole-branch check rejects each of them too
+        assert not progress_check(app.before, app.successors[0])
+        cfg = EngineConfig(check_measure=True, measure_violations=[])
+        with pytest.raises(ProgressCheckError):
+            _check_measures(app, BranchIndex(app.before), MeasureState(app.before), cfg)

@@ -134,6 +134,25 @@ def test_apply_srule():
     assert len(apply_srule(OR_RULE, (Inst(x, Or(A, B)),))) == 2
 
 
+def test_a_rebuilt_index_lists_no_pivot_its_parent_found_dead():
+    dead, survivor, every = Inst(x, And(A, B)), Inst(x, Or(B, C)), Inst(x, All(r, A))
+    branch = (dead, survivor, every, Inst(x, A))
+    index = BranchIndex(branch)
+    index.live[RuleKind.AND] = ()  # as when the search found the ⊓ pivot dead
+    new = Inst(x, And(C, A))
+    # the step re-asserted x : A, which moved to the front
+    succ = (new, Inst(x, A), dead, survivor, every)
+    twin, whole = index.rebuilt(succ), BranchIndex(succ)
+    assert (twin.at, twin.size, twin.edges, twin.witness) == (
+        whole.at,
+        whole.size,
+        whole.edges,
+        whole.witness,
+    )
+    assert whole.live[RuleKind.AND] == (new, dead)
+    assert twin.live == {**whole.live, RuleKind.AND: (new,)}
+
+
 def test_alc_rules_strategy_order():
     kinds = [rule.kind for rule in alc_rules()]
     assert kinds == [RuleKind.AND, RuleKind.ALL, RuleKind.OR, RuleKind.SOME]

@@ -25,7 +25,6 @@ from alctab.syntax import (
     TOP,
     abox_signature,
     dedup_facts,
-    fresh_individual,
     individuals_of,
     is_nnf,
     is_nnf_abox,
@@ -34,7 +33,7 @@ from alctab.syntax import (
     subterms,
 )
 from corpus import ATOMS2, ROLE1, enumerate_interpretations, random_concept
-from reference import existential_count, recursive_nnf, size_concept
+from reference import existential_count, fresh_individual, recursive_nnf, size_concept
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 r, s = Role("r"), Role("s")

@@ -1,7 +1,10 @@
 """Golden-output regression: verdicts, open branches, models and traces are
-pinned byte for byte, by two digests, and the oracle's witnesses by a third.
+pinned byte for byte, by two digests, the verdicts alone by a third, and the
+oracle's witnesses by a fourth.
 
-The verdict digest covers, for every run, the verdict and, for satisfiable
+The verdict-type digest covers only whether each run is satisfiable. It
+must never change: no change to the search may turn a verdict. The verdict
+digest covers, for every run, the verdict and, for satisfiable
 runs, the printed open branch and the rendered model: what a caller gets.
 The search digest covers the full JSONL trace and, for unsatisfiable runs,
 the number of closed branches: how the search got there. A change that
@@ -82,6 +85,7 @@ from corpus import (
 )
 from reference import fresh_individual, reference_added, reference_search
 
+VERDICT_TYPES_SHA256 = "3e55070de8edd26da1c80d643c2d12f4e8878f1420f296438030780d0b1395b9"
 VERDICTS_SHA256 = "d8b3b1a724a9d914766b8c2ad5fd6c5c1ea002ba6c4ae00fdf3efac1eba5ad14"
 SEARCH_SHA256 = "c003bcc984aa40214840d10af355146d12d598762cabde2137a53053c1041717"
 ORACLE_SHA256 = "1a5a1176dbc7880dfe530a4a432a91867e002478167b5ef6d436c0c312890ca0"
@@ -115,6 +119,10 @@ def verdicts():
         yield decide_sat_abox(abox, EngineConfig(record_trace=True))
 
 
+def verdict_type_lines(verdict):
+    yield type(verdict).__name__
+
+
 def verdict_lines(verdict):
     yield type(verdict).__name__
     if isinstance(verdict, Satisfiable):
@@ -134,6 +142,10 @@ def digest(lines):
         for line in lines(verdict):
             h.update(line.encode() + b"\n")
     return h.hexdigest()
+
+
+def test_golden_verdict_types():
+    assert digest(verdict_type_lines) == VERDICT_TYPES_SHA256
 
 
 def test_golden_outputs():

@@ -6,6 +6,39 @@ tried in a fixed order (conjunction, universal, disjunction, existential)
 and disjunction branches are explored left first, so verdicts and traces
 are fully deterministic. A right alternative is skipped when the clashes
 below its left sibling did not depend on that choice (backjumping).
+
+The existential rule reuses witnesses. On `x : ∃r.C` it first looks for a
+witness y of the branch that holds C and the body D of every `x : ∀r.D`;
+if there is one, the step adds only `r(x, y)` and makes no witness
+(`RuleApplication.fresh` is None), otherwise it makes a fresh witness as the
+paper's rule does. This is the satisfiability caching of Horrocks &
+Patel-Schneider 1999 (J. Logic Comput. 9(3)), with the branch as the cache.
+Why the verdicts stay right:
+
+- Labels are final. There is no TBox and no inverse role, and ∃ fires only
+  when no ⊓, ⊔ or ∀ step applies anywhere on the branch. A later step adds
+  a fact to an individual only by its own rules or by a ∀ step along an
+  edge into it, and every edge into x and y has been followed. A reuse
+  edge is never followed, since y already holds every D. So each witness's
+  label is what the rules make of C and the Ds of the step that made it.
+- SAT. An open branch is saturated and clash-free, and its canonical model
+  satisfies each of its facts, by induction on the concept, whatever the
+  shape of its edges. So models may share witnesses and contain cycles;
+  ALC cannot tell them from their unravellings into trees, which are
+  bisimilar to them.
+- UNSAT. Some successor of each step keeps two things true, if its branch
+  had them: the facts on named individuals, with the edges between them,
+  are consistent, and each witness's label is satisfiable. A reuse step
+  changes no label, and a fresh witness's C and Ds are satisfiable
+  together whenever the final facts on x are. A clash breaks them, so a
+  search that closes every branch must have started from an
+  unsatisfiable input.
+- Backjumping. A reuse edge gets its pivot's label, as a fresh witness's
+  facts do, but no label is read from it: no ∀ step follows it, and
+  clashes are between concept facts. So each fact's label is still the set
+  of choices its derivation used. On any branch that makes the choices a
+  clash depends on, each witness that derivation made is there, or a
+  reused witness holds its label and more, so the same steps close it.
 """
 
 from __future__ import annotations
@@ -19,7 +52,6 @@ from .semantics import Interpretation
 from .syntax import (
     Abox,
     And,
-    Anon,
     Atom,
     Bottom,
     Concept,
@@ -184,11 +216,13 @@ def next_application(
             if rule.appcond(abox, fact, index):
                 if prune:
                     live[rule.kind] = candidates[n + 1 :]
-                successors, added = zip(
-                    *[successor(abox, new, index) for new in rule.action(abox, fact, index)]
-                )
-                # the ∃ action's witness is the index's next one
-                fresh = Anon(index.witness) if rule.kind is RuleKind.SOME else None
+                adds = rule.action(abox, fact, index)
+                successors, added = zip(*[successor(abox, new, index) for new in adds])
+                # an ∃ step that makes a witness adds its edge and its label,
+                # one that reuses a witness only the edge
+                fresh = None
+                if rule.kind is RuleKind.SOME and len(adds[0]) == 2:
+                    fresh = adds[0][1].subject
                 return RuleApplication(
                     rule.kind, fact, index.position(fact), abox, successors, added, fresh
                 )

@@ -66,7 +66,8 @@ class BranchIndex:
     `at` maps each fact of the branch to its distance from the branch's
     end, which stays fixed while facts are put in front, so it answers both
     membership and position; `size` is the branch's length. `edges` maps
-    (role, source) to the targets of its edges in branch order, and
+    (role, source) to the targets of its edges in branch order, `holders`
+    maps each concept to the witnesses that hold it in branch order, and
     `witness` is the allocation index of the next fresh witness. `live`
     maps each rule kind to a tuple of the branch's pivots of that kind in
     branch order, less those the search has found can never fire again. A
@@ -75,12 +76,13 @@ class BranchIndex:
     `copy`-ed first, since `grow` changes it in place.
     """
 
-    __slots__ = ("at", "size", "edges", "witness", "live")
+    __slots__ = ("at", "size", "edges", "holders", "witness", "live")
 
     def __init__(self, abox: Abox) -> None:
         self.at: dict[Fact, int] = {}
         self.size = 0
         self.edges: dict[tuple[Role, Individual], tuple[Individual, ...]] = {}
+        self.holders: dict[Concept, tuple[Anon, ...]] = {}
         self.witness = 0
         self.live = dict(_NO_PIVOTS)
         self.grow(abox)
@@ -89,7 +91,8 @@ class BranchIndex:
         """Index `added`, facts the branch does not hold, as put in front of
         it; returns the index itself. A fact that occurs twice in `added`
         keeps the distance of its first occurrence."""
-        at, edges, witness, live = self.at, self.edges, self.witness, self.live
+        at, edges, holders = self.at, self.edges, self.holders
+        witness, live = self.witness, self.live
         n = self.size
         new_pivots: dict[RuleKind, list[Fact]] = {}
         for fact in reversed(added):
@@ -103,13 +106,18 @@ class BranchIndex:
                 if type(ind) is Anon and ind.index >= witness:
                     witness = ind.index + 1
                 ind = fact.source
-            else:
-                kind = _KIND_OF_SHAPE.get(type(fact.concept))
-                if kind is not None:
-                    new_pivots.setdefault(kind, []).append(fact)
-                ind = fact.subject
-            if type(ind) is Anon and ind.index >= witness:
-                witness = ind.index + 1
+                if type(ind) is Anon and ind.index >= witness:
+                    witness = ind.index + 1
+                continue
+            kind = _KIND_OF_SHAPE.get(type(fact.concept))
+            if kind is not None:
+                new_pivots.setdefault(kind, []).append(fact)
+            ind = fact.subject
+            if type(ind) is Anon:
+                concept = fact.concept
+                holders[concept] = (ind, *holders.get(concept, ()))
+                if ind.index >= witness:
+                    witness = ind.index + 1
         for kind, facts in new_pivots.items():
             live[kind] = (*reversed(facts), *live[kind])
         self.size, self.witness = n, witness
@@ -118,7 +126,8 @@ class BranchIndex:
     def copy(self) -> BranchIndex:
         twin = object.__new__(BranchIndex)
         twin.at, twin.size = dict(self.at), self.size
-        twin.edges, twin.witness = dict(self.edges), self.witness
+        twin.edges, twin.holders = dict(self.edges), dict(self.holders)
+        twin.witness = self.witness
         twin.live = dict(self.live)
         return twin
 
@@ -163,7 +172,9 @@ class RuleApplication:
 
     `added` holds, per successor, its front: the facts that lead it,
     followed by those of `before` less the front's, in their order. A fact
-    of a front that `before` held was moved up from its place. `skipped`
+    of a front that `before` held was moved up from its place. `fresh` is
+    the witness an existential step made; it is None on the other steps and
+    on an existential step that reused a witness. `skipped`
     marks a disjunction step whose right successor the search discarded
     unexplored, because a clash below the left one did not depend on the
     choice.
@@ -243,8 +254,24 @@ def _some_premise(index: BranchIndex, x: Individual, c: Some) -> bool:
 
 
 def _some_adds(index: BranchIndex, x: Individual, c: Some) -> list[tuple[Fact, ...]]:
+    """An edge to the first witness in branch order that holds the body
+    concept and the body of every universal restriction on x along the
+    role, or else an edge to a fresh witness that holds the body concept.
+    The universal restrictions are read off the live ∀ pivots, which the
+    search never prunes."""
+    role, child = c.role, c.child
+    held = index.holders.get(child)
+    if held:
+        bodies = [
+            g.concept.child
+            for g in index.live[RuleKind.ALL]
+            if g.subject is x and g.concept.role is role
+        ]
+        for y in held:
+            if all(index.holds(y, d) for d in bodies):
+                return [(Rel(role, x, y),)]
     witness = Anon(index.witness)
-    return [(Rel(c.role, x, witness), Inst(witness, c.child))]
+    return [(Rel(role, x, witness), Inst(witness, child))]
 
 
 AND_RULE = _rule(RuleKind.AND, _and_premise, _and_adds)

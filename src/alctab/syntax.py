@@ -284,50 +284,92 @@ def nnf(concept: Concept) -> Concept:
     Negations are pushed inward by De Morgan's laws and quantifier duality
     until they apply only to atoms; double negations and negated constants
     are eliminated. The result is logically equivalent to the input. The
+    rewrite visits the concept as a DAG: each distinct subterm is rewritten
+    once per polarity and its rewrite remembered, so a subterm shared by
+    many parents costs once. A concept already in negation normal form is
+    its own rewrite, and is returned after a walk that builds nothing. The
     rewrite keeps its own stack, so any depth that fits in memory works.
     """
+    if is_nnf(concept):
+        return concept
     done: list[Concept] = []
+    # per polarity, each binary or quantified subterm rewritten so far, to
+    # its rewrite (positive) or its complement's (negated)
+    memo: tuple[dict[Concept, Concept], dict[Concept, Concept]] = ({}, {})
     # (subterm, negated) visits the subterm, rewriting its complement when
-    # negated is True; (constructor, None) builds a binary concept from the
-    # last two results, (constructor, role) a quantified one from the last
+    # negated is True; (subterm, constructor) builds the subterm's rewrite
+    # with that constructor from the last one or two results
     todo: list[tuple] = [(concept, False)]
     while todo:
         node, tag = todo.pop()
+        kind = type(node)
         if tag is True or tag is False:
-            kind = type(node)
             if kind is Atom:
                 done.append(Not(node) if tag else node)
             elif kind is Not:
                 todo.append((node.child, not tag))
-            elif kind is And or kind is Or:
-                todo.append((_DUAL[kind] if tag else kind, None))
-                todo.append((node.right, tag))
-                todo.append((node.left, tag))
-            elif kind is All or kind is Some:
-                todo.append((_DUAL[kind] if tag else kind, node.role))
-                todo.append((node.child, tag))
+            elif kind is And or kind is Or or kind is All or kind is Some:
+                known = memo[tag].get(node)
+                if known is not None:
+                    done.append(known)
+                    continue
+                todo.append((node, _DUAL[kind] if tag else kind))
+                if kind is And or kind is Or:
+                    todo.append((node.right, tag))
+                    todo.append((node.left, tag))
+                else:
+                    todo.append((node.child, tag))
             elif kind is Top or kind is Bottom:
                 done.append((BOTTOM if kind is Top else TOP) if tag else node)
             else:
                 raise TypeError(f"not a concept: {node!r}")
-        elif tag is None:
-            right = done.pop()
-            done[-1] = node(done[-1], right)
         else:
-            done[-1] = node(tag, done[-1])
+            if tag is And or tag is Or:
+                right = done.pop()
+                done[-1] = tag(done[-1], right)
+            else:
+                done[-1] = tag(node.role, done[-1])
+            # the constructor differs from the subterm's own when negated
+            memo[tag is not kind][node] = done[-1]
     return done[0]
 
 
-def is_nnf(concept: Concept) -> bool:
-    """True iff every negation in the concept applies directly to an atom."""
-    return all(
-        isinstance(node.child, Atom) for node in subterms(concept) if isinstance(node, Not)
-    )
+def is_nnf(concept: Concept, seen: Optional[set] = None) -> bool:
+    """True iff every negation in the concept applies directly to an atom.
+
+    The walk visits the concept as a DAG: it enters each distinct binary or
+    quantified subterm once and skips those in `seen`, a set that several
+    calls may share, to which it adds those it enters. It keeps its own
+    stack, so any depth that fits in memory works.
+    """
+    if seen is None:
+        seen = set()
+    todo = [concept]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Not:
+            if type(node.child) is not Atom:
+                return False
+        elif kind is And or kind is Or:
+            if node not in seen:
+                seen.add(node)
+                todo.append(node.right)
+                todo.append(node.left)
+        elif kind is All or kind is Some:
+            if node not in seen:
+                seen.add(node)
+                todo.append(node.child)
+        elif not (kind is Atom or kind is Top or kind is Bottom):
+            raise TypeError(f"not a concept: {node!r}")
+    return True
 
 
 def is_nnf_abox(abox: Abox) -> bool:
-    """True iff every concept asserted in the ABox is in negation normal form."""
-    return all(is_nnf(f.concept) for f in abox if isinstance(f, Inst))
+    """True iff every concept asserted in the ABox is in negation normal form;
+    each distinct subterm of the ABox's concepts is visited once."""
+    seen: set[Concept] = set()
+    return all(is_nnf(f.concept, seen) for f in abox if isinstance(f, Inst))
 
 
 def individuals_of(abox: Abox) -> tuple[Individual, ...]:

@@ -129,7 +129,7 @@ def progress_check(before: Abox, after: Abox) -> bool:
 
 
 def abstract_rule_holds(
-    kind: RuleKind, before: frozenset[Fact], after: frozenset[Fact]
+    kind: RuleKind, before: frozenset[Fact], after: frozenset[Fact], reuse: bool = False
 ) -> bool:
     """Decide whether the set-level rule relation relates `before` to `after`.
 
@@ -137,7 +137,10 @@ def abstract_rule_holds(
     condition together with its negative applicability condition, and `after`
     is exactly `before` plus the facts the rule's action adds. The witness
     individual of the existential rule is the same deterministic allocation
-    the list-level action uses.
+    the list-level action uses. With `reuse`, an existential step instead
+    adds only the edge to a witness of `before` that holds the body concept
+    and the body of every universal restriction on the pivot's individual
+    along the role; `reuse` has no effect on the other rules.
     """
     before = frozenset(before)
     after = frozenset(after)
@@ -175,25 +178,61 @@ def abstract_rule_holds(
                     ):
                         return True
         return False
+    if kind is RuleKind.SOME and reuse:
+        return any(
+            isinstance(f, Inst)
+            and isinstance(f.concept, Some)
+            and not _some_blocked(f, before)
+            and _reuses_witness(f, before, after)
+            for f in before
+        )
     if kind is RuleKind.SOME:
         witness = fresh_individual(tuple(before))
         for f in before:
             if isinstance(f, Inst) and isinstance(f.concept, Some):
-                c = f.concept
-                blocked = any(
-                    isinstance(g, Rel)
-                    and g.role == c.role
-                    and g.source == f.subject
-                    and Inst(g.target, c.child) in before
-                    for g in before
-                )
-                if blocked:
+                if _some_blocked(f, before):
                     continue
+                c = f.concept
                 added = {Rel(c.role, f.subject, witness), Inst(witness, c.child)}
                 if after == before | added:
                     return True
         return False
     raise ValueError(f"unknown rule kind: {kind!r}")
+
+
+def _some_blocked(f: Inst, before: frozenset[Fact]) -> bool:
+    """Whether an edge along the role of `f`'s ∃ leads to its body concept."""
+    c = f.concept
+    return any(
+        isinstance(g, Rel)
+        and g.role == c.role
+        and g.source == f.subject
+        and Inst(g.target, c.child) in before
+        for g in before
+    )
+
+
+def _reuses_witness(f: Inst, before: frozenset[Fact], after: frozenset[Fact]) -> bool:
+    """Whether `after` is `before` plus an edge from `f`'s subject along its
+    ∃'s role to a witness of `before` that holds the body concept and the
+    body of every ∀ along that role on the subject."""
+    c, x = f.concept, f.subject
+    new = after - before
+    if not before <= after or len(new) != 1:
+        return False
+    (edge,) = new
+    if not (isinstance(edge, Rel) and edge.role == c.role and edge.source == x):
+        return False
+    y = edge.target
+    needed = {c.child} | {
+        g.concept.child
+        for g in before
+        if isinstance(g, Inst)
+        and isinstance(g.concept, All)
+        and g.subject == x
+        and g.concept.role == c.role
+    }
+    return isinstance(y, Anon) and all(Inst(y, d) in before for d in needed)
 
 
 def check_run_soundness(

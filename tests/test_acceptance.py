@@ -132,7 +132,9 @@ def test_c02_per_rule_abstraction_soundness(concept_runs, abox_runs):
     for app in applications:
         before = frozenset(app.before)
         for successor in app.successors:
-            assert abstract_rule_holds(app.kind, before, frozenset(successor))
+            assert abstract_rule_holds(
+                app.kind, before, frozenset(successor), reuse=app.fresh is None
+            )
             checked += 1
     print(
         f"CRITERION 2 PASS: {len(applications)} applications, "

@@ -22,7 +22,13 @@ from alctab.engine import (
 )
 from alctab.parser import parse_concept
 from alctab.rules import RuleKind
-from alctab.semantics import OracleConfig, interp_concept, oracle_find_model, satisfies_fact
+from alctab.semantics import (
+    OracleConfig,
+    interp_concept,
+    oracle_find_model,
+    satisfies_abox,
+    satisfies_fact,
+)
 from alctab.syntax import (
     All,
     And,
@@ -37,6 +43,7 @@ from alctab.syntax import (
     Role,
     Some,
     TOP,
+    individuals_of,
     nnf,
 )
 from corpus import (
@@ -293,7 +300,9 @@ def test_search_reads_the_index_not_the_branch(monkeypatch):
     scan = counted("individuals", syntax.individuals_of)
     monkeypatch.setattr(syntax, "individuals_of", scan)
     monkeypatch.setattr(engine, "individuals_of", scan)
-    for concept, facts in ((exists_tree(6), 631), (wide_exists(25), 126)):
+    # T_6's open branch has 13 individuals, two per level below the root,
+    # since each ∃ step whose label a witness already holds reuses it
+    for concept, facts in ((exists_tree(6), 81), (wide_exists(25), 126)):
         calls.clear()
         verdict = decide_concept_sat(concept)
         assert isinstance(verdict, Satisfiable) and len(verdict.open_branch) == facts
@@ -315,3 +324,13 @@ def test_repeated_input_facts_decide_as_the_whole_branch_search_does():
         if isinstance(verdict, Satisfiable):
             assert verdict.open_branch == full.open_branch
         assert replay_trace(abox, verdict.trace) == getattr(verdict, "open_branch", None)
+
+
+def test_exists_tree_reuses_one_witness_per_label():
+    # T_d's 2^d subtrees carry 2d distinct labels; a witness is made for each
+    for d in (1, 2, 6, 12, 20):
+        verdict = decide_concept_sat(exists_tree(d))
+        assert isinstance(verdict, Satisfiable)
+        assert len(individuals_of(verdict.open_branch)) == 2 * d + 1
+        if d <= 12:  # the model check walks the concept as a tree
+            assert satisfies_abox(verdict.model, (Inst(x0, nnf(exists_tree(d))),))

@@ -8,7 +8,9 @@ digest covers, for every run, the verdict and, for satisfiable
 runs, the printed open branch and the rendered model: what a caller gets.
 The search digest covers the full JSONL trace and, for unsatisfiable runs,
 the number of closed branches: how the search got there. A change that
-prunes the search may change the second, never the first. The runs are the
+prunes only closed branches may change the search digest, never the
+verdict digest; one that changes open branches, as witness reuse did, may
+change both, but never the verdict types. The runs are the
 seeded acceptance corpus (the same generators and seeds as the acceptance
 fixtures) and three reference instances: wide existentials with n=25,
 irrelevant disjunctions with n=10 and the binary existential tree T_6. Any
@@ -16,7 +18,8 @@ change to search order, rule actions, witness allocation, model extraction
 or rendering changes a digest. The oracle digest covers the rendered first
 witness, or None, of the bounded oracle on every golden input whose
 enumeration at domain size 2 over its own signature has at most
-ORACLE_CANDIDATES candidates.
+ORACLE_CANDIDATES candidates. Every satisfiable run's model must satisfy
+its input.
 
 The same runs gate the engine's incremental bookkeeping: at every recorded
 step, the rule choice from its live pivots and the clash test on the facts
@@ -57,7 +60,7 @@ from alctab.measure import (
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
 from alctab.rules import RULES_BY_KIND, BranchIndex, RuleKind
-from alctab.semantics import OracleConfig, enumeration_count, oracle_find_model
+from alctab.semantics import OracleConfig, enumeration_count, oracle_find_model, satisfies_abox
 from alctab.syntax import (
     All,
     And,
@@ -86,8 +89,8 @@ from corpus import (
 from reference import fresh_individual, reference_added, reference_search
 
 VERDICT_TYPES_SHA256 = "3e55070de8edd26da1c80d643c2d12f4e8878f1420f296438030780d0b1395b9"
-VERDICTS_SHA256 = "d8b3b1a724a9d914766b8c2ad5fd6c5c1ea002ba6c4ae00fdf3efac1eba5ad14"
-SEARCH_SHA256 = "c003bcc984aa40214840d10af355146d12d598762cabde2137a53053c1041717"
+VERDICTS_SHA256 = "81f6068c2f4c3f6d0e5b78a2fcec5963afdccdfd77da7965139de4a416935b5b"
+SEARCH_SHA256 = "5f9e7b77a41925e3012e7837ed9ec6755b7cdfe9ae02983aae2f2d2b8a242f74"
 ORACLE_SHA256 = "1a5a1176dbc7880dfe530a4a432a91867e002478167b5ef6d436c0c312890ca0"
 ORACLE_CANDIDATES = 4096
 
@@ -156,6 +159,16 @@ def test_golden_search():
     assert digest(search_lines) == SEARCH_SHA256
 
 
+def test_golden_models_satisfy_their_inputs():
+    # reused witnesses make models share nodes and close cycles
+    sat = 0
+    for abox, verdict in zip(golden_inputs(), verdicts()):
+        if isinstance(verdict, Satisfiable):
+            assert satisfies_abox(verdict.model, abox)
+            sat += 1
+    assert sat == 969
+
+
 def test_golden_oracle():
     h = hashlib.sha256()
     for abox in golden_inputs():
@@ -171,18 +184,21 @@ SHAPE = {RuleKind.AND: And, RuleKind.OR: Or, RuleKind.ALL: All, RuleKind.SOME: S
 
 
 def assert_index_matches(branch, index):
-    """The index holds the branch's facts at their positions, its edges in
-    branch order and its next witness, as scans of the tuple find them, and
-    per rule kind, live pivots of that kind in branch order that include
-    every pivot the rule applies at."""
+    """The index holds the branch's facts at their positions, its edges and
+    each concept's witnesses in branch order and its next witness, as scans
+    of the tuple find them, and per rule kind, live pivots of that kind in
+    branch order that include every pivot the rule applies at."""
     assert index.size == len(branch)
     assert index.at.keys() == set(branch)
     assert all(branch[index.position(f)] is f for f in index.at)
-    edges = {}
+    edges, holders = {}, {}
     for g in branch:
         if isinstance(g, Rel):
             edges[g.role, g.source] = (*edges.get((g.role, g.source), ()), g.target)
+        elif isinstance(g.subject, Anon):
+            holders[g.concept] = (*holders.get(g.concept, ()), g.subject)
     assert index.edges == edges
+    assert index.holders == holders
     assert Anon(index.witness) == fresh_individual(branch)
     assert index.live.keys() == set(RuleKind)
     for kind, live in index.live.items():

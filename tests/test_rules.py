@@ -126,6 +126,29 @@ def test_action_some():
     ]
 
 
+def test_action_some_reuses_a_witness_that_holds_its_label():
+    w, pivot = Anon(0), Inst(x, Some(r, A))
+    # w holds A and the body of x's ∀ along r; the ∀ along s does not count
+    branch = (Inst(w, A), Inst(w, B), Inst(x, All(r, B)), Inst(x, All(Role("s"), C)), pivot)
+    app = next_application(branch)
+    assert app.kind is RuleKind.SOME and app.pivot == pivot
+    assert app.added == ((Rel(r, x, w),),) and app.fresh is None
+    assert app.successors == ((Rel(r, x, w), *branch),)
+
+
+def test_action_some_makes_a_witness_when_no_holder_has_every_body():
+    w, v, pivot = Anon(0), Anon(1), Inst(x, Some(r, A))
+    for branch in (
+        # w holds A but misses B, the body of x's ∀ along r
+        (Inst(w, A), Inst(w, C), Inst(x, All(r, B)), pivot),
+        # a named individual is never reused
+        (Inst(y, A), Inst(w, C), pivot),
+    ):
+        app = next_application(branch)
+        assert app.kind is RuleKind.SOME and app.fresh == v
+        assert app.added == ((Rel(r, x, v), Inst(v, A)),)
+
+
 def test_apply_srule():
     assert apply_srule(AND_RULE, (Inst(y, A), Inst(x, And(A, B)))) == [
         (Inst(x, A), Inst(x, B), Inst(y, A), Inst(x, And(A, B)))
@@ -143,10 +166,11 @@ def test_a_rebuilt_index_lists_no_pivot_its_parent_found_dead():
     # the step re-asserted x : A, which moved to the front
     succ = (new, Inst(x, A), dead, survivor, every)
     twin, whole = index.rebuilt(succ), BranchIndex(succ)
-    assert (twin.at, twin.size, twin.edges, twin.witness) == (
+    assert (twin.at, twin.size, twin.edges, twin.holders, twin.witness) == (
         whole.at,
         whole.size,
         whole.edges,
+        whole.holders,
         whole.witness,
     )
     assert whole.live[RuleKind.AND] == (new, dead)
@@ -191,6 +215,13 @@ def test_abstract_rule_holds_examples():
         RuleKind.SOME,
         frozenset({Inst(x, Some(r, A))}),
         frozenset({Inst(x, Some(r, A)), Rel(r, x, Anon(0)), Inst(Anon(0), A)}),
+    )
+    # a reuse step: only the edge, to a witness with the body and the ∀-body
+    held = frozenset({Inst(x, Some(r, A)), Inst(x, All(r, B)), Inst(Anon(0), A), Inst(Anon(0), B)})
+    assert abstract_rule_holds(RuleKind.SOME, held, held | {Rel(r, x, Anon(0))}, reuse=True)
+    lacking = held - {Inst(Anon(0), B)}
+    assert not abstract_rule_holds(
+        RuleKind.SOME, lacking, lacking | {Rel(r, x, Anon(0))}, reuse=True
     )
 
 
@@ -256,7 +287,7 @@ def test_implementation_matches_abstract_relation():
         before = frozenset(app.before)
         for succ in app.successors:
             after = frozenset(succ)
-            assert abstract_rule_holds(app.kind, before, after)
+            assert abstract_rule_holds(app.kind, before, after, reuse=app.fresh is None)
             assert before < after  # strict growth
 
 
@@ -276,7 +307,12 @@ def test_some_rule_freshness():
     for app in _harvest(33, 150):
         if app.kind is not RuleKind.SOME:
             continue
-        assert app.fresh is not None
+        if app.fresh is None:
+            # a step that reuses a witness adds only the edge to it
+            ((edge,),) = app.added
+            assert isinstance(edge, Rel) and isinstance(edge.target, Anon)
+            assert edge.target in individuals_of(app.before)
+            continue
         assert app.fresh not in individuals_of(app.before)
         for succ in app.successors:
             touching = [

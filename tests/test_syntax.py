@@ -4,9 +4,11 @@ import pickle
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
+from alctab import syntax
 from alctab.engine import Satisfiable, decide_concept_sat
 from alctab.semantics import interp_concept
 from alctab.syntax import (
@@ -32,7 +34,7 @@ from alctab.syntax import (
     nnf,
     subterms,
 )
-from corpus import ATOMS2, ROLE1, enumerate_interpretations, random_concept
+from corpus import ATOMS2, ROLE1, enumerate_interpretations, exists_tree, random_concept
 from reference import existential_count, fresh_individual, recursive_nnf, size_concept
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -105,6 +107,76 @@ def test_nnf_properties_random():
         assert is_nnf(n)
         assert nnf(n) == n
         assert size_concept(n) <= 2 * size_concept(c)
+
+
+def test_nnf_of_shared_subterms_random():
+    # concepts built from a pool of earlier ones, so that subterms are shared
+    # by many parents and occur under both polarities
+    rng = random.Random(104)
+    pool = [A, B, C, TOP, BOTTOM]
+    for _ in range(400):
+        kind = rng.randrange(6)
+        left, right = rng.choice(pool), rng.choice(pool)
+        if kind == 0:
+            c = Not(left)
+        elif kind < 4:
+            c = (And, Or, And)[kind - 1](left, right)
+        else:
+            c = (All, Some)[kind - 4](rng.choice((r, s)), left)
+        pool.append(c)
+        for concept in (c, Not(c)):
+            assert nnf(concept) is recursive_nnf(concept)
+            assert is_nnf(nnf(concept))
+            assert is_nnf(concept) == (nnf(concept) is concept)
+
+
+class _CountingSet(set):
+    """A set that counts its membership tests and remembers every instance."""
+
+    made: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.tests = 0
+        self.made.append(self)
+
+    def __contains__(self, item):
+        self.tests += 1
+        return super().__contains__(item)
+
+
+def test_nnf_and_is_nnf_visit_each_distinct_subterm_once(monkeypatch):
+    # T_20 has about 9.4 million nodes as a tree but 141 distinct subterms:
+    # per level a ⊓, two ∃ below it and a ⊓ below each, P_k and ¬P_k, and
+    # Top at the leaves; a walk of the tree takes seconds
+    tree = exists_tree(20)
+    negated = Not(tree)
+    distinct = set(subterms(tree, set()))
+    assert len(distinct) == 7 * 20 + 1
+    built = Counter()
+    new = syntax._Interned.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[cls] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(syntax._Interned, "__new__", counting_new)
+    monkeypatch.setattr(syntax, "set", _CountingSet, raising=False)
+    # counts only: a failing comparison of the concepts would print them
+    assert nnf(tree) is tree and not built  # in normal form: nothing built
+    dual = nnf(negated)
+    # per level, one build for ⊔ and each of its two ∀ and their two ⊔, and
+    # one for ¬P_k, reached from P_k taken negated
+    assert built == {Or: 3 * 20, All: 2 * 20, Not: 20}
+    # each walk enters the 5 binary and quantified subterms per level once,
+    # and tests each at most once per parent; the facts share one walk
+    for facts, entered in (((tree,), 5 * 20), ((tree, dual, tree), 2 * 5 * 20)):
+        _CountingSet.made.clear()
+        assert is_nnf_abox(tuple(Inst(x, c) for c in facts))
+        (seen,) = _CountingSet.made
+        assert len(seen) == entered and seen.tests <= 2 * entered
+    _CountingSet.made.clear()
+    assert not is_nnf(negated) and _CountingSet.made[0].tests == 0
 
 
 def test_fresh_individual_never_present_random():

@@ -30,7 +30,7 @@ from .engine import (
 from .parser import parse_abox, parse_concept
 from .render import emit_model, emit_trace
 from .semantics import OracleCeilingError, OracleConfig, oracle_find_model
-from .syntax import And, Inst, Not, abox_signature, dedup_facts, nnf
+from .syntax import And, Inst, Not, abox_signature, nnf
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -118,9 +118,7 @@ def _cmd_sat(args: argparse.Namespace) -> int:
 
 def _cmd_consistent(args: argparse.Namespace) -> int:
     abox = parse_abox(Path(args.file).read_text())
-    normalized = dedup_facts(
-        Inst(f.subject, nnf(f.concept)) if isinstance(f, Inst) else f for f in abox
-    )
+    normalized = [Inst(f.subject, nnf(f.concept)) if isinstance(f, Inst) else f for f in abox]
     verdict = decide_sat_abox(normalized, _engine_config(args))
     _write_trace(args.trace, verdict)
     if isinstance(verdict, Satisfiable):

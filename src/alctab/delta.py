@@ -99,7 +99,8 @@ class MeasureState:
     __slots__ = ("hidden", "reducible", "waiting", "keys", "order", "incoming", "watch", "counts")
 
     def __init__(self, branch: Abox) -> None:
-        """The state of `branch`, reached from the empty one in one step."""
+        """The state of `branch`, which holds each fact once, reached from
+        the empty one in one step."""
         self.hidden = 0
         self.reducible: set[Fact] = set()
         self.waiting: dict[Fact, int] = {}
@@ -108,7 +109,7 @@ class MeasureState:
         self.incoming: dict[Individual, tuple[tuple[Role, Individual], ...]] = {}
         self.watch: dict[tuple, tuple[Fact, ...]] = {}
         self.counts: ConceptCounts = {}  # shared by the copies
-        self.advance(tuple(dict.fromkeys(branch)), _NO_BRANCH)
+        self.advance(branch, _NO_BRANCH)
 
     def copy(self) -> MeasureState:
         twin = object.__new__(MeasureState)
@@ -134,9 +135,9 @@ class MeasureState:
             keys[key] = count
 
     def advance(self, front: Abox, index: BranchIndex) -> MeasureStep:
-        """Grow the state by the facts of `front`, which holds each fact
-        once, that the branch of `index` lacks, and return what that step
-        changes in the measure.
+        """Grow the state by the facts of `front`, each new to the branch of
+        `index` and given once, and return what that step changes in the
+        measure.
 
         A new edge moves the pending counts of the ∀ facts on its source and
         can make the ∃ facts there irreducible. A new `y : C` can make the ⊓
@@ -145,8 +146,7 @@ class MeasureState:
         fact it satisfies becomes irreducible. Nothing else changes a pair.
         """
         at = index.at
-        new = [f for f in front if f not in at]
-        added = set(new)
+        added = set(front)
 
         def holds(y: Individual, c: Concept) -> bool:
             fact = lookup(Inst, y, c)
@@ -161,7 +161,7 @@ class MeasureState:
         dead: list[Fact] = []  # ⊓, ⊔ and ∃ facts of the branch the step made inapplicable
         edges: dict[tuple[Role, Individual], list[Individual]] = {}
         # what the new facts change in the facts the branch holds
-        for f in new:
+        for f in front:
             if type(f) is Rel:
                 y, key = f.target, (f.role, f.source)
                 edges.setdefault(key, []).append(y)
@@ -206,7 +206,7 @@ class MeasureState:
         zeros = len(dead)
         fresh: dict[MeasurePair, int] = {}  # keys of the ∀ facts added or changed
         hidden = self.hidden
-        for f in new:
+        for f in front:
             if type(f) is Rel:
                 incoming[f.target] = (*incoming.get(f.target, ()), (f.role, f.source))
                 if f.source not in incoming:

@@ -169,37 +169,15 @@ def contains_clash(
     return None
 
 
-def successor(branch: Abox, new: tuple[Fact, ...], index: BranchIndex) -> tuple[Abox, Abox]:
-    """The successor that puts the facts `new` in front of `branch`, without
-    repeats, and its front: the facts that lead it, followed by those of
-    `branch` less the front's, in branch order.
-
-    A fact of `new` that `branch` holds moves to the front, unless the facts
-    of `new` that `branch` holds come last in `new` and already lead
-    `branch` in that order; then they stay in place, and the successor is
-    its front joined to the branch. The branch's `index` shows when
-    `branch` has no repeats and when it holds a fact of `new`.
-    """
-    front = tuple(dict.fromkeys(new))
-    at = index.at
-    if index.size == len(at):
-        if at.keys().isdisjoint(front):
-            return front + branch, front
-        # the first k facts of the front are new to the branch
-        k = len(front) - len(at.keys() & front)
-        if front[k:] == branch[: len(front) - k]:
-            return front[:k] + branch, front[:k]
-    return dedup_facts(front + branch), front
-
-
 def next_application(
     abox: Abox, index: Optional[BranchIndex] = None
 ) -> Optional[RuleApplication]:
     """First applicable rule in strategy order, at its first pivot.
 
-    None means the branch is saturated. The rules read the branch's
-    `index`, built from the branch when not given; its live pivots must
-    include every pivot a rule applies at, and it gives the pivot's
+    None means the branch is saturated. Each successor is the action's
+    facts, all new to the branch, put in front of it. The rules read the
+    branch's `index`, built from the branch when not given; its live pivots
+    must include every pivot a rule applies at, and it gives the pivot's
     position. Conjunction, disjunction and existential pivots tested here
     and found not to apply, and the pivot that fires, cannot fire on any
     branch grown from this one, so the index's live tuples are replaced by
@@ -216,15 +194,15 @@ def next_application(
             if rule.appcond(abox, fact, index):
                 if prune:
                     live[rule.kind] = candidates[n + 1 :]
-                adds = rule.action(abox, fact, index)
-                successors, added = zip(*[successor(abox, new, index) for new in adds])
+                adds = tuple(rule.action(abox, fact, index))
                 # an ∃ step that makes a witness adds its edge and its label,
                 # one that reuses a witness only the edge
                 fresh = None
                 if rule.kind is RuleKind.SOME and len(adds[0]) == 2:
                     fresh = adds[0][1].subject
+                successors = tuple(new + abox for new in adds)
                 return RuleApplication(
-                    rule.kind, fact, index.position(fact), abox, successors, added, fresh
+                    rule.kind, fact, index.position(fact), abox, successors, adds, fresh
                 )
         if prune and candidates:
             live[rule.kind] = ()
@@ -236,18 +214,16 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
 
     Depth-first search: branches with a clash close, the first saturated
     clash-free branch wins and is returned with its canonical model, and if
-    every branch closes the ABox is unsatisfiable. Raises StepLimitExceeded
-    after `cfg.max_steps` rule applications.
+    every branch closes the ABox is unsatisfiable. A fact the input repeats
+    is dropped on entry, so the search decides `dedup_facts(abox)`. Raises
+    StepLimitExceeded after `cfg.max_steps` rule applications.
 
     Each branch carries its parent's index and the front the step added
     (`RuleApplication.added`), so that the clash test looks only at those
     facts, rule selection only at the index's live pivots, and the rules
     read the index instead of scanning the branch. The index grows in place
     by the front: a step's only or left successor takes its parent's index
-    over, and a disjunction step copies it once for the right one. A
-    successor shorter than its parent and its front together, one in which
-    the step moved facts its parent held to the front, has its index built
-    anew from the branch, with the live pivots its parent had left. The
+    over, and a disjunction step copies it once for the right one. The
     root is the successor of the empty branch whose front is the input.
     When the measure is checked, each branch's `MeasureState` is carried
     and copied the same way.
@@ -257,7 +233,8 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     first, and bit q of a fact's label says that the fact depends on the
     choice made at the step whose alternative is `pending[q]`. Facts that
     depend on no such choice have label 0 and are not stored, so while
-    nothing is pending no label is kept; a re-asserted fact keeps its label.
+    nothing is pending no label is kept. A step adds only facts its branch
+    lacks, so a fact's label, once set, never changes on that branch.
     A closing branch depends on the labels of its two clashing facts; every
     pending alternative whose bit is not among them is discarded unexplored
     (its step's trace record is marked `skipped`), since the same clash
@@ -265,7 +242,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     one left.
     """
     cfg = cfg or EngineConfig()
-    root = tuple(abox)
+    root = dedup_facts(abox)
     if not is_nnf_abox(root):
         raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
@@ -281,10 +258,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     closed = 0
     steps = 0
     while True:
-        if len(branch) == index.size + len(added):
-            index.grow(added)
-        else:
-            index = index.rebuilt(branch)
+        index.grow(added)
         clash = contains_clash(branch, added, index)
         if clash is not None:
             closed += 1
@@ -346,8 +320,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
                 label |= labels.get(edge, 0)
             if label:
                 for fact in succ_added:
-                    if fact not in index.at:
-                        labels[fact] = label
+                    labels[fact] = label
         branch, added = succ, succ_added
 
 
@@ -420,8 +393,9 @@ def canonical_interpretation(abox: Abox) -> Interpretation:
 def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Abox]:
     """Re-run the depth-first loop, driving rule choice from a recorded trace.
 
-    Only the recorded rule kinds and pivot indices steer the replay; each
-    successor list is recomputed from scratch, and the right successor of a
+    The replay starts from `dedup_facts(initial)`, as the search does. Only
+    the recorded rule kinds and pivot indices steer it; each successor list
+    is recomputed from scratch, and the right successor of a
     record marked `skipped` is dropped, as the run discarded it. Returns the
     branch on which the original run stopped (its open branch), or None when
     every branch closed. Raises ValueError if the trace does not fit the
@@ -429,7 +403,7 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
     """
     records = iter(trace)
     pending = next(records, None)
-    stack: list[Abox] = [tuple(initial)]
+    stack: list[Abox] = [dedup_facts(initial)]
     while stack:
         branch = stack.pop()
         index = BranchIndex(branch)
@@ -443,8 +417,7 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
         i = pending.pivot_index
         if i >= len(branch) or not rule.appcond(branch, branch[i], index):
             raise ValueError("recorded pivot is not applicable on replay")
-        adds = rule.action(branch, branch[i], index)
-        successors = [successor(branch, new, index)[0] for new in adds]
+        successors = [new + branch for new in rule.action(branch, branch[i], index)]
         if pending.skipped:
             successors = successors[:1]
         stack.extend(reversed(successors))
@@ -470,5 +443,4 @@ __all__ = [
     "next_application",
     "replay_trace",
     "subsumes",
-    "successor",
 ]

@@ -10,8 +10,8 @@ count of existential terms that are still reducible or sit hidden inside
 asserted concepts. That count can grow when a rule exposes existentials
 nested in the concepts it adds; `assert_decrease` reports such steps
 honestly instead of papering over them, and `progress_check` provides the
-unconditional fallback witness (strict fact growth, at most one fresh
-witness per step).
+unconditional fallback witness (every step adds only new facts, at least
+one, and at most one fresh witness).
 
 `measure_abox` measures a whole branch, for the trace. The search's checks
 read no whole branch: they read the step, the branch's index and its
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .rules import AND_RULE, OR_RULE, SOME_RULE, BranchIndex, RuleApplication, pending
 from .syntax import Abox, All, And, Anon, Concept, Fact, Inst, Not, Or, Rel, Some, lookup
@@ -138,7 +138,7 @@ def measure_abox(abox: Abox) -> BranchMeasure:
 
     Each call returns a new `Counter`. The last four branches measured are
     remembered, which covers a ⊔ step's parent, its two successors and the
-    step before it, so the trace and the checks measure each branch once.
+    step before it, so the trace measures each branch once.
     """
     return Counter(_measure(abox))
 
@@ -151,51 +151,30 @@ def _measure(abox: Abox) -> BranchMeasure:
     return Counter(_pair(abox, f, shared, index, counts) for f in abox)
 
 
-def multiset_less(m1: Mapping[MeasurePair, int], m2: Mapping[MeasurePair, int]) -> bool:
-    """Dershowitz-Manna strict order on multisets of pairs.
-
-    m1 < m2 iff m2 minus m1 is non-empty and every pair gained by m1 lies
-    strictly below some pair lost from m2 in the lexicographic order.
-    """
-    c1, c2 = Counter(m1), Counter(m2)
-    removed = c2 - c1
-    if not removed:
-        return False
-    added = c1 - c2
-    return all(any(y < x for x in removed) for y in added)
-
-
 def progress_check(app: RuleApplication, n: int, index: BranchIndex, state: MeasureState) -> bool:
     """Unconditional progress witness for the step to `app`'s successor n.
 
-    Requires its front to hold a fact that the step's branch, indexed by
-    `index`, lacks, and the only individual the front brings in to be the
-    step's witness, which must be the index's next one. A front may also
-    hold facts of the branch that the step moved up.
+    Requires its front to be non-empty and to hold only facts that the
+    step's branch, indexed by `index`, lacks, and the only individual the
+    front brings in to be the step's witness, which must be the index's
+    next one.
     """
     at, known, fresh = index.at, state.incoming, app.fresh
     if fresh is not None and fresh is not lookup(Anon, index.witness):
         return False
-    grew = False
-    for f in app.added[n]:
+    front = app.added[n]
+    for f in front:
         if f in at:
-            continue
-        grew = True
+            return False
         for ind in (f.subject,) if type(f) is Inst else (f.source, f.target):
             if ind is not fresh and ind not in known:
                 return False
-    return grew
+    return bool(front)
 
 
 def assert_decrease(app: RuleApplication, n: int, index: BranchIndex, state: MeasureState) -> bool:
     """Whether the branch measure strictly decreases across the step to
     `app`'s successor n; `state`, the measure state of the step's branch,
     indexed by `index`, is advanced to that successor's.
-
-    A branch with repeated facts, which only an input can be, is measured
-    whole, since its successor holds each fact once.
     """
-    step = state.advance(app.added[n], index)
-    if index.size != len(index.at):
-        return multiset_less(measure_abox(app.successors[n]), measure_abox(app.before))
-    return step.decreases()
+    return state.advance(app.added[n], index).decreases()

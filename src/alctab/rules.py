@@ -7,8 +7,9 @@ action. Both take the branch, a pivot fact of it and the branch's
 `BranchIndex`, and read the branch only through the index; a premise builds
 no fact and no witness. An action is called only on a pivot where its
 rule's applicability test holds, and returns one tuple of facts per
-successor: the facts that successor adds. The engine builds each successor
-by putting those facts in front of the branch, so branches only grow.
+successor: the facts that successor adds, each new to the branch and given
+once. The engine builds each successor by putting those facts in front of
+the branch, so branches only grow and no fact is ever repeated.
 Growing a branch can only make the conjunction, disjunction and existential
 premises false, never true again; only the universal premise can turn true
 again, when an edge is added. The set-level rule relations that tests check
@@ -131,18 +132,6 @@ class BranchIndex:
         twin.live = dict(self.live)
         return twin
 
-    def rebuilt(self, branch: Abox) -> BranchIndex:
-        """The index of `branch`, a successor of this index's branch that
-        moved facts it held to the front, so that positions change. Of the
-        conjunction, disjunction and existential pivots, it lists the new
-        ones and those this index still lists; the others were found dead."""
-        twin = BranchIndex(branch)
-        at, live = self.at, self.live
-        for kind in MONOTONE:
-            kept = set(live[kind])
-            twin.live[kind] = tuple(f for f in twin.live[kind] if f in kept or f not in at)
-        return twin
-
     def position(self, fact: Fact) -> int:
         """The index of the first occurrence of `fact` in the branch."""
         return self.size - 1 - self.at[fact]
@@ -170,14 +159,13 @@ class TableauRule:
 class RuleApplication:
     """Trace record of one rule application on one branch.
 
-    `added` holds, per successor, its front: the facts that lead it,
-    followed by those of `before` less the front's, in their order. A fact
-    of a front that `before` held was moved up from its place. `fresh` is
-    the witness an existential step made; it is None on the other steps and
-    on an existential step that reused a witness. `skipped`
-    marks a disjunction step whose right successor the search discarded
-    unexplored, because a clash below the left one did not depend on the
-    choice.
+    `added` holds, per successor, its front: the facts the step adds, none
+    of which `before` holds; the successor is its front followed by
+    `before`. `fresh` is the witness an existential step made; it is None
+    on the other steps and on an existential step that reused a witness.
+    `skipped` marks a disjunction step whose right successor the search
+    discarded unexplored, because a clash below the left one did not depend
+    on the choice.
     """
 
     kind: RuleKind
@@ -226,7 +214,13 @@ def _and_premise(index: BranchIndex, x: Individual, c: And) -> bool:
 
 
 def _and_adds(index: BranchIndex, x: Individual, c: And) -> list[tuple[Fact, ...]]:
-    return [(Inst(x, c.left), Inst(x, c.right))]
+    """The parts not asserted yet, each once."""
+    left, right = Inst(x, c.left), Inst(x, c.right)
+    if left in index.at:
+        return [(right,)]
+    if right in index.at or right is left:
+        return [(left,)]
+    return [(left, right)]
 
 
 def _or_premise(index: BranchIndex, x: Individual, c: Or) -> bool:
@@ -258,7 +252,8 @@ def _some_adds(index: BranchIndex, x: Individual, c: Some) -> list[tuple[Fact, .
     concept and the body of every universal restriction on x along the
     role, or else an edge to a fresh witness that holds the body concept.
     The universal restrictions are read off the live ∀ pivots, which the
-    search never prunes."""
+    search never prunes. By the premise, no witness that holds the body
+    concept is a successor along the role yet, so the edge is new."""
     role, child = c.role, c.child
     held = index.holders.get(child)
     if held:

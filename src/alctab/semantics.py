@@ -96,35 +96,51 @@ def interp_role(interp: Interpretation, role: Role) -> frozenset[tuple[int, int]
 def interp_concept(interp: Interpretation, concept: Concept) -> frozenset[int]:
     """Extension of a concept, a subset of the domain.
 
-    Subterms are evaluated before the terms above them, in the reverse of
-    the iterative walk `subterms`, onto a stack of extensions; so any depth
-    that fits in memory works.
+    Each distinct subterm is evaluated once, after its children, and kept
+    for the rest of the call; so a concept that shares subterms costs its
+    number of distinct subterms, not its tree size. The walk keeps its own
+    stack, so any depth that fits in memory works.
     """
-    done: list[frozenset[int]] = []
-    for node in reversed(list(subterms(concept))):
+    domain = interp.domain
+    done: dict[Concept, frozenset[int]] = {}
+    stack = [concept]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
         kind = type(node)
-        if kind is And:
-            ext = done.pop() & done.pop()
+        if kind is And or kind is Or:
+            left, right = done.get(node.left), done.get(node.right)
+            if left is None or right is None:
+                if left is None:
+                    stack.append(node.left)
+                if right is None:
+                    stack.append(node.right)
+                continue
+            ext = left & right if kind is And else left | right
+        elif kind is Not or kind is All or kind is Some:
+            members = done.get(node.child)
+            if members is None:
+                stack.append(node.child)
+                continue
+            if kind is Not:
+                ext = domain - members
+            elif kind is All:
+                edges = interp_role(interp, node.role)
+                ext = frozenset(
+                    x for x in domain if all(y in members for (x2, y) in edges if x2 == x)
+                )
+            else:
+                edges = interp_role(interp, node.role)
+                ext = frozenset(x for (x, y) in edges if y in members)
         elif kind is Atom:
             ext = interp.concept_map.get(node.name, _EMPTY)
-        elif kind is Or:
-            ext = done.pop() | done.pop()
-        elif kind is Not:
-            ext = interp.domain - done.pop()
-        elif kind is All:
-            edges = interp_role(interp, node.role)
-            members = done.pop()
-            ext = frozenset(
-                x for x in interp.domain if all(y in members for (x2, y) in edges if x2 == x)
-            )
-        elif kind is Some:
-            edges = interp_role(interp, node.role)
-            members = done.pop()
-            ext = frozenset(x for (x, y) in edges if y in members)
         else:
-            ext = interp.domain if kind is Top else _EMPTY  # Top or Bottom
-        done.append(ext)
-    return done[0]
+            ext = domain if kind is Top else _EMPTY  # Top or Bottom
+        done[node] = ext
+        stack.pop()
+    return done[concept]
 
 
 def satisfies_fact(interp: Interpretation, fact: Fact) -> bool:

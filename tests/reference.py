@@ -4,12 +4,14 @@ The paper states its rules twice: as relations between sets of facts, the
 abstract reference, and as actions on ordered list ABoxes, which the engine
 runs. `abstract_rule_holds` restates the set level without `alctab.rules`,
 so every list-level application can be checked against it. `apply_srule`
-fires one rule on its own, and `check_run_soundness` checks a recorded run
-with the bounded oracle. `reference_added` finds the facts a step put in
-front of its branch by comparing whole tuples, which the fronts the engine
-records must agree with. `reference_search` is the depth-first search with
-no dependency labels and no jumps, which the engine's backjumping search
-must agree with, and `recursive_nnf` is the textbook recursive rewrite
+fires one rule on its own, building each successor as
+`dedup_facts(new + branch)` without the engine, and `check_run_soundness`
+checks a recorded run with the bounded oracle. `reference_search` is the
+depth-first search over `apply_srule` with no dependency labels and no
+jumps, which the engine's backjumping search must agree with.
+`tree_interp_concept` evaluates a concept by walking it as a tree, which
+the evaluator over distinct subterms must agree with, and
+`recursive_nnf` is the textbook recursive rewrite
 into negation normal form. `reference_tokenize` is the character-by-
 character lexer that positions every token, and `recursive_print_concept`
 the printer by structural recursion, which the parser's lexer and printer
@@ -17,14 +19,16 @@ must agree with. `size_concept` and `existential_count` count a
 concept's nodes by walking its tree, which the measure's counts must agree
 with, `fresh_individual` finds the next witness by scanning a branch, and
 `assert_decrease` and `progress_check` check a step from the whole
-branches before and after it, which the search's checks from the step
-alone must agree with. Deciding needs none of them.
+branches before and after it, the first by `multiset_less`, the
+Dershowitz-Manna order on two whole measures, which the search's checks
+from the step alone must agree with. Deciding needs none of them.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from collections import Counter
+from typing import Iterable, Mapping, Optional
 
 from alctab.engine import (
     Satisfiable,
@@ -32,13 +36,17 @@ from alctab.engine import (
     Verdict,
     canonical_interpretation,
     contains_clash,
-    next_application,
-    successor,
 )
-from alctab.measure import measure_abox, multiset_less
+from alctab.measure import MeasurePair, measure_abox
 from alctab.parser import ParseError, SourceSpan
-from alctab.rules import BranchIndex, RuleApplication, RuleKind, TableauRule
-from alctab.semantics import OracleConfig, oracle_find_model, satisfies_abox
+from alctab.rules import BranchIndex, RuleApplication, RuleKind, TableauRule, alc_rules
+from alctab.semantics import (
+    Interpretation,
+    OracleConfig,
+    interp_role,
+    oracle_find_model,
+    satisfies_abox,
+)
 from alctab.syntax import (
     BOTTOM,
     TOP,
@@ -56,30 +64,57 @@ from alctab.syntax import (
     Rel,
     Some,
     Top,
+    dedup_facts,
     individuals_of,
     subterms,
 )
 
 
-def apply_srule(rule: TableauRule, abox: Abox) -> list[Abox]:
+def apply_srule(rule: TableauRule, abox: Abox, index: Optional[BranchIndex] = None) -> list[Abox]:
     """Apply a rule at its first applicable pivot, scanning left to right.
 
-    Returns the successor branches, or an empty list when the rule is not
-    applicable anywhere in the branch.
+    Returns the successor branches, each the facts the rule adds put in
+    front of the branch without repeats, or an empty list when the rule is
+    not applicable anywhere in the branch. The rule reads `index`, built
+    from the branch when not given.
     """
-    index = BranchIndex(abox)
+    if index is None:
+        index = BranchIndex(abox)
     for fact in abox:
         if rule.appcond(abox, fact, index):
-            return [successor(abox, new, index)[0] for new in rule.action(abox, fact, index)]
+            return [dedup_facts(new + abox) for new in rule.action(abox, fact, index)]
     return []
 
 
-def reference_added(before: Abox, after: Abox) -> Optional[Abox]:
-    """The facts a step put in front of `before` to make `after`, found by
-    comparing the tuples, or None when it also moved facts of `before`
-    (re-asserted them) to the front."""
-    n = len(after) - len(before)
-    return after[:n] if after[n:] == before else None
+def tree_interp_concept(interp: Interpretation, concept: Concept) -> frozenset[int]:
+    """Extension of a concept, evaluating every node of its tree, shared
+    subterms once per occurrence: each subterm after those below it, in the
+    reverse of the walk `subterms`, onto a stack of extensions."""
+    done: list[frozenset[int]] = []
+    for node in reversed(list(subterms(concept))):
+        kind = type(node)
+        if kind is And:
+            ext = done.pop() & done.pop()
+        elif kind is Atom:
+            ext = interp.concept_map.get(node.name, frozenset())
+        elif kind is Or:
+            ext = done.pop() | done.pop()
+        elif kind is Not:
+            ext = interp.domain - done.pop()
+        elif kind is All:
+            edges = interp_role(interp, node.role)
+            members = done.pop()
+            ext = frozenset(
+                x for x in interp.domain if all(y in members for (x2, y) in edges if x2 == x)
+            )
+        elif kind is Some:
+            edges = interp_role(interp, node.role)
+            members = done.pop()
+            ext = frozenset(x for (x, y) in edges if y in members)
+        else:
+            ext = interp.domain if kind is Top else frozenset()  # Top or Bottom
+        done.append(ext)
+    return done[0]
 
 
 def size_concept(concept: Concept) -> int:
@@ -104,6 +139,20 @@ def fresh_individual(abox: Abox) -> Anon:
     """
     taken = [ind.index for ind in individuals_of(abox) if isinstance(ind, Anon)]
     return Anon(max(taken) + 1 if taken else 0)
+
+
+def multiset_less(m1: Mapping[MeasurePair, int], m2: Mapping[MeasurePair, int]) -> bool:
+    """Dershowitz-Manna strict order on multisets of pairs.
+
+    m1 < m2 iff m2 minus m1 is non-empty and every pair gained by m1 lies
+    strictly below some pair lost from m2 in the lexicographic order.
+    """
+    c1, c2 = Counter(m1), Counter(m2)
+    removed = c2 - c1
+    if not removed:
+        return False
+    added = c1 - c2
+    return all(any(y < x for x in removed) for y in added)
 
 
 def assert_decrease(before: Abox, after: Abox) -> bool:
@@ -270,9 +319,10 @@ def check_run_soundness(
 def reference_search(abox: Abox) -> Verdict:
     """Depth-first search over whole branches that tries every alternative.
 
-    Each popped branch is tested for a clash and scanned for its next rule
-    whole, with an index built anew for each branch, no dependency labels
-    and no jumps. Returns the verdict with an empty trace; an unsatisfiable
+    Each popped branch is tested for a clash and scanned whole for the
+    first rule in strategy order that applies, with an index built anew for
+    each branch, no dependency labels and no jumps; `apply_srule` builds the
+    successors. Returns the verdict with an empty trace; an unsatisfiable
     one counts every closed branch.
     """
     stack = [tuple(abox)]
@@ -283,10 +333,13 @@ def reference_search(abox: Abox) -> Verdict:
         if contains_clash(branch, None, index):
             closed += 1
             continue
-        app = next_application(branch, index)
-        if app is None:
+        for rule in alc_rules():
+            successors = apply_srule(rule, branch, index)
+            if successors:
+                stack.extend(reversed(successors))
+                break
+        else:
             return Satisfiable(canonical_interpretation(branch), branch)
-        stack.extend(reversed(app.successors))
     return Unsatisfiable(closed_branches=closed)
 
 

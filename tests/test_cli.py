@@ -142,6 +142,23 @@ def test_trace_flag_writes_records(capsys, tmp_path):
     assert record["rule"] == "and" and record["pivot"] == "x0 : A and B"
 
 
+def test_consistent_traces_a_repeated_fact_as_stated_once(capsys, tmp_path):
+    # the parser rejects a fact stated twice as written, but two statements
+    # can have one normal form; the search, not the CLI, drops the repeat
+    once, twice = tmp_path / "once.abox", tmp_path / "twice.abox"
+    once.write_text("x : A and some r. B\nr(x, y)\ny : all r. C\n")
+    twice.write_text(
+        "x : A and some r. B\nr(x, y)\nx : not not (A and some r. B)\ny : all r. C\n"
+    )
+    traces = []
+    for path in (once, twice):
+        trace = tmp_path / f"{path.stem}.jsonl"
+        code, out, _ = run(capsys, "consistent", "--file", str(path), "--trace", str(trace))
+        assert code == 0 and out == "CONSISTENT\n"
+        traces.append(trace.read_text())
+    assert traces[0] == traces[1] and traces[0].count("\n") == 2
+
+
 def test_cli_verdict_agrees_with_library(capsys, tmp_path):
     rng = random.Random(81)
     for _ in range(15):

@@ -272,11 +272,13 @@ def test_a_reasserted_fact_keeps_its_label():
     concept = parse_concept("((E and G) or Z1) and ((E and F) or Z2) and (not E or not E)")
     verdict = decide_concept_sat(concept, EngineConfig(record_trace=True))
     assert isinstance(verdict, Satisfiable)
-    # record 5's ⊓ step re-asserts x0 : E, which depends on record 2's choice
-    # only; the clash with record 6's x0 : not E so does not depend on record
-    # 4, whose right alternative is skipped
-    reassert = verdict.trace[5]
-    assert reassert.added[0][0] == Inst(x0, Atom("E")) in reassert.before
+    # record 5's ⊓ step, below record 4's choice, adds only x0 : F, since
+    # x0 : E is held; x0 : E keeps its label, record 2's choice only, so the
+    # clash with record 6's x0 : not E does not depend on record 4, whose
+    # right alternative is skipped
+    step = verdict.trace[5]
+    assert step.kind is RuleKind.AND and step.added == ((Inst(x0, Atom("F")),),)
+    assert Inst(x0, Atom("E")) in step.before
     assert [n for n, app in enumerate(verdict.trace) if app.skipped] == [4]
     abox = (Inst(x0, nnf(concept)),)
     assert replay_trace(abox, verdict.trace) == verdict.open_branch
@@ -311,15 +313,18 @@ def test_search_reads_the_index_not_the_branch(monkeypatch):
 
 
 def test_repeated_input_facts_decide_as_the_whole_branch_search_does():
-    # the index of a branch with a fact twice keeps its first position, and
-    # the first step's successor drops the repeat
+    # repeated input facts are dropped on entry, so an input with repeats
+    # decides, traces and replays as its first occurrences do
     for abox in (
         (Inst(x, And(A, B)), Inst(x, And(A, B))),
         (Inst(x, Some(r, A)), Rel(r, x, y), Inst(x, Some(r, A)), Inst(x, All(r, B))),
         (Inst(x, Or(A, B)), Inst(x, Not(A)), Inst(x, Or(A, B)), Inst(x, Not(B))),
+        (Inst(x, A), Inst(x, A)),
     ):
-        verdict = decide_sat_abox(abox, EngineConfig(record_trace=True))
-        full = reference_search(abox)
+        cfg = EngineConfig(record_trace=True, check_measure=True)
+        verdict = decide_sat_abox(abox, cfg)
+        assert verdict == decide_sat_abox(syntax.dedup_facts(abox), cfg)
+        full = reference_search(syntax.dedup_facts(abox))
         assert type(verdict) is type(full)
         if isinstance(verdict, Satisfiable):
             assert verdict.open_branch == full.open_branch
@@ -332,5 +337,5 @@ def test_exists_tree_reuses_one_witness_per_label():
         verdict = decide_concept_sat(exists_tree(d))
         assert isinstance(verdict, Satisfiable)
         assert len(individuals_of(verdict.open_branch)) == 2 * d + 1
-        if d <= 12:  # the model check walks the concept as a tree
-            assert satisfies_abox(verdict.model, (Inst(x0, nnf(exists_tree(d))),))
+        # the model check evaluates each of T_d's distinct subterms once
+        assert satisfies_abox(verdict.model, (Inst(x0, nnf(exists_tree(d))),))

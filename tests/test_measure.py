@@ -15,7 +15,7 @@ from alctab.engine import (
     next_application,
 )
 from alctab.delta import MeasureState, MeasureStep
-from alctab.measure import measure_abox, multiset_less, reducible_hidden_ex_count
+from alctab.measure import measure_abox, reducible_hidden_ex_count
 from alctab.render import emit_trace
 from alctab.rules import BranchIndex, RuleApplication, RuleKind
 from alctab.syntax import (
@@ -31,7 +31,13 @@ from alctab.syntax import (
     Some,
 )
 from corpus import exists_tree, pigeonhole, random_concept, random_nnf_abox
-from reference import assert_decrease, existential_count, progress_check, size_concept
+from reference import (
+    assert_decrease,
+    existential_count,
+    multiset_less,
+    progress_check,
+    size_concept,
+)
 
 A, B = Atom("A"), Atom("B")
 r, s = Role("r"), Role("s")
@@ -283,6 +289,11 @@ def test_forged_steps_fail_the_progress_check():
     for app in forged:
         # the whole-branch check rejects each of them too
         assert not progress_check(app.before, app.successors[0])
+    # adds x : B but also moves x : A, which the branch holds, up; the
+    # whole-branch check sees only the set grow, the step check a held fact
+    moved = _forged((conj, Inst(x, A)), RuleKind.AND, (Inst(x, B), Inst(x, A)))
+    assert progress_check(moved.before, moved.successors[0])
+    for app in (*forged, moved):
         cfg = EngineConfig(check_measure=True, measure_violations=[])
         with pytest.raises(ProgressCheckError):
             _check_measures(app, BranchIndex(app.before), MeasureState(app.before), cfg)

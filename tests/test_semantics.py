@@ -42,6 +42,7 @@ from corpus import (
     random_concept,
     random_nnf_abox,
 )
+from reference import tree_interp_concept
 
 A, B = Atom("A"), Atom("B")
 r, s = Role("r"), Role("s")
@@ -126,6 +127,16 @@ def test_complement_and_de_morgan_random():
             assert interp_concept(interp, Not(And(c, d))) == interp_concept(
                 interp, Or(Not(c), Not(d))
             )
+
+
+def test_interp_concept_agrees_with_the_tree_walk():
+    # random concepts over few names share subterms, which are evaluated once
+    rng = random.Random(22)
+    interps = list(enumerate_interpretations(ATOMS2, ROLE1, 2))
+    for _ in range(300):
+        c = random_concept(rng, 4, ATOMS2, ROLE1)
+        for interp in rng.sample(interps, 8):
+            assert interp_concept(interp, c) == tree_interp_concept(interp, c)
 
 
 def test_oracle_examples():

@@ -1,14 +1,15 @@
-"""The termination measure, checked one rule step at a time.
+"""The termination measure, computed one rule step at a time.
 
-A search that checks the measure carries a `MeasureState` with each branch.
-It keeps what the pairs of `alctab.measure` depend on, so that a step is
-checked from the pairs of the facts it changes and the change of the shared
-count, without either whole measure. Since pairs are totally ordered, the
+A `MeasureState` keeps what the pairs of `alctab.measure` depend on, and
+each step it takes returns the pairs that the step loses and gains. A
+checked search carries one with each branch, so that a step is checked from
+the pairs of the facts it changes and the change of the shared count,
+without either whole measure; the trace measures a branch as one step from
+the empty one (`branch_measure`). Since pairs are totally ordered, the
 later multiset is smaller exactly when, at the largest pair whose count
 differs, the earlier one has more (Dershowitz & Manna 1979, CACM 22(8)).
 
-Only a checked search imports this module, so a run that checks nothing
-does not load it.
+Only a checked or traced run imports this module.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from .syntax import Abox, All, And, Concept, Fact, Individual, Inst, Or, Rel, Ro
 
 # the index of the empty branch, which nothing grows
 _NO_BRANCH = BranchIndex(())
+
+
+def branch_measure(branch: Abox) -> dict[MeasurePair, int]:
+    """The pairs of `branch`, which holds each fact once, with their counts."""
+    return MeasureState(()).advance(branch, _NO_BRANCH).gained
+
 
 class MeasureStep:
     """What one step changes in the branch measure.

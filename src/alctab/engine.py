@@ -395,11 +395,11 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
 
     The replay starts from `dedup_facts(initial)`, as the search does. Only
     the recorded rule kinds and pivot indices steer it; each successor list
-    is recomputed from scratch, and the right successor of a
-    record marked `skipped` is dropped, as the run discarded it. Returns the
-    branch on which the original run stopped (its open branch), or None when
-    every branch closed. Raises ValueError if the trace does not fit the
-    search.
+    is recomputed from scratch. The right successor of a record marked
+    `skipped` is dropped once a search of its own finds it unsatisfiable.
+    Returns the branch on which the run stopped (its open branch, which must
+    be saturated), or None when every branch closed. Raises ValueError if
+    the trace does not fit the search or skips a satisfiable alternative.
     """
     records = iter(trace)
     pending = next(records, None)
@@ -410,6 +410,8 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
         if contains_clash(branch, None, index):
             continue
         if pending is None:
+            if next_application(branch, index) is not None:
+                raise ValueError("trace ends on a branch that is not saturated")
             return branch
         if pending.before != branch:
             raise ValueError("trace record does not match the branch under expansion")
@@ -419,6 +421,8 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
             raise ValueError("recorded pivot is not applicable on replay")
         successors = [new + branch for new in rule.action(branch, branch[i], index)]
         if pending.skipped:
+            if len(successors) < 2 or isinstance(decide_sat_abox(successors[1]), Satisfiable):
+                raise ValueError("trace skips no alternative or a satisfiable one")
             successors = successors[:1]
         stack.extend(reversed(successors))
         pending = next(records, None)

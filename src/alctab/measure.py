@@ -1,37 +1,37 @@
 """Termination measure for tableau branches.
 
 Every branch maps to a finite multiset of pairs of naturals, one pair per
-fact. Pairs compare lexicographically (plain tuple order) and multisets by
-the Dershowitz-Manna extension of that order, which is well founded, so a
-strict decrease at every rule application certifies termination.
+fact, compared by the Dershowitz-Manna extension of the lexicographic order
+on pairs, which is well founded; so a strict decrease at every rule
+application certifies termination. A ⊓, ⊔ or ∃ fact weighs (size of its
+concept, 0) while its rule applies and (0, 0) after. A ∀ fact weighs its
+concept size and, second, its pending successors plus the shared count:
+the branch's ∃ facts whose rule applies, plus the ∃ nodes strictly below
+the roots of its asserted concepts. Every other fact weighs (0, 0).
 
-The second component of a universal-restriction pair adds a branch-global
-count of existential terms that are still reducible or sit hidden inside
-asserted concepts. That count can grow when a rule exposes existentials
-nested in the concepts it adds; `assert_decrease` reports such steps
-honestly instead of papering over them, and `progress_check` provides the
+The shared count can grow when a rule exposes nested existentials;
+`assert_decrease` reports such steps honestly, and `progress_check` is the
 unconditional fallback witness (every step adds only new facts, at least
 one, and at most one fresh witness).
 
-`measure_abox` measures a whole branch, for the trace. The search's checks
-read no whole branch: they read the step, the branch's index and its
-`alctab.delta.MeasureState`, which keeps what the pairs depend on.
+Only `alctab.delta.MeasureState` computes the measure. The checks read the
+state of the step's branch, and `measure_abox`, which measures a whole
+branch for the trace, takes the pairs one step from the empty branch gains.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from .rules import AND_RULE, OR_RULE, SOME_RULE, BranchIndex, RuleApplication, pending
-from .syntax import Abox, All, And, Anon, Concept, Fact, Inst, Not, Or, Rel, Some, lookup
+from .rules import BranchIndex, RuleApplication
+from .syntax import Abox, All, And, Anon, Concept, Inst, Not, Or, Some, lookup
 
 if TYPE_CHECKING:
     from .delta import MeasureState
 
 MeasurePair = tuple[int, int]
-BranchMeasure = Counter  # Counter[MeasurePair]
 ConceptCounts = dict  # dict[Concept, tuple[int, int]]
 
 
@@ -76,79 +76,26 @@ def _counts(concept: Concept, memo: ConceptCounts) -> tuple[int, int]:
     return memo[concept]
 
 
-def reducible_hidden_ex_count(
-    abox: Abox, index: Optional[BranchIndex] = None, counts: Optional[ConceptCounts] = None
-) -> int:
-    """Existential terms in the branch that are reducible or hidden.
-
-    Sums, over every concept assertion: one if the asserted concept is an
-    existential restriction on which the existential rule is applicable,
-    plus the number of existential constructors strictly below the
-    concept's root. The rule reads the branch's `index`, built from the
-    branch when not given; the concepts' counts are kept in `counts`, which
-    a caller measuring the same branch can pass on.
-    """
-    if index is None:
-        index = BranchIndex(abox)
-    if counts is None:
-        counts = {}
-    total = 0
-    for fact in abox:
-        if not isinstance(fact, Inst):
-            continue
-        d = fact.concept
-        hidden = _counts(d, counts)[1] - (1 if isinstance(d, Some) else 0)
-        reducible = 1 if SOME_RULE.appcond(abox, fact, index) else 0
-        total += hidden + reducible
-    return total
-
-
-# pivots of these shapes weigh their concept size while their rule applies
-_RULE_FOR = {And: AND_RULE, Or: OR_RULE, Some: SOME_RULE}
-
-
-def _pair(
-    abox: Abox, fact: Fact, shared_ex_count: int, index: BranchIndex, counts: ConceptCounts
-) -> MeasurePair:
-    """The pair of one fact of the branch.
-
-    Role assertions and assertions of atoms, negations and constants weigh
-    (0, 0). Conjunctions, disjunctions and existentials weigh
-    (size of the concept, 0) while their rule is applicable on the fact and
-    (0, 0) once it is not. Universal restrictions always weigh their concept
-    size in the first component; the second adds the number of pending
-    successor instantiations to the branch's reducible-or-hidden existential
-    count.
-    """
-    if isinstance(fact, Rel):
-        return (0, 0)
-    d = fact.concept
-    if isinstance(d, All):
-        waiting = sum(1 for _ in pending(index, fact.subject, d))
-        return (_counts(d, counts)[0], waiting + shared_ex_count)
-    rule = _RULE_FOR.get(type(d))
-    if rule is not None and rule.appcond(abox, fact, index):
-        return (_counts(d, counts)[0], 0)
-    # atoms, negations, Top, Bottom, and pivots whose rule no longer applies
-    return (0, 0)
-
-
-def measure_abox(abox: Abox) -> BranchMeasure:
+def measure_abox(abox: Abox) -> Counter:
     """The branch measure: the multiset of per-fact pairs.
 
-    Each call returns a new `Counter`. The last four branches measured are
-    remembered, which covers a ⊔ step's parent, its two successors and the
-    step before it, so the trace measures each branch once.
+    The branch must hold each fact once, as every branch of the search
+    does; a repeated fact raises ValueError. Each call returns a new
+    `Counter`. The last four branches measured are remembered, which covers
+    a ⊔ step's parent, its two successors and the step before it, so the
+    trace measures each branch once.
     """
     return Counter(_measure(abox))
 
 
 @lru_cache(maxsize=4)
-def _measure(abox: Abox) -> BranchMeasure:
-    index = BranchIndex(abox)
-    counts: ConceptCounts = {}  # per call, so no interned value outlives it
-    shared = reducible_hidden_ex_count(abox, index, counts)
-    return Counter(_pair(abox, f, shared, index, counts) for f in abox)
+def _measure(abox: Abox) -> dict[MeasurePair, int]:
+    # imported here: a run that neither checks nor traces never loads delta
+    from .delta import branch_measure
+
+    if len(set(abox)) < len(abox):
+        raise ValueError("a branch holds each fact once")
+    return branch_measure(abox)
 
 
 def progress_check(app: RuleApplication, n: int, index: BranchIndex, state: MeasureState) -> bool:

@@ -18,10 +18,13 @@ the printer by structural recursion, which the parser's lexer and printer
 must agree with. `size_concept` and `existential_count` count a
 concept's nodes by walking its tree, which the measure's counts must agree
 with, `fresh_individual` finds the next witness by scanning a branch, and
-`assert_decrease` and `progress_check` check a step from the whole
-branches before and after it, the first by `multiset_less`, the
-Dershowitz-Manna order on two whole measures, which the search's checks
-from the step alone must agree with. Deciding needs none of them.
+`measure_abox` measures a branch by scanning it whole, running the rules'
+premises and the ∀ rule's pending scan on every fact, which the library's
+`MeasureState` must agree with. `assert_decrease` and `progress_check`
+check a step from the whole branches before and after it, the first by
+`multiset_less`, the Dershowitz-Manna order on two whole measures, which
+the search's checks from the step alone must agree with. Deciding needs
+none of them.
 """
 
 from __future__ import annotations
@@ -37,9 +40,19 @@ from alctab.engine import (
     canonical_interpretation,
     contains_clash,
 )
-from alctab.measure import MeasurePair, measure_abox
+from alctab.measure import ConceptCounts, MeasurePair, _counts
 from alctab.parser import ParseError, SourceSpan
-from alctab.rules import BranchIndex, RuleApplication, RuleKind, TableauRule, alc_rules
+from alctab.rules import (
+    AND_RULE,
+    OR_RULE,
+    SOME_RULE,
+    BranchIndex,
+    RuleApplication,
+    RuleKind,
+    TableauRule,
+    alc_rules,
+    pending,
+)
 from alctab.semantics import (
     Interpretation,
     OracleConfig,
@@ -139,6 +152,64 @@ def fresh_individual(abox: Abox) -> Anon:
     """
     taken = [ind.index for ind in individuals_of(abox) if isinstance(ind, Anon)]
     return Anon(max(taken) + 1 if taken else 0)
+
+
+def reducible_hidden_ex_count(
+    abox: Abox, index: Optional[BranchIndex] = None, counts: Optional[ConceptCounts] = None
+) -> int:
+    """Existential terms in the branch that are reducible or hidden.
+
+    Sums, over every concept assertion: one if the asserted concept is an
+    existential restriction on which the existential rule is applicable,
+    plus the number of existential constructors strictly below the
+    concept's root. The rule reads the branch's `index`, built from the
+    branch when not given; the concepts' counts are kept in `counts`, which
+    a caller measuring the same branch can pass on.
+    """
+    if index is None:
+        index = BranchIndex(abox)
+    if counts is None:
+        counts = {}
+    total = 0
+    for fact in abox:
+        if not isinstance(fact, Inst):
+            continue
+        d = fact.concept
+        hidden = _counts(d, counts)[1] - (1 if isinstance(d, Some) else 0)
+        reducible = 1 if SOME_RULE.appcond(abox, fact, index) else 0
+        total += hidden + reducible
+    return total
+
+
+# pivots of these shapes weigh their concept size while their rule applies
+_RULE_FOR = {And: AND_RULE, Or: OR_RULE, Some: SOME_RULE}
+
+
+def _pair(
+    abox: Abox, fact: Fact, shared_ex_count: int, index: BranchIndex, counts: ConceptCounts
+) -> MeasurePair:
+    """The pair of one fact of the branch, from the rules' premises and the
+    ∀ rule's pending successors."""
+    if isinstance(fact, Rel):
+        return (0, 0)
+    d = fact.concept
+    if isinstance(d, All):
+        waiting = sum(1 for _ in pending(index, fact.subject, d))
+        return (_counts(d, counts)[0], waiting + shared_ex_count)
+    rule = _RULE_FOR.get(type(d))
+    if rule is not None and rule.appcond(abox, fact, index):
+        return (_counts(d, counts)[0], 0)
+    # atoms, negations, Top, Bottom, and pivots whose rule no longer applies
+    return (0, 0)
+
+
+def measure_abox(abox: Abox) -> Counter:
+    """The branch measure, the multiset of per-fact pairs, by a scan of the
+    whole branch that runs the rules' premises on every fact."""
+    index = BranchIndex(abox)
+    counts: ConceptCounts = {}
+    shared = reducible_hidden_ex_count(abox, index, counts)
+    return Counter(_pair(abox, f, shared, index, counts) for f in abox)
 
 
 def multiset_less(m1: Mapping[MeasurePair, int], m2: Mapping[MeasurePair, int]) -> bool:

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import alctab.cli
 from alctab.cli import cli
@@ -210,3 +214,31 @@ def test_deep_nesting_is_a_parse_error(capsys):
             assert code == 2 and out == ""
             assert err.startswith("error: line 1, column ") and err.count("\n") == 1
             assert "at most 100 nested" in err and "Traceback" not in err
+
+
+# runs `alctab` as its entry point does and reports, at exit, whether the
+# measure state was loaded
+_LOADED_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: print("alctab.delta" in sys.modules, file=sys.stderr))
+sys.argv = ["alctab", *sys.argv[1:]]
+runpy.run_module("alctab", run_name="__main__")
+"""
+
+
+def test_a_plain_run_does_not_load_the_measure_state(tmp_path):
+    src = Path(alctab.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def loaded(*flags):
+        run = subprocess.run(
+            [sys.executable, "-c", _LOADED_AT_EXIT, "sat", "A and (B or C)", *flags],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (run.returncode, run.stdout) == (0, "SAT\n")
+        return run.stderr == "True\n"
+
+    assert not loaded()
+    # the check and the trace's measures are the state's
+    assert loaded("--check-measure")
+    assert loaded("--trace", str(tmp_path / "trace.jsonl"))

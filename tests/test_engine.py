@@ -268,6 +268,28 @@ def test_backjumping_skips_alternatives_the_clash_does_not_depend_on():
             assert replay_trace(abox, trace) is not None
 
 
+def test_replay_decides_what_a_trace_skips():
+    abox = (Inst(x0, nnf(parse_concept("(A or B) and not A"))),)
+    verdict = decide_sat_abox(abox, EngineConfig(record_trace=True))
+    assert isinstance(verdict, Satisfiable)
+    assert replay_trace(abox, verdict.trace) == verdict.open_branch
+    # the left disjunct closes, so skipping the right one, x0 : B, would
+    # turn the verdict; replay finds that alternative satisfiable
+    n = next(n for n, app in enumerate(verdict.trace) if app.kind is RuleKind.OR)
+    trace = list(verdict.trace)
+    trace[n] = replace(trace[n], skipped=True)
+    with pytest.raises(ValueError, match="a satisfiable one"):
+        replay_trace(abox, trace)
+    # only a ⊔ step has an alternative to skip
+    trace = [replace(verdict.trace[0], skipped=True), *verdict.trace[1:]]
+    assert trace[0].kind is RuleKind.AND
+    with pytest.raises(ValueError, match="no alternative"):
+        replay_trace(abox, trace)
+    # a trace cut short leaves a branch that a rule still applies to
+    with pytest.raises(ValueError, match="not saturated"):
+        replay_trace(abox, verdict.trace[:1])
+
+
 def test_a_reasserted_fact_keeps_its_label():
     concept = parse_concept("((E and G) or Z1) and ((E and F) or Z2) and (not E or not E)")
     verdict = decide_concept_sat(concept, EngineConfig(record_trace=True))

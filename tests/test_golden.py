@@ -29,16 +29,19 @@ front of the branch, and at every branch the search tests, its carried
 index must hold what scans of the branch tuple find, and live pivots that
 miss no pivot a rule applies at. Checked
 the same way, every step's measure change must be the difference of the
-two whole-branch measures, and the checks' answers those of the
-whole-branch checks. With
+two whole-branch measures that the reference scans, and the checks' answers
+those of the whole-branch checks; the measures the trace prints must be
+those scans too. With
 more runs that backjumping prunes, they also gate the jumps: the engine
 must return what a search that tries every alternative returns, after
-closing no more branches, and its trace must replay.
+closing no more branches, and its trace must replay, while no single flip
+of a ⊔ record's `skipped` flag may change what the replay returns.
 """
 
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 
 import reference
 from alctab import engine
@@ -51,12 +54,7 @@ from alctab.engine import (
     replay_trace,
 )
 from alctab.delta import MeasureState
-from alctab.measure import (
-    assert_decrease,
-    measure_abox,
-    progress_check,
-    reducible_hidden_ex_count,
-)
+from alctab.measure import assert_decrease, measure_abox, progress_check
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
 from alctab.rules import RULES_BY_KIND, BranchIndex, RuleKind
@@ -285,6 +283,37 @@ def test_backjumping_returns_what_the_full_search_returns():
     assert len(kinds) == 2 and pruned > 0
 
 
+def test_a_skipped_flip_never_changes_what_replay_returns():
+    # replay decides each skipped alternative and wants its last branch
+    # saturated, so a trace with one ⊔ record's flag flipped either fails to
+    # replay or replays to the run's own end
+    outcomes = Counter()
+    for abox, verdict in zip(golden_inputs(), verdicts()):
+        end = getattr(verdict, "open_branch", None)
+        for n, rec in enumerate(verdict.trace):
+            if rec.kind is not RuleKind.OR:
+                continue
+            trace = list(verdict.trace)
+            trace[n] = replace(rec, skipped=not rec.skipped)
+            try:
+                assert replay_trace(abox, trace) == end
+                outcomes["replayed"] += 1
+            except ValueError:
+                outcomes["raised"] += 1
+    assert outcomes == {"raised": 824, "replayed": 173}
+
+
+def test_trace_measures_are_the_whole_branch_scans():
+    # each record's branch and first successor, which the trace measures
+    measured = 0
+    for verdict in verdicts():
+        for rec in verdict.trace:
+            for branch in (rec.before, rec.successors[0]):
+                assert measure_abox(branch) == reference.measure_abox(branch)
+                measured += 1
+    assert measured == 6328
+
+
 def measure_change(step):
     """The pairs a step loses and gains, as differences of whole measures."""
     lost, gained = Counter(step.lost), Counter(step.gained)
@@ -323,10 +352,11 @@ def test_measure_steps_match_whole_branch_measures(monkeypatch):
 
     def checked_decrease(app, n, index, state):
         answer = assert_decrease(app, n, index, state)
-        before, after = measure_abox(app.before), measure_abox(app.successors[n])
+        before = reference.measure_abox(app.before)
+        after = reference.measure_abox(app.successors[n])
         assert answer == multiset_less(after, before)
         assert changes[-1] == (before - after, after - before)
-        assert state.shared == reducible_hidden_ex_count(app.successors[n])
+        assert state.shared == reference.reducible_hidden_ex_count(app.successors[n])
         seen["violations"] += not answer
         return answer
 

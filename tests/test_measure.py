@@ -1,11 +1,12 @@
 import itertools
 import random
 from collections import Counter
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 
 import alctab.measure
+import reference
 from alctab.engine import (
     EngineConfig,
     ProgressCheckError,
@@ -15,7 +16,7 @@ from alctab.engine import (
     next_application,
 )
 from alctab.delta import MeasureState, MeasureStep
-from alctab.measure import measure_abox, reducible_hidden_ex_count
+from alctab.measure import measure_abox
 from alctab.render import emit_trace
 from alctab.rules import BranchIndex, RuleApplication, RuleKind
 from alctab.syntax import (
@@ -29,6 +30,7 @@ from alctab.syntax import (
     Rel,
     Role,
     Some,
+    dedup_facts,
 )
 from corpus import exists_tree, pigeonhole, random_concept, random_nnf_abox
 from reference import (
@@ -36,6 +38,7 @@ from reference import (
     existential_count,
     multiset_less,
     progress_check,
+    reducible_hidden_ex_count,
     size_concept,
 )
 
@@ -53,6 +56,17 @@ def test_measure_abox_pairs_per_fact():
     # one pending successor instantiation, z
     abox = (Inst(x, All(r, A)), Rel(r, x, y), Rel(r, x, z), Inst(y, A))
     assert measure_abox(abox) == Counter({(2, 1): 1, (0, 0): 3})
+
+
+def test_measure_abox_is_the_whole_branch_scan():
+    rng = random.Random(58)
+    for _ in range(3000):
+        abox = dedup_facts(random_nnf_abox(rng))
+        assert measure_abox(abox) == reference.measure_abox(abox)
+        if abox:
+            # a branch holds each fact once; the state counts a repeat wrong
+            with pytest.raises(ValueError, match="each fact once"):
+                measure_abox(abox + abox[-1:])
 
 
 def test_measure_abox_inert_shapes():
@@ -217,23 +231,22 @@ def test_measures_on_saturated_branches():
     ids=["T_4", "PHP(3,2)"],
 )
 def test_each_branch_is_measured_once(monkeypatch, concept, checked, traced):
-    computed = 0
-    count = alctab.measure.reducible_hidden_ex_count
+    measure, computed = alctab.measure._measure.__wrapped__, 0
 
-    def counted(*args):
+    def counted(abox):
         nonlocal computed
         computed += 1
-        return count(*args)
+        return measure(abox)
 
     def measures(run) -> int:
         """Whole-branch measures that `run()` computes from a cold memo."""
         nonlocal computed
-        alctab.measure._measure.cache_clear()
+        # a new memo around the counted computation
+        monkeypatch.setattr(alctab.measure, "_measure", lru_cache(maxsize=4)(counted))
         computed = 0
         run()
         return computed
 
-    monkeypatch.setattr(alctab.measure, "reducible_hidden_ex_count", counted)
     cfg = EngineConfig(check_measure=True, measure_violations=[])
     assert measures(lambda: decide_concept_sat(concept, cfg)) <= checked
     trace = decide_concept_sat(concept, EngineConfig(record_trace=True)).trace
@@ -259,8 +272,7 @@ def test_a_checked_search_measures_no_whole_branch(monkeypatch, concept, sat):
 
         return wrapper
 
-    for name in ("_measure", "reducible_hidden_ex_count"):
-        monkeypatch.setattr(alctab.measure, name, counted(name, getattr(alctab.measure, name)))
+    monkeypatch.setattr(alctab.measure, "_measure", counted("_measure", alctab.measure._measure))
     violations = []
     verdict = decide_concept_sat(
         concept, EngineConfig(check_measure=True, measure_violations=violations)

@@ -24,6 +24,8 @@ from .syntax import Abox, All, And, Concept, Fact, Individual, Inst, Or, Rel, Ro
 
 # the index of the empty branch, which nothing grows
 _NO_BRANCH = BranchIndex(())
+# the label of an individual with no concept facts
+_NO_LABEL = (0, None)
 
 
 def branch_measure(branch: Abox) -> dict[MeasurePair, int]:
@@ -96,14 +98,28 @@ class MeasureState:
     hidden existential count and the set of reducible ∃ facts, which add up
     to the shared count; each ∀ fact's pending count, and the keys
     `(size, pending)` of all ∀ facts, counted and in order; `incoming`, from
-    each individual of the branch to its `(role, source)` edges; and
-    `watch`, from what a new fact can be to the facts it can change: from
-    `(x, C)` to the ⊓ and ⊔ facts on x with C as a part, and from
-    `(role, x)` to the ∀ and ∃ facts on x along the role. A state shared by
-    two branches is `copy`-ed first, since `advance` changes it in place.
+    each individual of the branch to its `(role, source)` edges; `labels`,
+    from each individual to the number of its concept facts and their
+    concepts as a linked list `(concept, rest)`, newest first; `watch`,
+    from what a new fact can be to the facts it can change: from `(x, C)`
+    to the ⊓ and ⊔ facts on x with C as a part, and from `(role, x)` to the
+    ∀ facts on x along the role; and `exists`, from `(role, x)` to the ∃
+    facts on x along the role. A state shared by two branches is `copy`-ed
+    first, since `advance` changes it in place.
     """
 
-    __slots__ = ("hidden", "reducible", "waiting", "keys", "order", "incoming", "watch", "counts")
+    __slots__ = (
+        "hidden",
+        "reducible",
+        "waiting",
+        "keys",
+        "order",
+        "incoming",
+        "labels",
+        "watch",
+        "exists",
+        "counts",
+    )
 
     def __init__(self, branch: Abox) -> None:
         """The state of `branch`, which holds each fact once, reached from
@@ -114,7 +130,9 @@ class MeasureState:
         self.keys: dict[MeasurePair, int] = {}
         self.order: list[MeasurePair] = []
         self.incoming: dict[Individual, tuple[tuple[Role, Individual], ...]] = {}
+        self.labels: dict[Individual, tuple[int, tuple]] = {}
         self.watch: dict[tuple, tuple[Fact, ...]] = {}
+        self.exists: dict[tuple[Role, Individual], tuple[Fact, ...]] = {}
         self.counts: ConceptCounts = {}  # shared by the copies
         self.advance(branch, _NO_BRANCH)
 
@@ -122,7 +140,8 @@ class MeasureState:
         twin = object.__new__(MeasureState)
         twin.hidden, twin.reducible = self.hidden, set(self.reducible)
         twin.waiting, twin.keys, twin.order = dict(self.waiting), dict(self.keys), list(self.order)
-        twin.incoming, twin.watch, twin.counts = dict(self.incoming), dict(self.watch), self.counts
+        twin.incoming, twin.labels = dict(self.incoming), dict(self.labels)
+        twin.watch, twin.exists, twin.counts = dict(self.watch), dict(self.exists), self.counts
         return twin
 
     @property
@@ -147,10 +166,12 @@ class MeasureState:
         measure.
 
         A new edge moves the pending counts of the ∀ facts on its source and
-        can make the ∃ facts there irreducible. A new `y : C` can make the ⊓
-        and ⊔ facts on y with part C inapplicable, and along each edge into
-        y, the ∀ fact it reaches has one pending successor fewer and the ∃
-        fact it satisfies becomes irreducible. Nothing else changes a pair.
+        can make the ∃ facts there irreducible; those are found from the
+        smaller side, the ∃ facts along the edge or the target's label. A
+        new `y : C` can make the ⊓ and ⊔ facts on y with part C
+        inapplicable, and along each edge into y, the ∀ fact it reaches has
+        one pending successor fewer and the ∃ fact it satisfies becomes
+        irreducible. Nothing else changes a pair.
         """
         at = index.at
         added = set(front)
@@ -160,7 +181,7 @@ class MeasureState:
             return fact is not None and (fact in at or fact in added)
 
         counts, waiting, reducible = self.counts, self.waiting, self.reducible
-        incoming, watch = self.incoming, self.watch
+        incoming, labels, watch, exists = self.incoming, self.labels, self.watch, self.exists
         lost: dict[MeasurePair, int] = {}
         gained: dict[MeasurePair, int] = {}
         shared = self.hidden + len(reducible)
@@ -170,19 +191,11 @@ class MeasureState:
         # what the new facts change in the facts the branch holds
         for f in front:
             if type(f) is Rel:
-                y, key = f.target, (f.role, f.source)
-                edges.setdefault(key, []).append(y)
-                for g in watch.get(key, ()):
-                    child = g.concept.child
-                    if type(g.concept) is All:
-                        if not holds(y, child):
-                            moved.setdefault(g, waiting[g])
-                            waiting[g] += 1
-                    elif g in reducible and holds(y, child):
-                        reducible.discard(g)
-                        dead.append(g)
+                edges.setdefault((f.role, f.source), []).append(f.target)
                 continue
             y, c = f.subject, f.concept
+            size, label = labels.get(y, _NO_LABEL)
+            labels[y] = (size + 1, (c, label))
             for g in watch.get((y, c), ()):
                 # a ⊓ fact with the new part C applied before and stops once
                 # its other part holds; a ⊔ fact stops, and applied before
@@ -206,6 +219,27 @@ class MeasureState:
                     if g is not None and g in waiting:
                         moved.setdefault(g, waiting[g])
                         waiting[g] -= 1
+        # the new edges, once every new fact is in its subject's label
+        for key, targets in edges.items():
+            role, x = key
+            alls, somes = watch.get(key, ()), exists.get(key, ())
+            for y in targets:
+                for g in alls:
+                    if not holds(y, g.concept.child):
+                        moved.setdefault(g, waiting[g])
+                        waiting[g] += 1
+                size, label = labels.get(y, _NO_LABEL)
+                if len(somes) <= size:
+                    found = [g for g in somes if holds(y, g.concept.child)]
+                else:
+                    found = []
+                    while label:
+                        c, label = label
+                        found.append(lookup(Inst, x, lookup(Some, role, c)))
+                for g in found:
+                    if g in reducible:
+                        reducible.discard(g)
+                        dead.append(g)
         for g in dead:
             pair = (counts[g.concept][0], 0)
             lost[pair] = lost.get(pair, 0) + 1
@@ -233,7 +267,8 @@ class MeasureState:
                 weighs = not (left and right) if kind is And else not (left or right)
             elif kind is All or kind is Some:
                 key = (c.role, y)
-                watch[key] = (*watch.get(key, ()), f)
+                facts = watch if kind is All else exists
+                facts[key] = (*facts.get(key, ()), f)
                 targets = (*index.successors(*key), *edges.get(key, ()))
                 if kind is All:
                     waiting[f] = n = sum(1 for z in targets if not holds(z, c.child))

@@ -5,7 +5,10 @@ Each rule is given once, by the shape of its pivot concept, its premise and
 the facts it adds; `_rule` turns those into the applicability test and the
 action. Both take the branch, a pivot fact of it and the branch's
 `BranchIndex`, and read the branch only through the index; a premise builds
-no fact and no witness. An action is called only on a pivot where its
+no fact and no witness, and changes the index only by moving a ∀ pivot's
+cursor. The ∃ premise costs the smaller of the body's holders and the
+edges along the role, plus the named targets; the ∀ premise costs the
+successors its cursor passes, each once on a branch. An action is called only on a pivot where its
 rule's applicability test holds, and returns one tuple of facts per
 successor: the facts that successor adds, each new to the branch and given
 once. The engine builds each successor by putting those facts in front of
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .syntax import (
     Abox,
@@ -31,6 +34,7 @@ from .syntax import (
     Fact,
     Individual,
     Inst,
+    Named,
     Or,
     Rel,
     Role,
@@ -67,32 +71,38 @@ class BranchIndex:
     `at` maps each fact of the branch to its distance from the branch's
     end, which stays fixed while facts are put in front, so it answers both
     membership and position; `size` is the branch's length. `edges` maps
-    (role, source) to the targets of its edges in branch order, `holders`
-    maps each concept to the witnesses that hold it in branch order, and
-    `witness` is the allocation index of the next fresh witness. `live`
-    maps each rule kind to a tuple of the branch's pivots of that kind in
-    branch order, less those the search has found can never fire again. A
-    successor that only puts facts in front of its branch takes the
-    branch's index over with `grow`; an index shared by two branches is
-    `copy`-ed first, since `grow` changes it in place.
+    (role, source) to the targets of its edges in branch order and `named`
+    to those of them that are named, `holders` maps each concept to the
+    witnesses that hold it in branch order, and `witness` is the allocation
+    index of the next fresh witness. `live` maps each rule kind to a tuple
+    of the branch's pivots of that kind in branch order, less those the
+    search has found can never fire again. `reached` maps a ∀ pivot's
+    `(subject, concept)` to how many of the oldest successors along its
+    role are known to hold its body; the count only moves forward as the
+    branch grows. A successor that only puts facts in front of its branch
+    takes the branch's index over with `grow`; an index shared by two
+    branches is `copy`-ed first, since `grow` and the ∀ premise change it
+    in place.
     """
 
-    __slots__ = ("at", "size", "edges", "holders", "witness", "live")
+    __slots__ = ("at", "size", "edges", "named", "holders", "witness", "live", "reached")
 
     def __init__(self, abox: Abox) -> None:
         self.at: dict[Fact, int] = {}
         self.size = 0
         self.edges: dict[tuple[Role, Individual], tuple[Individual, ...]] = {}
+        self.named: dict[tuple[Role, Individual], tuple[Named, ...]] = {}
         self.holders: dict[Concept, tuple[Anon, ...]] = {}
         self.witness = 0
         self.live = dict(_NO_PIVOTS)
+        self.reached: dict[tuple[Individual, All], int] = {}
         self.grow(abox)
 
     def grow(self, added: Abox) -> BranchIndex:
         """Index `added`, facts the branch does not hold, as put in front of
         it; returns the index itself. A fact that occurs twice in `added`
         keeps the distance of its first occurrence."""
-        at, edges, holders = self.at, self.edges, self.holders
+        at, edges, named, holders = self.at, self.edges, self.named, self.holders
         witness, live = self.witness, self.live
         n = self.size
         new_pivots: dict[RuleKind, list[Fact]] = {}
@@ -104,7 +114,9 @@ class BranchIndex:
                 # a later edge comes before the earlier ones in branch order
                 edges[key] = (fact.target, *edges.get(key, ()))
                 ind = fact.target
-                if type(ind) is Anon and ind.index >= witness:
+                if type(ind) is not Anon:
+                    named[key] = (ind, *named.get(key, ()))
+                elif ind.index >= witness:
                     witness = ind.index + 1
                 ind = fact.source
                 if type(ind) is Anon and ind.index >= witness:
@@ -127,9 +139,10 @@ class BranchIndex:
     def copy(self) -> BranchIndex:
         twin = object.__new__(BranchIndex)
         twin.at, twin.size = dict(self.at), self.size
-        twin.edges, twin.holders = dict(self.edges), dict(self.holders)
+        twin.edges, twin.named = dict(self.edges), dict(self.named)
+        twin.holders = dict(self.holders)
         twin.witness = self.witness
-        twin.live = dict(self.live)
+        twin.live, twin.reached = dict(self.live), dict(self.reached)
         return twin
 
     def position(self, fact: Fact) -> int:
@@ -138,8 +151,7 @@ class BranchIndex:
 
     def holds(self, subject: Individual, concept: Concept) -> bool:
         """Whether the branch holds the fact `subject : concept`; builds no fact."""
-        fact = lookup(Inst, subject, concept)
-        return fact is not None and fact in self.at
+        return lookup(Inst, subject, concept) in self.at
 
     def successors(self, role: Role, source: Individual) -> tuple[Individual, ...]:
         """Targets of the `role` edges from `source`, in branch order."""
@@ -155,7 +167,7 @@ class TableauRule:
     action: Callable[[Abox, Fact, BranchIndex], list[tuple[Fact, ...]]]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RuleApplication:
     """Trace record of one rule application on one branch.
 
@@ -165,7 +177,8 @@ class RuleApplication:
     on the other steps and on an existential step that reused a witness.
     `skipped` marks a disjunction step whose right successor the search
     discarded unexplored, because a clash below the left one did not depend
-    on the choice.
+    on the choice. The record is slotted and not frozen, so one is cheap to
+    build on every step; it compares by value and is not hashable.
     """
 
     kind: RuleKind
@@ -176,13 +189,6 @@ class RuleApplication:
     added: tuple[Abox, ...]
     fresh: Optional[Individual] = None
     skipped: bool = False
-
-
-def pending(index: BranchIndex, subject: Individual, concept: All) -> Iterator[Individual]:
-    """Successors of `subject` that the universal restriction has not reached:
-    those along its role that miss its body concept, in branch order."""
-    body = concept.child
-    return (y for y in index.successors(concept.role, subject) if not index.holds(y, body))
 
 
 Premise = Callable[[BranchIndex, Individual, Concept], bool]
@@ -233,18 +239,42 @@ def _or_adds(index: BranchIndex, x: Individual, c: Or) -> list[tuple[Fact, ...]]
 
 
 def _all_premise(index: BranchIndex, x: Individual, c: All) -> bool:
-    """Some successor along the role misses the body concept."""
-    return next(pending(index, x, c), None) is not None
+    """Some successor along the role misses the body concept. The pivot's
+    cursor in `reached` skips the oldest successors known to hold it, and
+    moves past each further one that does."""
+    targets = index.successors(c.role, x)
+    n, key = len(targets), (x, c)
+    done = start = index.reached.get(key, 0)
+    while done < n and index.holds(targets[n - 1 - done], c.child):
+        done += 1
+    if done != start:
+        index.reached[key] = done
+    return done < n
 
 
 def _all_adds(index: BranchIndex, x: Individual, c: All) -> list[tuple[Fact, ...]]:
-    # first pending successor in branch order; later steps reach the rest
-    return [(Inst(next(pending(index, x, c)), c.child),)]
+    # first pending successor in branch order, among those the cursor has
+    # not passed; later steps reach the rest
+    targets = index.successors(c.role, x)
+    unsettled = targets[: len(targets) - index.reached.get((x, c), 0)]
+    y = next(y for y in unsettled if not index.holds(y, c.child))
+    return [(Inst(y, c.child),)]
 
 
 def _some_premise(index: BranchIndex, x: Individual, c: Some) -> bool:
-    """No successor along the role holds the body concept."""
-    return not any(index.holds(y, c.child) for y in index.successors(c.role, x))
+    """No successor along the role holds the body concept. The witnesses
+    that hold it and the targets along the role are matched from the
+    smaller side; named targets are in no `holders` tuple, so they are
+    always scanned."""
+    role, child = c.role, c.child
+    targets = index.successors(role, x)
+    held = index.holders.get(child, ())
+    if len(held) < len(targets):
+        at = index.at
+        if any(lookup(Rel, role, x, y) in at for y in held):
+            return False
+        targets = index.named.get((role, x), ())
+    return not any(index.holds(y, child) for y in targets)
 
 
 def _some_adds(index: BranchIndex, x: Individual, c: Some) -> list[tuple[Fact, ...]]:

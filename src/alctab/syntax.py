@@ -13,7 +13,6 @@ order of the tableau rules, while ``set(abox)`` recovers the set-level view.
 
 from __future__ import annotations
 
-import threading
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
@@ -21,8 +20,6 @@ from weakref import ref
 
 ConceptName = str
 RoleName = str
-
-_BUILD_LOCK = threading.Lock()
 
 
 class _Ref(ref):
@@ -47,9 +44,14 @@ class _Interned:
     call of the reference, both in C. The references carry their key, and
     when an instance dies its reference's callback drops the entry, unless a
     new instance with those fields has replaced it in the meantime. A new
-    instance is validated by its ``__post_init__`` before it enters the
-    table. Equality is identity and the hash is the id; copies and pickles
-    come back as the interned instance.
+    instance is built and validated by its ``__post_init__`` outside any
+    lock, then published by one `setdefault` of its reference, which is
+    atomic: hashing and comparing a key of interned values, strings and
+    numbers runs no Python code. So of two threads that build one value,
+    the first to publish wins and both get its instance; a dead entry whose
+    callback has not run yet is removed and the publish tried again.
+    Equality is identity and the hash is the id; copies and pickles come
+    back as the interned instance.
     """
 
     __slots__ = ("__weakref__",)
@@ -64,8 +66,9 @@ class _Interned:
         cls._drop = staticmethod(drop)
 
     def __new__(cls, *args, **kwargs):
+        table = cls._table
         if not kwargs:
-            instance = cls._table.get(args, _NO_REF)()
+            instance = table.get(args, _NO_REF)()
             if instance is not None:
                 return instance
         fields = cls.__match_args__  # the dataclass fields, in order
@@ -74,18 +77,16 @@ class _Interned:
             if len(args) > len(fields) or set(kwargs) != set(rest):
                 raise TypeError(f"{cls.__name__} takes exactly the fields {fields}")
             args += tuple(kwargs[name] for name in rest)
-        table = cls._table
-        with _BUILD_LOCK:  # two threads must not both build one value
-            instance = table.get(args, _NO_REF)()
-            if instance is None:
-                instance = object.__new__(cls)
-                for name, value in zip(fields, args):
-                    object.__setattr__(instance, name, value)
-                instance.__post_init__()
-                entry = _Ref(instance, cls._drop)
-                entry.key = args
-                table[args] = entry
-        return instance
+        instance = object.__new__(cls)
+        for name, value in zip(fields, args):
+            object.__setattr__(instance, name, value)
+        instance.__post_init__()
+        entry = _Ref(instance, cls._drop)
+        entry.key = args
+        # the live entry under the key wins, this one if there is none
+        while (winner := table.setdefault(args, entry)()) is None:
+            _remove_dead_weakref(table, args)
+        return winner
 
     def __post_init__(self) -> None:
         """Reject invalid fields; runs once, before the table holds the value."""

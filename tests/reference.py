@@ -17,21 +17,23 @@ character lexer that positions every token, and `recursive_print_concept`
 the printer by structural recursion, which the parser's lexer and printer
 must agree with. `size_concept` and `existential_count` count a
 concept's nodes by walking its tree, which the measure's counts must agree
-with, `fresh_individual` finds the next witness by scanning a branch, and
-`measure_abox` measures a branch by scanning it whole, running the rules'
-premises and the ∀ rule's pending scan on every fact, which the library's
-`MeasureState` must agree with. `assert_decrease` and `progress_check`
-check a step from the whole branches before and after it, the first by
-`multiset_less`, the Dershowitz-Manna order on two whole measures, which
-the search's checks from the step alone must agree with. Deciding needs
-none of them.
+with, and `fresh_individual` finds the next witness by scanning a branch.
+`some_premise` and `all_premise` test the ∃ and ∀ premises by scanning
+every successor along the role, which the rules' indexed premises must
+agree with. `measure_abox` measures a branch by scanning it whole, running
+the ⊓ and ⊔ rules' premises, the ∃ scan and the ∀ rule's pending scan on
+every fact, which the library's `MeasureState` must agree with.
+`assert_decrease` and `progress_check` check a step from the whole
+branches before and after it, the first by `multiset_less`, the
+Dershowitz-Manna order on two whole measures, which the search's checks
+from the step alone must agree with. Deciding needs none of them.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from alctab.engine import (
     Satisfiable,
@@ -45,13 +47,11 @@ from alctab.parser import ParseError, SourceSpan
 from alctab.rules import (
     AND_RULE,
     OR_RULE,
-    SOME_RULE,
     BranchIndex,
     RuleApplication,
     RuleKind,
     TableauRule,
     alc_rules,
-    pending,
 )
 from alctab.semantics import (
     Interpretation,
@@ -71,6 +71,7 @@ from alctab.syntax import (
     Bottom,
     Concept,
     Fact,
+    Individual,
     Inst,
     Not,
     Or,
@@ -154,6 +155,25 @@ def fresh_individual(abox: Abox) -> Anon:
     return Anon(max(taken) + 1 if taken else 0)
 
 
+def pending(index: BranchIndex, subject: Individual, concept: All) -> Iterator[Individual]:
+    """Successors of `subject` that the universal restriction has not reached:
+    those along its role that miss its body concept, in branch order."""
+    body = concept.child
+    return (y for y in index.successors(concept.role, subject) if not index.holds(y, body))
+
+
+def all_premise(index: BranchIndex, x: Individual, c: All) -> bool:
+    """The ∀ premise by a scan of every successor along the role: some
+    successor misses the body concept."""
+    return next(pending(index, x, c), None) is not None
+
+
+def some_premise(index: BranchIndex, x: Individual, c: Some) -> bool:
+    """The ∃ premise by a scan of every successor along the role: none holds
+    the body concept."""
+    return not any(index.holds(y, c.child) for y in index.successors(c.role, x))
+
+
 def reducible_hidden_ex_count(
     abox: Abox, index: Optional[BranchIndex] = None, counts: Optional[ConceptCounts] = None
 ) -> int:
@@ -176,13 +196,13 @@ def reducible_hidden_ex_count(
             continue
         d = fact.concept
         hidden = _counts(d, counts)[1] - (1 if isinstance(d, Some) else 0)
-        reducible = 1 if SOME_RULE.appcond(abox, fact, index) else 0
+        reducible = isinstance(d, Some) and some_premise(index, fact.subject, d)
         total += hidden + reducible
     return total
 
 
 # pivots of these shapes weigh their concept size while their rule applies
-_RULE_FOR = {And: AND_RULE, Or: OR_RULE, Some: SOME_RULE}
+_RULE_FOR = {And: AND_RULE, Or: OR_RULE}
 
 
 def _pair(
@@ -198,6 +218,8 @@ def _pair(
         return (_counts(d, counts)[0], waiting + shared_ex_count)
     rule = _RULE_FOR.get(type(d))
     if rule is not None and rule.appcond(abox, fact, index):
+        return (_counts(d, counts)[0], 0)
+    if isinstance(d, Some) and some_premise(index, fact.subject, d):
         return (_counts(d, counts)[0], 0)
     # atoms, negations, Top, Bottom, and pivots whose rule no longer applies
     return (0, 0)

@@ -172,13 +172,19 @@ def test_c04_canonical_model_completeness(concept_runs):
 
 
 class _CountingTable(dict):
-    """An interning table that counts the values entered into it."""
+    """An interning table that counts the values entered into it: by
+    assignment, or published by a `setdefault` that found no entry."""
 
     entered = 0
 
     def __setitem__(self, key, value):
         self.entered += 1
         super().__setitem__(key, value)
+
+    def setdefault(self, key, value):
+        found = super().setdefault(key, value)
+        self.entered += found is value
+        return found
 
 
 def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):

@@ -361,3 +361,20 @@ def test_exists_tree_reuses_one_witness_per_label():
         assert len(individuals_of(verdict.open_branch)) == 2 * d + 1
         # the model check evaluates each of T_d's distinct subterms once
         assert satisfies_abox(verdict.model, (Inst(x0, nnf(exists_tree(d))),))
+
+
+def test_wide_exists_premises_grow_linearly(monkeypatch):
+    # the ∃ premise matches the body's holders against the edges from the
+    # smaller side, and each ∀ pivot's cursor passes a successor once, so
+    # the membership tests grow with n, not with n squared
+    calls = Counter()
+    holds = rules.BranchIndex.holds
+
+    def counted(index, subject, concept):
+        calls[n] += 1
+        return holds(index, subject, concept)
+
+    monkeypatch.setattr(rules.BranchIndex, "holds", counted)
+    for n in (100, 400):
+        assert isinstance(decide_concept_sat(wide_exists(n)), Satisfiable)
+    assert 0 < calls[400] <= 5 * calls[100]

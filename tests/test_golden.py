@@ -27,7 +27,8 @@ the step added must agree with the whole-branch scans, each successor must
 be its front, the action's facts, none of which its branch held, put in
 front of the branch, and at every branch the search tests, its carried
 index must hold what scans of the branch tuple find, and live pivots that
-miss no pivot a rule applies at. Checked
+miss no pivot a rule applies at; at each live ∃ and ∀ pivot, its indexed
+premise must be the reference scan's. Checked
 the same way, every step's measure change must be the difference of the
 two whole-branch measures that the reference scans, and the checks' answers
 those of the whole-branch checks; the measures the trace prints must be
@@ -191,23 +192,36 @@ def test_golden_oracle():
 SHAPE = {RuleKind.AND: And, RuleKind.OR: Or, RuleKind.ALL: All, RuleKind.SOME: Some}
 
 
+# the scans that the indexed ∃ and ∀ premises must agree with
+REFERENCE_PREMISE = {RuleKind.ALL: reference.all_premise, RuleKind.SOME: reference.some_premise}
+
+
 def assert_index_matches(branch, index):
-    """The index holds the branch's facts at their positions, its edges and
-    each concept's witnesses in branch order and its next witness, as scans
-    of the tuple find them, and per rule kind, live pivots of that kind in
-    branch order that include every pivot the rule applies at."""
+    """The index holds the branch's facts at their positions, its edges,
+    named targets and each concept's witnesses in branch order and its next
+    witness, as scans of the tuple find them, and per rule kind, live
+    pivots of that kind in branch order that include every pivot the rule
+    applies at. Each ∀ cursor passes only successors that hold the body,
+    and at each live ∃ and ∀ pivot, the indexed premise is the scan's."""
     assert index.size == len(branch)
     assert index.at.keys() == set(branch)
     assert all(branch[index.position(f)] is f for f in index.at)
-    edges, holders = {}, {}
+    edges, named, holders = {}, {}, {}
     for g in branch:
         if isinstance(g, Rel):
             edges[g.role, g.source] = (*edges.get((g.role, g.source), ()), g.target)
+            if isinstance(g.target, Named):
+                named[g.role, g.source] = (*named.get((g.role, g.source), ()), g.target)
         elif isinstance(g.subject, Anon):
             holders[g.concept] = (*holders.get(g.concept, ()), g.subject)
     assert index.edges == edges
+    assert index.named == named
     assert index.holders == holders
     assert Anon(index.witness) == fresh_individual(branch)
+    for (x, c), passed in index.reached.items():
+        targets = edges.get((c.role, x), ())
+        assert 0 < passed <= len(targets)
+        assert all(Inst(y, c.child) in index.at for y in targets[len(targets) - passed :])
     assert index.live.keys() == set(RuleKind)
     for kind, live in index.live.items():
         positions = [index.position(f) for f in live]
@@ -215,6 +229,10 @@ def assert_index_matches(branch, index):
         assert all(isinstance(f, Inst) and type(f.concept) is SHAPE[kind] for f in live)
         appcond = RULES_BY_KIND[kind].appcond
         assert {f for f in branch if appcond(branch, f, index)} <= set(live)
+        scan = REFERENCE_PREMISE.get(kind)
+        if scan is not None:
+            for f in live:
+                assert appcond(branch, f, index) == scan(index, f.subject, f.concept)
 
 
 def test_incremental_steps_match_whole_branch_scans(monkeypatch):

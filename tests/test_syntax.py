@@ -4,7 +4,9 @@ import pickle
 import random
 import sys
 import threading
+import weakref
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
@@ -376,3 +378,59 @@ def test_threads_building_the_same_values_get_one_object():
     assert all(len(out) == 2000 for out in built)
     for out in built[1:]:
         assert all(a is b for a, b in zip(built[0], out))
+
+
+class _Gone:
+    """A value to make a dead reference to."""
+
+
+def test_a_dead_entry_is_replaced_by_the_next_construction():
+    # an entry whose value died before its callback ran
+    gone = _Gone()
+    dead = syntax._Ref(gone)
+    dead.key = ("Dead_entry",)
+    del gone
+    assert dead() is None
+    Atom._table[dead.key] = dead
+    atom = Atom("Dead_entry")
+    assert atom.name == "Dead_entry"
+    assert Atom._table[dead.key]() is atom and lookup(Atom, "Dead_entry") is atom
+    del atom
+    gc.collect()
+    assert dead.key not in Atom._table
+
+
+# per name, the value a competing build published first; None while it builds
+_OVERTAKEN: dict = {}
+# weak references to the values that lost the race to publish
+_LOSERS: list = []
+
+
+@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+class _Raced(syntax._Interned):
+    """A value whose first build of each name is overtaken: between its
+    validation and its publish, another build of that name publishes."""
+
+    name: str
+
+    def __post_init__(self) -> None:
+        if self.name not in _OVERTAKEN:
+            _OVERTAKEN[self.name] = None
+            _OVERTAKEN[self.name] = _Raced(self.name)
+            _LOSERS.append(weakref.ref(self))
+
+
+def test_a_lost_race_to_publish_returns_the_winner():
+    value = _Raced("a")
+    # both builds got the value published first
+    assert value is _OVERTAKEN["a"]
+    assert len(_LOSERS) == 1
+    # the loser is gone, and its death left the winner's entry in place
+    gc.collect()
+    assert _LOSERS[0]() is None
+    assert lookup(_Raced, "a") is value and _Raced("a") is value
+    assert list(_Raced._table) == [("a",)]
+    _OVERTAKEN.clear()
+    del value
+    gc.collect()
+    assert not _Raced._table

@@ -5,16 +5,21 @@ every constructor call with the same fields returns the same object, so
 equality is identity and hashing takes constant time, however deep the
 concept. Each class finds its live values in a plain dict from field tuples
 to weak references that carry their key, and a value nothing else refers to
-is released and its entry dropped. Values can be shared between tableau
-branches and used as dict keys. An ABox branch is an ordered,
-duplicate-free tuple of facts: the order carries the deterministic scan
-order of the tableau rules, while ``set(abox)`` recovers the set-level view.
+is released and its entry dropped. Each class has its own constructor,
+made once when the class is defined from a template for its number of
+fields, with no source compiled: its parameters are the fields, it looks
+the value up with no argument packing, and it builds a missing one with no
+loop over the fields. Values can be shared between tableau branches and
+used as dict keys. An ABox branch is an ordered, duplicate-free tuple of
+facts: the order carries the deterministic scan order of the tableau rules,
+while ``set(abox)`` recovers the set-level view.
 """
 
 from __future__ import annotations
 
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Iterable, Iterator, Optional, Union
 from weakref import ref
 
@@ -38,13 +43,15 @@ _NO_REF = type(None)
 class _Interned:
     """Base of the syntax values, which are hash-consed.
 
-    Each subclass keeps a table, a plain dict from field tuples to a weak
-    reference to the one live instance with those fields, and construction
-    returns that instance when there is one. A lookup is a dict `get` and a
-    call of the reference, both in C. The references carry their key, and
-    when an instance dies its reference's callback drops the entry, unless a
-    new instance with those fields has replaced it in the meantime. A new
-    instance is built and validated by its ``__post_init__`` outside any
+    Each subclass, made by `_interned`, keeps a table, a plain dict from
+    field tuples to a weak reference to the one live instance with those
+    fields, and has its own constructor, which takes exactly the class's
+    fields and returns that instance when there is one. A lookup is a dict
+    `get` and a call of the reference, both in C. The references carry their
+    key, and when an instance dies its reference's callback drops the entry,
+    unless a new instance with those fields has replaced it in the meantime.
+    A new instance has its fields set one by one, with no loop, and is
+    validated by its class's ``__post_init__``, if it has one, outside any
     lock, then published by one `setdefault` of its reference, which is
     atomic: hashing and comparing a key of interned values, strings and
     numbers runs no Python code. So of two threads that build one value,
@@ -55,41 +62,6 @@ class _Interned:
     """
 
     __slots__ = ("__weakref__",)
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        table = cls._table = {}
-
-        def drop(dead: _Ref, table=table, remove=_remove_dead_weakref) -> None:
-            remove(table, dead.key)  # only if the entry is still dead
-
-        cls._drop = staticmethod(drop)
-
-    def __new__(cls, *args, **kwargs):
-        table = cls._table
-        if not kwargs:
-            instance = table.get(args, _NO_REF)()
-            if instance is not None:
-                return instance
-        fields = cls.__match_args__  # the dataclass fields, in order
-        if kwargs or len(args) != len(fields):
-            rest = fields[len(args) :]
-            if len(args) > len(fields) or set(kwargs) != set(rest):
-                raise TypeError(f"{cls.__name__} takes exactly the fields {fields}")
-            args += tuple(kwargs[name] for name in rest)
-        instance = object.__new__(cls)
-        for name, value in zip(fields, args):
-            object.__setattr__(instance, name, value)
-        instance.__post_init__()
-        entry = _Ref(instance, cls._drop)
-        entry.key = args
-        # the live entry under the key wins, this one if there is none
-        while (winner := table.setdefault(args, entry)()) is None:
-            _remove_dead_weakref(table, args)
-        return winner
-
-    def __post_init__(self) -> None:
-        """Reject invalid fields; runs once, before the table holds the value."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -120,6 +92,94 @@ class _Interned:
         return "".join(out)
 
 
+# The constructors, one template per arity with placeholder parameters
+# `_0`, `_1`, `_2`, which `_interned` renames to a class's fields; a field
+# may not share a name with a template's locals. `new` makes an empty
+# instance, `set0`, `set1` and `set2` set its fields, and `publish`
+# validates and publishes it. The table is read from the class on every call.
+def _arity0(new, publish):
+    def __new__(cls):
+        table = cls._table
+        instance = table.get((), _NO_REF)()
+        return publish(table, (), new(cls)) if instance is None else instance
+
+    return __new__
+
+
+def _arity1(new, publish, set0):
+    def __new__(cls, _0):
+        table = cls._table
+        instance = table.get(key := (_0,), _NO_REF)()
+        if instance is None:
+            set0(instance := new(cls), _0)
+            instance = publish(table, key, instance)
+        return instance
+
+    return __new__
+
+
+def _arity2(new, publish, set0, set1):
+    def __new__(cls, _0, _1):
+        table = cls._table
+        instance = table.get(key := (_0, _1), _NO_REF)()
+        if instance is None:
+            set0(instance := new(cls), _0)
+            set1(instance, _1)
+            instance = publish(table, key, instance)
+        return instance
+
+    return __new__
+
+
+def _arity3(new, publish, set0, set1, set2):
+    def __new__(cls, _0, _1, _2):
+        table = cls._table
+        instance = table.get(key := (_0, _1, _2), _NO_REF)()
+        if instance is None:
+            set0(instance := new(cls), _0)
+            set1(instance, _1)
+            set2(instance, _2)
+            instance = publish(table, key, instance)
+        return instance
+
+    return __new__
+
+
+def _interned(cls: type) -> type:
+    """Make a subclass of `_Interned` a frozen, slotted dataclass with its
+    own table and a constructor whose parameters are its fields, so calls
+    by position and by keyword, and the `TypeError` of a wrong call, are
+    Python's own. Builds no code from source."""
+    if cls.__doc__ is None:  # else dataclass parses a signature for one, slowly
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
+    cls = dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)(cls)
+    table = cls._table = {}
+    check = getattr(cls, "__post_init__", None)  # rejects invalid fields
+
+    def drop(dead: _Ref, table=table, remove=_remove_dead_weakref) -> None:
+        remove(table, dead.key)  # only if the entry is still dead
+
+    def publish(table: dict, key: tuple, instance, remove=_remove_dead_weakref):
+        if check is not None:
+            check(instance)
+        entry = _Ref(instance, drop)
+        entry.key = key
+        # the live entry under the key wins, this one if there is none
+        while (winner := table.setdefault(key, entry)()) is None:
+            remove(table, key)
+        return winner
+
+    fields = cls.__match_args__  # the dataclass fields, in order
+    setters = [cls.__dict__[name].__set__ for name in fields]  # the slots' setters, in C
+    made = (_arity0, _arity1, _arity2, _arity3)[len(fields)](object.__new__, publish, *setters)
+    code = made.__code__
+    code = code.replace(co_varnames=("cls", *fields, *code.co_varnames[1 + len(fields) :]))
+    new = FunctionType(code, made.__globals__, "__new__", None, made.__closure__)
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    cls.__new__ = staticmethod(new)
+    return cls
+
+
 def lookup(cls: type, *fields) -> Optional[_Interned]:
     """The live instance of `cls` with these fields, or None; builds nothing.
 
@@ -130,7 +190,7 @@ def lookup(cls: type, *fields) -> Optional[_Interned]:
     return cls._table.get(fields, _NO_REF)()
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Role(_Interned):
     """An atomic role. ALC has no other role formers."""
 
@@ -141,7 +201,7 @@ class Role(_Interned):
             raise ValueError("role name must be non-empty")
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Named(_Interned):
     """An individual from the input namespace."""
 
@@ -152,7 +212,7 @@ class Named(_Interned):
             raise ValueError("individual name must be non-empty")
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Anon(_Interned):
     """A generated witness individual, identified by its allocation index."""
 
@@ -166,7 +226,7 @@ class Anon(_Interned):
 Individual = Union[Named, Anon]
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Atom(_Interned):
     name: ConceptName
 
@@ -175,40 +235,40 @@ class Atom(_Interned):
             raise ValueError("concept name must be non-empty")
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Top(_Interned):
     pass
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Bottom(_Interned):
     pass
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Not(_Interned):
     child: "Concept"
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class And(_Interned):
     left: "Concept"
     right: "Concept"
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Or(_Interned):
     left: "Concept"
     right: "Concept"
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class All(_Interned):
     role: Role
     child: "Concept"
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Some(_Interned):
     role: Role
     child: "Concept"
@@ -220,7 +280,7 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Inst(_Interned):
     """Concept assertion: the subject individual belongs to the concept."""
 
@@ -228,7 +288,7 @@ class Inst(_Interned):
     concept: Concept
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@_interned
 class Rel(_Interned):
     """Role assertion: (source, target) is in the role's extension."""
 
@@ -389,18 +449,35 @@ def abox_signature(abox: Abox) -> tuple[tuple[ConceptName, ...], tuple[RoleName,
     """Concept and role names mentioned anywhere in the ABox, sorted.
 
     Concepts are hash-consed, so the facts' concepts share subterms; one
-    walk over all of them visits each distinct subterm once.
+    walk over all of them enters each distinct negated, binary or quantified
+    subterm once. It keeps its own stack, so any depth that fits in memory
+    works.
     """
     atoms: set[ConceptName] = set()
     roles: set[RoleName] = set()
     seen: set[Concept] = set()
+    todo: list[Concept] = []
     for fact in abox:
-        if isinstance(fact, Inst):
-            for node in subterms(fact.concept, seen):
-                if isinstance(node, Atom):
-                    atoms.add(node.name)
-                elif isinstance(node, (All, Some)):
-                    roles.add(node.role.name)
+        if type(fact) is Inst:
+            todo.append(fact.concept)
         else:
             roles.add(fact.role.name)
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Atom:
+            atoms.add(node.name)
+        elif kind is And or kind is Or:
+            if node not in seen:
+                seen.add(node)
+                todo.append(node.right)
+                todo.append(node.left)
+        elif kind is All or kind is Some or kind is Not:
+            if node not in seen:
+                seen.add(node)
+                if kind is not Not:
+                    roles.add(node.role.name)
+                todo.append(node.child)
+        elif not (kind is Top or kind is Bottom):
+            raise TypeError(f"not a concept: {node!r}")
     return tuple(sorted(atoms)), tuple(sorted(roles))

@@ -17,7 +17,9 @@ character lexer that positions every token, and `recursive_print_concept`
 the printer by structural recursion, which the parser's lexer and printer
 must agree with. `size_concept` and `existential_count` count a
 concept's nodes by walking its tree, which the measure's counts must agree
-with, and `fresh_individual` finds the next witness by scanning a branch.
+with, `subterm_signature` collects an ABox's names with a walk per fact,
+which `abox_signature` must agree with, and `fresh_individual` finds the
+next witness by scanning a branch.
 `some_premise` and `all_premise` test the ∃ and ∀ premises by scanning
 every successor along the role, which the rules' indexed premises must
 agree with. `measure_abox` measures a branch by scanning it whole, running
@@ -142,6 +144,25 @@ def size_concept(concept: Concept) -> int:
 def existential_count(concept: Concept) -> int:
     """Total number of existential-restriction nodes in the tree."""
     return sum(1 for node in subterms(concept) if isinstance(node, Some))
+
+
+def subterm_signature(abox: Abox) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Concept and role names mentioned anywhere in the ABox, sorted: the
+    facts' concepts walked one at a time by `subterms`, sharing one set of
+    visited nodes, which `abox_signature`'s single walk must agree with."""
+    atoms: set[str] = set()
+    roles: set[str] = set()
+    seen: set[Concept] = set()
+    for fact in abox:
+        if isinstance(fact, Inst):
+            for node in subterms(fact.concept, seen):
+                if isinstance(node, Atom):
+                    atoms.add(node.name)
+                elif isinstance(node, (All, Some)):
+                    roles.add(node.role.name)
+        else:
+            roles.add(fact.role.name)
+    return tuple(sorted(atoms)), tuple(sorted(roles))
 
 
 def fresh_individual(abox: Abox) -> Anon:

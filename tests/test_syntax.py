@@ -6,7 +6,6 @@ import sys
 import threading
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 
 import pytest
 
@@ -19,6 +18,7 @@ from alctab.syntax import (
     Anon,
     Atom,
     BOTTOM,
+    Bottom,
     Inst,
     Named,
     Not,
@@ -27,6 +27,7 @@ from alctab.syntax import (
     Role,
     Some,
     TOP,
+    Top,
     abox_signature,
     dedup_facts,
     individuals_of,
@@ -37,11 +38,35 @@ from alctab.syntax import (
     subterms,
 )
 from corpus import ATOMS2, ROLE1, enumerate_interpretations, exists_tree, random_concept
-from reference import existential_count, fresh_individual, recursive_nnf, size_concept
+from reference import (
+    existential_count,
+    fresh_individual,
+    recursive_nnf,
+    size_concept,
+    subterm_signature,
+)
+from test_golden import golden_inputs
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 r, s = Role("r"), Role("s")
 x, y = Named("x"), Named("y")
+
+# each syntax class with the fields of one valid value
+SAMPLES = (
+    (Role, ("r",)),
+    (Named, ("x",)),
+    (Anon, (3,)),
+    (Atom, ("A",)),
+    (Top, ()),
+    (Bottom, ()),
+    (Not, (A,)),
+    (And, (A, B)),
+    (Or, (A, B)),
+    (All, (r, A)),
+    (Some, (r, And(A, B))),
+    (Inst, (x, A)),
+    (Rel, (r, x, y)),
+)
 
 
 def test_size_concept():
@@ -156,13 +181,13 @@ def test_nnf_and_is_nnf_visit_each_distinct_subterm_once(monkeypatch):
     distinct = set(subterms(tree, set()))
     assert len(distinct) == 7 * 20 + 1
     built = Counter()
-    new = syntax._Interned.__new__
+    for cls, _ in SAMPLES:
 
-    def counting_new(cls, *args, **kwargs):
-        built[cls] += 1
-        return new(cls, *args, **kwargs)
+        def counting_new(cls, *args, new=cls.__new__, **kwargs):
+            built[cls] += 1
+            return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(syntax._Interned, "__new__", counting_new)
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting_new))
     monkeypatch.setattr(syntax, "set", _CountingSet, raising=False)
     # counts only: a failing comparison of the concepts would print them
     assert nnf(tree) is tree and not built  # in normal form: nothing built
@@ -202,6 +227,13 @@ def test_nnf_semantic_equivalence_small_exhaustive():
 
 
 def test_equal_values_are_one_object():
+    for cls, fields in SAMPLES:
+        value = cls(*fields)
+        named = list(zip(cls.__match_args__, fields))
+        # every split into leading positional and trailing keyword fields
+        for k in range(len(fields) + 1):
+            assert cls(*fields[:k], **dict(named[k:])) is value
+        assert cls(**dict(reversed(named))) is value
     assert Atom("A") is Atom("A")
     assert Atom(name="A") is Atom("A")
     assert Inst(subject=x, concept=A) is Inst(x, A)
@@ -229,6 +261,17 @@ def test_validation_runs_before_interning():
         Atom("A", "B")
     with pytest.raises(TypeError):
         Inst(x, concept=A, subject=y)
+    # a wrong arity or a repeated keyword builds nothing, whatever the class
+    for cls, fields in SAMPLES:
+        keys = set(cls._table)
+        wrong = [(*fields, A), ()] if fields else [(A,)]
+        for args in wrong:
+            with pytest.raises(TypeError):
+                cls(*args)
+        if fields:
+            with pytest.raises(TypeError):
+                cls(*fields, **{cls.__match_args__[0]: fields[0]})
+        assert set(cls._table) <= keys
 
 
 def test_a_live_value_does_not_excuse_a_wrong_call():
@@ -354,6 +397,24 @@ def test_shared_walk_visits_each_distinct_subterm_once():
     assert visits == len(seen) == 2 * n - 1
     branch = tuple(Inst(x, c) for c in reversed(prefixes))
     assert abox_signature(branch) == (tuple(sorted(f"A{k}" for k in range(n))), ())
+    # the one walk over all facts finds the names the walks per fact find: on
+    # the golden ABoxes, which are in normal form, and on random ones with
+    # nested ¬, ⊤ and ⊥, and some with role assertions only
+    rng = random.Random(105)
+    inds = (x, y, Anon(0))
+    aboxes = [(), (Rel(r, x, y),), (Inst(x, TOP), Inst(y, BOTTOM)), (Inst(x, Not(Not(Not(A)))),)]
+    for _ in range(500):
+        facts = [
+            Inst(rng.choice(inds), random_concept(rng, rng.randint(1, 5)))
+            for _ in range(rng.randrange(4))
+        ]
+        facts += [
+            Rel(Role(rng.choice("rst")), rng.choice(inds), rng.choice(inds))
+            for _ in range(rng.randrange(3))
+        ]
+        aboxes.append(dedup_facts(facts))
+    for abox in (*golden_inputs(), *aboxes):
+        assert abox_signature(abox) == subterm_signature(abox)
 
 
 def test_threads_building_the_same_values_get_one_object():
@@ -406,7 +467,7 @@ _OVERTAKEN: dict = {}
 _LOSERS: list = []
 
 
-@dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)
+@syntax._interned
 class _Raced(syntax._Interned):
     """A value whose first build of each name is overtaken: between its
     validation and its publish, another build of that name publishes."""

@@ -77,7 +77,7 @@ class StepLimitExceeded(RuntimeError):
 
 
 class MeasureDecreaseError(RuntimeError):
-    """A rule application failed to strictly decrease the branch measure."""
+    """A rule application failed the termination measure's check."""
 
     def __init__(self, violation: "MeasureViolation"):
         super().__init__(
@@ -92,7 +92,7 @@ class ProgressCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class MeasureViolation:
-    """One non-decreasing rule step, kept verbatim for inspection."""
+    """One rule step the measure check rejected, kept verbatim for inspection."""
 
     before: Abox
     after: Abox
@@ -103,11 +103,13 @@ class MeasureViolation:
 class EngineConfig:
     """Search configuration.
 
-    `check_measure` evaluates the progress check and the measure decrease on
-    every rule application, from the step's facts and a `MeasureState` that
-    each branch then carries; a progress failure always raises, a decrease
-    failure raises unless `measure_violations` is a list, in which case the
-    violation is appended there and the search continues.
+    `check_measure` checks every rule application with the progress check
+    and the per-individual termination measure (`alctab.measure`), from the
+    step's facts and a `MeasureState` that each branch then carries. A
+    progress failure always raises; a measure failure raises unless
+    `measure_violations` is a list, in which case it is appended there and
+    the search goes on. A correct engine never fills that list: every step
+    of its search lowers the measure.
     """
 
     max_steps: int = 100_000
@@ -394,20 +396,25 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
     """Re-run the depth-first loop, driving rule choice from a recorded trace.
 
     The replay starts from `dedup_facts(initial)`, as the search does. Only
-    the recorded rule kinds and pivot indices steer it; each successor list
-    is recomputed from scratch. The right successor of a record marked
+    the recorded rule kinds and pivot indices steer it; each successor is
+    recomputed by the rule's action. The right successor of a record marked
     `skipped` is dropped once a search of its own finds it unsatisfiable.
     Returns the branch on which the run stopped (its open branch, which must
     be saturated), or None when every branch closed. Raises ValueError if
     the trace does not fit the search or skips a satisfiable alternative.
+
+    As in the search, each branch waits with its front and an index of its
+    parent, which it grows by the front; the clash test looks only at the
+    front, and a disjunction step copies the index for its right successor.
     """
     records = iter(trace)
     pending = next(records, None)
-    stack: list[Abox] = [dedup_facts(initial)]
+    root = dedup_facts(initial)
+    stack: list[tuple[Abox, Abox, BranchIndex]] = [(root, root, BranchIndex(()))]
     while stack:
-        branch = stack.pop()
-        index = BranchIndex(branch)
-        if contains_clash(branch, None, index):
+        branch, added, index = stack.pop()
+        index.grow(added)
+        if contains_clash(branch, added, index):
             continue
         if pending is None:
             if next_application(branch, index) is not None:
@@ -419,12 +426,13 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
         i = pending.pivot_index
         if i >= len(branch) or not rule.appcond(branch, branch[i], index):
             raise ValueError("recorded pivot is not applicable on replay")
-        successors = [new + branch for new in rule.action(branch, branch[i], index)]
+        adds = rule.action(branch, branch[i], index)
         if pending.skipped:
-            if len(successors) < 2 or isinstance(decide_sat_abox(successors[1]), Satisfiable):
+            if len(adds) < 2 or isinstance(decide_sat_abox(adds[1] + branch), Satisfiable):
                 raise ValueError("trace skips no alternative or a satisfiable one")
-            successors = successors[:1]
-        stack.extend(reversed(successors))
+        elif len(adds) > 1:
+            stack.append((adds[1] + branch, adds[1], index.copy()))
+        stack.append((adds[0] + branch, adds[0], index))
         pending = next(records, None)
     if pending is not None:
         raise ValueError("trace continues past the end of the search")

@@ -1,22 +1,32 @@
-"""Termination measure for tableau branches.
+"""Termination measures for tableau branches.
 
-Every branch maps to a finite multiset of pairs of naturals, one pair per
-fact, compared by the Dershowitz-Manna extension of the lexicographic order
-on pairs, which is well founded; so a strict decrease at every rule
-application certifies termination. A ⊓, ⊔ or ∃ fact weighs (size of its
-concept, 0) while its rule applies and (0, 0) after. A ∀ fact weighs its
-concept size and, second, its pending successors plus the shared count:
-the branch's ∃ facts whose rule applies, plus the ∃ nodes strictly below
-the roots of its asserted concepts. Every other fact weighs (0, 0).
+The check's measure is per individual (Baader & Sattler 2001, Studia Logica
+69). Each individual x weighs `(k(x), N_k(x) − |L(x)|, e(x))`, compared
+lexicographically: k bounds the role depth of its concepts, K (the largest
+role depth of an input concept) for an individual of the input and one less
+than its source's for a witness the ∃ rule makes; N_k counts the input's
+distinct subterms of role depth at most k; L(x) is the set of concepts
+asserted of x; and e(x) counts the ∃ facts on x whose rule applies. The
+branch measure is the multiset of the weights under the Dershowitz-Manna
+order (CACM 22(8), 1979), which is well founded. Each step lowers it: ⊓, ⊔
+and ∀ steps grow a label, a fresh ∃ step lowers e(x) and adds a weight with
+a smaller k, a reuse step only lowers e(x), and no step raises another
+individual's e. This holds while each added `y : D` has D among the input's
+subterms at role depth at most k(y), which keeps N_k − |L| a natural
+number. `assert_decrease` checks both from the `alctab.delta.MeasureState`
+that the step's branch carries; `progress_check` is the cheap structural
+witness that runs first (every step adds only new facts, at least one, and
+at most one fresh witness).
 
-The shared count can grow when a rule exposes nested existentials;
-`assert_decrease` reports such steps honestly, and `progress_check` is the
-unconditional fallback witness (every step adds only new facts, at least
-one, and at most one fresh witness).
-
-Only `alctab.delta.MeasureState` computes the measure. The checks read the
-state of the step's branch, and `measure_abox`, which measures a whole
-branch for the trace, takes the pairs one step from the empty branch gains.
+The trace prints the paper's measure: one pair per fact, compared the same
+way. A ⊓, ⊔ or ∃ fact weighs (size of its concept, 0) while its rule
+applies and (0, 0) after. A ∀ fact weighs its concept size and, second,
+its pending successors plus the shared count: the branch's ∃ facts whose
+rule applies, plus the ∃ nodes strictly below the roots of its asserted
+concepts. Every other fact weighs (0, 0). The shared count grows when a
+step exposes nested existentials, so this measure does not decrease across
+every step of a correct search; the tests reproduce those steps as a
+finding. `measure_abox` measures a whole branch in one scan.
 """
 
 from __future__ import annotations
@@ -32,15 +42,16 @@ if TYPE_CHECKING:
     from .delta import MeasureState
 
 MeasurePair = tuple[int, int]
-ConceptCounts = dict  # dict[Concept, tuple[int, int]]
+ConceptCounts = dict  # dict[Concept, tuple[int, int, int]]
 
 
-def _counts(concept: Concept, memo: ConceptCounts) -> tuple[int, int]:
-    """`(size, existentials)` of the concept: its number of constructor
-    nodes, each of Top, Bottom and the atoms counting one, and its number
-    of existential-restriction nodes.
+def _counts(concept: Concept, memo: ConceptCounts) -> tuple[int, int, int]:
+    """`(size, existentials, depth)` of the concept: its number of
+    constructor nodes, each of Top, Bottom and the atoms counting one, its
+    number of existential-restriction nodes, and its role depth, the
+    deepest nesting of ∃ and ∀ in it.
 
-    Both are tree counts, read off the counts of the children. Every
+    All three are read off the counts of the children. Every
     subterm not yet in `memo` is counted once, after its children, and
     entered into it; so the prefixes of a ⊓-chain, which a branch holds
     side by side, cost one node each. The walk keeps its own stack.
@@ -63,21 +74,21 @@ def _counts(concept: Concept, memo: ConceptCounts) -> tuple[int, int]:
                 if right is None:
                     stack.append(node.right)
                 continue
-            memo[node] = (1 + left[0] + right[0], left[1] + right[1])
+            memo[node] = (1 + left[0] + right[0], left[1] + right[1], max(left[2], right[2]))
         elif kind is Not or kind is All or kind is Some:
             child = memo.get(node.child)
             if child is None:
                 stack.append(node.child)
                 continue
-            memo[node] = (1 + child[0], child[1] + (kind is Some))
+            memo[node] = (1 + child[0], child[1] + (kind is Some), child[2] + (kind is not Not))
         else:
-            memo[node] = (1, 0)
+            memo[node] = (1, 0, 0)
         stack.pop()
     return memo[concept]
 
 
 def measure_abox(abox: Abox) -> Counter:
-    """The branch measure: the multiset of per-fact pairs.
+    """The paper's branch measure: the multiset of per-fact pairs.
 
     The branch must hold each fact once, as every branch of the search
     does; a repeated fact raises ValueError. Each call returns a new
@@ -106,7 +117,7 @@ def progress_check(app: RuleApplication, n: int, index: BranchIndex, state: Meas
     front brings in to be the step's witness, which must be the index's
     next one.
     """
-    at, known, fresh = index.at, state.incoming, app.fresh
+    at, known, fresh = index.at, state.labels, app.fresh
     if fresh is not None and fresh is not lookup(Anon, index.witness):
         return False
     front = app.added[n]
@@ -120,8 +131,8 @@ def progress_check(app: RuleApplication, n: int, index: BranchIndex, state: Meas
 
 
 def assert_decrease(app: RuleApplication, n: int, index: BranchIndex, state: MeasureState) -> bool:
-    """Whether the branch measure strictly decreases across the step to
-    `app`'s successor n; `state`, the measure state of the step's branch,
-    indexed by `index`, is advanced to that successor's.
+    """Whether the step to `app`'s successor n keeps the measure's invariant
+    and strictly lowers the branch measure; `state`, the measure state of
+    the step's branch, indexed by `index`, is advanced to that successor's.
     """
-    return state.advance(app.added[n], index).decreases()
+    return state.advance(app.added[n], index)

@@ -22,13 +22,18 @@ which `abox_signature` must agree with, and `fresh_individual` finds the
 next witness by scanning a branch.
 `some_premise` and `all_premise` test the ∃ and ∀ premises by scanning
 every successor along the role, which the rules' indexed premises must
-agree with. `measure_abox` measures a branch by scanning it whole, running
-the ⊓ and ⊔ rules' premises, the ∃ scan and the ∀ rule's pending scan on
-every fact, which the library's `MeasureState` must agree with.
-`assert_decrease` and `progress_check` check a step from the whole
-branches before and after it, the first by `multiset_less`, the
-Dershowitz-Manna order on two whole measures, which the search's checks
-from the step alone must agree with. Deciding needs none of them.
+agree with. `measure_abox` gives the paper's pairs of a branch by scanning
+it whole, running the ⊓ and ⊔ rules' premises, the ∃ scan and the ∀ rule's
+pending scan on every fact, which the trace's pairs must agree with, and
+`assert_decrease` compares two of them by `multiset_less`, the
+Dershowitz-Manna order on two whole measures: the paper's measure fails to
+decrease on some steps of a correct search, which the tests reproduce as a
+finding. `individual_weights` weighs each individual of a branch by the
+per-individual measure, with `role_depth` by structural recursion, which
+the library's `MeasureState` must agree with at every step, and
+`progress_check` checks a step from the whole branches before and after
+it, which the search's progress check from the step alone must agree
+with. Deciding needs none of them.
 """
 
 from __future__ import annotations
@@ -270,9 +275,57 @@ def multiset_less(m1: Mapping[MeasurePair, int], m2: Mapping[MeasurePair, int]) 
 
 
 def assert_decrease(before: Abox, after: Abox) -> bool:
-    """Whether the branch measure strictly decreases across a rule step,
-    from the two whole measures."""
+    """Whether the paper's branch measure strictly decreases across a rule
+    step, from the two whole measures. It does not across every step of a
+    correct search: a step that exposes nested existentials can raise the
+    shared count."""
     return multiset_less(measure_abox(after), measure_abox(before))
+
+
+def role_depth(concept: Concept) -> int:
+    """The deepest nesting of ∃ and ∀ in the concept, by structural
+    recursion (limited in depth by the interpreter's recursion limit)."""
+    match concept:
+        case Not(child):
+            return role_depth(child)
+        case And(left, right) | Or(left, right):
+            return max(role_depth(left), role_depth(right))
+        case All(_, child) | Some(_, child):
+            return 1 + role_depth(child)
+    return 0
+
+
+def individual_weights(root: Abox, branch: Abox) -> dict[Individual, tuple[int, int, int]]:
+    """Each individual's weight `(k, N_k − |L|, e)` in a branch grown from
+    the input `root`, by scans of the whole branch.
+
+    An individual of the input has k = K, the largest role depth of an
+    input concept; any other one is a witness, made by the ∃ rule together
+    with its oldest incoming edge, and has its source's k less one. `N_k`
+    counts the distinct subterms of the input's concepts with role depth at
+    most k, `L` is the set of concepts the branch asserts of the individual
+    and `e` the number of its ∃ facts whose rule applies. Raises
+    AssertionError if some fact's concept is not such a subterm at the
+    depth its individual allows.
+    """
+    depth = {
+        c: role_depth(c) for f in root if isinstance(f, Inst) for c in subterms(f.concept)
+    }
+    top = max((depth[f.concept] for f in root if isinstance(f, Inst)), default=0)
+    bound = dict.fromkeys(individuals_of(root), top)
+    for f in reversed(branch):
+        if isinstance(f, Rel) and f.target not in bound:
+            bound[f.target] = bound[f.source] - 1
+    index = BranchIndex(branch)
+    weights = {}
+    for x in individuals_of(branch):
+        label = [f.concept for f in branch if isinstance(f, Inst) and f.subject == x]
+        k = bound[x]
+        assert all(c in depth and depth[c] <= k for c in label), (x, label)
+        room = sum(1 for d in depth.values() if d <= k)
+        somes = sum(1 for c in label if isinstance(c, Some) and some_premise(index, x, c))
+        weights[x] = (k, room - len(label), somes)
+    return weights
 
 
 def progress_check(before: Abox, after: Abox) -> bool:

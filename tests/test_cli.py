@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import alctab.cli
+import alctab.engine
 from alctab.cli import cli
 from alctab.engine import Satisfiable, decide_concept_sat
 from alctab.parser import print_concept
@@ -127,13 +128,18 @@ def test_step_limit_exit(capsys):
     assert code == 4 and "limit" in err.lower()
 
 
-def test_check_measure_exit(capsys, tmp_path):
+def test_check_measure_exit(capsys, tmp_path, monkeypatch):
+    # the ∀ steps here raised the paper's measure; the check's falls
     path = tmp_path / "kb.abox"
     path.write_text("x : all r. some s. A\nr(x, y)\n")
-    code, out, _ = run(capsys, "consistent", "--file", str(path))
-    assert code == 0  # fine without instrumentation
-    code, _, err = run(capsys, "consistent", "--file", str(path), "--check-measure")
-    assert code == 3 and "measure" in err
+    for flags in ((), ("--check-measure",)):
+        assert run(capsys, "consistent", "--file", str(path), *flags)[:2] == (0, "CONSISTENT\n")
+    code, out, _ = run(capsys, "sat", "some s. B and all s. some r. B", "--check-measure")
+    assert (code, out) == (0, "SAT\n")
+    # a step the check rejects is an invariant violation
+    monkeypatch.setattr(alctab.engine, "assert_decrease", lambda app, n, index, state: False)
+    code, out, err = run(capsys, "consistent", "--file", str(path), "--check-measure")
+    assert code == 3 and out == "" and "measure" in err
 
 
 def test_trace_flag_writes_records(capsys, tmp_path):

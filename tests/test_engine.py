@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from alctab import engine, rules, syntax
+from alctab.delta import MeasureState
 from alctab.engine import (
     EngineConfig,
     MeasureDecreaseError,
@@ -201,16 +202,27 @@ def test_step_limit():
 
 
 def test_measure_instrumentation_modes():
+    # the paper's measure rose across this input's ∀ step; the check's
+    # measure decreases, so nothing raises and the sink stays empty
     violating = (Inst(x, All(r, Some(Role("s"), A))), Rel(r, x, y))
-    with pytest.raises(MeasureDecreaseError):
-        decide_sat_abox(violating, EngineConfig(check_measure=True))
     sink = []
     verdict = decide_sat_abox(
         violating, EngineConfig(check_measure=True, measure_violations=sink)
     )
-    assert isinstance(verdict, Satisfiable)
-    assert len(sink) >= 1
-    assert all(v.kind is RuleKind.ALL for v in sink[:1])
+    assert isinstance(verdict, Satisfiable) and sink == []
+    assert verdict == decide_sat_abox(violating, EngineConfig(check_measure=True))
+    # a forged ∀ step whose concept is not among the input's subterms
+    # raises, or, given a sink, is kept there and the check goes on
+    before = (Inst(x, All(r, A)), Rel(r, x, y))
+    front = (Inst(y, B),)
+    app = rules.RuleApplication(RuleKind.ALL, before[0], 0, before, (front + before,), (front,))
+    with pytest.raises(MeasureDecreaseError):
+        engine._check_measures(
+            app, rules.BranchIndex(before), MeasureState(before), EngineConfig(check_measure=True)
+        )
+    cfg = EngineConfig(check_measure=True, measure_violations=sink)
+    engine._check_measures(app, rules.BranchIndex(before), MeasureState(before), cfg)
+    assert sink == [engine.MeasureViolation(before, front + before, RuleKind.ALL)]
 
 
 def test_trace_replay():

@@ -28,11 +28,12 @@ be its front, the action's facts, none of which its branch held, put in
 front of the branch, and at every branch the search tests, its carried
 index must hold what scans of the branch tuple find, and live pivots that
 miss no pivot a rule applies at; at each live ∃ and ∀ pivot, its indexed
-premise must be the reference scan's. Checked
-the same way, every step's measure change must be the difference of the
-two whole-branch measures that the reference scans, and the checks' answers
-those of the whole-branch checks; the measures the trace prints must be
-those scans too. With
+premise must be the reference scan's. Replay's index is checked the same
+way at every branch it tests. Checked the same way, at every step the
+measure state must weigh each individual as the whole-branch reference
+does, before the step and after it, and the whole multisets must decrease;
+the progress check must answer as the whole-branch one, and the paper's
+pairs the trace prints must be the reference's scans. With
 more runs that backjumping prunes, they also gate the jumps: the engine
 must return what a search that tries every alternative returns, after
 closing no more branches, and its trace must replay, while no single flip
@@ -54,7 +55,6 @@ from alctab.engine import (
     next_application,
     replay_trace,
 )
-from alctab.delta import MeasureState
 from alctab.measure import assert_decrease, measure_abox, progress_check
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
@@ -78,6 +78,7 @@ from alctab.syntax import (
     Role,
     Some,
     abox_signature,
+    dedup_facts,
     nnf,
 )
 from corpus import (
@@ -250,7 +251,8 @@ def test_incremental_steps_match_whole_branch_scans(monkeypatch):
     for name in ("contains_clash", "next_application"):
         monkeypatch.setattr(engine, name, checking(name, getattr(engine, name)))
     clashes = steps = 0
-    for verdict in verdicts():
+    runs = list(zip(golden_inputs(), verdicts()))
+    for _, verdict in runs:
         steps += len(verdict.trace) + isinstance(verdict, Satisfiable)
         for rec in verdict.trace:
             index = BranchIndex(rec.before)
@@ -273,6 +275,13 @@ def test_incremental_steps_match_whole_branch_scans(monkeypatch):
     # the index was checked on every branch a rule was chosen on (the last
     # one of a satisfiable run is saturated), and on more tested for a clash
     assert indexed["contains_clash"] > indexed["next_application"] == steps
+    # replay grows one index per branch too, and it is checked at every
+    # branch the replay tests for a clash, each record's among them
+    searched, records = indexed["contains_clash"], 0
+    for abox, verdict in runs:
+        assert replay_trace(abox, verdict.trace) == getattr(verdict, "open_branch", None)
+        records += len(verdict.trace)
+    assert indexed["contains_clash"] - searched > records
 
 
 def test_backjumping_returns_what_the_full_search_returns():
@@ -332,16 +341,6 @@ def test_trace_measures_are_the_whole_branch_scans():
     assert measured == 6328
 
 
-def measure_change(step):
-    """The pairs a step loses and gains, as differences of whole measures."""
-    lost, gained = Counter(step.lost), Counter(step.gained)
-    for (size, waiting) in step.keys:
-        n = step.unchanged((size, waiting))
-        lost[size, waiting + step.shared] += n
-        gained[size, waiting + step.after] += n
-    return lost - gained, gained - lost
-
-
 def test_measure_steps_match_whole_branch_measures(monkeypatch):
     x, y, r = Named("x"), Named("y"), Role("r")
     A, B = Atom("A"), Atom("B")
@@ -352,15 +351,11 @@ def test_measure_steps_match_whole_branch_measures(monkeypatch):
         (Inst(x, Some(r, A)), Rel(r, x, y), Inst(x, Some(r, A)), Inst(x, All(r, B))),
         (Inst(x, All(r, Some(r, A))), Rel(r, x, y), Rel(r, x, y)),
     ]
-    changes, seen = [], Counter()
-    advance = MeasureState.advance
+    seen = Counter()
+    root = ()
 
-    def recording(state, front, index):
-        step = advance(state, front, index)
-        # read at once, before the state moves on
-        changes.append(measure_change(step))
-        seen["shifted"] += step.after != step.shared and any(map(step.unchanged, step.keys))
-        return step
+    def weights(state):
+        return {ind: state.weight(ind) for ind in state.labels}
 
     def checked_progress(app, n, index, state):
         answer = progress_check(app, n, index, state)
@@ -369,20 +364,21 @@ def test_measure_steps_match_whole_branch_measures(monkeypatch):
         return answer
 
     def checked_decrease(app, n, index, state):
+        before = reference.individual_weights(root, app.before)
+        after = reference.individual_weights(root, app.successors[n])
+        assert weights(state) == before
         answer = assert_decrease(app, n, index, state)
-        before = reference.measure_abox(app.before)
-        after = reference.measure_abox(app.successors[n])
-        assert answer == multiset_less(after, before)
-        assert changes[-1] == (before - after, after - before)
-        assert state.shared == reference.reducible_hidden_ex_count(app.successors[n])
-        seen["violations"] += not answer
+        # the state, advanced to the successor, weighs each individual as
+        # the scans do, and the whole multisets decrease
+        assert weights(state) == after
+        assert answer and multiset_less(Counter(after.values()), Counter(before.values()))
+        seen["paper"] += not reference.assert_decrease(app.before, app.successors[n])
         return answer
 
-    monkeypatch.setattr(MeasureState, "advance", recording)
     monkeypatch.setattr(engine, "progress_check", checked_progress)
     monkeypatch.setattr(engine, "assert_decrease", checked_decrease)
     for abox in [*golden_inputs(), *repeats]:
-        decide_sat_abox(abox, EngineConfig(check_measure=True, measure_violations=[]))
-    # steps that shift the unchanged ∀ pairs and that do not decrease were seen
-    assert seen["steps"] > 4000
-    assert seen["shifted"] > 0 and seen["violations"] > 0
+        root = dedup_facts(abox)
+        decide_sat_abox(abox, EngineConfig(check_measure=True))
+    # every step decreased, among them steps the paper's measure does not
+    assert seen["steps"] > 4000 and seen["paper"] > 0

@@ -9,13 +9,15 @@ import alctab.measure
 import reference
 from alctab.engine import (
     EngineConfig,
+    MeasureDecreaseError,
     ProgressCheckError,
     Satisfiable,
     _check_measures,
     decide_concept_sat,
+    decide_sat_abox,
     next_application,
 )
-from alctab.delta import MeasureState, MeasureStep
+from alctab.delta import MeasureState
 from alctab.measure import measure_abox
 from alctab.render import emit_trace
 from alctab.rules import BranchIndex, RuleApplication, RuleKind
@@ -32,13 +34,21 @@ from alctab.syntax import (
     Some,
     dedup_facts,
 )
-from corpus import exists_tree, pigeonhole, random_concept, random_nnf_abox
+from corpus import (
+    exists_tree,
+    pigeonhole,
+    random_concept,
+    random_nnf_abox,
+    random_nnf_concept,
+    wide_exists,
+)
 from reference import (
     assert_decrease,
     existential_count,
     multiset_less,
     progress_check,
     reducible_hidden_ex_count,
+    role_depth,
     size_concept,
 )
 
@@ -90,8 +100,10 @@ def test_concept_counts_agree_with_the_tree_walks():
     chain = A
     for _ in range(10_000):  # deeper than the recursion limit
         chain = And(Some(r, chain), B)
+    # the chain is too deep for the recursive role depth
+    depths = {c: role_depth(c) for c in concepts} | {chain: 10_000, And(chain, chain): 10_000}
     for c in concepts + [And(chain, chain), chain]:
-        expected = (size_concept(c), existential_count(c))
+        expected = (size_concept(c), existential_count(c), depths[c])
         assert alctab.measure._counts(c, {}) == expected
         assert alctab.measure._counts(c, memo) == expected
 
@@ -134,30 +146,6 @@ def test_multiset_order_is_strict_partial_order():
             assert multiset_less(m1, m3)
         if multiset_less(m1, m2):
             assert not multiset_less(m2, m1)
-
-
-def test_a_step_decides_as_the_whole_multisets_do():
-    # random steps: explicit pairs lost and gained, and universal keys that
-    # the step moved or left alone, which shift with the shared count
-    rng = random.Random(12)
-    pairs = [(a, b) for a in range(4) for b in range(6)]
-    keys = [(a, b) for a in range(2, 4) for b in range(3)]
-    shifted = 0
-    for _ in range(3000):
-        lost = Counter(rng.choices(pairs, k=rng.randrange(4)))
-        gained = Counter(rng.choices(pairs, k=rng.randrange(4)))
-        unchanged = Counter(rng.choices(keys, k=rng.randrange(4)))
-        moved = Counter(rng.choices(keys, k=rng.randrange(3)))
-        shared, after = rng.randrange(3), rng.randrange(3)
-        total = unchanged + moved
-        step = MeasureStep(
-            dict(lost), dict(gained), shared, after, dict(moved), dict(total), sorted(total)
-        )
-        before = lost + Counter({(size, w + shared): n for (size, w), n in unchanged.items()})
-        now = gained + Counter({(size, w + after): n for (size, w), n in unchanged.items()})
-        assert step.decreases() == multiset_less(now, before)
-        shifted += shared != after and bool(unchanged)
-    assert shifted > 1000
 
 
 def test_assert_decrease_examples():
@@ -301,11 +289,55 @@ def test_forged_steps_fail_the_progress_check():
     for app in forged:
         # the whole-branch check rejects each of them too
         assert not progress_check(app.before, app.successors[0])
-    # adds x : B but also moves x : A, which the branch holds, up; the
-    # whole-branch check sees only the set grow, the step check a held fact
-    moved = _forged((conj, Inst(x, A)), RuleKind.AND, (Inst(x, B), Inst(x, A)))
-    assert progress_check(moved.before, moved.successors[0])
-    for app in (*forged, moved):
+    # each adds new facts but also repeats one the branch holds, which moves
+    # up; the whole-branch check sees only the set grow, the step check a
+    # held fact
+    repeats = [
+        _forged((conj, Inst(x, A)), RuleKind.AND, (Inst(x, B), Inst(x, A))),
+        _forged((some,), RuleKind.SOME, (Rel(r, x, Anon(0)), Inst(Anon(0), A), some), Anon(0)),
+    ]
+    for app in repeats:
+        assert progress_check(app.before, app.successors[0])
+    for app in (*forged, *repeats):
         cfg = EngineConfig(check_measure=True, measure_violations=[])
         with pytest.raises(ProgressCheckError):
             _check_measures(app, BranchIndex(app.before), MeasureState(app.before), cfg)
+    # steps that make progress but break the measure's invariant or do not
+    # lower it; the forged branch is the input the state measures from
+    alls = (Inst(x, All(r, A)), Rel(r, x, y))
+    deep = (Inst(x, Some(r, A)), Inst(x, Some(s, A)))
+    unmeasured = [
+        # a ∀ front with a concept outside the input's subterms
+        _forged(alls, RuleKind.ALL, (Inst(y, B),)),
+        # an ∃ fact on a fresh witness of depth bound 0, of role depth 1
+        _forged(
+            deep,
+            RuleKind.SOME,
+            (Rel(r, x, Anon(0)), Inst(Anon(0), A), Inst(Anon(0), Some(s, A))),
+            Anon(0),
+        ),
+        # gives a new fact twice, which would count it twice in its label
+        _forged((conj,), RuleKind.AND, (Inst(x, A), Inst(x, A))),
+        # an edge that satisfies no ∃ fact changes no weight
+        _forged((Inst(x, A), Inst(y, B)), RuleKind.SOME, (Rel(r, x, y),)),
+    ]
+    for app in unmeasured:
+        assert progress_check(app.before, app.successors[0])
+        cfg = EngineConfig(check_measure=True)
+        with pytest.raises(MeasureDecreaseError):
+            _check_measures(app, BranchIndex(app.before), MeasureState(app.before), cfg)
+
+
+def test_a_correct_run_never_fails_the_check():
+    # no sink: a step the check rejects raises
+    cfg = EngineConfig(check_measure=True)
+    rng = random.Random(7)
+    for _ in range(2000):
+        concept = random_nnf_concept(rng, 5)
+        assert decide_concept_sat(concept, cfg) == decide_concept_sat(concept)
+    rng = random.Random(7)
+    for _ in range(2000):
+        abox = random_nnf_abox(rng)
+        assert decide_sat_abox(abox, cfg) == decide_sat_abox(abox)
+    for concept in (exists_tree(10), pigeonhole(4, 3), wide_exists(100)):
+        assert decide_concept_sat(concept, cfg) == decide_concept_sat(concept)

@@ -24,6 +24,8 @@ _NO_BRANCH = BranchIndex(())
 
 Weight = tuple[int, int, int]
 
+_INVARIANT = "broke the measure's invariant: it "
+
 
 class MeasureState:
     """What the weights of a branch's individuals depend on, kept as the
@@ -36,10 +38,10 @@ class MeasureState:
     to its `(role, source)` edges. `exists` maps `(role, x)` to the ∃ facts
     on x along the role, and `open` holds those whose rule applies. A state
     shared by two branches is `copy`-ed first, since `advance` changes it in
-    place.
+    place. `failure` says how the last step `advance` rejected failed.
     """
 
-    __slots__ = ("counts", "room", "labels", "somes", "incoming", "exists", "open")
+    __slots__ = ("counts", "room", "labels", "somes", "incoming", "exists", "open", "failure")
 
     def __init__(self, branch: Abox) -> None:
         """The state of the input `branch`, which holds each fact once; its
@@ -60,6 +62,7 @@ class MeasureState:
         twin.counts, twin.room = self.counts, self.room
         twin.labels, twin.somes, twin.open = dict(self.labels), dict(self.somes), set(self.open)
         twin.incoming, twin.exists = dict(self.incoming), dict(self.exists)
+        twin.failure = self.failure
         return twin
 
     def weight(self, x: Individual) -> Weight:
@@ -71,7 +74,8 @@ class MeasureState:
         `index`, and return whether the step checks: its facts are given
         once, only a new edge brings an individual in, one level below its
         source, each new `y : D` has D among the input's subterms with role
-        depth at most k(y), and the measure strictly decreases.
+        depth at most k(y), and the measure strictly decreases. When it does
+        not, `failure` names the first condition found to fail.
 
         Only the individuals the front names change weight, and the sources
         of edges into them, whose e can fall. A new `y : C` closes the ∃
@@ -86,7 +90,9 @@ class MeasureState:
         )
         weight = self.weight
         before: dict[Individual, Optional[Weight]] = {}  # the changed ones, None if new
-        ok = len(added) == len(front)
+        broken: list[str] = []  # how the step fails the check
+        if len(added) < len(front):
+            broken.append(_INVARIANT + "gives a fact twice")
 
         def holds(y: Individual, c: Concept) -> bool:
             fact = lookup(Inst, y, c)
@@ -103,7 +109,8 @@ class MeasureState:
         for f in edges:
             if f.target not in labels and f.source in labels:
                 k = labels[f.source][0] - 1
-                ok = ok and k >= 0
+                if k < 0:
+                    broken.append(_INVARIANT + "makes a witness below role depth 0")
                 before[f.target] = None
                 labels[f.target] = (max(k, 0), 0, ())
         for f in front:
@@ -111,13 +118,16 @@ class MeasureState:
                 continue
             y, c = f.subject, f.concept
             if y not in labels:
-                ok = False
+                broken.append(_INVARIANT + "puts a fact on an individual no edge brings in")
                 continue
             if y not in before:
                 before[y] = weight(y)
             k, size, label = labels[y]
             known = self.counts.get(c)
-            ok = ok and known is not None and known[2] <= k
+            if known is None:
+                broken.append(_INVARIANT + "asserts a concept outside the input's subterms")
+            elif known[2] > k:
+                broken.append(_INVARIANT + "asserts a concept above its individual's depth bound")
             labels[y] = (k, size + 1, (c, label))
             for role, x in incoming.get(y, ()):
                 close(lookup(Inst, x, lookup(Some, role, c)))
@@ -131,7 +141,7 @@ class MeasureState:
         for f in edges:
             role, x, y = f.role, f.source, f.target
             if x not in labels:
-                ok = False
+                broken.append(_INVARIANT + "adds an edge from an individual not on the branch")
                 continue
             incoming[y] = (*incoming.get(y, ()), (role, x))
             facts = exists.get((role, x), ())
@@ -147,7 +157,10 @@ class MeasureState:
         # the weights are totally ordered, so the multiset after the step is
         # smaller exactly when its changed weights, largest first, are
         after = sorted(map(weight, before), reverse=True)
-        return ok and after < sorted(filter(None, before.values()), reverse=True)
+        if not after < sorted(filter(None, before.values()), reverse=True):
+            broken.append("did not lower the branch measure")
+        self.failure = broken[0] if broken else None
+        return not broken
 
 
 # the ⊓, ⊔ and ∃ pivots weigh their concept size while their rule applies

@@ -60,12 +60,13 @@ from .syntax import (
     Named,
     Not,
     Rel,
+    Signature,
     abox_signature,
     dedup_facts,
     individuals_of,
-    is_nnf_abox,
     lookup,
     nnf,
+    nnf_signature,
 )
 
 if TYPE_CHECKING:
@@ -76,13 +77,15 @@ class StepLimitExceeded(RuntimeError):
     """The search performed more rule applications than the configured cap."""
 
 
-class MeasureDecreaseError(RuntimeError):
-    """A rule application failed the termination measure's check."""
+def _step(kind: RuleKind) -> str:
+    return f"{'an' if kind.value[0] in 'aeiou' else 'a'} {kind.value}-rule step"
 
-    def __init__(self, violation: "MeasureViolation"):
-        super().__init__(
-            f"branch measure did not decrease across a {violation.kind.value}-rule step"
-        )
+
+class MeasureDecreaseError(RuntimeError):
+    """A rule application failed the termination measure's check, as `failure` says."""
+
+    def __init__(self, violation: "MeasureViolation", failure: Optional[str] = None):
+        super().__init__(f"{_step(violation.kind)} {failure or 'did not lower the branch measure'}")
         self.violation = violation
 
 
@@ -245,7 +248,8 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     """
     cfg = cfg or EngineConfig()
     root = dedup_facts(abox)
-    if not is_nnf_abox(root):
+    signature, normal = nnf_signature(root)
+    if not normal:
         raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
     # (right successor, its front, labels, label of the ⊔ pivot, index of
@@ -284,7 +288,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             continue
         app = next_application(branch, index)
         if app is None:
-            return Satisfiable(canonical_interpretation(branch), branch, tuple(trace))
+            return Satisfiable(canonical_interpretation(branch, signature), branch, tuple(trace))
         steps += 1
         if steps > cfg.max_steps:
             raise StepLimitExceeded(f"exceeded {cfg.max_steps} rule applications")
@@ -338,13 +342,11 @@ def _check_measures(
     right = measure.copy() if len(app.successors) > 1 else None
     for n, (succ, state) in enumerate(zip(app.successors, (measure, right))):
         if not progress_check(app, n, index, state):
-            raise ProgressCheckError(
-                f"no progress across a {app.kind.value}-rule step"
-            )
+            raise ProgressCheckError(f"no progress across {_step(app.kind)}")
         if not assert_decrease(app, n, index, state):
             violation = MeasureViolation(app.before, succ, app.kind)
             if cfg.measure_violations is None:
-                raise MeasureDecreaseError(violation)
+                raise MeasureDecreaseError(violation, state.failure)
             cfg.measure_violations.append(violation)
     return right
 
@@ -363,19 +365,23 @@ def subsumes(sub: Concept, sup: Concept, cfg: Optional[EngineConfig] = None) -> 
     return isinstance(decide_concept_sat(And(sub, Not(sup)), cfg), Unsatisfiable)
 
 
-def canonical_interpretation(abox: Abox) -> Interpretation:
+def canonical_interpretation(abox: Abox, signature: Optional[Signature] = None) -> Interpretation:
     """The model read off a branch.
 
     One domain element per individual, numbered in first-occurrence order;
-    asserted atoms and role assertions populate the maps. Intended for
-    saturated, clash-free, normalized branches, where the result satisfies
-    every fact. An empty branch gets a one-element dummy domain.
+    asserted atoms and role assertions populate the maps, which have a key
+    for each name of the branch's `signature`, `abox_signature(abox)` when
+    not given. The search passes its input's, which every branch it grows
+    has: each fact a rule adds asserts a subterm of an input concept, and
+    each edge has the role of an input ∃. Intended for saturated,
+    clash-free, normalized branches, where the result satisfies every
+    fact. An empty branch gets a one-element dummy domain.
     """
     inds = individuals_of(abox)
     if not inds:
         return Interpretation(frozenset({0}), {}, {}, {})
     element = {ind: i for i, ind in enumerate(inds)}
-    atoms, roles = abox_signature(abox)
+    atoms, roles = abox_signature(abox) if signature is None else signature
     concept_map: dict[str, set[int]] = {name: set() for name in atoms}
     role_map: dict[str, set[tuple[int, int]]] = {name: set() for name in roles}
     for fact in abox:

@@ -14,12 +14,12 @@ that follows them:
 IDENT is [A-Za-z_][A-Za-z0-9_]* minus the keywords. So
 "some r. A and B" reads as (some r. A) and B.
 
-The parser recurses once per prefix operator and open parenthesis. At
-most MAX_NESTING of them may enclose any point of the input; a deeper
-input is a ParseError, well before the parser reaches Python's recursion
-limit. Long and/or chains do not nest. The normal form, the printer and
-the syntax `repr` keep their own stacks, and the evaluators of
-`semantics` work bottom-up over a list of subterms.
+The parser does not recurse: one loop over the tokens keeps its own stack
+of open operators and parentheses. At most MAX_NESTING prefix operators
+and open parentheses may enclose any point of the input, a limit on the
+input that a deeper one meets as a ParseError. The normal form, the
+printer and the syntax `repr` keep their own stacks too, and the
+evaluators of `semantics` work bottom-up over a list of subterms.
 
 ABox files are line oriented: blank lines and lines starting with "#" are
 ignored; every other line is either "x : Concept" or "r(x, y)" with the
@@ -62,6 +62,10 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[().:,]")
 # the first character no token can hold: one outside the token and space
 # alphabet, or a digit that does not continue a name
 _BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_().:, \t\r\n]|(?<![A-Za-z0-9_])[0-9]")
+# whether there is one, in two faster searches, but for a leading digit
+_OUTSIDE_RE = re.compile(r"[^A-Za-z0-9_().:, \t\r\n]")
+_LOOSE_DIGIT_RE = re.compile(r"[^A-Za-z0-9_][0-9]")
+_NOT_NAMES = KEYWORDS | {"(", ")", ".", ":", ",", ""}  # every other token is a name
 
 
 @dataclass(frozen=True)
@@ -85,16 +89,16 @@ class ParseError(ValueError):
 def _tokenize(text: str, first_line: int = 1) -> list[str]:
     """The token texts of `text`, ending with "" for the end of input.
 
-    Spaces, tabs, carriage returns and newlines separate tokens. Positions
-    are worked out only for an error, by `_span`.
+    Spaces, tabs, carriage returns and newlines separate tokens. Positions,
+    and the first character no token can hold, are found only for an error.
     """
-    bad = _BAD_CHAR_RE.search(text)
-    if bad:
+    if _OUTSIDE_RE.search(text) or _LOOSE_DIGIT_RE.search(text) or "0" <= text[:1] <= "9":
+        bad = _BAD_CHAR_RE.search(text)
         span = _offset_span(text, bad.start(), first_line)
         raise ParseError(span, "a token", f"'{bad.group()}'")
-    tokens = _TOKEN_RE.findall(text)
-    tokens.append("")
-    return tokens
+    for mark in "().:,":
+        text = text.replace(mark, f" {mark} ")
+    return [*text.split(), ""]
 
 
 def _span(text: str, k: int, first_line: int = 1) -> SourceSpan:
@@ -115,7 +119,6 @@ class _ConceptParser:
         self.first_line = first_line
         self.tokens = _tokenize(text, first_line)
         self.pos = 0
-        self.depth = 0  # prefix operators and parentheses open here
 
     def error(self, expected: str, k: Optional[int] = None) -> ParseError:
         """What was expected at the k-th token, by default the next one."""
@@ -124,14 +127,6 @@ class _ConceptParser:
         found = f"'{token}'" if token else "end of input"
         return ParseError(_span(self.text, k, self.first_line), expected, found)
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def advance(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, text: str) -> None:
         if self.tokens[self.pos] != text:
             raise self.error(f"'{text}'")
@@ -139,7 +134,7 @@ class _ConceptParser:
 
     def ident(self, what: str) -> str:
         text = self.tokens[self.pos]
-        if not text or not (text[0].isalpha() or text[0] == "_") or text in KEYWORDS:
+        if text in _NOT_NAMES:
             raise self.error(what)
         self.pos += 1
         return text
@@ -150,61 +145,69 @@ class _ConceptParser:
             raise self.error(what)
 
     def concept(self) -> Concept:
-        return self.or_expr()
-
-    def or_expr(self) -> Concept:
-        left = self.and_expr()
-        while self.tokens[self.pos] == "or":
-            self.pos += 1
-            left = Or(left, self.and_expr())
-        return left
-
-    def and_expr(self) -> Concept:
-        left = self.unary()
-        while self.tokens[self.pos] == "and":
-            self.pos += 1
-            left = And(left, self.unary())
-        return left
-
-    def nested(self, opener: int, parse) -> Concept:
-        """`parse()` one nesting level below the opener, the token at
-        `opener`, within MAX_NESTING."""
-        if self.depth == MAX_NESTING:
-            raise self.error(f"at most {MAX_NESTING} nested operators and parentheses", opener)
-        self.depth += 1
-        inner = parse()
-        self.depth -= 1
-        return inner
-
-    def unary(self) -> Concept:
-        at = self.pos
-        tok = self.tokens[at]
-        if tok == "not":
-            self.pos += 1
-            return Not(self.nested(at, self.unary))
-        if tok == "all" or tok == "some":
-            self.pos += 1
-            role = Role(self.ident("a role name"))
-            self.expect(".")
-            body = self.nested(at, self.unary)
-            return All(role, body) if tok == "all" else Some(role, body)
-        return self.primary()
-
-    def primary(self) -> Concept:
-        at = self.pos
-        tok = self.tokens[at]
-        if tok == "Top":
-            self.pos += 1
-            return TOP
-        if tok == "Bottom":
-            self.pos += 1
-            return BOTTOM
-        if tok == "(":
-            self.pos += 1
-            inner = self.nested(at, self.concept)
-            self.expect(")")
-            return inner
-        return Atom(self.ident("a concept"))
+        """The concept from the next token on, read in one loop over a stack
+        of frames: `(Not, None)`, `(All, role)` or `(Some, role)` per open
+        prefix operator, and `["(", or_left, and_left]` per parenthesis, on
+        `[None, or_left, and_left]` for the whole concept. The prefix
+        operators on top take each operand read; "and" or "or" makes it a
+        left operand once those that bind as tight have taken it; ")"
+        closes a parenthesis, whose concept is again an operand. The errors,
+        and their order, are those of the grammar's recursive descent."""
+        tokens, pos = self.tokens, self.pos
+        stack: list = [[None, None, None]]
+        atoms: dict[str, Atom] = {}  # each name's atom, built once per call
+        while True:
+            tok = tokens[pos]
+            if tok not in _NOT_NAMES:
+                value = atoms.get(tok) or atoms.setdefault(tok, Atom(tok))
+            elif tok == "Top" or tok == "Bottom":
+                value = TOP if tok == "Top" else BOTTOM
+            else:
+                at = pos
+                if tok == "all" or tok == "some":
+                    if tokens[pos + 1] in _NOT_NAMES:
+                        raise self.error("a role name", pos + 1)
+                    if tokens[pos + 2] != ".":
+                        raise self.error("'.'", pos + 2)
+                    frame = (All if tok == "all" else Some, Role(tokens[pos + 1]))
+                    pos += 2
+                elif tok == "not" or tok == "(":
+                    frame = (Not, None) if tok == "not" else ["(", None, None]
+                else:
+                    raise self.error("a concept", pos)
+                if len(stack) > MAX_NESTING:
+                    raise self.error(f"at most {MAX_NESTING} nested operators and parentheses", at)
+                stack.append(frame)
+                pos += 1
+                continue
+            pos += 1
+            while True:
+                frame = stack[-1]
+                kind = frame[0]
+                if kind is Not or kind is All or kind is Some:
+                    value = Not(value) if kind is Not else kind(frame[1], value)
+                    stack.pop()
+                    continue
+                tok = tokens[pos]
+                if frame[2] is not None:
+                    value = And(frame[2], value)
+                if tok == "and":
+                    frame[2] = value
+                    break
+                frame[2] = None
+                if frame[1] is not None:
+                    value = Or(frame[1], value)
+                if tok == "or":
+                    frame[1] = value
+                    break
+                if kind is None:
+                    self.pos = pos
+                    return value
+                if tok != ")":
+                    raise self.error("')'", pos)
+                stack.pop()
+                pos += 1
+            pos += 1
 
 
 def parse_concept(text: str) -> Concept:
@@ -234,14 +237,14 @@ def parse_abox(text: str) -> Abox:
 def _parse_fact_line(line: str, lineno: int) -> Fact:
     parser = _ConceptParser(line, first_line=lineno)
     head = parser.ident("an individual or role name")
-    tok = parser.peek()
+    tok = parser.tokens[parser.pos]
     if tok == ":":
-        parser.advance()
+        parser.pos += 1
         concept = parser.concept()
         parser.end("end of line")
         return Inst(Named(head), concept)
     if tok == "(":
-        parser.advance()
+        parser.pos += 1
         source = parser.ident("an individual name")
         parser.expect(",")
         target = parser.ident("an individual name")

@@ -98,11 +98,14 @@ def interp_concept(interp: Interpretation, concept: Concept) -> frozenset[int]:
 
     Each distinct subterm is evaluated once, after its children, and kept
     for the rest of the call; so a concept that shares subterms costs its
-    number of distinct subterms, not its tree size. The walk keeps its own
-    stack, so any depth that fits in memory works.
+    number of distinct subterms, not its tree size. Each role's edges are
+    grouped by target once, so an ∃ costs the edges into its child's
+    members and a ∀ the edges into the other elements. The walk keeps its
+    own stack, so any depth that fits in memory works.
     """
     domain = interp.domain
     done: dict[Concept, frozenset[int]] = {}
+    sources: dict[Role, dict[int, list[int]]] = {}  # per role, each target's sources
     stack = [concept]
     while stack:
         node = stack[-1]
@@ -126,14 +129,16 @@ def interp_concept(interp: Interpretation, concept: Concept) -> frozenset[int]:
                 continue
             if kind is Not:
                 ext = domain - members
-            elif kind is All:
-                edges = interp_role(interp, node.role)
-                ext = frozenset(
-                    x for x in domain if all(y in members for (x2, y) in edges if x2 == x)
-                )
             else:
-                edges = interp_role(interp, node.role)
-                ext = frozenset(x for (x, y) in edges if y in members)
+                into = sources.get(node.role)
+                if into is None:
+                    into = sources[node.role] = {}
+                    for x, y in interp_role(interp, node.role):
+                        into.setdefault(y, []).append(x)
+                if kind is Some:
+                    ext = frozenset(x for y in members for x in into.get(y, ()))
+                else:  # the elements with no successor outside the members
+                    ext = domain.difference(x for y in domain - members for x in into.get(y, ()))
         elif kind is Atom:
             ext = interp.concept_map.get(node.name, _EMPTY)
         else:

@@ -301,6 +301,8 @@ Fact = Union[Inst, Rel]
 
 Abox = tuple[Fact, ...]
 
+Signature = tuple[tuple[ConceptName, ...], tuple[RoleName, ...]]
+
 
 def dedup_facts(facts: Iterable[Fact]) -> Abox:
     """Drop duplicate facts, keeping the first occurrence of each."""
@@ -395,16 +397,14 @@ def nnf(concept: Concept) -> Concept:
     return done[0]
 
 
-def is_nnf(concept: Concept, seen: Optional[set] = None) -> bool:
+def is_nnf(concept: Concept) -> bool:
     """True iff every negation in the concept applies directly to an atom.
 
     The walk visits the concept as a DAG: it enters each distinct binary or
-    quantified subterm once and skips those in `seen`, a set that several
-    calls may share, to which it adds those it enters. It keeps its own
-    stack, so any depth that fits in memory works.
+    quantified subterm once. It keeps its own stack, so any depth that fits
+    in memory works.
     """
-    if seen is None:
-        seen = set()
+    seen = set()
     todo = [concept]
     while todo:
         node = todo.pop()
@@ -426,13 +426,6 @@ def is_nnf(concept: Concept, seen: Optional[set] = None) -> bool:
     return True
 
 
-def is_nnf_abox(abox: Abox) -> bool:
-    """True iff every concept asserted in the ABox is in negation normal form;
-    each distinct subterm of the ABox's concepts is visited once."""
-    seen: set[Concept] = set()
-    return all(is_nnf(f.concept, seen) for f in abox if isinstance(f, Inst))
-
-
 def individuals_of(abox: Abox) -> tuple[Individual, ...]:
     """Individuals occurring in the ABox, in first-occurrence order."""
     seen: dict[Individual, None] = {}
@@ -445,17 +438,24 @@ def individuals_of(abox: Abox) -> tuple[Individual, ...]:
     return tuple(seen)
 
 
-def abox_signature(abox: Abox) -> tuple[tuple[ConceptName, ...], tuple[RoleName, ...]]:
-    """Concept and role names mentioned anywhere in the ABox, sorted.
+def abox_signature(abox: Abox) -> Signature:
+    """Concept and role names mentioned anywhere in the ABox, sorted."""
+    return nnf_signature(abox)[0]
+
+
+def nnf_signature(abox: Abox) -> tuple[Signature, bool]:
+    """The ABox's `abox_signature`, and whether every concept asserted in it
+    is in negation normal form.
 
     Concepts are hash-consed, so the facts' concepts share subterms; one
-    walk over all of them enters each distinct negated, binary or quantified
+    walk over all of them enters each distinct binary or quantified
     subterm once. It keeps its own stack, so any depth that fits in memory
     works.
     """
     atoms: set[ConceptName] = set()
     roles: set[RoleName] = set()
     seen: set[Concept] = set()
+    normal = True
     todo: list[Concept] = []
     for fact in abox:
         if type(fact) is Inst:
@@ -472,12 +472,14 @@ def abox_signature(abox: Abox) -> tuple[tuple[ConceptName, ...], tuple[RoleName,
                 seen.add(node)
                 todo.append(node.right)
                 todo.append(node.left)
-        elif kind is All or kind is Some or kind is Not:
+        elif kind is All or kind is Some:
             if node not in seen:
                 seen.add(node)
-                if kind is not Not:
-                    roles.add(node.role.name)
+                roles.add(node.role.name)
                 todo.append(node.child)
+        elif kind is Not:
+            normal = normal and type(node.child) is Atom
+            todo.append(node.child)
         elif not (kind is Top or kind is Bottom):
             raise TypeError(f"not a concept: {node!r}")
-    return tuple(sorted(atoms)), tuple(sorted(roles))
+    return (tuple(sorted(atoms)), tuple(sorted(roles))), normal

@@ -13,12 +13,14 @@ jumps, which the engine's backjumping search must agree with.
 the evaluator over distinct subterms must agree with, and
 `recursive_nnf` is the textbook recursive rewrite
 into negation normal form. `reference_tokenize` is the character-by-
-character lexer that positions every token, and `recursive_print_concept`
-the printer by structural recursion, which the parser's lexer and printer
-must agree with. `size_concept` and `existential_count` count a
+character lexer that positions every token, `reference_parse_concept` the
+concept grammar by recursive descent, and `recursive_print_concept` the
+printer by structural recursion, which the parser's lexer, parser and
+printer must agree with. `size_concept` and `existential_count` count a
 concept's nodes by walking its tree, which the measure's counts must agree
 with, `subterm_signature` collects an ABox's names with a walk per fact,
-which `abox_signature` must agree with, and `fresh_individual` finds the
+which `abox_signature` must agree with, `is_nnf_abox` tests the normal
+form fact by fact, which `nnf_signature` must agree with, and `fresh_individual` finds the
 next witness by scanning a branch.
 `some_premise` and `all_premise` test the ∃ and ∀ premises by scanning
 every successor along the role, which the rules' indexed premises must
@@ -50,7 +52,7 @@ from alctab.engine import (
     contains_clash,
 )
 from alctab.measure import ConceptCounts, MeasurePair, _counts
-from alctab.parser import ParseError, SourceSpan
+from alctab.parser import KEYWORDS, MAX_NESTING, ParseError, SourceSpan
 from alctab.rules import (
     AND_RULE,
     OR_RULE,
@@ -83,10 +85,12 @@ from alctab.syntax import (
     Not,
     Or,
     Rel,
+    Role,
     Some,
     Top,
     dedup_facts,
     individuals_of,
+    is_nnf,
     subterms,
 )
 
@@ -168,6 +172,13 @@ def subterm_signature(abox: Abox) -> tuple[tuple[str, ...], tuple[str, ...]]:
         else:
             roles.add(fact.role.name)
     return tuple(sorted(atoms)), tuple(sorted(roles))
+
+
+def is_nnf_abox(abox: Abox) -> bool:
+    """True iff every concept asserted in the ABox is in negation normal
+    form, by `is_nnf` on each fact's concept, which `nnf_signature`'s one
+    walk over all of them must agree with."""
+    return all(is_nnf(f.concept) for f in abox if isinstance(f, Inst))
 
 
 def fresh_individual(abox: Abox) -> Anon:
@@ -582,6 +593,111 @@ def reference_tokenize(text: str, first_line: int = 1) -> list[tuple[str, Source
         pos = m.end()
     tokens.append(("", SourceSpan(line, col)))
     return tokens
+
+
+# the first character no token can hold: one outside the token and space
+# alphabet, or a digit that does not continue a name
+_BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_().:, \t\r\n]|(?<![A-Za-z0-9_])[0-9]")
+
+
+def _offset_span(text: str, offset: int) -> SourceSpan:
+    return SourceSpan(1 + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset))
+
+
+class _RecursiveParser:
+    """The grammar of `alctab.parser` by recursive descent, one method per
+    rule, which recurses once per prefix operator and open parenthesis and
+    counts them against MAX_NESTING."""
+
+    def __init__(self, text: str):
+        self.text = text
+        bad = _BAD_CHAR_RE.search(text)
+        if bad:
+            raise ParseError(_offset_span(text, bad.start()), "a token", f"'{bad.group()}'")
+        self.tokens = _TOKEN_RE.findall(text) + [""]
+        self.pos = 0
+        self.depth = 0  # prefix operators and parentheses open here
+
+    def error(self, expected: str, k: Optional[int] = None) -> ParseError:
+        """What was expected at the k-th token, by default the next one."""
+        k = self.pos if k is None else k
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        token = self.tokens[k]
+        found = f"'{token}'" if token else "end of input"
+        return ParseError(_offset_span(self.text, starts[k]), expected, found)
+
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            raise self.error(f"'{text}'")
+        self.pos += 1
+
+    def ident(self, what: str) -> str:
+        text = self.tokens[self.pos]
+        if not text or not (text[0].isalpha() or text[0] == "_") or text in KEYWORDS:
+            raise self.error(what)
+        self.pos += 1
+        return text
+
+    def or_expr(self) -> Concept:
+        left = self.and_expr()
+        while self.tokens[self.pos] == "or":
+            self.pos += 1
+            left = Or(left, self.and_expr())
+        return left
+
+    def and_expr(self) -> Concept:
+        left = self.unary()
+        while self.tokens[self.pos] == "and":
+            self.pos += 1
+            left = And(left, self.unary())
+        return left
+
+    def nested(self, opener: int, parse) -> Concept:
+        """`parse()` one nesting level below the opener, the token at
+        `opener`, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"at most {MAX_NESTING} nested operators and parentheses", opener)
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
+
+    def unary(self) -> Concept:
+        at = self.pos
+        tok = self.tokens[at]
+        if tok == "not":
+            self.pos += 1
+            return Not(self.nested(at, self.unary))
+        if tok == "all" or tok == "some":
+            self.pos += 1
+            role = Role(self.ident("a role name"))
+            self.expect(".")
+            body = self.nested(at, self.unary)
+            return All(role, body) if tok == "all" else Some(role, body)
+        return self.primary()
+
+    def primary(self) -> Concept:
+        at = self.pos
+        tok = self.tokens[at]
+        if tok == "Top" or tok == "Bottom":
+            self.pos += 1
+            return TOP if tok == "Top" else BOTTOM
+        if tok == "(":
+            self.pos += 1
+            inner = self.nested(at, self.or_expr)
+            self.expect(")")
+            return inner
+        return Atom(self.ident("a concept"))
+
+
+def reference_parse_concept(text: str) -> Concept:
+    """`alctab.parser.parse_concept` by recursive descent: the same concept,
+    or the same ParseError, for every text."""
+    parser = _RecursiveParser(text)
+    concept = parser.or_expr()
+    if parser.tokens[parser.pos]:
+        raise parser.error("end of input")
+    return concept
 
 
 # precedence levels of the printer; higher binds tighter

@@ -216,13 +216,27 @@ def test_measure_instrumentation_modes():
     before = (Inst(x, All(r, A)), Rel(r, x, y))
     front = (Inst(y, B),)
     app = rules.RuleApplication(RuleKind.ALL, before[0], 0, before, (front + before,), (front,))
-    with pytest.raises(MeasureDecreaseError):
+    with pytest.raises(MeasureDecreaseError) as exc:
         engine._check_measures(
             app, rules.BranchIndex(before), MeasureState(before), EngineConfig(check_measure=True)
         )
+    assert str(exc.value) == (
+        "an all-rule step broke the measure's invariant: "
+        "it asserts a concept outside the input's subterms"
+    )
     cfg = EngineConfig(check_measure=True, measure_violations=sink)
     engine._check_measures(app, rules.BranchIndex(before), MeasureState(before), cfg)
     assert sink == [engine.MeasureViolation(before, front + before, RuleKind.ALL)]
+    # a forged ∃ step whose edge satisfies no ∃ fact keeps the invariant but
+    # changes no weight
+    before = (Inst(x, A), Inst(y, B))
+    front = (Rel(r, x, y),)
+    app = rules.RuleApplication(RuleKind.SOME, before[0], 0, before, (front + before,), (front,))
+    with pytest.raises(MeasureDecreaseError) as exc:
+        engine._check_measures(
+            app, rules.BranchIndex(before), MeasureState(before), EngineConfig(check_measure=True)
+        )
+    assert str(exc.value) == "a some-rule step did not lower the branch measure"
 
 
 def test_trace_replay():

@@ -50,6 +50,7 @@ from alctab import engine
 from alctab.engine import (
     EngineConfig,
     Satisfiable,
+    canonical_interpretation,
     contains_clash,
     decide_sat_abox,
     next_application,
@@ -80,6 +81,7 @@ from alctab.syntax import (
     abox_signature,
     dedup_facts,
     nnf,
+    nnf_signature,
 )
 from corpus import (
     ATOMS2,
@@ -87,6 +89,7 @@ from corpus import (
     exists_tree,
     irrelevant_or,
     pigeonhole,
+    random_concept,
     random_nnf_abox,
     random_nnf_concept,
     random_or_heavy_concept,
@@ -177,6 +180,37 @@ def test_golden_models_satisfy_their_inputs():
                     assert ext == tree_interp_concept(verdict.model, f.concept)
             sat += 1
     assert sat == 969
+
+
+def test_one_walk_reads_the_signature_and_the_normal_form():
+    # every branch the search grows has its input's signature, so the model
+    # read with it is the one read off the open branch alone
+    sat = 0
+    for abox, verdict in zip(golden_inputs(), verdicts()):
+        signature, normal = nnf_signature(dedup_facts(abox))
+        assert normal
+        if isinstance(verdict, Satisfiable):
+            assert signature == abox_signature(verdict.open_branch)
+            assert verdict.model == canonical_interpretation(verdict.open_branch)
+            sat += 1
+    assert sat == 969
+    # on ABoxes that negate non-atoms at any depth, or not at all, the one
+    # walk finds the normal form broken exactly where a walk per fact does
+    rng = random.Random(106)
+    inds = (X0, Named("y"), Anon(0))
+    normal = 0
+    for _ in range(500):
+        facts = [
+            Inst(rng.choice(inds), rng.choice((random_concept, random_nnf_concept))(rng, 5))
+            for _ in range(rng.randint(1, 3))
+        ]
+        facts += [Rel(Role(rng.choice("rs")), *rng.sample(inds, 2)) for _ in range(rng.randrange(2))]
+        abox = dedup_facts(facts)
+        signature, is_normal = nnf_signature(abox)
+        assert is_normal == reference.is_nnf_abox(abox)
+        assert signature == reference.subterm_signature(abox)
+        normal += is_normal
+    assert 100 < normal < 400
 
 
 def test_golden_oracle():

@@ -308,24 +308,46 @@ def test_forged_steps_fail_the_progress_check():
     deep = (Inst(x, Some(r, A)), Inst(x, Some(s, A)))
     unmeasured = [
         # a ∀ front with a concept outside the input's subterms
-        _forged(alls, RuleKind.ALL, (Inst(y, B),)),
+        (
+            _forged(alls, RuleKind.ALL, (Inst(y, B),)),
+            "an all-rule step broke the measure's invariant: "
+            "it asserts a concept outside the input's subterms",
+        ),
         # an ∃ fact on a fresh witness of depth bound 0, of role depth 1
-        _forged(
-            deep,
-            RuleKind.SOME,
-            (Rel(r, x, Anon(0)), Inst(Anon(0), A), Inst(Anon(0), Some(s, A))),
-            Anon(0),
+        (
+            _forged(
+                deep,
+                RuleKind.SOME,
+                (Rel(r, x, Anon(0)), Inst(Anon(0), A), Inst(Anon(0), Some(s, A))),
+                Anon(0),
+            ),
+            "a some-rule step broke the measure's invariant: "
+            "it asserts a concept above its individual's depth bound",
         ),
         # gives a new fact twice, which would count it twice in its label
-        _forged((conj,), RuleKind.AND, (Inst(x, A), Inst(x, A))),
+        (
+            _forged((conj,), RuleKind.AND, (Inst(x, A), Inst(x, A))),
+            "an and-rule step broke the measure's invariant: it gives a fact twice",
+        ),
         # an edge that satisfies no ∃ fact changes no weight
-        _forged((Inst(x, A), Inst(y, B)), RuleKind.SOME, (Rel(r, x, y),)),
+        (
+            _forged((Inst(x, A), Inst(y, B)), RuleKind.SOME, (Rel(r, x, y),)),
+            "a some-rule step did not lower the branch measure",
+        ),
+        # an edge out of the step's witness, which no edge brings in, also
+        # changes no weight; the broken invariant is named first
+        (
+            _forged((Inst(x, A),), RuleKind.SOME, (Rel(r, Anon(0), x),), Anon(0)),
+            "a some-rule step broke the measure's invariant: "
+            "it adds an edge from an individual not on the branch",
+        ),
     ]
-    for app in unmeasured:
+    for app, message in unmeasured:
         assert progress_check(app.before, app.successors[0])
         cfg = EngineConfig(check_measure=True)
-        with pytest.raises(MeasureDecreaseError):
+        with pytest.raises(MeasureDecreaseError) as exc:
             _check_measures(app, BranchIndex(app.before), MeasureState(app.before), cfg)
+        assert str(exc.value) == message
 
 
 def test_a_correct_run_never_fails_the_check():

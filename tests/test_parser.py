@@ -1,11 +1,13 @@
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from alctab.engine import decide_concept_sat
 from alctab.parser import (
+    KEYWORDS,
     MAX_NESTING,
     ParseError,
     _span,
@@ -33,7 +35,7 @@ from alctab.syntax import (
     nnf,
 )
 from corpus import exists_tree, irrelevant_or, random_concept, wide_exists
-from reference import recursive_print_concept, reference_tokenize
+from reference import recursive_print_concept, reference_parse_concept, reference_tokenize
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -277,6 +279,46 @@ def test_lexer_matches_reference_lexer():
             ks = [*range(0, len(tokens), 1 + len(tokens) // 200), len(tokens) - 1]
             assert [_span(text, k, first_line) for k in ks] == [expected[k][1] for k in ks]
     assert errors > 0
+
+
+def parser_corpus():
+    """Texts the parser must read as the recursive-descent reference does:
+    the first round of every benchmark workload (the concept of each ABox
+    line too), printed random concepts, seeded random token strings, and
+    nestings one below, at and one above the limit, whose innermost
+    operand may be a quantifier without its role name or "."."""
+    for workload in workloads.WORKLOADS:
+        for inst in next(workloads.rounds(workload, 1)):
+            yield inst.text
+            yield inst.sup
+            yield from (line.partition(":")[2] for line in inst.text.splitlines())
+    rng = random.Random(74)
+    yield from (print_concept(random_concept(rng, 5)) for _ in range(2000))
+    pieces = ["A", "r1", "_x", *sorted(KEYWORDS), "(", ")", ".", ":", ",", "7", "?", "\n"]
+    for _ in range(5000):
+        yield rng.choice(("", " ")).join(rng.choice(pieces) for _ in range(rng.randrange(16)))
+    for depth in (N - 1, N, N + 1):
+        for opener, closer in (("not ", ""), ("all r. ", ""), ("some r. ", ""), ("(", ")")):
+            for inner in ("A", "A and B or C", "all . A", "some r A", "(A"):
+                yield opener * depth + inner + closer * depth
+
+
+def test_parser_matches_reference_parser():
+    found = Counter()
+    for text in parser_corpus():
+        try:
+            expected = reference_parse_concept(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_concept(text)
+            assert (str(got.value), got.value.span) == (str(exc), exc.span)
+            found[exc.expected] += 1
+            continue
+        assert parse_concept(text) is expected
+        found["a concept read"] += 1
+    assert found["a concept read"] > 2000
+    for expected in ("a role name", "'.'", "')'", f"at most {N} nested operators and parentheses"):
+        assert found[expected] > 0
 
 
 DEEP = 10_000

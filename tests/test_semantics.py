@@ -34,7 +34,9 @@ from alctab.syntax import (
 )
 from corpus import (
     ATOMS2,
+    ATOMS3,
     ROLE1,
+    ROLES2,
     enumerate_interpretations,
     exists_tree,
     naive_find_model,
@@ -136,6 +138,22 @@ def test_interp_concept_agrees_with_the_tree_walk():
     for _ in range(300):
         c = random_concept(rng, 4, ATOMS2, ROLE1)
         for interp in rng.sample(interps, 8):
+            assert interp_concept(interp, c) == tree_interp_concept(interp, c)
+    # random interpretations of up to 8 elements whose roles hold up to
+    # nine in ten of the pairs, so that ∀ and ∃ see many edges per element
+    for _ in range(200):
+        m, dense = rng.randint(1, 8), rng.random() * 0.9
+        interp = Interpretation(
+            frozenset(range(m)),
+            {a: {e for e in range(m) if rng.random() < 0.5} for a in ATOMS3},
+            {
+                role: {(e, f) for e in range(m) for f in range(m) if rng.random() < dense}
+                for role in ROLES2
+            },
+            {},
+        )
+        for _ in range(5):
+            c = random_concept(rng, 5)
             assert interp_concept(interp, c) == tree_interp_concept(interp, c)
 
 

@@ -32,15 +32,16 @@ from alctab.syntax import (
     dedup_facts,
     individuals_of,
     is_nnf,
-    is_nnf_abox,
     lookup,
     nnf,
+    nnf_signature,
     subterms,
 )
 from corpus import ATOMS2, ROLE1, enumerate_interpretations, exists_tree, random_concept
 from reference import (
     existential_count,
     fresh_individual,
+    is_nnf_abox,
     recursive_nnf,
     size_concept,
     subterm_signature,
@@ -196,11 +197,12 @@ def test_nnf_and_is_nnf_visit_each_distinct_subterm_once(monkeypatch):
     # one for ¬P_k, reached from P_k taken negated
     assert built == {Or: 3 * 20, All: 2 * 20, Not: 20}
     # each walk enters the 5 binary and quantified subterms per level once,
-    # and tests each at most once per parent; the facts share one walk
+    # and tests each at most once per parent; the facts share one walk, whose
+    # set of entered subterms is the one it tests membership in
     for facts, entered in (((tree,), 5 * 20), ((tree, dual, tree), 2 * 5 * 20)):
         _CountingSet.made.clear()
-        assert is_nnf_abox(tuple(Inst(x, c) for c in facts))
-        (seen,) = _CountingSet.made
+        assert nnf_signature(tuple(Inst(x, c) for c in facts))[1]
+        (seen,) = [made for made in _CountingSet.made if made.tests]
         assert len(seen) == entered and seen.tests <= 2 * entered
     _CountingSet.made.clear()
     assert not is_nnf(negated) and _CountingSet.made[0].tests == 0

@@ -43,7 +43,7 @@ Why the verdicts stay right:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .measure import assert_decrease, progress_check
@@ -56,6 +56,7 @@ from .syntax import (
     Bottom,
     Concept,
     Fact,
+    Individual,
     Inst,
     Named,
     Not,
@@ -63,7 +64,6 @@ from .syntax import (
     Signature,
     abox_signature,
     dedup_facts,
-    individuals_of,
     lookup,
     nnf,
     nnf_signature,
@@ -180,14 +180,14 @@ def next_application(
     """First applicable rule in strategy order, at its first pivot.
 
     None means the branch is saturated. Each successor is the action's
-    facts, all new to the branch, put in front of it. The rules read the
-    branch's `index`, built from the branch when not given; its live pivots
-    must include every pivot a rule applies at, and it gives the pivot's
-    position. Conjunction, disjunction and existential pivots tested here
-    and found not to apply, and the pivot that fires, cannot fire on any
-    branch grown from this one, so the index's live tuples are replaced by
-    tuples without them. Universal pivots always stay: a new edge can make
-    them apply again.
+    facts, all new to the branch, put in front of it; the record holds the
+    facts and builds no successor. The rules read the branch's `index`,
+    built from the branch when not given; its live pivots must include
+    every pivot a rule applies at. Conjunction, disjunction and existential
+    pivots tested here and found not to apply, and the pivot that fires,
+    cannot fire on any branch grown from this one, so the index's live
+    tuples are replaced by tuples without them. Universal pivots always
+    stay: a new edge can make them apply again.
     """
     if index is None:
         index = BranchIndex(abox)
@@ -205,10 +205,7 @@ def next_application(
                 fresh = None
                 if rule.kind is RuleKind.SOME and len(adds[0]) == 2:
                     fresh = adds[0][1].subject
-                successors = tuple(new + abox for new in adds)
-                return RuleApplication(
-                    rule.kind, fact, index.position(fact), abox, successors, adds, fresh
-                )
+                return RuleApplication(rule.kind, fact, abox, adds, fresh)
         if prune and candidates:
             live[rule.kind] = ()
     return None
@@ -221,6 +218,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     clash-free branch wins and is returned with its canonical model, and if
     every branch closes the ABox is unsatisfiable. A fact the input repeats
     is dropped on entry, so the search decides `dedup_facts(abox)`. Raises
+    ValueError on a concept not in negation normal form and
     StepLimitExceeded after `cfg.max_steps` rule applications.
 
     Each branch carries its parent's index and the front the step added
@@ -233,18 +231,18 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     When the measure is checked, each branch's `MeasureState` is carried
     and copied the same way.
 
-    The search backjumps. The right successors of the disjunction steps on
-    the current path that are still to be tried wait in `pending`, oldest
-    first, and bit q of a fact's label says that the fact depends on the
-    choice made at the step whose alternative is `pending[q]`. Facts that
-    depend on no such choice have label 0 and are not stored, so while
-    nothing is pending no label is kept. A step adds only facts its branch
-    lacks, so a fact's label, once set, never changes on that branch.
-    A closing branch depends on the labels of its two clashing facts; every
-    pending alternative whose bit is not among them is discarded unexplored
-    (its step's trace record is marked `skipped`), since the same clash
-    would close every branch below it, and the search resumes at the newest
-    one left.
+    The search backjumps. The disjunction steps on the current path whose
+    right successors are still to be tried wait in `pending`, oldest first,
+    each as its record, and the index maps each fact to its label: bit q
+    says that the fact depends on the choice made at the step of
+    `pending[q]`. A step's facts share one label, and a step adds only
+    facts its branch lacks, so a fact's label, once set, never changes on
+    that branch; while nothing is pending every label is 0. A closing
+    branch depends on the labels of its two clashing facts; every pending
+    alternative whose bit is not among them is discarded unexplored (its
+    record is marked `skipped`), since the same clash would close every
+    branch below it, and the search resumes at the newest one left, whose
+    labels are those of the index the step copied.
     """
     cfg = cfg or EngineConfig()
     root = dedup_facts(abox)
@@ -252,39 +250,31 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     if not normal:
         raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
-    # (right successor, its front, labels, label of the ⊔ pivot, index of
-    # the step's trace record when traces are recorded, the ⊔ step's branch
-    # index, the right successor's measure state when the measure is checked)
-    pending: list[
-        tuple[Abox, Abox, dict[Fact, int], int, int, BranchIndex, Optional[MeasureState]]
-    ] = []
-    branch, added, index = root, root, BranchIndex(())
+    # (the ⊔ step's record, its pivot's label, the step's branch index, the
+    # right successor's measure state when the measure is checked)
+    pending: list[tuple[RuleApplication, int, BranchIndex, Optional[MeasureState]]] = []
+    branch, added, label, index = root, root, 0, BranchIndex(())
     measure: Optional[MeasureState] = None
-    labels: dict[Fact, int] = {}
-    closed = 0
-    steps = 0
+    closed = steps = 0
     while True:
-        index.grow(added)
+        at = index.grow(added, label).at
         clash = contains_clash(branch, added, index)
         if clash is not None:
             closed += 1
-            depends = 0
-            if pending:
-                a, b = clash
-                depends = labels.get(a, 0) | labels.get(b, 0)
-                keep = depends.bit_length()
-                if cfg.record_trace:
-                    for alt in pending[keep:]:
-                        trace[alt[4]] = replace(trace[alt[4]], skipped=True)
-                del pending[keep:]
+            a, b = clash
+            depends = at[a] | at[b]
+            keep = depends.bit_length()
+            for alt in pending[keep:]:
+                alt[0].skipped = True
+            del pending[keep:]
             if not pending:
                 return Unsatisfiable(tuple(trace), closed)
-            branch, added, labels, label, _, index, measure = pending.pop()
+            app, label, index, measure = pending.pop()
+            added = app.added[1]
+            branch = added + app.before
             # the right disjunct depends on what the left one's clash
             # depended on, less that choice itself
             label |= depends & ~(1 << len(pending))
-            if label:
-                labels[branch[0]] = label
             continue
         app = next_application(branch, index)
         if app is None:
@@ -303,31 +293,15 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             right_measure = _check_measures(app, index, measure, cfg)
         if cfg.record_trace:
             trace.append(app)
-        succ, succ_added = app.successors[0], app.added[0]
+        added, label = app.added[0], at[app.pivot]
         if app.kind is RuleKind.OR:
-            label = labels.get(app.pivot, 0)
-            pending.append(
-                (
-                    app.successors[1],
-                    app.added[1],
-                    labels,
-                    label,
-                    len(trace) - 1,
-                    index.copy(),
-                    right_measure,
-                )
-            )
-            labels = {**labels, succ[0]: label | 1 << (len(pending) - 1)}
-        elif pending:
-            label = labels.get(app.pivot, 0)
-            if app.kind is RuleKind.ALL:
-                # the new fact also depends on the edge the step followed
-                edge = Rel(app.pivot.concept.role, app.pivot.subject, succ[0].subject)
-                label |= labels.get(edge, 0)
-            if label:
-                for fact in succ_added:
-                    labels[fact] = label
-        branch, added = succ, succ_added
+            pending.append((app, label, index.copy(), right_measure))
+            label |= 1 << (len(pending) - 1)
+        elif app.kind is RuleKind.ALL and pending:
+            # the new fact also depends on the edge the step followed, whose
+            # label is 0 while nothing is pending
+            label |= at[Rel(app.pivot.concept.role, app.pivot.subject, added[0].subject)]
+        branch = added + branch
 
 
 def _check_measures(
@@ -339,12 +313,12 @@ def _check_measures(
     The first successor takes `measure` over, advanced; the second one's,
     on a disjunction step, is advanced from a copy and returned.
     """
-    right = measure.copy() if len(app.successors) > 1 else None
-    for n, (succ, state) in enumerate(zip(app.successors, (measure, right))):
+    right = measure.copy() if len(app.added) > 1 else None
+    for n, (front, state) in enumerate(zip(app.added, (measure, right))):
         if not progress_check(app, n, index, state):
             raise ProgressCheckError(f"no progress across {_step(app.kind)}")
         if not assert_decrease(app, n, index, state):
-            violation = MeasureViolation(app.before, succ, app.kind)
+            violation = MeasureViolation(app.before, front + app.before, app.kind)
             if cfg.measure_violations is None:
                 raise MeasureDecreaseError(violation, state.failure)
             cfg.measure_violations.append(violation)
@@ -368,30 +342,32 @@ def subsumes(sub: Concept, sup: Concept, cfg: Optional[EngineConfig] = None) -> 
 def canonical_interpretation(abox: Abox, signature: Optional[Signature] = None) -> Interpretation:
     """The model read off a branch.
 
-    One domain element per individual, numbered in first-occurrence order;
-    asserted atoms and role assertions populate the maps, which have a key
-    for each name of the branch's `signature`, `abox_signature(abox)` when
-    not given. The search passes its input's, which every branch it grows
-    has: each fact a rule adds asserts a subterm of an input concept, and
-    each edge has the role of an input ∃. Intended for saturated,
-    clash-free, normalized branches, where the result satisfies every
-    fact. An empty branch gets a one-element dummy domain.
+    One domain element per individual, numbered in first-occurrence order
+    by the pass that fills the maps with the asserted atoms and role
+    assertions. The maps have a key for each name of the branch's
+    `signature`, `abox_signature(abox)` when not given. The search passes
+    its input's, which every branch it grows has: each fact a rule adds
+    asserts a subterm of an input concept, and each edge has the role of an
+    input ∃. Intended for saturated, clash-free, normalized branches, where
+    the result satisfies every fact. An empty branch gets a one-element
+    dummy domain.
     """
-    inds = individuals_of(abox)
-    if not inds:
-        return Interpretation(frozenset({0}), {}, {}, {})
-    element = {ind: i for i, ind in enumerate(inds)}
     atoms, roles = abox_signature(abox) if signature is None else signature
     concept_map: dict[str, set[int]] = {name: set() for name in atoms}
     role_map: dict[str, set[tuple[int, int]]] = {name: set() for name in roles}
+    element: dict[Individual, int] = {}
     for fact in abox:
-        if isinstance(fact, Inst):
-            if isinstance(fact.concept, Atom):
-                concept_map[fact.concept.name].add(element[fact.subject])
+        if type(fact) is Inst:
+            x = element.setdefault(fact.subject, len(element))
+            if type(fact.concept) is Atom:
+                concept_map[fact.concept.name].add(x)
         else:
-            role_map[fact.role.name].add((element[fact.source], element[fact.target]))
+            x = element.setdefault(fact.source, len(element))
+            role_map[fact.role.name].add((x, element.setdefault(fact.target, len(element))))
+    if not element:
+        return Interpretation(frozenset({0}), {}, {}, {})
     return Interpretation(
-        domain=frozenset(range(len(inds))),
+        domain=frozenset(range(len(element))),
         concept_map=concept_map,
         role_map=role_map,
         individual_map=element,
@@ -402,7 +378,7 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
     """Re-run the depth-first loop, driving rule choice from a recorded trace.
 
     The replay starts from `dedup_facts(initial)`, as the search does. Only
-    the recorded rule kinds and pivot indices steer it; each successor is
+    the recorded rule kinds and pivots steer it; each successor is
     recomputed by the rule's action. The right successor of a record marked
     `skipped` is dropped once a search of its own finds it unsatisfiable.
     Returns the branch on which the run stopped (its open branch, which must
@@ -429,10 +405,9 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
         if pending.before != branch:
             raise ValueError("trace record does not match the branch under expansion")
         rule = RULES_BY_KIND[pending.kind]
-        i = pending.pivot_index
-        if i >= len(branch) or not rule.appcond(branch, branch[i], index):
+        if pending.pivot not in index.at or not rule.appcond(branch, pending.pivot, index):
             raise ValueError("recorded pivot is not applicable on replay")
-        adds = rule.action(branch, branch[i], index)
+        adds = rule.action(branch, pending.pivot, index)
         if pending.skipped:
             if len(adds) < 2 or isinstance(decide_sat_abox(adds[1] + branch), Satisfiable):
                 raise ValueError("trace skips no alternative or a satisfiable one")

@@ -23,7 +23,8 @@ evaluators of `semantics` work bottom-up over a list of subterms.
 
 ABox files are line oriented: blank lines and lines starting with "#" are
 ignored; every other line is either "x : Concept" or "r(x, y)" with the
-role name first. Duplicate facts are rejected.
+role name first. Duplicate facts are rejected, and so is an individual
+named `_` followed only by digits, the form in which witnesses print.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ _BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_().:, \t\r\n]|(?<![A-Za-z0-9_])[0-9]")
 _OUTSIDE_RE = re.compile(r"[^A-Za-z0-9_().:, \t\r\n]")
 _LOOSE_DIGIT_RE = re.compile(r"[^A-Za-z0-9_][0-9]")
 _NOT_NAMES = KEYWORDS | {"(", ")", ".", ":", ",", ""}  # every other token is a name
+# the names witnesses print as, which no named individual may take
+_WITNESS_NAME_RE = re.compile(r"_[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,13 @@ class _ConceptParser:
             raise self.error(what)
         self.pos += 1
         return text
+
+    def individual(self, what: str) -> Named:
+        """The next token, `what` the input must have there, as a named
+        individual; one named as witnesses print would print as one."""
+        if _WITNESS_NAME_RE.fullmatch(self.tokens[self.pos]):
+            raise self.error("an individual name not of the form _<digits>")
+        return Named(self.ident(what))
 
     def end(self, what: str) -> None:
         """Fail unless all tokens are read."""
@@ -236,21 +246,21 @@ def parse_abox(text: str) -> Abox:
 
 def _parse_fact_line(line: str, lineno: int) -> Fact:
     parser = _ConceptParser(line, first_line=lineno)
-    head = parser.ident("an individual or role name")
-    tok = parser.tokens[parser.pos]
-    if tok == ":":
+    if parser.tokens[1] == ":":
+        subject = parser.individual("an individual or role name")
         parser.pos += 1
         concept = parser.concept()
         parser.end("end of line")
-        return Inst(Named(head), concept)
-    if tok == "(":
+        return Inst(subject, concept)
+    head = parser.ident("an individual or role name")
+    if parser.tokens[parser.pos] == "(":
         parser.pos += 1
-        source = parser.ident("an individual name")
+        source = parser.individual("an individual name")
         parser.expect(",")
-        target = parser.ident("an individual name")
+        target = parser.individual("an individual name")
         parser.expect(")")
         parser.end("end of line")
-        return Rel(Role(head), Named(source), Named(target))
+        return Rel(Role(head), source, target)
     raise parser.error("':' or '('")
 
 

@@ -52,10 +52,10 @@ def emit_trace(trace: Iterable[RuleApplication]) -> Iterator[str]:
             "rule": app.kind.value,
             "pivot": print_fact(app.pivot),
             "pivot_index": app.pivot_index,
-            "successors": len(app.successors),
+            "successors": len(app.added),
             "fresh": print_individual(app.fresh) if app.fresh is not None else None,
             "skipped": app.skipped,
             "measure_before": _measure_pairs(app.before),
-            "measure_after": _measure_pairs(app.successors[0]),
+            "measure_after": _measure_pairs(app.added[0] + app.before),
         }
         yield json.dumps(record, sort_keys=True)

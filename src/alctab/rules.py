@@ -68,28 +68,26 @@ class BranchIndex:
     """What the rules read off a branch, kept as the branch grows: the
     completion-tree view of Baader & Sattler 2001 (Studia Logica 69).
 
-    `at` maps each fact of the branch to its distance from the branch's
-    end, which stays fixed while facts are put in front, so it answers both
-    membership and position; `size` is the branch's length. `edges` maps
-    (role, source) to the targets of its edges in branch order and `named`
-    to those of them that are named, `holders` maps each concept to the
-    witnesses that hold it in branch order, and `witness` is the allocation
-    index of the next fresh witness. `live` maps each rule kind to a tuple
-    of the branch's pivots of that kind in branch order, less those the
-    search has found can never fire again. `reached` maps a ∀ pivot's
-    `(subject, concept)` to how many of the oldest successors along its
-    role are known to hold its body; the count only moves forward as the
-    branch grows. A successor that only puts facts in front of its branch
-    takes the branch's index over with `grow`; an index shared by two
-    branches is `copy`-ed first, since `grow` and the ∀ premise change it
-    in place.
+    `at` maps each fact of the branch to its dependency label, the bit mask
+    of the pending ⊔ choices it depends on (`alctab.engine.decide_sat_abox`
+    backjumps by them). `edges` maps (role, source) to the targets of its
+    edges in branch order and `named` to those of them that are named,
+    `holders` maps each concept to the witnesses that hold it in branch
+    order, and `witness` is the allocation index of the next fresh witness.
+    `live` maps each rule kind to a tuple of the branch's pivots of that
+    kind in branch order, less those the search has found can never fire
+    again. `reached` maps a ∀ pivot's `(subject, concept)` to how many of
+    the oldest successors along its role are known to hold its body; the
+    count only moves forward as the branch grows. A successor that only
+    puts facts in front of its branch takes the branch's index over with
+    `grow`, with its labels; an index shared by two branches is `copy`-ed
+    first, since `grow` and the ∀ premise change it in place.
     """
 
-    __slots__ = ("at", "size", "edges", "named", "holders", "witness", "live", "reached")
+    __slots__ = ("at", "edges", "named", "holders", "witness", "live", "reached")
 
     def __init__(self, abox: Abox) -> None:
         self.at: dict[Fact, int] = {}
-        self.size = 0
         self.edges: dict[tuple[Role, Individual], tuple[Individual, ...]] = {}
         self.named: dict[tuple[Role, Individual], tuple[Named, ...]] = {}
         self.holders: dict[Concept, tuple[Anon, ...]] = {}
@@ -98,17 +96,15 @@ class BranchIndex:
         self.reached: dict[tuple[Individual, All], int] = {}
         self.grow(abox)
 
-    def grow(self, added: Abox) -> BranchIndex:
+    def grow(self, added: Abox, label: int = 0) -> BranchIndex:
         """Index `added`, facts the branch does not hold, as put in front of
-        it; returns the index itself. A fact that occurs twice in `added`
-        keeps the distance of its first occurrence."""
+        it, each with dependency label `label`, since the facts of one step
+        share it; returns the index itself."""
         at, edges, named, holders = self.at, self.edges, self.named, self.holders
         witness, live = self.witness, self.live
-        n = self.size
         new_pivots: dict[RuleKind, list[Fact]] = {}
         for fact in reversed(added):
-            at[fact] = n
-            n += 1
+            at[fact] = label
             if type(fact) is Rel:
                 key = (fact.role, fact.source)
                 # a later edge comes before the earlier ones in branch order
@@ -133,21 +129,17 @@ class BranchIndex:
                     witness = ind.index + 1
         for kind, facts in new_pivots.items():
             live[kind] = (*reversed(facts), *live[kind])
-        self.size, self.witness = n, witness
+        self.witness = witness
         return self
 
     def copy(self) -> BranchIndex:
         twin = object.__new__(BranchIndex)
-        twin.at, twin.size = dict(self.at), self.size
+        twin.at = dict(self.at)
         twin.edges, twin.named = dict(self.edges), dict(self.named)
         twin.holders = dict(self.holders)
         twin.witness = self.witness
         twin.live, twin.reached = dict(self.live), dict(self.reached)
         return twin
-
-    def position(self, fact: Fact) -> int:
-        """The index of the first occurrence of `fact` in the branch."""
-        return self.size - 1 - self.at[fact]
 
     def holds(self, subject: Individual, concept: Concept) -> bool:
         """Whether the branch holds the fact `subject : concept`; builds no fact."""
@@ -172,23 +164,31 @@ class RuleApplication:
     """Trace record of one rule application on one branch.
 
     `added` holds, per successor, its front: the facts the step adds, none
-    of which `before` holds; the successor is its front followed by
-    `before`. `fresh` is the witness an existential step made; it is None
-    on the other steps and on an existential step that reused a witness.
-    `skipped` marks a disjunction step whose right successor the search
-    discarded unexplored, because a clash below the left one did not depend
-    on the choice. The record is slotted and not frozen, so one is cheap to
-    build on every step; it compares by value and is not hashable.
+    of which `before` holds. `successors` puts each front before `before`,
+    and `pivot_index` finds the pivot there, on each read. `fresh` is the
+    witness an existential step made; it is None on the other steps and on
+    an existential step that reused a witness. `skipped` marks a
+    disjunction step whose right successor the search discarded
+    unexplored, because a clash below the left one did not depend on the
+    choice. The record is slotted and not frozen, so one is cheap to build
+    on every step and the search marks it skipped in place; it compares by
+    value and is not hashable.
     """
 
     kind: RuleKind
     pivot: Fact
-    pivot_index: int
     before: Abox
-    successors: tuple[Abox, ...]
     added: tuple[Abox, ...]
     fresh: Optional[Individual] = None
     skipped: bool = False
+
+    @property
+    def successors(self) -> tuple[Abox, ...]:
+        return tuple(front + self.before for front in self.added)
+
+    @property
+    def pivot_index(self) -> int:
+        return self.before.index(self.pivot)
 
 
 Premise = Callable[[BranchIndex, Individual, Concept], bool]

@@ -112,6 +112,19 @@ def test_parse_error_exit(capsys):
     assert "line 1" in err
 
 
+def test_witness_names_are_a_parse_error(capsys, tmp_path):
+    # a named `_0` would print as the witness the ∃ step makes for it
+    path = tmp_path / "kb.abox"
+    path.write_text("_0 : some r. A\n_0 : all r. B\n")
+    for command in (["consistent"], ["oracle", "--max-domain", "2"]):
+        code, out, err = run(capsys, *command, "--file", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: line 1, column 1: expected an individual name not of the form _<digits>, "
+            "found '_0'\n"
+        )
+
+
 def test_missing_file_exit(capsys):
     code, _, err = run(capsys, "consistent", "--file", "/no/such/file")
     assert code == 2

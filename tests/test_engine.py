@@ -105,8 +105,10 @@ def test_decide_sat_abox_examples():
 
 
 def test_decide_sat_abox_requires_nnf():
-    with pytest.raises(ValueError):
-        decide_sat_abox((Inst(x, Not(And(A, B))),))
+    broken = (Inst(x, Not(And(A, B))), Inst(x, And(A, B)))
+    for cfg in (None, EngineConfig(record_trace=True), EngineConfig(check_measure=True)):
+        with pytest.raises(ValueError):
+            decide_sat_abox(broken, cfg)
 
 
 def test_decide_concept_sat_examples():
@@ -215,7 +217,7 @@ def test_measure_instrumentation_modes():
     # raises, or, given a sink, is kept there and the check goes on
     before = (Inst(x, All(r, A)), Rel(r, x, y))
     front = (Inst(y, B),)
-    app = rules.RuleApplication(RuleKind.ALL, before[0], 0, before, (front + before,), (front,))
+    app = rules.RuleApplication(RuleKind.ALL, before[0], before, (front,))
     with pytest.raises(MeasureDecreaseError) as exc:
         engine._check_measures(
             app, rules.BranchIndex(before), MeasureState(before), EngineConfig(check_measure=True)
@@ -231,7 +233,7 @@ def test_measure_instrumentation_modes():
     # changes no weight
     before = (Inst(x, A), Inst(y, B))
     front = (Rel(r, x, y),)
-    app = rules.RuleApplication(RuleKind.SOME, before[0], 0, before, (front + before,), (front,))
+    app = rules.RuleApplication(RuleKind.SOME, before[0], before, (front,))
     with pytest.raises(MeasureDecreaseError) as exc:
         engine._check_measures(
             app, rules.BranchIndex(before), MeasureState(before), EngineConfig(check_measure=True)
@@ -343,21 +345,21 @@ def test_search_reads_the_index_not_the_branch(monkeypatch):
         return wrapper
 
     # every index built from a whole branch, and every scan of a branch's
-    # individuals (the model extraction makes one)
+    # individuals, which the model extraction does not make: it numbers them
+    # in the pass that fills its maps
     monkeypatch.setattr(
         rules.BranchIndex, "__init__", counted("index", rules.BranchIndex.__init__)
     )
     scan = counted("individuals", syntax.individuals_of)
     monkeypatch.setattr(syntax, "individuals_of", scan)
-    monkeypatch.setattr(engine, "individuals_of", scan)
     # T_6's open branch has 13 individuals, two per level below the root,
     # since each ∃ step whose label a witness already holds reuses it
     for concept, facts in ((exists_tree(6), 81), (wide_exists(25), 126)):
         calls.clear()
         verdict = decide_concept_sat(concept)
         assert isinstance(verdict, Satisfiable) and len(verdict.open_branch) == facts
-        # only the root's index is built, and only the model scans the branch
-        assert calls == {"index": 1, "individuals": 1}
+        # only the root's index is built, and no scan reads the branch
+        assert calls == {"index": 1}
 
 
 def test_repeated_input_facts_decide_as_the_whole_branch_search_does():

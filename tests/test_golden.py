@@ -23,11 +23,12 @@ its input.
 
 The same runs gate the engine's incremental bookkeeping: at every recorded
 step, the rule choice from its live pivots and the clash test on the facts
-the step added must agree with the whole-branch scans, each successor must
-be its front, the action's facts, none of which its branch held, put in
-front of the branch, and at every branch the search tests, its carried
-index must hold what scans of the branch tuple find, and live pivots that
-miss no pivot a rule applies at; at each live ∃ and ∀ pivot, its indexed
+the step added must agree with the whole-branch scans, the record's pivot
+index must point at its pivot, each successor must be its front, the
+action's facts, none of which its branch held, put in front of the branch,
+and at every branch the search tests, its carried index must hold what
+scans of the branch tuple find, and live pivots that miss no pivot a rule
+applies at; at each live ∃ and ∀ pivot, its indexed
 premise must be the reference scan's. Replay's index is checked the same
 way at every branch it tests. Checked the same way, at every step the
 measure state must weigh each individual as the whole-branch reference
@@ -232,15 +233,13 @@ REFERENCE_PREMISE = {RuleKind.ALL: reference.all_premise, RuleKind.SOME: referen
 
 
 def assert_index_matches(branch, index):
-    """The index holds the branch's facts at their positions, its edges,
-    named targets and each concept's witnesses in branch order and its next
-    witness, as scans of the tuple find them, and per rule kind, live
-    pivots of that kind in branch order that include every pivot the rule
-    applies at. Each ∀ cursor passes only successors that hold the body,
-    and at each live ∃ and ∀ pivot, the indexed premise is the scan's."""
-    assert index.size == len(branch)
+    """The index holds the branch's facts, its edges, named targets and each
+    concept's witnesses in branch order and its next witness, as scans of
+    the tuple find them, and per rule kind, live pivots of that kind in
+    branch order that include every pivot the rule applies at. Each ∀
+    cursor passes only successors that hold the body, and at each live ∃
+    and ∀ pivot, the indexed premise is the scan's."""
     assert index.at.keys() == set(branch)
-    assert all(branch[index.position(f)] is f for f in index.at)
     edges, named, holders = {}, {}, {}
     for g in branch:
         if isinstance(g, Rel):
@@ -258,8 +257,9 @@ def assert_index_matches(branch, index):
         assert 0 < passed <= len(targets)
         assert all(Inst(y, c.child) in index.at for y in targets[len(targets) - passed :])
     assert index.live.keys() == set(RuleKind)
+    position = {f: n for n, f in enumerate(branch)}
     for kind, live in index.live.items():
-        positions = [index.position(f) for f in live]
+        positions = [position[f] for f in live]
         assert positions == sorted(positions)
         assert all(isinstance(f, Inst) and type(f.concept) is SHAPE[kind] for f in live)
         appcond = RULES_BY_KIND[kind].appcond
@@ -289,10 +289,12 @@ def test_incremental_steps_match_whole_branch_scans(monkeypatch):
     for _, verdict in runs:
         steps += len(verdict.trace) + isinstance(verdict, Satisfiable)
         for rec in verdict.trace:
+            # the record's derived fields: the pivot's position in its
+            # branch, and each successor, its front put in front of the branch
+            assert rec.before[rec.pivot_index] is rec.pivot
             index = BranchIndex(rec.before)
             whole = next_application(rec.before, index)
-            assert (whole.kind, whole.pivot_index) == (rec.kind, rec.pivot_index)
-            assert (whole.successors, whole.added) == (rec.successors, rec.added)
+            assert (whole.kind, whole.pivot, whole.added) == (rec.kind, rec.pivot, rec.added)
             adds = RULES_BY_KIND[rec.kind].action(rec.before, rec.pivot, index)
             assert len(adds) == len(rec.added) == len(rec.successors)
             for succ, added, new in zip(rec.successors, rec.added, adds):

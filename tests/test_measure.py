@@ -272,8 +272,7 @@ def test_a_checked_search_measures_no_whole_branch(monkeypatch, concept, sat):
 def _forged(before, kind, front, fresh=None):
     """A one-successor record of a step from `before` that put `front` in
     front of it."""
-    succ = front + tuple(f for f in before if f not in front)
-    return RuleApplication(kind, before[0], 0, before, (succ,), (front,), fresh)
+    return RuleApplication(kind, before[0], before, (front,), fresh)
 
 
 def test_forged_steps_fail_the_progress_check():
@@ -289,9 +288,8 @@ def test_forged_steps_fail_the_progress_check():
     for app in forged:
         # the whole-branch check rejects each of them too
         assert not progress_check(app.before, app.successors[0])
-    # each adds new facts but also repeats one the branch holds, which moves
-    # up; the whole-branch check sees only the set grow, the step check a
-    # held fact
+    # each adds new facts but also repeats one the branch holds; the
+    # whole-branch check sees only the set grow, the step check a held fact
     repeats = [
         _forged((conj, Inst(x, A)), RuleKind.AND, (Inst(x, B), Inst(x, A))),
         _forged((some,), RuleKind.SOME, (Rel(r, x, Anon(0)), Inst(Anon(0), A), some), Anon(0)),

@@ -178,6 +178,19 @@ def test_parse_abox_errors():
         parse_abox("r(x, y) trailing")
 
 
+def test_parse_abox_refuses_witness_names():
+    # a named `_0` would print as the witness Anon(0), in models and traces
+    for text in ("_0 : some r. A\n_0 : all r. B", "r(_3, x)", "r(x, _007)"):
+        with pytest.raises(ParseError) as exc:
+            parse_abox(text)
+        assert exc.value.expected == "an individual name not of the form _<digits>"
+    # other names with underscores, and a role named like a witness, are fine
+    assert parse_abox("_x : A\nx_0 : A\n_0a : A\n__1 : A") == tuple(
+        Inst(Named(name), A) for name in ("_x", "x_0", "_0a", "__1")
+    )
+    assert parse_abox("_0(x, y)") == (Rel(Role("_0"), x, y),)
+
+
 def test_print_individual_and_fact():
     assert print_individual(x) == "x"
     assert print_individual(Anon(0)) == "_0"
@@ -225,6 +238,16 @@ ERROR_MESSAGES = [
     (parse_abox, "x A", "line 1, column 3: expected ':' or '(', found 'A'"),
     (parse_abox, "x : A extra", "line 1, column 7: expected end of line, found 'extra'"),
     (parse_abox, "r(x, y) trailing", "line 1, column 9: expected end of line, found 'trailing'"),
+    (
+        parse_abox,
+        "x : A\n_0 : some r. A",
+        "line 2, column 1: expected an individual name not of the form _<digits>, found '_0'",
+    ),
+    (
+        parse_abox,
+        "r(x, _12)",
+        "line 1, column 6: expected an individual name not of the form _<digits>, found '_12'",
+    ),
     (parse_concept, "A and\n  1B", "line 2, column 3: expected a token, found '1'"),
     (parse_concept, "A\tand\r\n B or\n\n )", "line 4, column 2: expected a concept, found ')'"),
     (parse_abox, "x : A\n\ny : B and\xa0C", "line 3, column 10: expected a token, found '\xa0'"),

@@ -189,7 +189,7 @@ def branch_measure(branch: Abox) -> Counter:
             shared += some
             continue
         rule = _RULE_FOR.get(kind)
-        applies = rule is not None and rule.appcond(branch, f, index)
+        applies = rule is not None and rule.appcond(f, index)
         shared += some - (kind is Some and not applies)
         pairs[(size, 0) if applies else (0, 0)] += 1
     for size, waiting in alls:

@@ -5,7 +5,10 @@ branch is open and yields the canonical model read off its facts. Rules are
 tried in a fixed order (conjunction, universal, disjunction, existential)
 and disjunction branches are explored left first, so verdicts and traces
 are fully deterministic. A right alternative is skipped when the clashes
-below its left sibling did not depend on that choice (backjumping).
+below its left sibling did not depend on that choice (backjumping). The
+paper runs its rules on list ABoxes; the search keeps each list as the
+`BranchIndex` the rules read, whose facts are the list reversed, and builds
+a branch tuple only for a recorded trace and for the open branch it returns.
 
 The existential rule reuses witnesses. On `x : ∃r.C` it first looks for a
 witness y of the branch that holds C and the body D of every `x : ∀r.D`;
@@ -44,7 +47,7 @@ Why the verdicts stay right:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Collection, Iterable, Optional, Union
 
 from .measure import assert_decrease, progress_check
 from .rules import MONOTONE, RULES_BY_KIND, BranchIndex, RuleApplication, RuleKind, alc_rules
@@ -64,6 +67,7 @@ from .syntax import (
     Signature,
     abox_signature,
     dedup_facts,
+    inst_ref,
     lookup,
     nnf,
     nnf_signature,
@@ -142,72 +146,74 @@ Verdict = Union[Satisfiable, Unsatisfiable]
 
 
 def contains_clash(
-    abox: Abox, added: Optional[Abox] = None, index: Optional[BranchIndex] = None
+    facts: Collection[Fact], added: Optional[Iterable[Fact]] = None
 ) -> Optional[tuple[Fact, Fact]]:
     """The first clashing pair through a fact of `added`, or None: x : C
     together with x : not C, or x : Bottom, which clashes with itself.
 
-    C ranges over all concepts, not only atoms. `added` defaults to the
-    whole branch; given the facts a step added to a clash-free branch, only
-    clashes through those facts are looked for, since no other can have
-    arisen. Membership is read off the branch's `index`, which is built
-    from the branch when not given.
+    `facts` are the branch's, in a container that answers membership: the
+    search passes its index's `at`, whose keys they are. C ranges over all
+    concepts, not only atoms. `added` defaults to the whole branch; given
+    the facts a step added to a clash-free branch, only clashes through
+    those facts are looked for, since no other can have arisen.
     """
-    facts = (BranchIndex(abox) if index is None else index).at
-    for f in abox if added is None else added:
-        if isinstance(f, Inst):
+    if added is None:
+        added, facts = facts, set(facts)
+    for f in added:
+        if type(f) is Inst:
             c = f.concept
-            if isinstance(c, Bottom):
+            kind = type(c)
+            # the complement's concept; its fact is looked up, never built
+            if kind is Atom:
+                c = lookup(Not, c)
+                if c is None:  # the atom is never negated
+                    continue
+            elif kind is Not:
+                c = c.child
+            elif kind is Bottom:
                 return f, f
-            # the complement fact is looked up, never built
-            if isinstance(c, Not):
-                other = lookup(Inst, f.subject, c.child)
-            elif isinstance(c, Atom):
-                # an atom never negated has no Not, and (x, None) no Inst
-                other = lookup(Inst, f.subject, lookup(Not, c))
             else:
                 # in negation normal form only atoms are negated, and a whole
                 # branch shows every other clash from its negated side
                 continue
-            if other is not None and other in facts:
+            ref = inst_ref((f.subject, c))
+            if ref is not None and (other := ref()) in facts:
                 return f, other
     return None
 
 
-def next_application(
-    abox: Abox, index: Optional[BranchIndex] = None
-) -> Optional[RuleApplication]:
-    """First applicable rule in strategy order, at its first pivot.
+def next_application(index: BranchIndex) -> Optional[RuleApplication]:
+    """First applicable rule in strategy order, at its first pivot, on the
+    branch `index` indexes.
 
     None means the branch is saturated. Each successor is the action's
     facts, all new to the branch, put in front of it; the record holds the
-    facts and builds no successor. The rules read the branch's `index`,
-    built from the branch when not given; its live pivots must include
-    every pivot a rule applies at. Conjunction, disjunction and existential
-    pivots tested here and found not to apply, and the pivot that fires,
-    cannot fire on any branch grown from this one, so the index's live
-    tuples are replaced by tuples without them. Universal pivots always
-    stay: a new edge can make them apply again.
+    facts, builds no successor and leaves `before` None. The rules read
+    only the index; its live pivots must include every pivot a rule
+    applies at. Conjunction, disjunction and existential pivots tested here
+    and found not to apply, and the pivot that fires, cannot fire on any
+    branch grown from this one, so the index's live tuples are replaced by
+    tuples without them. Universal pivots always stay: a new edge can make
+    them apply again.
     """
-    if index is None:
-        index = BranchIndex(abox)
     live = index.live
     for rule in alc_rules():
-        candidates = live[rule.kind]
-        prune = rule.kind in MONOTONE
+        kind = rule.kind
+        candidates = live[kind]
+        prune = kind in MONOTONE
         for n, fact in enumerate(candidates):
-            if rule.appcond(abox, fact, index):
+            if rule.appcond(fact, index):
                 if prune:
-                    live[rule.kind] = candidates[n + 1 :]
-                adds = tuple(rule.action(abox, fact, index))
+                    live[kind] = candidates[n + 1 :]
+                adds = tuple(rule.action(fact, index))
                 # an ∃ step that makes a witness adds its edge and its label,
                 # one that reuses a witness only the edge
                 fresh = None
-                if rule.kind is RuleKind.SOME and len(adds[0]) == 2:
+                if kind is RuleKind.SOME and len(adds[0]) == 2:
                     fresh = adds[0][1].subject
-                return RuleApplication(rule.kind, fact, abox, adds, fresh)
+                return RuleApplication(kind, fact, None, adds, fresh)
         if prune and candidates:
-            live[rule.kind] = ()
+            live[kind] = ()
     return None
 
 
@@ -221,15 +227,19 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     ValueError on a concept not in negation normal form and
     StepLimitExceeded after `cfg.max_steps` rule applications.
 
-    Each branch carries its parent's index and the front the step added
-    (`RuleApplication.added`), so that the clash test looks only at those
-    facts, rule selection only at the index's live pivots, and the rules
-    read the index instead of scanning the branch. The index grows in place
-    by the front: a step's only or left successor takes its parent's index
-    over, and a disjunction step copies it once for the right one. The
-    root is the successor of the empty branch whose front is the input.
-    When the measure is checked, each branch's `MeasureState` is carried
-    and copied the same way.
+    The search carries no branch tuple: a branch is its `BranchIndex`,
+    whose `at` holds its facts in the reverse of branch order, and the open
+    branch is read off it once, at the end. Each branch carries its
+    parent's index and the front the step added (`RuleApplication.added`),
+    so that the clash test looks only at those facts, rule selection only
+    at the index's live pivots, and the rules read only the index. The
+    index grows in place by the front: a step's only or left successor
+    takes its parent's index over, and a disjunction step copies it once
+    for the right one. The root is the successor of the empty branch whose
+    front is the input. When the measure is checked, each branch's
+    `MeasureState` is carried and copied the same way. Only a recorded
+    trace keeps branch tuples: each record's `before`, built by putting the
+    step's front in front of its parent's.
 
     The search backjumps. The disjunction steps on the current path whose
     right successors are still to be tried wait in `pending`, oldest first,
@@ -250,15 +260,17 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     if not normal:
         raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
+    OR, ALL = RuleKind.OR, RuleKind.ALL
     # (the ⊔ step's record, its pivot's label, the step's branch index, the
     # right successor's measure state when the measure is checked)
     pending: list[tuple[RuleApplication, int, BranchIndex, Optional[MeasureState]]] = []
+    # the branch tuple is kept up to date only for the records' `before`
     branch, added, label, index = root, root, 0, BranchIndex(())
     measure: Optional[MeasureState] = None
     closed = steps = 0
     while True:
         at = index.grow(added, label).at
-        clash = contains_clash(branch, added, index)
+        clash = contains_clash(at, added)
         if clash is not None:
             closed += 1
             a, b = clash
@@ -271,17 +283,22 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
                 return Unsatisfiable(tuple(trace), closed)
             app, label, index, measure = pending.pop()
             added = app.added[1]
-            branch = added + app.before
+            if cfg.record_trace:
+                branch = added + app.before
             # the right disjunct depends on what the left one's clash
             # depended on, less that choice itself
             label |= depends & ~(1 << len(pending))
             continue
-        app = next_application(branch, index)
+        app = next_application(index)
         if app is None:
+            branch = tuple(reversed(at))
             return Satisfiable(canonical_interpretation(branch, signature), branch, tuple(trace))
         steps += 1
         if steps > cfg.max_steps:
             raise StepLimitExceeded(f"exceeded {cfg.max_steps} rule applications")
+        if cfg.record_trace:
+            app.before = branch
+            trace.append(app)
         right_measure = None
         if cfg.check_measure:
             if measure is None:
@@ -291,17 +308,16 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
 
                 measure = MeasureState(root)
             right_measure = _check_measures(app, index, measure, cfg)
-        if cfg.record_trace:
-            trace.append(app)
         added, label = app.added[0], at[app.pivot]
-        if app.kind is RuleKind.OR:
+        if app.kind is OR:
             pending.append((app, label, index.copy(), right_measure))
             label |= 1 << (len(pending) - 1)
-        elif app.kind is RuleKind.ALL and pending:
+        elif app.kind is ALL and pending:
             # the new fact also depends on the edge the step followed, whose
             # label is 0 while nothing is pending
             label |= at[Rel(app.pivot.concept.role, app.pivot.subject, added[0].subject)]
-        branch = added + branch
+        if cfg.record_trace:
+            branch = added + branch
 
 
 def _check_measures(
@@ -311,14 +327,17 @@ def _check_measures(
     by `index` and measured by `measure`, to each successor.
 
     The first successor takes `measure` over, advanced; the second one's,
-    on a disjunction step, is advanced from a copy and returned.
+    on a disjunction step, is advanced from a copy and returned. A failed
+    measure check reads the step's branch off the index when the record
+    holds none.
     """
     right = measure.copy() if len(app.added) > 1 else None
     for n, (front, state) in enumerate(zip(app.added, (measure, right))):
         if not progress_check(app, n, index, state):
             raise ProgressCheckError(f"no progress across {_step(app.kind)}")
         if not assert_decrease(app, n, index, state):
-            violation = MeasureViolation(app.before, front + app.before, app.kind)
+            before = tuple(reversed(index.at)) if app.before is None else app.before
+            violation = MeasureViolation(before, front + before, app.kind)
             if cfg.measure_violations is None:
                 raise MeasureDecreaseError(violation, state.failure)
             cfg.measure_violations.append(violation)
@@ -396,18 +415,18 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
     while stack:
         branch, added, index = stack.pop()
         index.grow(added)
-        if contains_clash(branch, added, index):
+        if contains_clash(index.at, added):
             continue
         if pending is None:
-            if next_application(branch, index) is not None:
+            if next_application(index) is not None:
                 raise ValueError("trace ends on a branch that is not saturated")
             return branch
         if pending.before != branch:
             raise ValueError("trace record does not match the branch under expansion")
         rule = RULES_BY_KIND[pending.kind]
-        if pending.pivot not in index.at or not rule.appcond(branch, pending.pivot, index):
+        if pending.pivot not in index.at or not rule.appcond(pending.pivot, index):
             raise ValueError("recorded pivot is not applicable on replay")
-        adds = rule.action(branch, pending.pivot, index)
+        adds = rule.action(pending.pivot, index)
         if pending.skipped:
             if len(adds) < 2 or isinstance(decide_sat_abox(adds[1] + branch), Satisfiable):
                 raise ValueError("trace skips no alternative or a satisfiable one")

@@ -3,9 +3,9 @@ list ABoxes, and the branch index they read.
 
 Each rule is given once, by the shape of its pivot concept, its premise and
 the facts it adds; `_rule` turns those into the applicability test and the
-action. Both take the branch, a pivot fact of it and the branch's
-`BranchIndex`, and read the branch only through the index; a premise builds
-no fact and no witness, and changes the index only by moving a ∀ pivot's
+action. Both take a pivot fact of the branch and the branch's
+`BranchIndex`, which is all they read of the branch; a premise builds no
+fact and no witness, and changes the index only by moving a ∀ pivot's
 cursor. The ∃ premise costs the smaller of the body's holders and the
 edges along the role, plus the named targets; the ∀ premise costs the
 successors its cursor passes, each once on a branch. An action is called only on a pivot where its
@@ -39,6 +39,7 @@ from .syntax import (
     Rel,
     Role,
     Some,
+    inst_ref,
     lookup,
 )
 
@@ -101,8 +102,7 @@ class BranchIndex:
         it, each with dependency label `label`, since the facts of one step
         share it; returns the index itself."""
         at, edges, named, holders = self.at, self.edges, self.named, self.holders
-        witness, live = self.witness, self.live
-        new_pivots: dict[RuleKind, list[Fact]] = {}
+        witness, live, kind_of = self.witness, self.live, _KIND_OF_SHAPE.get
         for fact in reversed(added):
             at[fact] = label
             if type(fact) is Rel:
@@ -118,17 +118,15 @@ class BranchIndex:
                 if type(ind) is Anon and ind.index >= witness:
                     witness = ind.index + 1
                 continue
-            kind = _KIND_OF_SHAPE.get(type(fact.concept))
+            kind = kind_of(type(fact.concept))
             if kind is not None:
-                new_pivots.setdefault(kind, []).append(fact)
+                live[kind] = (fact, *live[kind])
             ind = fact.subject
             if type(ind) is Anon:
                 concept = fact.concept
                 holders[concept] = (ind, *holders.get(concept, ()))
                 if ind.index >= witness:
                     witness = ind.index + 1
-        for kind, facts in new_pivots.items():
-            live[kind] = (*reversed(facts), *live[kind])
         self.witness = witness
         return self
 
@@ -143,7 +141,8 @@ class BranchIndex:
 
     def holds(self, subject: Individual, concept: Concept) -> bool:
         """Whether the branch holds the fact `subject : concept`; builds no fact."""
-        return lookup(Inst, subject, concept) in self.at
+        ref = inst_ref((subject, concept))
+        return ref is not None and ref() in self.at
 
     def successors(self, role: Role, source: Individual) -> tuple[Individual, ...]:
         """Targets of the `role` edges from `source`, in branch order."""
@@ -152,11 +151,12 @@ class BranchIndex:
 
 @dataclass(frozen=True)
 class TableauRule:
-    """A rule given by its applicability condition and its action."""
+    """A rule given by its applicability condition and its action, each
+    called with a pivot fact and the index of the branch that holds it."""
 
     kind: RuleKind
-    appcond: Callable[[Abox, Fact, BranchIndex], bool]
-    action: Callable[[Abox, Fact, BranchIndex], list[tuple[Fact, ...]]]
+    appcond: Callable[[Fact, BranchIndex], bool]
+    action: Callable[[Fact, BranchIndex], list[tuple[Fact, ...]]]
 
 
 @dataclass(slots=True)
@@ -164,8 +164,9 @@ class RuleApplication:
     """Trace record of one rule application on one branch.
 
     `added` holds, per successor, its front: the facts the step adds, none
-    of which `before` holds. `successors` puts each front before `before`,
-    and `pivot_index` finds the pivot there, on each read. `fresh` is the
+    of which the step's branch holds. `before` is that branch, None unless
+    a trace is recorded; `successors` puts each front before it, and
+    `pivot_index` finds the pivot there, on each read. `fresh` is the
     witness an existential step made; it is None on the other steps and on
     an existential step that reused a witness. `skipped` marks a
     disjunction step whose right successor the search discarded
@@ -177,7 +178,7 @@ class RuleApplication:
 
     kind: RuleKind
     pivot: Fact
-    before: Abox
+    before: Optional[Abox]
     added: tuple[Abox, ...]
     fresh: Optional[Individual] = None
     skipped: bool = False
@@ -201,14 +202,14 @@ def _rule(kind: RuleKind, premise: Premise, adds: Adds) -> TableauRule:
     in `adds(index, x, C)`."""
     shape = _PIVOT_SHAPE[kind]
 
-    def appcond(abox: Abox, fact: Fact, index: BranchIndex) -> bool:
+    def appcond(fact: Fact, index: BranchIndex) -> bool:
         return (
-            isinstance(fact, Inst)
-            and isinstance(fact.concept, shape)
+            type(fact) is Inst
+            and type(fact.concept) is shape
             and premise(index, fact.subject, fact.concept)
         )
 
-    def action(abox: Abox, pivot: Fact, index: BranchIndex) -> list[tuple[Fact, ...]]:
+    def action(pivot: Fact, index: BranchIndex) -> list[tuple[Fact, ...]]:
         return adds(index, pivot.subject, pivot.concept)
 
     return TableauRule(kind, appcond, action)
@@ -216,7 +217,9 @@ def _rule(kind: RuleKind, premise: Premise, adds: Adds) -> TableauRule:
 
 def _and_premise(index: BranchIndex, x: Individual, c: And) -> bool:
     """Not both parts asserted yet."""
-    return not (index.holds(x, c.left) and index.holds(x, c.right))
+    at = index.at
+    left, right = inst_ref((x, c.left)), inst_ref((x, c.right))
+    return left is None or right is None or left() not in at or right() not in at
 
 
 def _and_adds(index: BranchIndex, x: Individual, c: And) -> list[tuple[Fact, ...]]:

@@ -185,7 +185,8 @@ def lookup(cls: type, *fields) -> Optional[_Interned]:
 
     A value that has no live instance occurs in no branch, so a rule test
     can ask whether a fact is present without constructing it. The lookup is
-    a dict `get` and a call of the weak reference found, both in C.
+    a dict `get` and a call of the weak reference found, both in C; for
+    `Inst`, `inst_ref` below is that `get` with no Python frame around it.
     """
     return cls._table.get(fields, _NO_REF)()
 
@@ -286,6 +287,14 @@ class Inst(_Interned):
 
     subject: Individual
     concept: Concept
+
+
+# The weak reference to the live `Inst` with fields `(subject, concept)`, or
+# None: `inst_ref((x, c))`, then a call of the reference found, is
+# `lookup(Inst, x, c)` with no frame of its own, since testing whether a
+# branch holds `x : c` is the inner loop of the rules and the clash test.
+# It reads the table Inst was defined with.
+inst_ref = Inst._table.get
 
 
 @_interned

@@ -9,6 +9,12 @@ fires one rule on its own, building each successor as
 checks a recorded run with the bounded oracle. `reference_search` is the
 depth-first search over `apply_srule` with no dependency labels and no
 jumps, which the engine's backjumping search must agree with.
+`tuple_search` is the engine's backjumping search as it ran while it still
+carried each branch as a tuple, rebuilt on every step, and filled every
+record's `before`; the engine, which carries only the branch's index, must
+test and expand the same branches in the same order. `step_on` is the
+engine's record of the first step on a branch, with `before` filled as a
+traced search fills it.
 `tree_interp_concept` evaluates a concept by walking it as a tree, which
 the evaluator over distinct subterms must agree with, and
 `recursive_nnf` is the textbook recursive rewrite
@@ -50,6 +56,7 @@ from alctab.engine import (
     Verdict,
     canonical_interpretation,
     contains_clash,
+    next_application,
 )
 from alctab.measure import ConceptCounts, MeasurePair, _counts
 from alctab.parser import KEYWORDS, MAX_NESTING, ParseError, SourceSpan
@@ -106,9 +113,18 @@ def apply_srule(rule: TableauRule, abox: Abox, index: Optional[BranchIndex] = No
     if index is None:
         index = BranchIndex(abox)
     for fact in abox:
-        if rule.appcond(abox, fact, index):
-            return [dedup_facts(new + abox) for new in rule.action(abox, fact, index)]
+        if rule.appcond(fact, index):
+            return [dedup_facts(new + abox) for new in rule.action(fact, index)]
     return []
+
+
+def step_on(branch: Abox) -> Optional[RuleApplication]:
+    """The engine's choice of the first step on `branch`, None when it is
+    saturated, with the record's `before` set to the branch."""
+    app = next_application(BranchIndex(branch))
+    if app is not None:
+        app.before = branch
+    return app
 
 
 def tree_interp_concept(interp: Interpretation, concept: Concept) -> frozenset[int]:
@@ -254,7 +270,7 @@ def _pair(
         waiting = sum(1 for _ in pending(index, fact.subject, d))
         return (_counts(d, counts)[0], waiting + shared_ex_count)
     rule = _RULE_FOR.get(type(d))
-    if rule is not None and rule.appcond(abox, fact, index):
+    if rule is not None and rule.appcond(fact, index):
         return (_counts(d, counts)[0], 0)
     if isinstance(d, Some) and some_premise(index, fact.subject, d):
         return (_counts(d, counts)[0], 0)
@@ -508,7 +524,7 @@ def reference_search(abox: Abox) -> Verdict:
     while stack:
         branch = stack.pop()
         index = BranchIndex(branch)
-        if contains_clash(branch, None, index):
+        if contains_clash(branch):
             closed += 1
             continue
         for rule in alc_rules():
@@ -519,6 +535,57 @@ def reference_search(abox: Abox) -> Verdict:
         else:
             return Satisfiable(canonical_interpretation(branch), branch)
     return Unsatisfiable(closed_branches=closed)
+
+
+def tuple_search(abox: Abox) -> tuple[Verdict, list[Abox], list[Abox]]:
+    """The backjumping search with a branch tuple: the verdict, with every
+    step recorded, the branches tested for a clash and the branches a rule
+    was chosen on, each list in the order the search reached them.
+
+    It is the engine's loop as it was before the engine dropped the tuple:
+    each step's successor is built as `added + branch`, the clash test is
+    given the tuple, the record's `before` is the tuple, and the open branch
+    is the last tuple built. Labels and jumps are the engine's.
+    """
+    root = dedup_facts(abox)
+    trace: list[RuleApplication] = []
+    tested: list[Abox] = []
+    chosen: list[Abox] = []
+    pending: list[tuple[RuleApplication, int, BranchIndex]] = []
+    branch, added, label, index = root, root, 0, BranchIndex(())
+    closed = 0
+    while True:
+        at = index.grow(added, label).at
+        tested.append(branch)
+        clash = contains_clash(branch, added)
+        if clash is not None:
+            closed += 1
+            depends = at[clash[0]] | at[clash[1]]
+            keep = depends.bit_length()
+            for alt in pending[keep:]:
+                alt[0].skipped = True
+            del pending[keep:]
+            if not pending:
+                return Unsatisfiable(tuple(trace), closed), tested, chosen
+            app, label, index = pending.pop()
+            added = app.added[1]
+            branch = added + app.before
+            label |= depends & ~(1 << len(pending))
+            continue
+        chosen.append(branch)
+        app = next_application(index)
+        if app is None:
+            model = canonical_interpretation(branch)
+            return Satisfiable(model, branch, tuple(trace)), tested, chosen
+        app.before = branch
+        trace.append(app)
+        added, label = app.added[0], at[app.pivot]
+        if app.kind is RuleKind.OR:
+            pending.append((app, label, index.copy()))
+            label |= 1 << (len(pending) - 1)
+        elif app.kind is RuleKind.ALL and pending:
+            label |= at[Rel(app.pivot.concept.role, app.pivot.subject, added[0].subject)]
+        branch = added + branch
 
 
 def recursive_nnf(concept: Concept) -> Concept:

@@ -166,7 +166,7 @@ def test_c04_canonical_model_completeness(concept_runs):
     for _, verdict in runs:
         if isinstance(verdict, Satisfiable):
             open_branches += 1
-            assert next_application(verdict.open_branch) is None
+            assert next_application(BranchIndex(verdict.open_branch)) is None
             for fact in verdict.open_branch:
                 assert satisfies_fact(verdict.model, fact)
     assert open_branches > 0
@@ -207,7 +207,7 @@ def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):
     for branch in branches:
         index = BranchIndex(branch)
         for rule in alc_rules():
-            applicable += sum(rule.appcond(branch, fact, index) for fact in branch)
+            applicable += sum(rule.appcond(fact, index) for fact in branch)
     assert applicable > 0
     assert {cls.__name__: table.entered for cls, table in tables.items()} == {
         "Inst": 0,
@@ -215,7 +215,7 @@ def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):
         "Anon": 0,
     }
     # the tables count: an action enters the facts it builds
-    SOME_RULE.action((pivot,), pivot, BranchIndex((pivot,)))
+    SOME_RULE.action(pivot, BranchIndex((pivot,)))
     assert {cls.__name__: table.entered for cls, table in tables.items()} == {
         "Inst": 1,
         "Rel": 1,

@@ -15,6 +15,8 @@ from types import ModuleType
 
 import alctab
 from alctab.engine import EngineConfig
+from alctab.syntax import Inst, Named, nnf
+from reference import tuple_search
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -63,3 +65,10 @@ def test_every_patched_span_is_called():
     assert {kind: tracer.counts["engine.rule_apps." + kind] for kind in KINDS} == {
         kind: kinds[kind] for kind in KINDS
     }
+    # the clash test is given the branch's facts, which the engine keeps in
+    # its index, so the span still counts the facts of the largest branch
+    largest = 0
+    for text in CONCEPTS:
+        abox = (Inst(Named("x0"), nnf(alctab.parser.parse_concept(text))),)
+        largest = max(largest, *map(len, tuple_search(abox)[1]))
+    assert tracer.max_branch_facts == largest

@@ -22,7 +22,7 @@ from alctab.engine import (
     subsumes,
 )
 from alctab.parser import parse_concept
-from alctab.rules import RuleKind
+from alctab.rules import BranchIndex, RuleKind
 from alctab.semantics import (
     OracleConfig,
     interp_concept,
@@ -56,7 +56,7 @@ from corpus import (
     random_nnf_abox,
     wide_exists,
 )
-from reference import check_run_soundness, reference_search
+from reference import check_run_soundness, reference_search, step_on
 
 A, B = Atom("A"), Atom("B")
 r = Role("r")
@@ -73,20 +73,23 @@ def test_contains_clash():
 
 
 def test_saturated():
-    assert next_application((Inst(x, A),)) is None
-    assert next_application((Inst(x, And(A, B)),)) is not None
-    assert next_application((Inst(x, And(A, B)), Inst(x, A), Inst(x, B))) is None
+    assert step_on((Inst(x, A),)) is None
+    assert step_on((Inst(x, And(A, B)),)) is not None
+    assert step_on((Inst(x, And(A, B)), Inst(x, A), Inst(x, B))) is None
+    # the engine's own call reads only the index and leaves `before` unset
+    app = next_application(BranchIndex((Inst(x, And(A, B)),)))
+    assert app.before is None and app.added == ((Inst(x, A), Inst(x, B)),)
 
 
 def test_expand_once():
-    succ = next_application((Inst(x, And(A, B)),)).successors
+    succ = step_on((Inst(x, And(A, B)),)).successors
     assert succ == ((Inst(x, A), Inst(x, B), Inst(x, And(A, B))),)
     # strategy priority: the conjunction fires before the disjunction
     abox = (Inst(x, Or(A, B)), Inst(x, And(A, B)))
-    app = next_application(abox)
+    app = step_on(abox)
     assert app.kind is RuleKind.AND and app.pivot_index == 1
     assert len(app.successors) == 1
-    assert next_application((Inst(x, A),)) is None
+    assert step_on((Inst(x, A),)) is None
 
 
 def test_decide_sat_abox_examples():
@@ -153,7 +156,7 @@ def test_run_soundness_verdict_models():
         concept = nnf(random_concept(rng, 4))
         verdict = decide_concept_sat(concept)
         if isinstance(verdict, Satisfiable):
-            assert next_application(verdict.open_branch) is None
+            assert step_on(verdict.open_branch) is None
             assert not contains_clash(verdict.open_branch)
             assert interp_concept(verdict.model, concept)
 
@@ -229,6 +232,11 @@ def test_measure_instrumentation_modes():
     cfg = EngineConfig(check_measure=True, measure_violations=sink)
     engine._check_measures(app, rules.BranchIndex(before), MeasureState(before), cfg)
     assert sink == [engine.MeasureViolation(before, front + before, RuleKind.ALL)]
+    # an untraced search's record holds no branch, so the violation reads
+    # the step's branch off its index
+    untraced = rules.RuleApplication(RuleKind.ALL, before[0], None, (front,))
+    engine._check_measures(untraced, rules.BranchIndex(before), MeasureState(before), cfg)
+    assert sink == [engine.MeasureViolation(before, front + before, RuleKind.ALL)] * 2
     # a forged ∃ step whose edge satisfies no ∃ fact keeps the invariant but
     # changes no weight
     before = (Inst(x, A), Inst(y, B))

@@ -21,18 +21,21 @@ enumeration at domain size 2 over its own signature has at most
 ORACLE_CANDIDATES candidates. Every satisfiable run's model must satisfy
 its input.
 
-The same runs gate the engine's incremental bookkeeping: at every recorded
-step, the rule choice from its live pivots and the clash test on the facts
-the step added must agree with the whole-branch scans, the record's pivot
-index must point at its pivot, each successor must be its front, the
-action's facts, none of which its branch held, put in front of the branch,
-and at every branch the search tests, its carried index must hold what
-scans of the branch tuple find, and live pivots that miss no pivot a rule
-applies at; at each live ∃ and ∀ pivot, its indexed
-premise must be the reference scan's. Replay's index is checked the same
-way at every branch it tests. Checked the same way, at every step the
-measure state must weigh each individual as the whole-branch reference
-does, before the step and after it, and the whole multisets must decrease;
+The same runs gate the engine's incremental bookkeeping. The engine keeps
+no branch tuple, so each branch it tests for a clash or chooses a rule on
+is read off its index, traced or not, and must be the branch the reference
+tuple search builds at the same point. At every recorded step, the rule
+choice from its live pivots and the clash test on the facts the step added
+must agree with the whole-branch scans, the record's pivot index must
+point at its pivot, each successor must be its front, the action's facts,
+none of which its branch held, put in front of the branch, and every index
+the search or replay grows must hold what scans of its branch find, and
+live pivots that miss no pivot a rule applies at; at each live ∃ and ∀
+pivot, its indexed premise must be the reference scan's. An untraced
+search must return what a traced one returns. Checked the same way, at
+every step the measure state must weigh each individual as the
+whole-branch reference does, before the step and after it, on the branch
+read off the index, and the whole multisets must decrease;
 the progress check must answer as the whole-branch one, and the paper's
 pairs the trace prints must be the reference's scans. With
 more runs that backjumping prunes, they also gate the jumps: the engine
@@ -263,39 +266,60 @@ def assert_index_matches(branch, index):
         assert positions == sorted(positions)
         assert all(isinstance(f, Inst) and type(f.concept) is SHAPE[kind] for f in live)
         appcond = RULES_BY_KIND[kind].appcond
-        assert {f for f in branch if appcond(branch, f, index)} <= set(live)
+        assert {f for f in branch if appcond(f, index)} <= set(live)
         scan = REFERENCE_PREMISE.get(kind)
         if scan is not None:
             for f in live:
-                assert appcond(branch, f, index) == scan(index, f.subject, f.concept)
+                assert appcond(f, index) == scan(index, f.subject, f.concept)
 
 
 def test_incremental_steps_match_whole_branch_scans(monkeypatch):
-    indexed = Counter()
+    # the engine carries no branch tuple: each branch it tests for a clash
+    # or chooses a rule on is read off its index as `reversed(index.at)`,
+    # and must be the tuple the search built when it carried one, at the
+    # same step, traced or not
+    seen = {"contains_clash": [], "next_application": []}
+    grow = BranchIndex.grow
 
-    def checking(name, fn):
-        # contains_clash(branch, added, index), next_application(branch, index)
-        def wrapper(branch, *args):
-            assert_index_matches(branch, args[-1])
-            indexed[name] += 1
-            return fn(branch, *args)
+    def checked_grow(index, added, label=0):
+        grow(index, added, label)
+        assert_index_matches(tuple(reversed(index.at)), index)
+        return index
 
-        return wrapper
+    def clash_test(facts, added):
+        seen["contains_clash"].append(tuple(reversed(facts)))
+        return contains_clash(facts, added)
 
-    for name in ("contains_clash", "next_application"):
-        monkeypatch.setattr(engine, name, checking(name, getattr(engine, name)))
-    clashes = steps = 0
-    runs = list(zip(golden_inputs(), verdicts()))
-    for _, verdict in runs:
+    def selection(index):
+        seen["next_application"].append(tuple(reversed(index.at)))
+        return next_application(index)
+
+    monkeypatch.setattr(BranchIndex, "grow", checked_grow)
+    monkeypatch.setattr(engine, "contains_clash", clash_test)
+    monkeypatch.setattr(engine, "next_application", selection)
+    clashes = steps = tests = choices = 0
+    runs = []
+    for abox in golden_inputs():
+        expected, tested, chosen = reference.tuple_search(abox)
+        for cfg in (None, EngineConfig(record_trace=True)):
+            for branches in seen.values():
+                branches.clear()
+            verdict = decide_sat_abox(abox, cfg)
+            assert seen == {"contains_clash": tested, "next_application": chosen}
+            assert type(verdict) is type(expected)
+        # traced, every record's `before` is the tuple at its step
+        assert verdict == expected
+        runs.append((abox, verdict))
         steps += len(verdict.trace) + isinstance(verdict, Satisfiable)
+        tests, choices = tests + len(tested), choices + len(chosen)
         for rec in verdict.trace:
             # the record's derived fields: the pivot's position in its
             # branch, and each successor, its front put in front of the branch
             assert rec.before[rec.pivot_index] is rec.pivot
             index = BranchIndex(rec.before)
-            whole = next_application(rec.before, index)
+            whole = next_application(index)
             assert (whole.kind, whole.pivot, whole.added) == (rec.kind, rec.pivot, rec.added)
-            adds = RULES_BY_KIND[rec.kind].action(rec.before, rec.pivot, index)
+            adds = RULES_BY_KIND[rec.kind].action(rec.pivot, index)
             assert len(adds) == len(rec.added) == len(rec.successors)
             for succ, added, new in zip(rec.successors, rec.added, adds):
                 # a step adds only facts its branch lacks, each once
@@ -305,32 +329,36 @@ def test_incremental_steps_match_whole_branch_scans(monkeypatch):
                 clashes += clash
                 assert (contains_clash(succ, added) is not None) == clash
         if isinstance(verdict, Satisfiable):
-            assert next_application(verdict.open_branch) is None
+            assert next_application(BranchIndex(verdict.open_branch)) is None
             assert not contains_clash(verdict.open_branch)
     assert clashes > 0
-    # the index was checked on every branch a rule was chosen on (the last
-    # one of a satisfiable run is saturated), and on more tested for a clash
-    assert indexed["contains_clash"] > indexed["next_application"] == steps
-    # replay grows one index per branch too, and it is checked at every
-    # branch the replay tests for a clash, each record's among them
-    searched, records = indexed["contains_clash"], 0
+    # a rule was chosen on every branch a step was taken on (the last one of
+    # a satisfiable run is saturated), and more were tested for a clash
+    assert tests > choices == steps
+    # replay grows one index per branch too, checked at every growth, and
+    # tests as many branches for a clash as the records it follows and more
+    for branches in seen.values():
+        branches.clear()
+    records = 0
     for abox, verdict in runs:
         assert replay_trace(abox, verdict.trace) == getattr(verdict, "open_branch", None)
         records += len(verdict.trace)
-    assert indexed["contains_clash"] - searched > records
+    assert len(seen["contains_clash"]) > records
+
+
+def backjumping_inputs():
+    """The golden inputs and more that backjumping prunes."""
+    rng = random.Random(20261018)
+    yield from golden_inputs()
+    yield from (concept_abox(irrelevant_or(n)) for n in range(9))
+    yield concept_abox(pigeonhole(3, 2))
+    yield concept_abox(pigeonhole(3, 3))
+    yield from (concept_abox(random_or_heavy_concept(rng)) for _ in range(300))
 
 
 def test_backjumping_returns_what_the_full_search_returns():
-    rng = random.Random(20261018)
-    inputs = [
-        *golden_inputs(),
-        *(concept_abox(irrelevant_or(n)) for n in range(9)),
-        concept_abox(pigeonhole(3, 2)),
-        concept_abox(pigeonhole(3, 3)),
-        *(concept_abox(random_or_heavy_concept(rng)) for _ in range(300)),
-    ]
     kinds, pruned = set(), 0
-    for abox in inputs:
+    for abox in backjumping_inputs():
         verdict = decide_sat_abox(abox, EngineConfig(record_trace=True))
         full = reference_search(abox)
         assert type(verdict) is type(full)
@@ -344,6 +372,23 @@ def test_backjumping_returns_what_the_full_search_returns():
             pruned += verdict.closed_branches < full.closed_branches
             assert replay_trace(abox, verdict.trace) is None
     assert len(kinds) == 2 and pruned > 0
+
+
+def test_untraced_search_returns_what_the_traced_one_returns():
+    # the benchmark times the untraced search, which no digest covers: it
+    # builds no branch tuple and reads its open branch off the index
+    kinds = Counter()
+    for abox in backjumping_inputs():
+        traced = decide_sat_abox(abox, EngineConfig(record_trace=True))
+        untraced = decide_sat_abox(abox)
+        assert type(untraced) is type(traced) and untraced.trace == ()
+        if isinstance(traced, Satisfiable):
+            assert untraced.open_branch == traced.open_branch
+            assert untraced.model == traced.model
+        else:
+            assert untraced.closed_branches == traced.closed_branches
+        kinds[type(traced).__name__] += 1
+    assert kinds.keys() == {"Satisfiable", "Unsatisfiable"}
 
 
 def test_a_skipped_flip_never_changes_what_replay_returns():
@@ -388,33 +433,50 @@ def test_measure_steps_match_whole_branch_measures(monkeypatch):
         (Inst(x, All(r, Some(r, A))), Rel(r, x, y), Rel(r, x, y)),
     ]
     seen = Counter()
-    root = ()
+    root, chosen = (), []
 
     def weights(state):
         return {ind: state.weight(ind) for ind in state.labels}
 
+    def step(app, n, index):
+        # an untraced search records no branch: the step's branch is read
+        # off its index, and successor n is its front put in front of it
+        assert app.before is None
+        branch = tuple(reversed(index.at))
+        return branch, app.added[n] + branch
+
     def checked_progress(app, n, index, state):
+        before, after = step(app, n, index)
+        if n == 0:
+            # the branch is the tuple search's at the same step
+            assert before == chosen[seen["branches"]]
+            seen["branches"] += 1
         answer = progress_check(app, n, index, state)
-        assert answer == reference.progress_check(app.before, app.successors[n])
+        assert answer == reference.progress_check(before, after)
         seen["steps"] += 1
         return answer
 
     def checked_decrease(app, n, index, state):
-        before = reference.individual_weights(root, app.before)
-        after = reference.individual_weights(root, app.successors[n])
+        branch, succ = step(app, n, index)
+        before = reference.individual_weights(root, branch)
+        after = reference.individual_weights(root, succ)
         assert weights(state) == before
         answer = assert_decrease(app, n, index, state)
         # the state, advanced to the successor, weighs each individual as
         # the scans do, and the whole multisets decrease
         assert weights(state) == after
         assert answer and multiset_less(Counter(after.values()), Counter(before.values()))
-        seen["paper"] += not reference.assert_decrease(app.before, app.successors[n])
+        seen["paper"] += not reference.assert_decrease(branch, succ)
         return answer
 
     monkeypatch.setattr(engine, "progress_check", checked_progress)
     monkeypatch.setattr(engine, "assert_decrease", checked_decrease)
     for abox in [*golden_inputs(), *repeats]:
         root = dedup_facts(abox)
+        verdict, _, chosen = reference.tuple_search(abox)
+        seen["branches"] = 0
         decide_sat_abox(abox, EngineConfig(check_measure=True))
+        # each step's branch was checked, and only a saturated one was not
+        assert seen["branches"] == len(chosen) - isinstance(verdict, Satisfiable)
     # every step decreased, among them steps the paper's measure does not
     assert seen["steps"] > 4000 and seen["paper"] > 0

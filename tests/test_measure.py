@@ -50,6 +50,7 @@ from reference import (
     reducible_hidden_ex_count,
     role_depth,
     size_concept,
+    step_on,
 )
 
 A, B = Atom("A"), Atom("B")
@@ -183,7 +184,7 @@ def test_known_exposed_existential_violation():
     # shared existential count grows and the measure does not decrease,
     # while the unconditional progress witness still holds
     before = (Inst(x, All(r, Some(s, A))), Rel(r, x, y))
-    app = next_application(before)
+    app = step_on(before)
     assert app is not None and app.kind is RuleKind.ALL
     after = app.successors[0]
     assert reducible_hidden_ex_count(after) > reducible_hidden_ex_count(before)
@@ -198,7 +199,7 @@ def test_measures_on_saturated_branches():
     seen = 0
     for _ in range(120):
         abox = random_nnf_abox(rng)
-        if next_application(abox) is not None:
+        if next_application(BranchIndex(abox)) is not None:
             continue
         seen += 1
         shared = reducible_hidden_ex_count(abox)

@@ -25,7 +25,7 @@ from alctab.syntax import (
     individuals_of,
 )
 from corpus import ATOMS2, ROLE1, random_nnf_abox
-from reference import abstract_rule_holds, apply_srule
+from reference import abstract_rule_holds, apply_srule, step_on
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 r = Role("r")
@@ -33,12 +33,12 @@ x, y, z = Named("x"), Named("y"), Named("z")
 
 
 def holds(appcond, abox, fact):
-    return appcond(abox, fact, BranchIndex(abox))
+    return appcond(fact, BranchIndex(abox))
 
 
 def fire(action, abox, pivot):
     index = BranchIndex(abox)
-    return [new + abox for new in action(abox, pivot, index)]
+    return [new + abox for new in action(pivot, index)]
 
 
 def test_appcond_and():
@@ -136,7 +136,7 @@ def test_action_some_reuses_a_witness_that_holds_its_label():
     w, pivot = Anon(0), Inst(x, Some(r, A))
     # w holds A and the body of x's ∀ along r; the ∀ along s does not count
     branch = (Inst(w, A), Inst(w, B), Inst(x, All(r, B)), Inst(x, All(Role("s"), C)), pivot)
-    app = next_application(branch)
+    app = step_on(branch)
     assert app.kind is RuleKind.SOME and app.pivot == pivot
     assert app.added == ((Rel(r, x, w),),) and app.fresh is None
     assert app.successors == ((Rel(r, x, w), *branch),)
@@ -150,7 +150,7 @@ def test_action_some_makes_a_witness_when_no_holder_has_every_body():
         # a named individual is never reused
         (Inst(y, A), Inst(w, C), pivot),
     ):
-        app = next_application(branch)
+        app = next_application(BranchIndex(branch))
         assert app.kind is RuleKind.SOME and app.fresh == v
         assert app.added == ((Rel(r, x, v), Inst(v, A)),)
 
@@ -172,7 +172,7 @@ def test_rules_inapplicable_on_empty_and_saturated():
     for rule in alc_rules():
         assert apply_srule(rule, ()) == []
     saturated_abox = (Inst(x, And(A, B)), Inst(x, A), Inst(x, B))
-    assert next_application(saturated_abox) is None
+    assert next_application(BranchIndex(saturated_abox)) is None
     for rule in alc_rules():
         assert apply_srule(rule, saturated_abox) == []
 
@@ -285,7 +285,7 @@ def test_non_applicability_agreement():
         index = BranchIndex(abox)
         for rule in alc_rules():
             impl_applicable = apply_srule(rule, abox) != []
-            assert impl_applicable == any(rule.appcond(abox, f, index) for f in abox)
+            assert impl_applicable == any(rule.appcond(f, index) for f in abox)
             assert impl_applicable == _applicable_at_set_level(rule.kind, facts)
 
 

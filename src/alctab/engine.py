@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Collection, Iterable, Optional, Union
 
 from .measure import assert_decrease, progress_check
-from .rules import MONOTONE, RULES_BY_KIND, BranchIndex, RuleApplication, RuleKind, alc_rules
+from .rules import RULES_BY_KIND, BranchIndex, RuleApplication, RuleKind, alc_rules
 from .semantics import Interpretation
 from .syntax import (
     Abox,
@@ -68,9 +68,9 @@ from .syntax import (
     abox_signature,
     dedup_facts,
     inst_ref,
-    lookup,
     nnf,
     nnf_signature,
+    not_ref,
 )
 
 if TYPE_CHECKING:
@@ -165,9 +165,10 @@ def contains_clash(
             kind = type(c)
             # the complement's concept; its fact is looked up, never built
             if kind is Atom:
-                c = lookup(Not, c)
-                if c is None:  # the atom is never negated
+                ref = not_ref((c,))
+                if ref is None:  # the atom is never negated
                     continue
+                c = ref()
             elif kind is Not:
                 c = c.child
             elif kind is Bottom:
@@ -182,38 +183,49 @@ def contains_clash(
     return None
 
 
+# the rule kinds the search tests for, bound once
+_OR, _ALL, _SOME = RuleKind.OR, RuleKind.ALL, RuleKind.SOME
+
+
 def next_application(index: BranchIndex) -> Optional[RuleApplication]:
     """First applicable rule in strategy order, at its first pivot, on the
     branch `index` indexes.
 
     None means the branch is saturated. Each successor is the action's
-    facts, all new to the branch, put in front of it; the record holds the
-    facts, builds no successor and leaves `before` None. The rules read
+    front, all new to the branch, put in front of it; the record holds the
+    fronts, builds no successor and leaves `before` None. The rules read
     only the index; its live pivots must include every pivot a rule
-    applies at. Conjunction, disjunction and existential pivots tested here
-    and found not to apply, and the pivot that fires, cannot fire on any
-    branch grown from this one, so the index's live tuples are replaced by
-    tuples without them. Universal pivots always stay: a new edge can make
-    them apply again.
+    applies at. Each kind's live list is read from its end, which is branch
+    order. Conjunction, disjunction and existential pivots tested here and
+    found not to apply, and the pivot that fires, cannot fire on any branch
+    grown from this one, so they are popped off the list as they are
+    tested. Universal pivots always stay: a new edge can make them apply
+    again.
     """
     live = index.live
     for rule in alc_rules():
-        kind = rule.kind
-        candidates = live[kind]
-        prune = kind in MONOTONE
-        for n, fact in enumerate(candidates):
-            if rule.appcond(fact, index):
-                if prune:
-                    live[kind] = candidates[n + 1 :]
-                adds = tuple(rule.action(fact, index))
-                # an ∃ step that makes a witness adds its edge and its label,
-                # one that reuses a witness only the edge
-                fresh = None
-                if kind is RuleKind.SOME and len(adds[0]) == 2:
-                    fresh = adds[0][1].subject
-                return RuleApplication(kind, fact, None, adds, fresh)
-        if prune and candidates:
-            live[kind] = ()
+        kind, appcond = rule.kind, rule.appcond
+        pivots = live[kind]
+        if kind is _ALL:
+            for fact in reversed(pivots):
+                if appcond(fact, index):
+                    break
+            else:
+                continue
+        else:
+            while pivots:
+                fact = pivots.pop()
+                if appcond(fact, index):
+                    break
+            else:
+                continue
+        adds = rule.action(fact, index)
+        # an ∃ step that makes a witness adds its edge and its label, one
+        # that reuses a witness only the edge
+        fresh = None
+        if kind is _SOME and len(adds[0]) == 2:
+            fresh = adds[0][1].subject
+        return RuleApplication(kind, fact, None, adds, fresh)
     return None
 
 
@@ -255,12 +267,12 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     labels are those of the index the step copied.
     """
     cfg = cfg or EngineConfig()
+    record, check, max_steps = cfg.record_trace, cfg.check_measure, cfg.max_steps
     root = dedup_facts(abox)
     signature, normal = nnf_signature(root)
     if not normal:
         raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
-    OR, ALL = RuleKind.OR, RuleKind.ALL
     # (the ⊔ step's record, its pivot's label, the step's branch index, the
     # right successor's measure state when the measure is checked)
     pending: list[tuple[RuleApplication, int, BranchIndex, Optional[MeasureState]]] = []
@@ -283,7 +295,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
                 return Unsatisfiable(tuple(trace), closed)
             app, label, index, measure = pending.pop()
             added = app.added[1]
-            if cfg.record_trace:
+            if record:
                 branch = added + app.before
             # the right disjunct depends on what the left one's clash
             # depended on, less that choice itself
@@ -294,13 +306,13 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             branch = tuple(reversed(at))
             return Satisfiable(canonical_interpretation(branch, signature), branch, tuple(trace))
         steps += 1
-        if steps > cfg.max_steps:
-            raise StepLimitExceeded(f"exceeded {cfg.max_steps} rule applications")
-        if cfg.record_trace:
+        if steps > max_steps:
+            raise StepLimitExceeded(f"exceeded {max_steps} rule applications")
+        if record:
             app.before = branch
             trace.append(app)
         right_measure = None
-        if cfg.check_measure:
+        if check:
             if measure is None:
                 # the first step is the root's; an unchecked search never
                 # imports the state
@@ -309,14 +321,14 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
                 measure = MeasureState(root)
             right_measure = _check_measures(app, index, measure, cfg)
         added, label = app.added[0], at[app.pivot]
-        if app.kind is OR:
+        if app.kind is _OR:
             pending.append((app, label, index.copy(), right_measure))
             label |= 1 << (len(pending) - 1)
-        elif app.kind is ALL and pending:
+        elif app.kind is _ALL and pending:
             # the new fact also depends on the edge the step followed, whose
             # label is 0 while nothing is pending
             label |= at[Rel(app.pivot.concept.role, app.pivot.subject, added[0].subject)]
-        if cfg.record_trace:
+        if record:
             branch = added + branch
 
 

@@ -166,6 +166,7 @@ class _ConceptParser:
         tokens, pos = self.tokens, self.pos
         stack: list = [[None, None, None]]
         atoms: dict[str, Atom] = {}  # each name's atom, built once per call
+        roles: dict[str, Role] = {}  # and each role
         while True:
             tok = tokens[pos]
             if tok not in _NOT_NAMES:
@@ -179,7 +180,9 @@ class _ConceptParser:
                         raise self.error("a role name", pos + 1)
                     if tokens[pos + 2] != ".":
                         raise self.error("'.'", pos + 2)
-                    frame = (All if tok == "all" else Some, Role(tokens[pos + 1]))
+                    name = tokens[pos + 1]
+                    role = roles.get(name) or roles.setdefault(name, Role(name))
+                    frame = (All if tok == "all" else Some, role)
                     pos += 2
                 elif tok == "not" or tok == "(":
                     frame = (Not, None) if tok == "not" else ["(", None, None]

@@ -1,22 +1,22 @@
 """The four ALC decomposition rules as (applicability, action) pairs over
 list ABoxes, and the branch index they read.
 
-Each rule is given once, by the shape of its pivot concept, its premise and
-the facts it adds; `_rule` turns those into the applicability test and the
-action. Both take a pivot fact of the branch and the branch's
-`BranchIndex`, which is all they read of the branch; a premise builds no
-fact and no witness, and changes the index only by moving a ∀ pivot's
-cursor. The ∃ premise costs the smaller of the body's holders and the
-edges along the role, plus the named targets; the ∀ premise costs the
-successors its cursor passes, each once on a branch. An action is called only on a pivot where its
-rule's applicability test holds, and returns one tuple of facts per
+Each rule is a pair of plain functions of a pivot fact and the branch's
+`BranchIndex`, which is all they read of the branch. The applicability
+test checks the pivot's shape, `x : C` with C of the rule's constructor,
+and then its premise; it builds no fact and no witness, and changes the
+index only by moving a ∀ pivot's cursor. The ∃ premise costs the smaller
+of the body's holders and the edges along the role, plus the named
+targets; the ∀ premise costs the successors its cursor passes, each once
+on a branch. An action is called only on a pivot where its rule's
+applicability test holds, and returns a tuple of fronts, one per
 successor: the facts that successor adds, each new to the branch and given
-once. The engine builds each successor by putting those facts in front of
-the branch, so branches only grow and no fact is ever repeated.
-Growing a branch can only make the conjunction, disjunction and existential
-premises false, never true again; only the universal premise can turn true
-again, when an edge is added. The set-level rule relations that tests check
-every application against live in the test suite.
+once. The engine builds each successor by putting its front before the
+branch, so branches only grow and no fact is ever repeated. Growing a
+branch can only make the conjunction, disjunction and existential premises
+false, never true again; only the universal premise can turn true again,
+when an edge is added. The set-level rule relations that tests check every
+application against live in the test suite.
 """
 
 from __future__ import annotations
@@ -55,14 +55,8 @@ class RuleKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-# the concept constructor each rule's pivots have
-_PIVOT_SHAPE = {RuleKind.AND: And, RuleKind.OR: Or, RuleKind.ALL: All, RuleKind.SOME: Some}
-_KIND_OF_SHAPE = {shape: kind for kind, shape in _PIVOT_SHAPE.items()}
-
-# the kinds whose premise, once false, stays false as the branch grows
-MONOTONE = frozenset({RuleKind.AND, RuleKind.OR, RuleKind.SOME})
-
-_NO_PIVOTS: dict[RuleKind, tuple[Fact, ...]] = dict.fromkeys(RuleKind, ())
+# the rule kind of each pivot's concept constructor
+_KIND_OF_SHAPE = {And: RuleKind.AND, Or: RuleKind.OR, All: RuleKind.ALL, Some: RuleKind.SOME}
 
 
 class BranchIndex:
@@ -75,14 +69,17 @@ class BranchIndex:
     edges in branch order and `named` to those of them that are named,
     `holders` maps each concept to the witnesses that hold it in branch
     order, and `witness` is the allocation index of the next fresh witness.
-    `live` maps each rule kind to a tuple of the branch's pivots of that
-    kind in branch order, less those the search has found can never fire
-    again. `reached` maps a ∀ pivot's `(subject, concept)` to how many of
-    the oldest successors along its role are known to hold its body; the
-    count only moves forward as the branch grows. A successor that only
+    `live` maps each rule kind to a list of the branch's pivots of that
+    kind, less those the search has found can never fire again, in the
+    order they were indexed: read from the end, it is in branch order, so
+    `grow` appends a front's pivots and `alctab.engine.next_application`
+    pops those it prunes. `reached` maps a ∀ pivot's `(subject, concept)`
+    to how many of the oldest successors along its role are known to hold
+    its body; the count only moves forward as the branch grows. A successor that only
     puts facts in front of its branch takes the branch's index over with
     `grow`, with its labels; an index shared by two branches is `copy`-ed
-    first, since `grow` and the ∀ premise change it in place.
+    first, with its live lists, since `grow`, the search's pruning and the
+    ∀ premise change it in place.
     """
 
     __slots__ = ("at", "edges", "named", "holders", "witness", "live", "reached")
@@ -93,7 +90,7 @@ class BranchIndex:
         self.named: dict[tuple[Role, Individual], tuple[Named, ...]] = {}
         self.holders: dict[Concept, tuple[Anon, ...]] = {}
         self.witness = 0
-        self.live = dict(_NO_PIVOTS)
+        self.live: dict[RuleKind, list[Inst]] = {kind: [] for kind in RuleKind}
         self.reached: dict[tuple[Individual, All], int] = {}
         self.grow(abox)
 
@@ -120,7 +117,7 @@ class BranchIndex:
                 continue
             kind = kind_of(type(fact.concept))
             if kind is not None:
-                live[kind] = (fact, *live[kind])
+                live[kind].append(fact)
             ind = fact.subject
             if type(ind) is Anon:
                 concept = fact.concept
@@ -136,7 +133,8 @@ class BranchIndex:
         twin.edges, twin.named = dict(self.edges), dict(self.named)
         twin.holders = dict(self.holders)
         twin.witness = self.witness
-        twin.live, twin.reached = dict(self.live), dict(self.reached)
+        twin.live = {kind: pivots.copy() for kind, pivots in self.live.items()}
+        twin.reached = dict(self.reached)
         return twin
 
     def holds(self, subject: Individual, concept: Concept) -> bool:
@@ -152,11 +150,12 @@ class BranchIndex:
 @dataclass(frozen=True)
 class TableauRule:
     """A rule given by its applicability condition and its action, each
-    called with a pivot fact and the index of the branch that holds it."""
+    called with a pivot fact and the index of the branch that holds it;
+    the action returns one front per successor."""
 
     kind: RuleKind
     appcond: Callable[[Fact, BranchIndex], bool]
-    action: Callable[[Fact, BranchIndex], list[tuple[Fact, ...]]]
+    action: Callable[[Fact, BranchIndex], tuple[Abox, ...]]
 
 
 @dataclass(slots=True)
@@ -192,59 +191,46 @@ class RuleApplication:
         return self.before.index(self.pivot)
 
 
-Premise = Callable[[BranchIndex, Individual, Concept], bool]
-Adds = Callable[[BranchIndex, Individual, Concept], list[tuple[Fact, ...]]]
-
-
-def _rule(kind: RuleKind, premise: Premise, adds: Adds) -> TableauRule:
-    """The rule that fires on pivots `x : C` with C of the kind's pivot shape
-    when `premise(index, x, C)` holds, with one successor per tuple of facts
-    in `adds(index, x, C)`."""
-    shape = _PIVOT_SHAPE[kind]
-
-    def appcond(fact: Fact, index: BranchIndex) -> bool:
-        return (
-            type(fact) is Inst
-            and type(fact.concept) is shape
-            and premise(index, fact.subject, fact.concept)
-        )
-
-    def action(pivot: Fact, index: BranchIndex) -> list[tuple[Fact, ...]]:
-        return adds(index, pivot.subject, pivot.concept)
-
-    return TableauRule(kind, appcond, action)
-
-
-def _and_premise(index: BranchIndex, x: Individual, c: And) -> bool:
-    """Not both parts asserted yet."""
-    at = index.at
+def _and_appcond(fact: Fact, index: BranchIndex) -> bool:
+    """x : C ⊓ D, with not both parts asserted yet."""
+    if type(fact) is not Inst or type(c := fact.concept) is not And:
+        return False
+    at, x = index.at, fact.subject
     left, right = inst_ref((x, c.left)), inst_ref((x, c.right))
     return left is None or right is None or left() not in at or right() not in at
 
 
-def _and_adds(index: BranchIndex, x: Individual, c: And) -> list[tuple[Fact, ...]]:
+def _and_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     """The parts not asserted yet, each once."""
+    x, c = pivot.subject, pivot.concept
     left, right = Inst(x, c.left), Inst(x, c.right)
     if left in index.at:
-        return [(right,)]
+        return ((right,),)
     if right in index.at or right is left:
-        return [(left,)]
-    return [(left, right)]
+        return ((left,),)
+    return ((left, right),)
 
 
-def _or_premise(index: BranchIndex, x: Individual, c: Or) -> bool:
-    """Neither alternative asserted yet."""
+def _or_appcond(fact: Fact, index: BranchIndex) -> bool:
+    """x : C ⊔ D, with neither alternative asserted yet."""
+    if type(fact) is not Inst or type(c := fact.concept) is not Or:
+        return False
+    x = fact.subject
     return not (index.holds(x, c.left) or index.holds(x, c.right))
 
 
-def _or_adds(index: BranchIndex, x: Individual, c: Or) -> list[tuple[Fact, ...]]:
-    return [(Inst(x, c.left),), (Inst(x, c.right),)]
+def _or_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
+    x, c = pivot.subject, pivot.concept
+    return ((Inst(x, c.left),), (Inst(x, c.right),))
 
 
-def _all_premise(index: BranchIndex, x: Individual, c: All) -> bool:
-    """Some successor along the role misses the body concept. The pivot's
-    cursor in `reached` skips the oldest successors known to hold it, and
-    moves past each further one that does."""
+def _all_appcond(fact: Fact, index: BranchIndex) -> bool:
+    """x : ∀r.C, with some successor along r missing C. The pivot's cursor
+    in `reached` skips the oldest successors known to hold it, and moves
+    past each further one that does."""
+    if type(fact) is not Inst or type(c := fact.concept) is not All:
+        return False
+    x = fact.subject
     targets = index.successors(c.role, x)
     n, key = len(targets), (x, c)
     done = start = index.reached.get(key, 0)
@@ -255,21 +241,23 @@ def _all_premise(index: BranchIndex, x: Individual, c: All) -> bool:
     return done < n
 
 
-def _all_adds(index: BranchIndex, x: Individual, c: All) -> list[tuple[Fact, ...]]:
+def _all_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     # first pending successor in branch order, among those the cursor has
     # not passed; later steps reach the rest
+    x, c = pivot.subject, pivot.concept
     targets = index.successors(c.role, x)
     unsettled = targets[: len(targets) - index.reached.get((x, c), 0)]
     y = next(y for y in unsettled if not index.holds(y, c.child))
-    return [(Inst(y, c.child),)]
+    return ((Inst(y, c.child),),)
 
 
-def _some_premise(index: BranchIndex, x: Individual, c: Some) -> bool:
-    """No successor along the role holds the body concept. The witnesses
-    that hold it and the targets along the role are matched from the
-    smaller side; named targets are in no `holders` tuple, so they are
-    always scanned."""
-    role, child = c.role, c.child
+def _some_appcond(fact: Fact, index: BranchIndex) -> bool:
+    """x : ∃r.C, with no successor along r that holds C. The witnesses that
+    hold C and the targets along r are matched from the smaller side; named
+    targets are in no `holders` tuple, so they are always scanned."""
+    if type(fact) is not Inst or type(c := fact.concept) is not Some:
+        return False
+    x, role, child = fact.subject, c.role, c.child
     targets = index.successors(role, x)
     held = index.holders.get(child, ())
     if len(held) < len(targets):
@@ -280,14 +268,14 @@ def _some_premise(index: BranchIndex, x: Individual, c: Some) -> bool:
     return not any(index.holds(y, child) for y in targets)
 
 
-def _some_adds(index: BranchIndex, x: Individual, c: Some) -> list[tuple[Fact, ...]]:
+def _some_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     """An edge to the first witness in branch order that holds the body
     concept and the body of every universal restriction on x along the
     role, or else an edge to a fresh witness that holds the body concept.
     The universal restrictions are read off the live ∀ pivots, which the
     search never prunes. By the premise, no witness that holds the body
     concept is a successor along the role yet, so the edge is new."""
-    role, child = c.role, c.child
+    x, role, child = pivot.subject, pivot.concept.role, pivot.concept.child
     held = index.holders.get(child)
     if held:
         bodies = [
@@ -297,15 +285,15 @@ def _some_adds(index: BranchIndex, x: Individual, c: Some) -> list[tuple[Fact, .
         ]
         for y in held:
             if all(index.holds(y, d) for d in bodies):
-                return [(Rel(role, x, y),)]
+                return ((Rel(role, x, y),),)
     witness = Anon(index.witness)
-    return [(Rel(role, x, witness), Inst(witness, child))]
+    return ((Rel(role, x, witness), Inst(witness, child)),)
 
 
-AND_RULE = _rule(RuleKind.AND, _and_premise, _and_adds)
-OR_RULE = _rule(RuleKind.OR, _or_premise, _or_adds)
-ALL_RULE = _rule(RuleKind.ALL, _all_premise, _all_adds)
-SOME_RULE = _rule(RuleKind.SOME, _some_premise, _some_adds)
+AND_RULE = TableauRule(RuleKind.AND, _and_appcond, _and_action)
+OR_RULE = TableauRule(RuleKind.OR, _or_appcond, _or_action)
+ALL_RULE = TableauRule(RuleKind.ALL, _all_appcond, _all_action)
+SOME_RULE = TableauRule(RuleKind.SOME, _some_appcond, _some_action)
 
 RULES_BY_KIND = {r.kind: r for r in (AND_RULE, OR_RULE, ALL_RULE, SOME_RULE)}
 

@@ -8,11 +8,14 @@ to weak references that carry their key, and a value nothing else refers to
 is released and its entry dropped. Each class has its own constructor,
 made once when the class is defined from a template for its number of
 fields, with no source compiled: its parameters are the fields, it looks
-the value up with no argument packing, and it builds a missing one with no
-loop over the fields. Values can be shared between tableau branches and
-used as dict keys. An ABox branch is an ordered, duplicate-free tuple of
-facts: the order carries the deterministic scan order of the tableau rules,
-while ``set(abox)`` recovers the set-level view.
+the value up with no argument packing, and it builds and publishes a
+missing one itself, with no loop over the fields and no helper frame. A
+concept also knows, from the moment it is built, whether it is in negation
+normal form (its `normal` flag), so that test reads one attribute. Values
+can be shared between tableau branches and used as dict keys. An ABox
+branch is an ordered, duplicate-free tuple of facts: the order carries the
+deterministic scan order of the tableau rules, while ``set(abox)``
+recovers the set-level view.
 """
 
 from __future__ import annotations
@@ -50,13 +53,15 @@ class _Interned:
     `get` and a call of the reference, both in C. The references carry their
     key, and when an instance dies its reference's callback drops the entry,
     unless a new instance with those fields has replaced it in the meantime.
-    A new instance has its fields set one by one, with no loop, and is
-    validated by its class's ``__post_init__``, if it has one, outside any
-    lock, then published by one `setdefault` of its reference, which is
-    atomic: hashing and comparing a key of interned values, strings and
-    numbers runs no Python code. So of two threads that build one value,
-    the first to publish wins and both get its instance; a dead entry whose
-    callback has not run yet is removed and the publish tried again.
+    A new instance has its fields set one by one, with no loop, and a
+    compound concept's `normal` flag from them; it is validated by its
+    class's ``__post_init__``, if it has one, outside any lock, then
+    published by the constructor itself with one `setdefault` of its
+    reference, which is atomic: hashing and comparing a key of interned
+    values, strings and numbers runs no Python code. So of two threads that
+    build one value, the first to publish wins and both get its instance; a
+    dead entry whose callback has not run yet is removed and the publish
+    tried again, while the constructor still holds the new instance.
     Equality is identity and the hash is the id; copies and pickles come
     back as the interned instance.
     """
@@ -92,54 +97,106 @@ class _Interned:
         return "".join(out)
 
 
+class _Concept(_Interned):
+    """Base of the concept classes. `normal` is True iff the concept is in
+    negation normal form, where every negation applies to an atom: atoms,
+    Top and Bottom are."""
+
+    __slots__ = ()
+    normal = True
+
+
+class _Compound(_Concept):
+    """Base of the concept classes with concept fields. `normal` is a slot,
+    not a field, set by the constructor from the fields when a value is
+    built, so it is no part of the key, the match arguments or a pickle."""
+
+    __slots__ = ("normal",)
+
+
 # The constructors, one template per arity with placeholder parameters
 # `_0`, `_1`, `_2`, which `_interned` renames to a class's fields; a field
 # may not share a name with a template's locals. `new` makes an empty
-# instance, `set0`, `set1` and `set2` set its fields, and `publish`
-# validates and publishes it. The table is read from the class on every call.
-def _arity0(new, publish):
+# instance, `set0`, `set1` and `set2` set its fields, `check` validates it
+# (None when the class has no `__post_init__`), and `drop` is its
+# reference's death callback. `mark` sets a compound concept's `normal`
+# flag (None for the other classes): a negation, the one compound concept
+# of one field, is in normal form over an atom, and a binary or quantified
+# concept when its concept fields are. Each template publishes a new
+# instance itself: `value` holds it until it is returned, so its entry
+# stays live while the loop removes a dead entry under its key. The table
+# is read from the class on every call.
+def _arity0(new, check, drop):
     def __new__(cls):
         table = cls._table
-        instance = table.get((), _NO_REF)()
-        return publish(table, (), new(cls)) if instance is None else instance
+        instance = table.get(key := (), _NO_REF)()
+        if instance is None:
+            value = new(cls)
+            if check is not None:
+                check(value)
+            entry = _Ref(value, drop)
+            entry.key = key
+            # the live entry under the key wins, this one if there is none
+            while (instance := table.setdefault(key, entry)()) is None:
+                _remove_dead_weakref(table, key)
+        return instance
 
     return __new__
 
 
-def _arity1(new, publish, set0):
+def _arity1(new, check, drop, set0, mark=None):
     def __new__(cls, _0):
         table = cls._table
         instance = table.get(key := (_0,), _NO_REF)()
         if instance is None:
-            set0(instance := new(cls), _0)
-            instance = publish(table, key, instance)
+            set0(value := new(cls), _0)
+            if mark is not None:
+                mark(value, type(_0) is Atom)
+            if check is not None:
+                check(value)
+            entry = _Ref(value, drop)
+            entry.key = key
+            while (instance := table.setdefault(key, entry)()) is None:
+                _remove_dead_weakref(table, key)
         return instance
 
     return __new__
 
 
-def _arity2(new, publish, set0, set1):
+def _arity2(new, check, drop, set0, set1, mark=None):
     def __new__(cls, _0, _1):
         table = cls._table
         instance = table.get(key := (_0, _1), _NO_REF)()
         if instance is None:
-            set0(instance := new(cls), _0)
-            set1(instance, _1)
-            instance = publish(table, key, instance)
+            set0(value := new(cls), _0)
+            set1(value, _1)
+            if mark is not None:
+                mark(value, _1.normal and (type(_0) is Role or _0.normal))
+            if check is not None:
+                check(value)
+            entry = _Ref(value, drop)
+            entry.key = key
+            while (instance := table.setdefault(key, entry)()) is None:
+                _remove_dead_weakref(table, key)
         return instance
 
     return __new__
 
 
-def _arity3(new, publish, set0, set1, set2):
+def _arity3(new, check, drop, set0, set1, set2):
     def __new__(cls, _0, _1, _2):
         table = cls._table
         instance = table.get(key := (_0, _1, _2), _NO_REF)()
         if instance is None:
-            set0(instance := new(cls), _0)
-            set1(instance, _1)
-            set2(instance, _2)
-            instance = publish(table, key, instance)
+            set0(value := new(cls), _0)
+            set1(value, _1)
+            set2(value, _2)
+            if check is not None:
+                check(value)
+            entry = _Ref(value, drop)
+            entry.key = key
+            while (instance := table.setdefault(key, entry)()) is None:
+                _remove_dead_weakref(table, key)
         return instance
 
     return __new__
@@ -149,7 +206,8 @@ def _interned(cls: type) -> type:
     """Make a subclass of `_Interned` a frozen, slotted dataclass with its
     own table and a constructor whose parameters are its fields, so calls
     by position and by keyword, and the `TypeError` of a wrong call, are
-    Python's own. Builds no code from source."""
+    Python's own. A compound concept's constructor also sets its `normal`
+    flag. Builds no code from source."""
     if cls.__doc__ is None:  # else dataclass parses a signature for one, slowly
         cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
     cls = dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)(cls)
@@ -159,19 +217,11 @@ def _interned(cls: type) -> type:
     def drop(dead: _Ref, table=table, remove=_remove_dead_weakref) -> None:
         remove(table, dead.key)  # only if the entry is still dead
 
-    def publish(table: dict, key: tuple, instance, remove=_remove_dead_weakref):
-        if check is not None:
-            check(instance)
-        entry = _Ref(instance, drop)
-        entry.key = key
-        # the live entry under the key wins, this one if there is none
-        while (winner := table.setdefault(key, entry)()) is None:
-            remove(table, key)
-        return winner
-
     fields = cls.__match_args__  # the dataclass fields, in order
     setters = [cls.__dict__[name].__set__ for name in fields]  # the slots' setters, in C
-    made = (_arity0, _arity1, _arity2, _arity3)[len(fields)](object.__new__, publish, *setters)
+    if issubclass(cls, _Compound):
+        setters.append(_Compound.__dict__["normal"].__set__)
+    made = (_arity0, _arity1, _arity2, _arity3)[len(fields)](object.__new__, check, drop, *setters)
     code = made.__code__
     code = code.replace(co_varnames=("cls", *fields, *code.co_varnames[1 + len(fields) :]))
     new = FunctionType(code, made.__globals__, "__new__", None, made.__closure__)
@@ -228,7 +278,7 @@ Individual = Union[Named, Anon]
 
 
 @_interned
-class Atom(_Interned):
+class Atom(_Concept):
     name: ConceptName
 
     def __post_init__(self) -> None:
@@ -237,40 +287,40 @@ class Atom(_Interned):
 
 
 @_interned
-class Top(_Interned):
+class Top(_Concept):
     pass
 
 
 @_interned
-class Bottom(_Interned):
+class Bottom(_Concept):
     pass
 
 
 @_interned
-class Not(_Interned):
+class Not(_Compound):
     child: "Concept"
 
 
 @_interned
-class And(_Interned):
+class And(_Compound):
     left: "Concept"
     right: "Concept"
 
 
 @_interned
-class Or(_Interned):
+class Or(_Compound):
     left: "Concept"
     right: "Concept"
 
 
 @_interned
-class All(_Interned):
+class All(_Compound):
     role: Role
     child: "Concept"
 
 
 @_interned
-class Some(_Interned):
+class Some(_Compound):
     role: Role
     child: "Concept"
 
@@ -293,8 +343,10 @@ class Inst(_Interned):
 # None: `inst_ref((x, c))`, then a call of the reference found, is
 # `lookup(Inst, x, c)` with no frame of its own, since testing whether a
 # branch holds `x : c` is the inner loop of the rules and the clash test.
-# It reads the table Inst was defined with.
+# `not_ref((a,))` is the same for `Not(a)`, which the clash test asks for
+# on each atom fact. They read the tables the classes were defined with.
 inst_ref = Inst._table.get
+not_ref = Not._table.get
 
 
 @_interned
@@ -359,8 +411,8 @@ def nnf(concept: Concept) -> Concept:
     rewrite visits the concept as a DAG: each distinct subterm is rewritten
     once per polarity and its rewrite remembered, so a subterm shared by
     many parents costs once. A concept already in negation normal form is
-    its own rewrite, and is returned after a walk that builds nothing. The
-    rewrite keeps its own stack, so any depth that fits in memory works.
+    its own rewrite, and is returned at once: its `normal` flag says so.
+    The rewrite keeps its own stack, so any depth that fits in memory works.
     """
     if is_nnf(concept):
         return concept
@@ -409,30 +461,13 @@ def nnf(concept: Concept) -> Concept:
 def is_nnf(concept: Concept) -> bool:
     """True iff every negation in the concept applies directly to an atom.
 
-    The walk visits the concept as a DAG: it enters each distinct binary or
-    quantified subterm once. It keeps its own stack, so any depth that fits
-    in memory works.
+    Reads the concept's `normal` flag, which its constructor set from its
+    fields, so it walks nothing and builds nothing. Raises TypeError on a
+    value that is not a concept.
     """
-    seen = set()
-    todo = [concept]
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is Not:
-            if type(node.child) is not Atom:
-                return False
-        elif kind is And or kind is Or:
-            if node not in seen:
-                seen.add(node)
-                todo.append(node.right)
-                todo.append(node.left)
-        elif kind is All or kind is Some:
-            if node not in seen:
-                seen.add(node)
-                todo.append(node.child)
-        elif not (kind is Atom or kind is Top or kind is Bottom):
-            raise TypeError(f"not a concept: {node!r}")
-    return True
+    if not isinstance(concept, _Concept):
+        raise TypeError(f"not a concept: {concept!r}")
+    return concept.normal
 
 
 def individuals_of(abox: Abox) -> tuple[Individual, ...]:
@@ -456,10 +491,11 @@ def nnf_signature(abox: Abox) -> tuple[Signature, bool]:
     """The ABox's `abox_signature`, and whether every concept asserted in it
     is in negation normal form.
 
-    Concepts are hash-consed, so the facts' concepts share subterms; one
-    walk over all of them enters each distinct binary or quantified
-    subterm once. It keeps its own stack, so any depth that fits in memory
-    works.
+    The second is read off the `normal` flags of the facts' concepts. For
+    the first, the concepts are hash-consed, so the facts' concepts share
+    subterms; one walk over all of them enters each distinct binary or
+    quantified subterm once. It keeps its own stack, so any depth that fits
+    in memory works.
     """
     atoms: set[ConceptName] = set()
     roles: set[RoleName] = set()
@@ -468,7 +504,11 @@ def nnf_signature(abox: Abox) -> tuple[Signature, bool]:
     todo: list[Concept] = []
     for fact in abox:
         if type(fact) is Inst:
-            todo.append(fact.concept)
+            concept = fact.concept
+            todo.append(concept)
+            # a value that is not a concept fails the walk below
+            if normal and not getattr(concept, "normal", True):
+                normal = False
         else:
             roles.add(fact.role.name)
     while todo:
@@ -487,7 +527,6 @@ def nnf_signature(abox: Abox) -> tuple[Signature, bool]:
                 roles.add(node.role.name)
                 todo.append(node.child)
         elif kind is Not:
-            normal = normal and type(node.child) is Atom
             todo.append(node.child)
         elif not (kind is Top or kind is Bottom):
             raise TypeError(f"not a concept: {node!r}")

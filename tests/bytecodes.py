@@ -1,0 +1,81 @@
+"""Count the bytecodes the interpreter runs per verdict, per function.
+
+    python3 tests/bytecodes.py --workload wide-sat --seed 1 [--top 25]
+
+Run from the root of a checkout. It decides one round of a benchmark
+workload (`perfbench/workloads.py`) through the benchmark's own `Decider`,
+untraced and unchecked, with `sys.settrace` counting every opcode event of
+each Python frame, and prints the bytecodes per verdict in all and for the
+functions that run the most. C functions run no bytecodes and are not
+counted. The counts are exact and repeat from run to run under one Python
+version, so two checkouts can be compared on one machine, but they differ
+between versions; nothing gates on them. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import harness  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+def count_round(workload: str, seed: int) -> tuple[int, Counter]:
+    """The verdicts of the workload's first round under `seed`, and the
+    opcode events per function while they were decided."""
+    alctab = harness.import_alctab()
+    decider = harness.Decider(alctab, spans.plain_api(alctab), workload == "checked-mix")
+    instances = next(workloads.rounds(workload, seed))
+    for inst in workloads.self_test_instances():  # import and warm the same paths
+        decider.decide(inst)
+    counts: Counter = Counter()
+
+    def trace_opcodes(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        code = frame.f_code
+        name = f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+
+        def count(frame, event, arg):
+            if event == "opcode":
+                counts[name] += 1
+            return count
+
+        return count
+
+    decide = decider.decide
+    sys.settrace(trace_opcodes)
+    try:
+        for inst in instances:
+            decide(inst)
+    finally:
+        sys.settrace(None)
+    return len(instances), counts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=workloads.WORKLOADS, default="wide-sat")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--top", type=int, default=25, help="functions to list")
+    args = parser.parse_args(argv)
+    verdicts, counts = count_round(args.workload, args.seed)
+    total = sum(counts.values())
+    print(
+        f"{args.workload} seed {args.seed}, Python {sys.version.split()[0]}: "
+        f"{verdicts} verdicts, {total / verdicts:,.0f} bytecodes per verdict"
+    )
+    for name, n in counts.most_common(args.top):
+        print(f"{n / verdicts:12,.1f} {100 * n / total:6.1f}%  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -16,9 +16,11 @@ test and expand the same branches in the same order. `step_on` is the
 engine's record of the first step on a branch, with `before` filled as a
 traced search fills it.
 `tree_interp_concept` evaluates a concept by walking it as a tree, which
-the evaluator over distinct subterms must agree with, and
+the evaluator over distinct subterms must agree with,
 `recursive_nnf` is the textbook recursive rewrite
-into negation normal form. `reference_tokenize` is the character-by-
+into negation normal form, and `walking_is_nnf` tests the normal form by
+walking the concept, which the `normal` flag its constructor set must
+agree with. `reference_tokenize` is the character-by-
 character lexer that positions every token, `reference_parse_concept` the
 concept grammar by recursive descent, and `recursive_print_concept` the
 printer by structural recursion, which the parser's lexer, parser and
@@ -26,8 +28,8 @@ printer must agree with. `size_concept` and `existential_count` count a
 concept's nodes by walking its tree, which the measure's counts must agree
 with, `subterm_signature` collects an ABox's names with a walk per fact,
 which `abox_signature` must agree with, `is_nnf_abox` tests the normal
-form fact by fact, which `nnf_signature` must agree with, and `fresh_individual` finds the
-next witness by scanning a branch.
+form fact by fact with `walking_is_nnf`, which `nnf_signature` must agree
+with, and `fresh_individual` finds the next witness by scanning a branch.
 `some_premise` and `all_premise` test the ∃ and ∀ premises by scanning
 every successor along the role, which the rules' indexed premises must
 agree with. `measure_abox` gives the paper's pairs of a branch by scanning
@@ -97,7 +99,6 @@ from alctab.syntax import (
     Top,
     dedup_facts,
     individuals_of,
-    is_nnf,
     subterms,
 )
 
@@ -190,11 +191,38 @@ def subterm_signature(abox: Abox) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(sorted(atoms)), tuple(sorted(roles))
 
 
+def walking_is_nnf(concept: Concept) -> bool:
+    """True iff every negation in the concept applies directly to an atom,
+    by a walk that enters each distinct binary or quantified subterm once
+    and keeps its own stack. Raises TypeError on a value that is not a
+    concept."""
+    seen = set()
+    todo = [concept]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Not:
+            if type(node.child) is not Atom:
+                return False
+        elif kind is And or kind is Or:
+            if node not in seen:
+                seen.add(node)
+                todo.append(node.right)
+                todo.append(node.left)
+        elif kind is All or kind is Some:
+            if node not in seen:
+                seen.add(node)
+                todo.append(node.child)
+        elif not (kind is Atom or kind is Top or kind is Bottom):
+            raise TypeError(f"not a concept: {node!r}")
+    return True
+
+
 def is_nnf_abox(abox: Abox) -> bool:
     """True iff every concept asserted in the ABox is in negation normal
-    form, by `is_nnf` on each fact's concept, which `nnf_signature`'s one
-    walk over all of them must agree with."""
-    return all(is_nnf(f.concept) for f in abox if isinstance(f, Inst))
+    form, by `walking_is_nnf` on each fact's concept, which the flags that
+    `nnf_signature` reads must agree with."""
+    return all(walking_is_nnf(f.concept) for f in abox if isinstance(f, Inst))
 
 
 def fresh_individual(abox: Abox) -> Anon:

@@ -238,10 +238,11 @@ REFERENCE_PREMISE = {RuleKind.ALL: reference.all_premise, RuleKind.SOME: referen
 def assert_index_matches(branch, index):
     """The index holds the branch's facts, its edges, named targets and each
     concept's witnesses in branch order and its next witness, as scans of
-    the tuple find them, and per rule kind, live pivots of that kind in
-    branch order that include every pivot the rule applies at. Each ∀
-    cursor passes only successors that hold the body, and at each live ∃
-    and ∀ pivot, the indexed premise is the scan's."""
+    the tuple find them, and per rule kind, a list of live pivots of that
+    kind that is in branch order read from its end and includes every pivot
+    the rule applies at. Each ∀ cursor passes only successors that hold the
+    body, and at each live ∃ and ∀ pivot, the indexed premise is the
+    scan's."""
     assert index.at.keys() == set(branch)
     edges, named, holders = {}, {}, {}
     for g in branch:
@@ -262,7 +263,8 @@ def assert_index_matches(branch, index):
     assert index.live.keys() == set(RuleKind)
     position = {f: n for n, f in enumerate(branch)}
     for kind, live in index.live.items():
-        positions = [position[f] for f in live]
+        assert type(live) is list
+        positions = [position[f] for f in reversed(live)]
         assert positions == sorted(positions)
         assert all(isinstance(f, Inst) and type(f.concept) is SHAPE[kind] for f in live)
         appcond = RULES_BY_KIND[kind].appcond

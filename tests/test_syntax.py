@@ -45,6 +45,7 @@ from reference import (
     recursive_nnf,
     size_concept,
     subterm_signature,
+    walking_is_nnf,
 )
 from test_golden import golden_inputs
 
@@ -99,6 +100,37 @@ def test_is_nnf_examples():
 def test_is_nnf_abox():
     assert is_nnf_abox((Inst(x, Or(Not(A), B)), Rel(r, x, y)))
     assert not is_nnf_abox((Inst(x, Not(And(A, B))),))
+
+
+def test_the_normal_flag_is_what_a_walk_finds():
+    # each concept knows from its construction whether it is in normal form,
+    # and `is_nnf` reads that: on the samples, the golden corpus, every
+    # subterm of each normal form, and seeded random concepts, their
+    # negations and all their subterms
+    concepts = [cls(*fields) for cls, fields in SAMPLES if issubclass(cls, syntax._Concept)]
+    for abox in golden_inputs():
+        concepts.extend(f.concept for f in abox if isinstance(f, Inst))
+    rng = random.Random(107)
+    for _ in range(500):
+        c = random_concept(rng, rng.randint(1, 5))
+        concepts.extend(subterms(Not(c), set()))
+    for c in list(concepts):
+        concepts.extend(subterms(nnf(c), set()))
+    normal = 0
+    for c in concepts:
+        assert type(c.normal) is bool
+        assert is_nnf(c) is walking_is_nnf(c) is c.normal
+        normal += c.normal
+    assert 0.5 * len(concepts) < normal < len(concepts)
+
+
+def test_is_nnf_and_nnf_refuse_a_value_that_is_not_a_concept():
+    values = [cls(*fields) for cls, fields in SAMPLES if not issubclass(cls, syntax._Concept)]
+    assert {type(v) for v in values} == {Role, Named, Anon, Inst, Rel}
+    for value in (*values, None, 3, "A", (A,)):
+        for check in (is_nnf, nnf, walking_is_nnf):
+            with pytest.raises(TypeError, match="not a concept"):
+                check(value)
 
 
 def test_fresh_individual_examples():
@@ -204,8 +236,11 @@ def test_nnf_and_is_nnf_visit_each_distinct_subterm_once(monkeypatch):
         assert nnf_signature(tuple(Inst(x, c) for c in facts))[1]
         (seen,) = [made for made in _CountingSet.made if made.tests]
         assert len(seen) == entered and seen.tests <= 2 * entered
+    # `is_nnf` reads the flag the constructors set: no walk, no set, no value
     _CountingSet.made.clear()
-    assert not is_nnf(negated) and _CountingSet.made[0].tests == 0
+    built.clear()
+    assert not is_nnf(negated) and is_nnf(tree) and is_nnf(dual)
+    assert not _CountingSet.made and not built
 
 
 def test_fresh_individual_never_present_random():
@@ -447,53 +482,91 @@ class _Gone:
     """A value to make a dead reference to."""
 
 
+# a value's fields for each constructor template: arity 1, arity 2 with
+# the `normal` flag, and arity 3
+TEMPLATE_CASES = (
+    (Atom, ("Dead_entry",)),
+    (And, (Atom("Dead_left"), Not(Not(Atom("Dead_right"))))),
+    (Rel, (Role("dead"), Named("dead_source"), Anon(7))),
+)
+
+
 def test_a_dead_entry_is_replaced_by_the_next_construction():
-    # an entry whose value died before its callback ran
-    gone = _Gone()
-    dead = syntax._Ref(gone)
-    dead.key = ("Dead_entry",)
-    del gone
-    assert dead() is None
-    Atom._table[dead.key] = dead
-    atom = Atom("Dead_entry")
-    assert atom.name == "Dead_entry"
-    assert Atom._table[dead.key]() is atom and lookup(Atom, "Dead_entry") is atom
-    del atom
-    gc.collect()
-    assert dead.key not in Atom._table
+    for cls, fields in TEMPLATE_CASES:
+        # an entry whose value died before its callback ran
+        gone = _Gone()
+        dead = syntax._Ref(gone)
+        dead.key = fields
+        del gone
+        assert dead() is None
+        cls._table[dead.key] = dead
+        value = cls(*fields)
+        assert tuple(getattr(value, name) for name in cls.__match_args__) == fields
+        assert cls._table[dead.key]() is value and lookup(cls, *fields) is value
+        if cls is And:
+            assert value.normal is False and And(*fields[::-1]).normal is False
+        del value
+        gc.collect()
+        assert dead.key not in cls._table
 
 
-# per name, the value a competing build published first; None while it builds
+# per class and fields, the value a competing build published first; None
+# while it builds
 _OVERTAKEN: dict = {}
 # weak references to the values that lost the race to publish
 _LOSERS: list = []
 
 
-@syntax._interned
-class _Raced(syntax._Interned):
-    """A value whose first build of each name is overtaken: between its
-    validation and its publish, another build of that name publishes."""
+class _Overtaken:
+    """A value whose first build of each key is overtaken: between its
+    validation and its publish, another build of that key publishes."""
 
-    name: str
+    __slots__ = ()
 
     def __post_init__(self) -> None:
-        if self.name not in _OVERTAKEN:
-            _OVERTAKEN[self.name] = None
-            _OVERTAKEN[self.name] = _Raced(self.name)
+        key = (type(self), *(getattr(self, name) for name in self.__match_args__))
+        if key not in _OVERTAKEN:
+            _OVERTAKEN[key] = None
+            _OVERTAKEN[key] = type(self)(*key[1:])
             _LOSERS.append(weakref.ref(self))
 
 
+@syntax._interned
+class _Raced(_Overtaken, syntax._Interned):
+    name: str
+
+
+@syntax._interned
+class _RacedPair(_Overtaken, syntax._Compound):
+    """A concept class of arity 2, whose constructor sets the flag."""
+
+    left: object
+    right: object
+
+
+@syntax._interned
+class _RacedTriple(_Overtaken, syntax._Interned):
+    role: object
+    source: object
+    target: object
+
+
 def test_a_lost_race_to_publish_returns_the_winner():
-    value = _Raced("a")
-    # both builds got the value published first
-    assert value is _OVERTAKEN["a"]
-    assert len(_LOSERS) == 1
-    # the loser is gone, and its death left the winner's entry in place
-    gc.collect()
-    assert _LOSERS[0]() is None
-    assert lookup(_Raced, "a") is value and _Raced("a") is value
-    assert list(_Raced._table) == [("a",)]
-    _OVERTAKEN.clear()
-    del value
-    gc.collect()
-    assert not _Raced._table
+    # for each constructor template: arity 1, arity 2 with the flag, arity 3
+    for cls, fields in ((_Raced, ("a",)), (_RacedPair, (A, Not(B))), (_RacedTriple, (r, x, y))):
+        value = cls(*fields)
+        # both builds got the value published first
+        assert value is _OVERTAKEN[(cls, *fields)]
+        assert len(_LOSERS) == 1
+        # the loser is gone, and its death left the winner's entry in place
+        gc.collect()
+        assert _LOSERS[0]() is None
+        assert lookup(cls, *fields) is value and cls(*fields) is value
+        assert list(cls._table) == [fields]
+        if cls is _RacedPair:
+            assert value.normal is True
+        _OVERTAKEN.clear()
+        _LOSERS.clear()
+        del value
+        gc.collect()
+        assert not cls._table

@@ -15,9 +15,7 @@ from typing import Optional
 
 from .measure import ConceptCounts, MeasurePair, _counts
 from .rules import AND_RULE, OR_RULE, SOME_RULE, BranchIndex
-from .syntax import (
-    Abox, All, And, Concept, Fact, Individual, Inst, Or, Rel, Some, individuals_of, lookup
-)
+from .syntax import Abox, All, And, Concept, Individual, Inst, Or, Rel, Some, individuals_of, lookup
 
 # the index of the empty branch, which nothing grows
 _NO_BRANCH = BranchIndex(())
@@ -95,15 +93,16 @@ class MeasureState:
             broken.append(_INVARIANT + "gives a fact twice")
 
         def holds(y: Individual, c: Concept) -> bool:
-            fact = lookup(Inst, y, c)
-            return fact is not None and (fact in at or fact in added)
+            return (y, c) in at or (y, c) in added
 
-        def close(g: Optional[Fact]) -> None:
+        def close(g: tuple) -> None:
+            """Close the ∃ fact with field tuple `g`, if it is open."""
             if g in opened:
                 opened.discard(g)
-                if g.subject not in before:
-                    before[g.subject] = weight(g.subject)
-                somes[g.subject] -= 1
+                x = g[0]
+                if x not in before:
+                    before[x] = weight(x)
+                somes[x] -= 1
 
         edges = [f for f in front if type(f) is Rel]
         for f in edges:
@@ -130,7 +129,7 @@ class MeasureState:
                 broken.append(_INVARIANT + "asserts a concept above its individual's depth bound")
             labels[y] = (k, size + 1, (c, label))
             for role, x in incoming.get(y, ()):
-                close(lookup(Inst, x, lookup(Some, role, c)))
+                close((x, lookup(Some, role, c)))
             if type(c) is Some:
                 key = (c.role, y)
                 exists[key] = (*exists.get(key, ()), f)
@@ -153,7 +152,7 @@ class MeasureState:
             else:
                 while label:
                     c, label = label
-                    close(lookup(Inst, x, lookup(Some, role, c)))
+                    close((x, lookup(Some, role, c)))
         # the weights are totally ordered, so the multiset after the step is
         # smaller exactly when its changed weights, largest first, are
         after = sorted(map(weight, before), reverse=True)

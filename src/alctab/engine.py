@@ -63,13 +63,11 @@ from .syntax import (
     Inst,
     Named,
     Not,
-    Rel,
     Signature,
     abox_signature,
     dedup_facts,
-    inst_ref,
+    is_nnf,
     nnf,
-    nnf_signature,
     not_ref,
 )
 
@@ -152,10 +150,12 @@ def contains_clash(
     together with x : not C, or x : Bottom, which clashes with itself.
 
     `facts` are the branch's, in a container that answers membership: the
-    search passes its index's `at`, whose keys they are. C ranges over all
-    concepts, not only atoms. `added` defaults to the whole branch; given
-    the facts a step added to a clash-free branch, only clashes through
-    those facts are looked for, since no other can have arisen.
+    search passes its index's `at`, whose keys they are. The complement of
+    a fact is asked for by its field tuple, and built only when it is
+    there, to be returned. C ranges over all concepts, not only atoms.
+    `added` defaults to the whole branch; given the facts a step added to a
+    clash-free branch, only clashes through those facts are looked for,
+    since no other can have arisen.
     """
     if added is None:
         added, facts = facts, set(facts)
@@ -177,9 +177,8 @@ def contains_clash(
                 # in negation normal form only atoms are negated, and a whole
                 # branch shows every other clash from its negated side
                 continue
-            ref = inst_ref((f.subject, c))
-            if ref is not None and (other := ref()) in facts:
-                return f, other
+            if (f.subject, c) in facts:
+                return f, Inst(f.subject, c)
     return None
 
 
@@ -236,8 +235,11 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     clash-free branch wins and is returned with its canonical model, and if
     every branch closes the ABox is unsatisfiable. A fact the input repeats
     is dropped on entry, so the search decides `dedup_facts(abox)`. Raises
-    ValueError on a concept not in negation normal form and
-    StepLimitExceeded after `cfg.max_steps` rule applications.
+    ValueError on a concept not in negation normal form, read off each
+    concept's `normal` flag, TypeError on a value that is not a concept,
+    and StepLimitExceeded after `cfg.max_steps` rule applications. Only
+    the model reads the input's signature, so only a satisfiable input's
+    concepts are walked.
 
     The search carries no branch tuple: a branch is its `BranchIndex`,
     whose `at` holds its facts in the reverse of branch order, and the open
@@ -269,9 +271,9 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     cfg = cfg or EngineConfig()
     record, check, max_steps = cfg.record_trace, cfg.check_measure, cfg.max_steps
     root = dedup_facts(abox)
-    signature, normal = nnf_signature(root)
-    if not normal:
-        raise ValueError("abox concepts must be in negation normal form")
+    for fact in root:
+        if type(fact) is Inst and not is_nnf(fact.concept):
+            raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
     # (the ⊔ step's record, its pivot's label, the step's branch index, the
     # right successor's measure state when the measure is checked)
@@ -304,7 +306,8 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
         app = next_application(index)
         if app is None:
             branch = tuple(reversed(at))
-            return Satisfiable(canonical_interpretation(branch, signature), branch, tuple(trace))
+            model = canonical_interpretation(branch, abox_signature(root))
+            return Satisfiable(model, branch, tuple(trace))
         steps += 1
         if steps > max_steps:
             raise StepLimitExceeded(f"exceeded {max_steps} rule applications")
@@ -327,7 +330,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
         elif app.kind is _ALL and pending:
             # the new fact also depends on the edge the step followed, whose
             # label is 0 while nothing is pending
-            label |= at[Rel(app.pivot.concept.role, app.pivot.subject, added[0].subject)]
+            label |= at[(app.pivot.concept.role, app.pivot.subject, added[0].subject)]
         if record:
             branch = added + branch
 

@@ -5,7 +5,9 @@ Each rule is a pair of plain functions of a pivot fact and the branch's
 `BranchIndex`, which is all they read of the branch. The applicability
 test checks the pivot's shape, `x : C` with C of the rule's constructor,
 and then its premise; it builds no fact and no witness, and changes the
-index only by moving a ∀ pivot's cursor. The ∃ premise costs the smaller
+index only by moving a ∀ pivot's cursor. A fact is the tuple of its
+fields, so a premise asks for `x : D` as `(x, D) in index.at` and for an
+edge as `(r, x, y) in index.at`. The ∃ premise costs the smaller
 of the body's holders and the edges along the role, plus the named
 targets; the ∀ premise costs the successors its cursor passes, each once
 on a branch. An action is called only on a pivot where its rule's
@@ -39,8 +41,6 @@ from .syntax import (
     Rel,
     Role,
     Some,
-    inst_ref,
-    lookup,
 )
 
 
@@ -65,8 +65,10 @@ class BranchIndex:
 
     `at` maps each fact of the branch to its dependency label, the bit mask
     of the pending ⊔ choices it depends on (`alctab.engine.decide_sat_abox`
-    backjumps by them). `edges` maps (role, source) to the targets of its
-    edges in branch order and `named` to those of them that are named,
+    backjumps by them). A fact's field tuple finds it there, so `at` holds
+    nothing but facts, and the dicts keyed by other tuples are kept apart:
+    `edges` maps (role, source) to the targets of its edges in branch
+    order and `named` to those of them that are named,
     `holders` maps each concept to the witnesses that hold it in branch
     order, and `witness` is the allocation index of the next fresh witness.
     `live` maps each rule kind to a list of the branch's pivots of that
@@ -138,9 +140,9 @@ class BranchIndex:
         return twin
 
     def holds(self, subject: Individual, concept: Concept) -> bool:
-        """Whether the branch holds the fact `subject : concept`; builds no fact."""
-        ref = inst_ref((subject, concept))
-        return ref is not None and ref() in self.at
+        """Whether the branch holds the fact `subject : concept`: its field
+        tuple finds it in `at`, so no fact is built."""
+        return (subject, concept) in self.at
 
     def successors(self, role: Role, source: Individual) -> tuple[Individual, ...]:
         """Targets of the `role` edges from `source`, in branch order."""
@@ -196,19 +198,17 @@ def _and_appcond(fact: Fact, index: BranchIndex) -> bool:
     if type(fact) is not Inst or type(c := fact.concept) is not And:
         return False
     at, x = index.at, fact.subject
-    left, right = inst_ref((x, c.left)), inst_ref((x, c.right))
-    return left is None or right is None or left() not in at or right() not in at
+    return (x, c.left) not in at or (x, c.right) not in at
 
 
 def _and_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     """The parts not asserted yet, each once."""
-    x, c = pivot.subject, pivot.concept
-    left, right = Inst(x, c.left), Inst(x, c.right)
-    if left in index.at:
-        return ((right,),)
-    if right in index.at or right is left:
-        return ((left,),)
-    return ((left, right),)
+    at, x, c = index.at, pivot.subject, pivot.concept
+    if (x, c.left) in at:
+        return ((Inst(x, c.right),),)
+    if (x, c.right) in at or c.left is c.right:
+        return ((Inst(x, c.left),),)
+    return ((Inst(x, c.left), Inst(x, c.right)),)
 
 
 def _or_appcond(fact: Fact, index: BranchIndex) -> bool:
@@ -262,7 +262,7 @@ def _some_appcond(fact: Fact, index: BranchIndex) -> bool:
     held = index.holders.get(child, ())
     if len(held) < len(targets):
         at = index.at
-        if any(lookup(Rel, role, x, y) in at for y in held):
+        if any((role, x, y) in at for y in held):
             return False
         targets = index.named.get((role, x), ())
     return not any(index.holds(y, child) for y in targets)

@@ -1,27 +1,36 @@
 """Core syntax of the description logic ALC.
 
-Concepts, roles, individuals and facts are immutable, hash-consed values:
-every constructor call with the same fields returns the same object, so
-equality is identity and hashing takes constant time, however deep the
-concept. Each class finds its live values in a plain dict from field tuples
-to weak references that carry their key, and a value nothing else refers to
-is released and its entry dropped. Each class has its own constructor,
-made once when the class is defined from a template for its number of
-fields, with no source compiled: its parameters are the fields, it looks
-the value up with no argument packing, and it builds and publishes a
-missing one itself, with no loop over the fields and no helper frame. A
-concept also knows, from the moment it is built, whether it is in negation
-normal form (its `normal` flag), so that test reads one attribute. Values
-can be shared between tableau branches and used as dict keys. An ABox
-branch is an ordered, duplicate-free tuple of facts: the order carries the
-deterministic scan order of the tableau rules, while ``set(abox)``
-recovers the set-level view.
+Concepts, roles and individuals are immutable, hash-consed values: every
+constructor call with the same fields returns the same object, so equality
+is identity and hashing takes constant time, however deep the concept.
+Each class finds its live values in a plain dict from field tuples to weak
+references that carry their key, and a value nothing else refers to is
+released and its entry dropped. Each class has its own constructor, made
+once when the class is defined from a template for its number of fields,
+with no source compiled: its parameters are the fields, it looks the value
+up with no argument packing, and it builds and publishes a missing one
+itself, with no loop over the fields and no helper frame. A concept also
+knows, from the moment it is built, whether it is in negation normal form
+(its `normal` flag), so that test reads one attribute. Values can be shared
+between tableau branches and used as dict keys.
+
+Facts are not hash-consed: `Inst` and `Rel` are tuples of their fields,
+which are, so two equal facts compare and hash in constant time with no
+table, and `Inst(x, c) == (x, c)`. The rules and the clash test ask whether
+a branch holds a fact by looking its field tuple up, and build no fact.
+That is sound because no dict or set that holds facts also holds plain 2-
+or 3-tuples that mean something else: a branch index keeps its edges and
+its ∀ cursors, and a measure state its ∃ facts by role and source, in dicts
+of their own. An ABox branch is an ordered, duplicate-free tuple of facts:
+the order carries the deterministic scan order of the tableau rules, while
+``set(abox)`` recovers the set-level view.
 """
 
 from __future__ import annotations
 
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
+from operator import itemgetter
 from types import FunctionType
 from typing import Iterable, Iterator, Optional, Union
 from weakref import ref
@@ -44,7 +53,7 @@ _NO_REF = type(None)
 
 
 class _Interned:
-    """Base of the syntax values, which are hash-consed.
+    """Base of the hash-consed syntax values: concepts, roles and individuals.
 
     Each subclass, made by `_interned`, keeps a table, a plain dict from
     field tuples to a weak reference to the one live instance with those
@@ -115,9 +124,9 @@ class _Compound(_Concept):
 
 
 # The constructors, one template per arity with placeholder parameters
-# `_0`, `_1`, `_2`, which `_interned` renames to a class's fields; a field
+# `_0` and `_1`, which `_interned` renames to a class's fields; a field
 # may not share a name with a template's locals. `new` makes an empty
-# instance, `set0`, `set1` and `set2` set its fields, `check` validates it
+# instance, `set0` and `set1` set its fields, `check` validates it
 # (None when the class has no `__post_init__`), and `drop` is its
 # reference's death callback. `mark` sets a compound concept's `normal`
 # flag (None for the other classes): a negation, the one compound concept
@@ -183,31 +192,12 @@ def _arity2(new, check, drop, set0, set1, mark=None):
     return __new__
 
 
-def _arity3(new, check, drop, set0, set1, set2):
-    def __new__(cls, _0, _1, _2):
-        table = cls._table
-        instance = table.get(key := (_0, _1, _2), _NO_REF)()
-        if instance is None:
-            set0(value := new(cls), _0)
-            set1(value, _1)
-            set2(value, _2)
-            if check is not None:
-                check(value)
-            entry = _Ref(value, drop)
-            entry.key = key
-            while (instance := table.setdefault(key, entry)()) is None:
-                _remove_dead_weakref(table, key)
-        return instance
-
-    return __new__
-
-
 def _interned(cls: type) -> type:
     """Make a subclass of `_Interned` a frozen, slotted dataclass with its
-    own table and a constructor whose parameters are its fields, so calls
-    by position and by keyword, and the `TypeError` of a wrong call, are
-    Python's own. A compound concept's constructor also sets its `normal`
-    flag. Builds no code from source."""
+    own table and a constructor whose parameters are its fields, at most
+    two, so calls by position and by keyword, and the `TypeError` of a
+    wrong call, are Python's own. A compound concept's constructor also
+    sets its `normal` flag. Builds no code from source."""
     if cls.__doc__ is None:  # else dataclass parses a signature for one, slowly
         cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
     cls = dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)(cls)
@@ -221,7 +211,7 @@ def _interned(cls: type) -> type:
     setters = [cls.__dict__[name].__set__ for name in fields]  # the slots' setters, in C
     if issubclass(cls, _Compound):
         setters.append(_Compound.__dict__["normal"].__set__)
-    made = (_arity0, _arity1, _arity2, _arity3)[len(fields)](object.__new__, check, drop, *setters)
+    made = (_arity0, _arity1, _arity2)[len(fields)](object.__new__, check, drop, *setters)
     code = made.__code__
     code = code.replace(co_varnames=("cls", *fields, *code.co_varnames[1 + len(fields) :]))
     new = FunctionType(code, made.__globals__, "__new__", None, made.__closure__)
@@ -233,10 +223,11 @@ def _interned(cls: type) -> type:
 def lookup(cls: type, *fields) -> Optional[_Interned]:
     """The live instance of `cls` with these fields, or None; builds nothing.
 
-    A value that has no live instance occurs in no branch, so a rule test
-    can ask whether a fact is present without constructing it. The lookup is
+    `cls` is a hash-consed class, not a fact class: a fact is found by its
+    field tuple instead. A value that has no live instance occurs in no
+    branch, so a test can ask for one without constructing it. The lookup is
     a dict `get` and a call of the weak reference found, both in C; for
-    `Inst`, `inst_ref` below is that `get` with no Python frame around it.
+    `Not`, `not_ref` below is that `get` with no Python frame around it.
     """
     return cls._table.get(fields, _NO_REF)()
 
@@ -331,31 +322,61 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
-@_interned
-class Inst(_Interned):
-    """Concept assertion: the subject individual belongs to the concept."""
-
-    subject: Individual
-    concept: Concept
-
-
-# The weak reference to the live `Inst` with fields `(subject, concept)`, or
-# None: `inst_ref((x, c))`, then a call of the reference found, is
-# `lookup(Inst, x, c)` with no frame of its own, since testing whether a
-# branch holds `x : c` is the inner loop of the rules and the clash test.
-# `not_ref((a,))` is the same for `Not(a)`, which the clash test asks for
-# on each atom fact. They read the tables the classes were defined with.
-inst_ref = Inst._table.get
+# The weak reference to the live `Not` with field `(child,)`, or None:
+# `not_ref((a,))`, then a call of the reference found, is `lookup(Not, a)`
+# with no frame of its own, since the clash test asks for it on each atom
+# fact. It reads the table the class was defined with.
 not_ref = Not._table.get
 
 
-@_interned
-class Rel(_Interned):
+_new_tuple = tuple.__new__
+
+
+class _Fact(tuple):
+    """Base of the fact classes: a tuple of hash-consed fields, so equality
+    and the hash are the field tuple's and cost constant time. Each
+    subclass reads its fields by name through C-level properties; copies
+    and pickles come back as an equal fact."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Inst(_Fact):
+    """Concept assertion: the subject individual belongs to the concept."""
+
+    __slots__ = ()
+    __match_args__ = ("subject", "concept")
+    subject = property(itemgetter(0))
+    concept = property(itemgetter(1))
+
+    def __new__(cls, subject: Individual, concept: Concept) -> Inst:
+        return _new_tuple(cls, (subject, concept))
+
+
+class Rel(_Fact):
     """Role assertion: (source, target) is in the role's extension."""
 
-    role: Role
-    source: Individual
-    target: Individual
+    __slots__ = ()
+    __match_args__ = ("role", "source", "target")
+    role = property(itemgetter(0))
+    source = property(itemgetter(1))
+    target = property(itemgetter(2))
+
+    def __new__(cls, role: Role, source: Individual, target: Individual) -> Rel:
+        return _new_tuple(cls, (role, source, target))
 
 
 Fact = Union[Inst, Rel]
@@ -483,32 +504,20 @@ def individuals_of(abox: Abox) -> tuple[Individual, ...]:
 
 
 def abox_signature(abox: Abox) -> Signature:
-    """Concept and role names mentioned anywhere in the ABox, sorted."""
-    return nnf_signature(abox)[0]
+    """Concept and role names mentioned anywhere in the ABox, sorted.
 
-
-def nnf_signature(abox: Abox) -> tuple[Signature, bool]:
-    """The ABox's `abox_signature`, and whether every concept asserted in it
-    is in negation normal form.
-
-    The second is read off the `normal` flags of the facts' concepts. For
-    the first, the concepts are hash-consed, so the facts' concepts share
-    subterms; one walk over all of them enters each distinct binary or
-    quantified subterm once. It keeps its own stack, so any depth that fits
-    in memory works.
+    The concepts are hash-consed, so the facts' concepts share subterms;
+    one walk over all of them enters each distinct binary or quantified
+    subterm once. It keeps its own stack, so any depth that fits in memory
+    works. Raises TypeError on a value that is not a concept.
     """
     atoms: set[ConceptName] = set()
     roles: set[RoleName] = set()
     seen: set[Concept] = set()
-    normal = True
     todo: list[Concept] = []
     for fact in abox:
         if type(fact) is Inst:
-            concept = fact.concept
-            todo.append(concept)
-            # a value that is not a concept fails the walk below
-            if normal and not getattr(concept, "normal", True):
-                normal = False
+            todo.append(fact.concept)
         else:
             roles.add(fact.role.name)
     while todo:
@@ -530,4 +539,4 @@ def nnf_signature(abox: Abox) -> tuple[Signature, bool]:
             todo.append(node.child)
         elif not (kind is Top or kind is Bottom):
             raise TypeError(f"not a concept: {node!r}")
-    return (tuple(sorted(atoms)), tuple(sorted(roles))), normal
+    return tuple(sorted(atoms)), tuple(sorted(roles))

@@ -28,8 +28,8 @@ printer must agree with. `size_concept` and `existential_count` count a
 concept's nodes by walking its tree, which the measure's counts must agree
 with, `subterm_signature` collects an ABox's names with a walk per fact,
 which `abox_signature` must agree with, `is_nnf_abox` tests the normal
-form fact by fact with `walking_is_nnf`, which `nnf_signature` must agree
-with, and `fresh_individual` finds the next witness by scanning a branch.
+form fact by fact with `walking_is_nnf`, which the `normal` flags must
+agree with, and `fresh_individual` finds the next witness by scanning a branch.
 `some_premise` and `all_premise` test the ∃ and ∀ premises by scanning
 every successor along the role, which the rules' indexed premises must
 agree with. `measure_abox` gives the paper's pairs of a branch by scanning
@@ -221,7 +221,7 @@ def walking_is_nnf(concept: Concept) -> bool:
 def is_nnf_abox(abox: Abox) -> bool:
     """True iff every concept asserted in the ABox is in negation normal
     form, by `walking_is_nnf` on each fact's concept, which the flags that
-    `nnf_signature` reads must agree with."""
+    `is_nnf` reads must agree with."""
     return all(walking_is_nnf(f.concept) for f in abox if isinstance(f, Inst))
 
 

@@ -189,6 +189,17 @@ class _CountingTable(dict):
         return found
 
 
+def _count_constructions(cls, counts, monkeypatch):
+    """Patch the fact class `cls` to count in `counts` each fact it builds."""
+    new = cls.__new__
+
+    def counting(kind, *args, **kwargs):
+        counts[kind.__name__] += 1
+        return new(kind, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__new__", staticmethod(counting))
+
+
 def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):
     branches = []  # every branch the corpus expanded, and every open branch
     for runs, _ in (concept_runs, abox_runs):
@@ -199,28 +210,23 @@ def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):
     # a witness far above any the corpus allocates, so that an ∃ step on it
     # adds a new witness, edge and label
     pivot = Inst(Anon(1_000_000), Some(Role("r"), Atom("Unused_elsewhere")))
-    # a fact or witness built and dropped at once still enters its table
-    tables = {cls: _CountingTable(cls._table) for cls in (Inst, Rel, Anon)}
-    for cls, table in tables.items():
-        monkeypatch.setattr(cls, "_table", table)
+    # a fact built and dropped at once still calls its constructor, and a
+    # witness built and dropped at once still enters its table
+    built = {"Inst": 0, "Rel": 0}
+    for cls in (Inst, Rel):
+        _count_constructions(cls, built, monkeypatch)
+    witnesses = _CountingTable(Anon._table)
+    monkeypatch.setattr(Anon, "_table", witnesses)
     applicable = 0
     for branch in branches:
         index = BranchIndex(branch)
         for rule in alc_rules():
             applicable += sum(rule.appcond(fact, index) for fact in branch)
     assert applicable > 0
-    assert {cls.__name__: table.entered for cls, table in tables.items()} == {
-        "Inst": 0,
-        "Rel": 0,
-        "Anon": 0,
-    }
-    # the tables count: an action enters the facts it builds
+    assert {**built, "Anon": witnesses.entered} == {"Inst": 0, "Rel": 0, "Anon": 0}
+    # the counts count: an action builds its facts and enters its witness
     SOME_RULE.action(pivot, BranchIndex((pivot,)))
-    assert {cls.__name__: table.entered for cls, table in tables.items()} == {
-        "Inst": 1,
-        "Rel": 1,
-        "Anon": 1,
-    }
+    assert {**built, "Anon": witnesses.entered} == {"Inst": 1, "Rel": 1, "Anon": 1}
 
 
 def test_c05_end_to_end_soundness(concept_runs):

@@ -84,8 +84,8 @@ from alctab.syntax import (
     Some,
     abox_signature,
     dedup_facts,
+    is_nnf,
     nnf,
-    nnf_signature,
 )
 from corpus import (
     ATOMS2,
@@ -191,15 +191,16 @@ def test_one_walk_reads_the_signature_and_the_normal_form():
     # read with it is the one read off the open branch alone
     sat = 0
     for abox, verdict in zip(golden_inputs(), verdicts()):
-        signature, normal = nnf_signature(dedup_facts(abox))
-        assert normal
+        signature = abox_signature(dedup_facts(abox))
+        assert all(is_nnf(f.concept) for f in abox if type(f) is Inst)
         if isinstance(verdict, Satisfiable):
             assert signature == abox_signature(verdict.open_branch)
             assert verdict.model == canonical_interpretation(verdict.open_branch)
             sat += 1
     assert sat == 969
-    # on ABoxes that negate non-atoms at any depth, or not at all, the one
-    # walk finds the normal form broken exactly where a walk per fact does
+    # on ABoxes that negate non-atoms at any depth, or not at all, the flags
+    # find the normal form broken exactly where a walk per fact does, and the
+    # one walk finds the names that a walk per fact finds
     rng = random.Random(106)
     inds = (X0, Named("y"), Anon(0))
     normal = 0
@@ -210,8 +211,9 @@ def test_one_walk_reads_the_signature_and_the_normal_form():
         ]
         facts += [Rel(Role(rng.choice("rs")), *rng.sample(inds, 2)) for _ in range(rng.randrange(2))]
         abox = dedup_facts(facts)
-        signature, is_normal = nnf_signature(abox)
+        is_normal = all(is_nnf(f.concept) for f in abox if type(f) is Inst)
         assert is_normal == reference.is_nnf_abox(abox)
+        signature = abox_signature(abox)
         assert signature == reference.subterm_signature(abox)
         normal += is_normal
     assert 100 < normal < 400

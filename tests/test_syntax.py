@@ -34,7 +34,6 @@ from alctab.syntax import (
     is_nnf,
     lookup,
     nnf,
-    nnf_signature,
     subterms,
 )
 from corpus import ATOMS2, ROLE1, enumerate_interpretations, exists_tree, random_concept
@@ -53,7 +52,7 @@ A, B, C = Atom("A"), Atom("B"), Atom("C")
 r, s = Role("r"), Role("s")
 x, y = Named("x"), Named("y")
 
-# each syntax class with the fields of one valid value
+# each hash-consed syntax class with the fields of one valid value
 SAMPLES = (
     (Role, ("r",)),
     (Named, ("x",)),
@@ -66,9 +65,10 @@ SAMPLES = (
     (Or, (A, B)),
     (All, (r, A)),
     (Some, (r, And(A, B))),
-    (Inst, (x, A)),
-    (Rel, (r, x, y)),
 )
+
+# each fact class with the fields of one valid value
+FACT_SAMPLES = ((Inst, (x, A)), (Rel, (r, x, y)))
 
 
 def test_size_concept():
@@ -125,7 +125,8 @@ def test_the_normal_flag_is_what_a_walk_finds():
 
 
 def test_is_nnf_and_nnf_refuse_a_value_that_is_not_a_concept():
-    values = [cls(*fields) for cls, fields in SAMPLES if not issubclass(cls, syntax._Concept)]
+    samples = (*SAMPLES, *FACT_SAMPLES)
+    values = [cls(*fields) for cls, fields in samples if not issubclass(cls, syntax._Concept)]
     assert {type(v) for v in values} == {Role, Named, Anon, Inst, Rel}
     for value in (*values, None, 3, "A", (A,)):
         for check in (is_nnf, nnf, walking_is_nnf):
@@ -231,9 +232,10 @@ def test_nnf_and_is_nnf_visit_each_distinct_subterm_once(monkeypatch):
     # each walk enters the 5 binary and quantified subterms per level once,
     # and tests each at most once per parent; the facts share one walk, whose
     # set of entered subterms is the one it tests membership in
+    names = (tuple(sorted(f"P{k}" for k in range(1, 21))), ("r",))
     for facts, entered in (((tree,), 5 * 20), ((tree, dual, tree), 2 * 5 * 20)):
         _CountingSet.made.clear()
-        assert nnf_signature(tuple(Inst(x, c) for c in facts))[1]
+        assert abox_signature(tuple(Inst(x, c) for c in facts)) == names
         (seen,) = [made for made in _CountingSet.made if made.tests]
         assert len(seen) == entered and seen.tests <= 2 * entered
     # `is_nnf` reads the flag the constructors set: no walk, no set, no value
@@ -273,11 +275,62 @@ def test_equal_values_are_one_object():
         assert cls(**dict(reversed(named))) is value
     assert Atom("A") is Atom("A")
     assert Atom(name="A") is Atom("A")
-    assert Inst(subject=x, concept=A) is Inst(x, A)
     assert Some(r, child=And(A, B)) is Some(Role("r"), And(Atom("A"), Atom("B")))
-    assert Rel(r, x, target=y) is Rel(Role("r"), Named("x"), Named("y"))
     assert Anon(3) is Anon(index=3)
     assert Atom("A") is not Atom("B") and Named("A") is not Atom("A")
+
+
+def test_equal_facts_are_equal_tuples():
+    for cls, fields in FACT_SAMPLES:
+        value = cls(*fields)
+        named = list(zip(cls.__match_args__, fields))
+        # every split into leading positional and trailing keyword fields
+        for k in range(len(fields) + 1):
+            again = cls(*fields[:k], **dict(named[k:]))
+            assert type(again) is cls and again == value and hash(again) == hash(value)
+        assert cls(**dict(reversed(named))) == value
+        # the fields are read by name, and are the tuple's items
+        assert tuple(getattr(value, name) for name in cls.__match_args__) == fields
+        assert value == fields and hash(value) == hash(fields) and tuple(value) == fields
+        # a field tuple finds its fact in a dict and a set, and the other way round
+        assert {value: 1}[fields] == 1 and fields in {value} and value in {fields}
+        for args in ((*fields, A), fields[:-1]):
+            with pytest.raises(TypeError):
+                cls(*args)
+        with pytest.raises(TypeError):
+            cls(*fields, **{cls.__match_args__[0]: fields[0]})
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    assert Inst(subject=x, concept=A) == Inst(x, A) == (x, A)
+    assert Rel(r, x, target=y) == Rel(Role("r"), Named("x"), Named("y")) == (r, x, y)
+    # facts with other fields, or of the other class, differ
+    assert Inst(x, A) != Inst(y, A) and Inst(x, A) != Inst(x, B)
+    assert Rel(r, x, y) != Rel(r, y, x) and Rel(r, x, y) != Rel(s, x, y)
+    assert Inst(x, A) != Rel(r, x, y) and Inst(x, A) != A
+
+
+def test_copy_and_pickle_give_an_equal_fact():
+    facts = (Inst(Anon(2), And(Some(r, Not(A)), All(s, Or(B, TOP)))), Rel(r, x, Anon(0)))
+    for fact in facts:
+        for again in (copy.copy(fact), copy.deepcopy(fact), pickle.loads(pickle.dumps(fact))):
+            assert type(again) is type(fact) and again == fact
+            # the fields come back as the interned objects
+            assert all(a is b for a, b in zip(again, fact))
+
+
+def test_a_dropped_fact_releases_its_fields():
+    # facts have no table: a fact is its fields, and when it is dropped a
+    # witness nothing else refers to is released and leaves its table
+    assert not hasattr(Inst, "_table") and not hasattr(Rel, "_table")
+    index = 1_000_003  # allocated by no other test
+    facts = [Inst(Anon(index), Atom("Dropped_fact_body")), Rel(r, x, Anon(index))]
+    witness = weakref.ref(facts[0].subject)
+    assert lookup(Anon, index) is facts[1].target is witness()
+    del facts
+    gc.collect()
+    assert witness() is None
+    assert lookup(Anon, index) is None and (index,) not in Anon._table
+    assert lookup(Atom, "Dropped_fact_body") is None
 
 
 def test_nnf_of_equal_inputs_is_one_object():
@@ -329,10 +382,12 @@ def test_dropped_values_leave_the_table():
 
 
 def test_tables_drain():
-    kinds = (Inst, Rel, Anon, Atom, And, Some)
+    kinds = (Anon, Atom, And, Some)
     kept = Atom("Drain_leaf")
     witnesses = [Anon(k) for k in range(20)]  # more than a T_3 allocates
     start = {cls.__name__: len(cls._table) for cls in kinds}
+    # facts have no table: each fact `w : kept` refers to `kept`
+    refs = sys.getrefcount(kept)
 
     def decide_trees():
         for i in range(50):
@@ -343,18 +398,19 @@ def test_tables_drain():
                 tree = And(Some(r, And(p, tree)), Some(r, And(Not(p), tree)))
             verdict = decide_concept_sat(tree)
             assert isinstance(verdict, Satisfiable)
-            assert any(lookup(Inst, w, kept) is not None for w in witnesses)
+            assert any((w, kept) in verdict.open_branch for w in witnesses)
+            assert sys.getrefcount(kept) > refs
 
     decide_trees()
     gc.collect()
     assert {cls.__name__: len(cls._table) for cls in kinds} == start
-    assert all(lookup(Inst, w, kept) is None for w in witnesses)
+    # no fact on `kept`, and no concept over it, outlived the searches
+    assert sys.getrefcount(kept) == refs
 
 
 def test_copy_and_pickle_return_the_interned_object():
     c = And(Some(r, Not(A)), All(s, Or(B, TOP)))
-    fact = Inst(Anon(2), c)
-    for value in (c, fact, Rel(r, x, Anon(0)), TOP, BOTTOM):
+    for value in (c, Anon(2), r, x, TOP, BOTTOM):
         assert copy.copy(value) is value
         assert copy.deepcopy(value) is value
         assert pickle.loads(pickle.dumps(value)) is value
@@ -475,19 +531,22 @@ def test_threads_building_the_same_values_get_one_object():
     assert not any(t.is_alive() for t in threads)
     assert all(len(out) == 2000 for out in built)
     for out in built[1:]:
-        assert all(a is b for a, b in zip(built[0], out))
+        # the facts are equal, and their interned fields one object
+        assert all(
+            a == b and a.subject is b.subject and a.concept is b.concept
+            for a, b in zip(built[0], out)
+        )
 
 
 class _Gone:
     """A value to make a dead reference to."""
 
 
-# a value's fields for each constructor template: arity 1, arity 2 with
-# the `normal` flag, and arity 3
+# a value's fields for each constructor template with fields: arity 1, and
+# arity 2 with the `normal` flag
 TEMPLATE_CASES = (
     (Atom, ("Dead_entry",)),
     (And, (Atom("Dead_left"), Not(Not(Atom("Dead_right"))))),
-    (Rel, (Role("dead"), Named("dead_source"), Anon(7))),
 )
 
 
@@ -544,16 +603,9 @@ class _RacedPair(_Overtaken, syntax._Compound):
     right: object
 
 
-@syntax._interned
-class _RacedTriple(_Overtaken, syntax._Interned):
-    role: object
-    source: object
-    target: object
-
-
 def test_a_lost_race_to_publish_returns_the_winner():
-    # for each constructor template: arity 1, arity 2 with the flag, arity 3
-    for cls, fields in ((_Raced, ("a",)), (_RacedPair, (A, Not(B))), (_RacedTriple, (r, x, y))):
+    # for each constructor template with fields: arity 1, arity 2 with the flag
+    for cls, fields in ((_Raced, ("a",)), (_RacedPair, (A, Not(B)))):
         value = cls(*fields)
         # both builds got the value published first
         assert value is _OVERTAKEN[(cls, *fields)]

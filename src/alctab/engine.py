@@ -46,10 +46,10 @@ Why the verdicts stay right:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Collection, Iterable, Optional, Union
 
 from .measure import assert_decrease, progress_check
+from .record import FrozenRecord, Record, set_field
 from .rules import RULES_BY_KIND, BranchIndex, RuleApplication, RuleKind, alc_rules
 from .semantics import Interpretation
 from .syntax import (
@@ -95,17 +95,21 @@ class ProgressCheckError(RuntimeError):
     """A rule application failed the unconditional progress check."""
 
 
-@dataclass(frozen=True)
-class MeasureViolation:
+class MeasureViolation(FrozenRecord):
     """One rule step the measure check rejected, kept verbatim for inspection."""
 
+    __slots__ = __match_args__ = ("before", "after", "kind")
     before: Abox
     after: Abox
     kind: RuleKind
 
+    def __init__(self, before: Abox, after: Abox, kind: RuleKind) -> None:
+        set_field(self, "before", before)
+        set_field(self, "after", after)
+        set_field(self, "kind", kind)
 
-@dataclass
-class EngineConfig:
+
+class EngineConfig(Record):
     """Search configuration.
 
     `check_measure` checks every rule application with the progress check
@@ -117,27 +121,49 @@ class EngineConfig:
     of its search lowers the measure.
     """
 
-    max_steps: int = 100_000
-    check_measure: bool = False
-    record_trace: bool = False
-    measure_violations: Optional[list[MeasureViolation]] = None
+    __slots__ = __match_args__ = ("max_steps", "check_measure", "record_trace", "measure_violations")
+    max_steps: int
+    check_measure: bool
+    record_trace: bool
+    measure_violations: Optional[list[MeasureViolation]]
 
-    def __post_init__(self) -> None:
-        if self.max_steps < 1:
+    def __init__(
+        self,
+        max_steps: int = 100_000,
+        check_measure: bool = False,
+        record_trace: bool = False,
+        measure_violations: Optional[list[MeasureViolation]] = None,
+    ) -> None:
+        self.max_steps = max_steps
+        self.check_measure = check_measure
+        self.record_trace = record_trace
+        self.measure_violations = measure_violations
+        if max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
 
-@dataclass(frozen=True)
-class Satisfiable:
+class Satisfiable(FrozenRecord):
+    __slots__ = __match_args__ = ("model", "open_branch", "trace")
     model: Interpretation
     open_branch: Abox
-    trace: tuple[RuleApplication, ...] = ()
+    trace: tuple[RuleApplication, ...]
+
+    def __init__(
+        self, model: Interpretation, open_branch: Abox, trace: tuple[RuleApplication, ...] = ()
+    ) -> None:
+        set_field(self, "model", model)
+        set_field(self, "open_branch", open_branch)
+        set_field(self, "trace", trace)
 
 
-@dataclass(frozen=True)
-class Unsatisfiable:
-    trace: tuple[RuleApplication, ...] = ()
-    closed_branches: int = 0
+class Unsatisfiable(FrozenRecord):
+    __slots__ = __match_args__ = ("trace", "closed_branches")
+    trace: tuple[RuleApplication, ...]
+    closed_branches: int
+
+    def __init__(self, trace: tuple[RuleApplication, ...] = (), closed_branches: int = 0) -> None:
+        set_field(self, "trace", trace)
+        set_field(self, "closed_branches", closed_branches)
 
 
 Verdict = Union[Satisfiable, Unsatisfiable]

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Optional
 
+from .record import FrozenRecord, set_field
 from .syntax import (
     Abox,
     All,
@@ -71,12 +71,16 @@ _NOT_NAMES = KEYWORDS | {"(", ")", ".", ":", ",", ""}  # every other token is a 
 _WITNESS_NAME_RE = re.compile(r"_[0-9]+")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(FrozenRecord):
     """1-based position of a lexeme in the input."""
 
+    __slots__ = __match_args__ = ("line", "column")
     line: int
     column: int
+
+    def __init__(self, line: int, column: int) -> None:
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
 class ParseError(ValueError):

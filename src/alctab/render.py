@@ -7,7 +7,6 @@ rule application.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator
 
 from .measure import measure_abox
@@ -46,6 +45,8 @@ def emit_trace(trace: Iterable[RuleApplication]) -> Iterator[str]:
     depth-first search expands next. `skipped` is true on a disjunction step
     whose right successor the search discarded unexplored.
     """
+    import json  # on first use, so a run that writes no trace never loads it
+
     for step, app in enumerate(trace):
         record = {
             "step": step,

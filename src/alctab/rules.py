@@ -24,9 +24,9 @@ application against live in the test suite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .record import FrozenRecord, Record, set_field
 from .syntax import (
     Abox,
     All,
@@ -149,19 +149,28 @@ class BranchIndex:
         return self.edges.get((role, source), ())
 
 
-@dataclass(frozen=True)
-class TableauRule:
+class TableauRule(FrozenRecord):
     """A rule given by its applicability condition and its action, each
     called with a pivot fact and the index of the branch that holds it;
     the action returns one front per successor."""
 
+    __slots__ = __match_args__ = ("kind", "appcond", "action")
     kind: RuleKind
     appcond: Callable[[Fact, BranchIndex], bool]
     action: Callable[[Fact, BranchIndex], tuple[Abox, ...]]
 
+    def __init__(
+        self,
+        kind: RuleKind,
+        appcond: Callable[[Fact, BranchIndex], bool],
+        action: Callable[[Fact, BranchIndex], tuple[Abox, ...]],
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "appcond", appcond)
+        set_field(self, "action", action)
 
-@dataclass(slots=True)
-class RuleApplication:
+
+class RuleApplication(Record):
     """Trace record of one rule application on one branch.
 
     `added` holds, per successor, its front: the facts the step adds, none
@@ -177,12 +186,29 @@ class RuleApplication:
     value and is not hashable.
     """
 
+    __slots__ = __match_args__ = ("kind", "pivot", "before", "added", "fresh", "skipped")
     kind: RuleKind
     pivot: Fact
     before: Optional[Abox]
     added: tuple[Abox, ...]
-    fresh: Optional[Individual] = None
-    skipped: bool = False
+    fresh: Optional[Individual]
+    skipped: bool
+
+    def __init__(
+        self,
+        kind: RuleKind,
+        pivot: Fact,
+        before: Optional[Abox],
+        added: tuple[Abox, ...],
+        fresh: Optional[Individual] = None,
+        skipped: bool = False,
+    ) -> None:
+        self.kind = kind
+        self.pivot = pivot
+        self.before = before
+        self.added = added
+        self.fresh = fresh
+        self.skipped = skipped
 
     @property
     def successors(self) -> tuple[Abox, ...]:

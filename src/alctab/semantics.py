@@ -9,11 +9,11 @@ the concept or role maps denote the empty extension, so evaluation is total.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 from typing import Mapping, Optional
 
+from .record import FrozenRecord, set_field
 from .syntax import (
     Abox,
     All,
@@ -47,8 +47,7 @@ class SignatureError(ValueError):
     """The oracle configuration does not cover the ABox's names."""
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(FrozenRecord):
     """An explicit finite interpretation.
 
     `domain` is a non-empty set of element ids; `concept_map` and `role_map`
@@ -57,20 +56,27 @@ class Interpretation:
     with frozenset values at construction and must not be mutated afterwards.
     """
 
+    __slots__ = __match_args__ = ("domain", "concept_map", "role_map", "individual_map")
     domain: frozenset[int]
     concept_map: Mapping[ConceptName, frozenset[int]]
     role_map: Mapping[RoleName, frozenset[tuple[int, int]]]
     individual_map: Mapping[Individual, int]
 
-    def __post_init__(self) -> None:
-        domain = frozenset(self.domain)
-        concept_map = {name: frozenset(ext) for name, ext in self.concept_map.items()}
-        role_map = {name: frozenset(pairs) for name, pairs in self.role_map.items()}
-        individual_map = dict(self.individual_map)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "concept_map", concept_map)
-        object.__setattr__(self, "role_map", role_map)
-        object.__setattr__(self, "individual_map", individual_map)
+    def __init__(
+        self,
+        domain: frozenset[int],
+        concept_map: Mapping[ConceptName, frozenset[int]],
+        role_map: Mapping[RoleName, frozenset[tuple[int, int]]],
+        individual_map: Mapping[Individual, int],
+    ) -> None:
+        domain = frozenset(domain)
+        concept_map = {name: frozenset(ext) for name, ext in concept_map.items()}
+        role_map = {name: frozenset(pairs) for name, pairs in role_map.items()}
+        individual_map = dict(individual_map)
+        set_field(self, "domain", domain)
+        set_field(self, "concept_map", concept_map)
+        set_field(self, "role_map", role_map)
+        set_field(self, "individual_map", individual_map)
         if not domain:
             raise ValueError("interpretation domain must be non-empty")
         for ext in concept_map.values():
@@ -174,21 +180,25 @@ def _assigned(interp: Interpretation, ind: Individual) -> int:
         raise KeyError(f"no element assigned to individual {ind!r}") from None
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(FrozenRecord):
     """Bounds for the exhaustive search: domain sizes 1..max_domain over the
     given atomic concept and role names."""
 
+    __slots__ = __match_args__ = ("max_domain", "atoms", "roles")
     max_domain: int
-    atoms: tuple[ConceptName, ...] = ()
-    roles: tuple[RoleName, ...] = ()
+    atoms: tuple[ConceptName, ...]
+    roles: tuple[RoleName, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "roles", tuple(self.roles))
-        if self.max_domain < 1:
+    def __init__(
+        self, max_domain: int, atoms: tuple[ConceptName, ...] = (), roles: tuple[RoleName, ...] = ()
+    ) -> None:
+        atoms, roles = tuple(atoms), tuple(roles)
+        set_field(self, "max_domain", max_domain)
+        set_field(self, "atoms", atoms)
+        set_field(self, "roles", roles)
+        if max_domain < 1:
             raise ValueError("max_domain must be at least 1")
-        if len(set(self.atoms)) != len(self.atoms) or len(set(self.roles)) != len(self.roles):
+        if len(set(atoms)) != len(atoms) or len(set(roles)) != len(roles):
             raise ValueError("duplicate names in oracle configuration")
 
 

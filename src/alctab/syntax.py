@@ -29,11 +29,12 @@ the order carries the deterministic scan order of the tableau rules, while
 from __future__ import annotations
 
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from operator import itemgetter
 from types import FunctionType
 from typing import Iterable, Iterator, Optional, Union
 from weakref import ref
+
+from .record import Immutable
 
 ConceptName = str
 RoleName = str
@@ -52,7 +53,7 @@ class _Ref(ref):
 _NO_REF = type(None)
 
 
-class _Interned:
+class _Interned(Immutable):
     """Base of the hash-consed syntax values: concepts, roles and individuals.
 
     Each subclass, made by `_interned`, keeps a table, a plain dict from
@@ -72,7 +73,8 @@ class _Interned:
     dead entry whose callback has not run yet is removed and the publish
     tried again, while the constructor still holds the new instance.
     Equality is identity and the hash is the id; copies and pickles come
-    back as the interned instance.
+    back as the interned instance. Fields can be neither assigned nor
+    deleted: the constructor sets them through their slots' descriptors.
     """
 
     __slots__ = ("__weakref__",)
@@ -87,8 +89,9 @@ class _Interned:
         return self
 
     def __repr__(self) -> str:
-        """The dataclass repr, written from an explicit stack of the values
-        and text still to print, so any depth that fits in memory works."""
+        """`Class(field=value, ...)`, written from an explicit stack of the
+        values and text still to print, so any depth that fits in memory
+        works."""
         out: list[str] = []
         todo: list = [self]
         while todo:
@@ -193,21 +196,24 @@ def _arity2(new, check, drop, set0, set1, mark=None):
 
 
 def _interned(cls: type) -> type:
-    """Make a subclass of `_Interned` a frozen, slotted dataclass with its
-    own table and a constructor whose parameters are its fields, at most
-    two, so calls by position and by keyword, and the `TypeError` of a
+    """Rebuild a subclass of `_Interned` with a slot for each field its
+    body annotates, in order, which are also its match arguments, with its
+    own table and with a constructor whose parameters are its fields, at
+    most two, so calls by position and by keyword, and the `TypeError` of a
     wrong call, are Python's own. A compound concept's constructor also
     sets its `normal` flag. Builds no code from source."""
-    if cls.__doc__ is None:  # else dataclass parses a signature for one, slowly
-        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
-    cls = dataclass(init=False, repr=False, eq=False, frozen=True, slots=True)(cls)
+    fields = tuple(cls.__annotations__)
+    body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    body["__slots__"] = body["__match_args__"] = fields
+    qualname = cls.__qualname__
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    cls.__qualname__ = qualname
     table = cls._table = {}
     check = getattr(cls, "__post_init__", None)  # rejects invalid fields
 
     def drop(dead: _Ref, table=table, remove=_remove_dead_weakref) -> None:
         remove(table, dead.key)  # only if the entry is still dead
 
-    fields = cls.__match_args__  # the dataclass fields, in order
     setters = [cls.__dict__[name].__set__ for name in fields]  # the slots' setters, in C
     if issubclass(cls, _Compound):
         setters.append(_Compound.__dict__["normal"].__set__)

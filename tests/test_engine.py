@@ -1,7 +1,7 @@
+import copy
 import random
 from collections import Counter
 from contextlib import suppress
-from dataclasses import replace
 
 import pytest
 
@@ -299,7 +299,8 @@ def test_backjumping_skips_alternatives_the_clash_does_not_depend_on():
     # a replay that explores a discarded alternative does not end as the run did
     for n in skipped:
         trace = list(verdict.trace)
-        trace[n] = replace(trace[n], skipped=False)
+        trace[n] = copy.copy(trace[n])
+        trace[n].skipped = False
         with suppress(ValueError):
             assert replay_trace(abox, trace) is not None
 
@@ -313,11 +314,14 @@ def test_replay_decides_what_a_trace_skips():
     # turn the verdict; replay finds that alternative satisfiable
     n = next(n for n, app in enumerate(verdict.trace) if app.kind is RuleKind.OR)
     trace = list(verdict.trace)
-    trace[n] = replace(trace[n], skipped=True)
+    trace[n] = copy.copy(trace[n])
+    trace[n].skipped = True
     with pytest.raises(ValueError, match="a satisfiable one"):
         replay_trace(abox, trace)
     # only a ⊔ step has an alternative to skip
-    trace = [replace(verdict.trace[0], skipped=True), *verdict.trace[1:]]
+    first = copy.copy(verdict.trace[0])
+    first.skipped = True
+    trace = [first, *verdict.trace[1:]]
     assert trace[0].kind is RuleKind.AND
     with pytest.raises(ValueError, match="no alternative"):
         replay_trace(abox, trace)
@@ -387,6 +391,16 @@ def test_repeated_input_facts_decide_as_the_whole_branch_search_does():
         if isinstance(verdict, Satisfiable):
             assert verdict.open_branch == full.open_branch
         assert replay_trace(abox, verdict.trace) == getattr(verdict, "open_branch", None)
+
+
+def test_an_exists_step_reuses_no_witness_that_a_universal_refutes():
+    # the s-witness holds A, the body of some r. A, and B, which all r. not B
+    # refutes; reusing it for the r-edge without testing the ∀ bodies closes
+    # this satisfiable concept's only branch
+    concept = parse_concept("some s. (A and B) and some r. A and all r. not B")
+    verdict = decide_concept_sat(concept)
+    assert isinstance(verdict, Satisfiable)
+    assert satisfies_abox(verdict.model, (Inst(x0, nnf(concept)),))
 
 
 def test_exists_tree_reuses_one_witness_per_label():

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .engine import (
@@ -99,11 +98,16 @@ def _write_trace(path: Optional[str], verdict: Verdict) -> None:
             handle.write(line + "\n")
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _cmd_sat(args: argparse.Namespace) -> int:
     if (args.concept is None) == (args.file is None):
         print("sat: give exactly one of a concept expression or --file", file=sys.stderr)
         return EXIT_USAGE
-    text = args.concept if args.concept is not None else Path(args.file).read_text()
+    text = args.concept if args.concept is not None else _read(args.file)
     concept = parse_concept(text)
     verdict = decide_concept_sat(concept, _engine_config(args))
     _write_trace(args.trace, verdict)
@@ -117,7 +121,7 @@ def _cmd_sat(args: argparse.Namespace) -> int:
 
 
 def _cmd_consistent(args: argparse.Namespace) -> int:
-    abox = parse_abox(Path(args.file).read_text())
+    abox = parse_abox(_read(args.file))
     normalized = [Inst(f.subject, nnf(f.concept)) if isinstance(f, Inst) else f for f in abox]
     verdict = decide_sat_abox(normalized, _engine_config(args))
     _write_trace(args.trace, verdict)
@@ -141,7 +145,7 @@ def _cmd_subsumes(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    abox = parse_abox(Path(args.file).read_text())
+    abox = parse_abox(_read(args.file))
     atoms, roles = abox_signature(abox)
     cfg = OracleConfig(max_domain=args.max_domain, atoms=atoms, roles=roles)
     model = oracle_find_model(abox, cfg)

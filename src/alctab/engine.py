@@ -6,9 +6,10 @@ tried in a fixed order (conjunction, universal, disjunction, existential)
 and disjunction branches are explored left first, so verdicts and traces
 are fully deterministic. A right alternative is skipped when the clashes
 below its left sibling did not depend on that choice (backjumping). The
-paper runs its rules on list ABoxes; the search keeps each list as the
-`BranchIndex` the rules read, whose facts are the list reversed, and builds
-a branch tuple only for a recorded trace and for the open branch it returns.
+paper runs its rules on list ABoxes; the search and the replay keep each
+list only as the `BranchIndex` the rules read, and read the list off it
+(`BranchIndex.branch`) for a recorded step, a failed measure check and the
+open branch they return.
 
 The existential rule reuses witnesses. On `x : ∃r.C` it first looks for a
 witness y of the branch that holds C and the body D of every `x : ∀r.D`;
@@ -245,13 +246,16 @@ def next_application(index: BranchIndex) -> Optional[RuleApplication]:
             else:
                 continue
         adds = rule.action(fact, index)
-        # an ∃ step that makes a witness adds its edge and its label, one
-        # that reuses a witness only the edge
-        fresh = None
-        if kind is _SOME and len(adds[0]) == 2:
-            fresh = adds[0][1].subject
-        return RuleApplication(kind, fact, None, adds, fresh)
+        return RuleApplication(kind, fact, None, adds, _witness(adds) if kind is _SOME else None)
     return None
+
+
+def _witness(adds: tuple[Abox, ...]) -> Optional[Individual]:
+    """The witness an ∃ step with fronts `adds` makes, or None: a step that
+    makes one adds its edge and its label, one that reuses a witness only
+    the edge."""
+    front = adds[0]
+    return front[1].subject if len(front) == 2 else None
 
 
 def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
@@ -267,9 +271,8 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     the model reads the input's signature, so only a satisfiable input's
     concepts are walked.
 
-    The search carries no branch tuple: a branch is its `BranchIndex`,
-    whose `at` holds its facts in the reverse of branch order, and the open
-    branch is read off it once, at the end. Each branch carries its
+    The search carries no branch tuple: a branch is its `BranchIndex`, and
+    the open branch is read off it once, at the end. Each branch carries its
     parent's index and the front the step added (`RuleApplication.added`),
     so that the clash test looks only at those facts, rule selection only
     at the index's live pivots, and the rules read only the index. The
@@ -277,9 +280,8 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     takes its parent's index over, and a disjunction step copies it once
     for the right one. The root is the successor of the empty branch whose
     front is the input. When the measure is checked, each branch's
-    `MeasureState` is carried and copied the same way. Only a recorded
-    trace keeps branch tuples: each record's `before`, built by putting the
-    step's front in front of its parent's.
+    `MeasureState` is carried and copied the same way. A recorded trace
+    reads each record's `before` off the index when it appends the record.
 
     The search backjumps. The disjunction steps on the current path whose
     right successors are still to be tried wait in `pending`, oldest first,
@@ -292,7 +294,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     alternative whose bit is not among them is discarded unexplored (its
     record is marked `skipped`), since the same clash would close every
     branch below it, and the search resumes at the newest one left, whose
-    labels are those of the index the step copied.
+    labels are those of the index the step copied, its pivot's among them.
     """
     cfg = cfg or EngineConfig()
     record, check, max_steps = cfg.record_trace, cfg.check_measure, cfg.max_steps
@@ -301,11 +303,10 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
         if type(fact) is Inst and not is_nnf(fact.concept):
             raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
-    # (the ⊔ step's record, its pivot's label, the step's branch index, the
-    # right successor's measure state when the measure is checked)
-    pending: list[tuple[RuleApplication, int, BranchIndex, Optional[MeasureState]]] = []
-    # the branch tuple is kept up to date only for the records' `before`
-    branch, added, label, index = root, root, 0, BranchIndex(())
+    # (the ⊔ step's record, the step's branch index, the right successor's
+    # measure state when the measure is checked)
+    pending: list[tuple[RuleApplication, BranchIndex, Optional[MeasureState]]] = []
+    added, label, index = root, 0, BranchIndex(())
     measure: Optional[MeasureState] = None
     closed = steps = 0
     while True:
@@ -321,24 +322,22 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             del pending[keep:]
             if not pending:
                 return Unsatisfiable(tuple(trace), closed)
-            app, label, index, measure = pending.pop()
+            app, index, measure = pending.pop()
             added = app.added[1]
-            if record:
-                branch = added + app.before
-            # the right disjunct depends on what the left one's clash
-            # depended on, less that choice itself
-            label |= depends & ~(1 << len(pending))
+            # the right disjunct depends on what its pivot and the left
+            # one's clash depended on, less that choice itself
+            label = index.at[app.pivot] | depends & ~(1 << len(pending))
             continue
         app = next_application(index)
         if app is None:
-            branch = tuple(reversed(at))
+            branch = index.branch()
             model = canonical_interpretation(branch, abox_signature(root))
             return Satisfiable(model, branch, tuple(trace))
         steps += 1
         if steps > max_steps:
             raise StepLimitExceeded(f"exceeded {max_steps} rule applications")
         if record:
-            app.before = branch
+            app.before = index.branch()
             trace.append(app)
         right_measure = None
         if check:
@@ -351,14 +350,12 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             right_measure = _check_measures(app, index, measure, cfg)
         added, label = app.added[0], at[app.pivot]
         if app.kind is _OR:
-            pending.append((app, label, index.copy(), right_measure))
+            pending.append((app, index.copy(), right_measure))
             label |= 1 << (len(pending) - 1)
         elif app.kind is _ALL and pending:
             # the new fact also depends on the edge the step followed, whose
             # label is 0 while nothing is pending
             label |= at[(app.pivot.concept.role, app.pivot.subject, added[0].subject)]
-        if record:
-            branch = added + branch
 
 
 def _check_measures(
@@ -369,15 +366,14 @@ def _check_measures(
 
     The first successor takes `measure` over, advanced; the second one's,
     on a disjunction step, is advanced from a copy and returned. A failed
-    measure check reads the step's branch off the index when the record
-    holds none.
+    measure check reads the step's branch off the index.
     """
     right = measure.copy() if len(app.added) > 1 else None
     for n, (front, state) in enumerate(zip(app.added, (measure, right))):
         if not progress_check(app, n, index, state):
             raise ProgressCheckError(f"no progress across {_step(app.kind)}")
         if not assert_decrease(app, n, index, state):
-            before = tuple(reversed(index.at)) if app.before is None else app.before
+            before = index.branch()
             violation = MeasureViolation(before, front + before, app.kind)
             if cfg.measure_violations is None:
                 raise MeasureDecreaseError(violation, state.failure)
@@ -439,43 +435,46 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
 
     The replay starts from `dedup_facts(initial)`, as the search does. Only
     the recorded rule kinds and pivots steer it; each successor is
-    recomputed by the rule's action. The right successor of a record marked
-    `skipped` is dropped once a search of its own finds it unsatisfiable.
-    Returns the branch on which the run stopped (its open branch, which must
-    be saturated), or None when every branch closed. Raises ValueError if
-    the trace does not fit the search or skips a satisfiable alternative.
+    recomputed by the rule's action, and each record's fronts and witness
+    must be the action's. The right successor of a record marked `skipped`
+    is dropped once a search of its own finds it unsatisfiable. Returns the
+    branch on which the run stopped (its open branch, which must be
+    saturated), or None when every branch closed. Raises ValueError if the
+    trace does not fit the search or skips a satisfiable alternative.
 
-    As in the search, each branch waits with its front and an index of its
-    parent, which it grows by the front; the clash test looks only at the
-    front, and a disjunction step copies the index for its right successor.
+    As in the search, a branch is its index: it waits with its front and an
+    index of its parent, which it grows by the front; the clash test looks
+    only at the front, and a ⊔ step copies the index for its right successor.
     """
     records = iter(trace)
-    pending = next(records, None)
-    root = dedup_facts(initial)
-    stack: list[tuple[Abox, Abox, BranchIndex]] = [(root, root, BranchIndex(()))]
+    rec = next(records, None)
+    stack: list[tuple[Abox, BranchIndex]] = [(dedup_facts(initial), BranchIndex(()))]
     while stack:
-        branch, added, index = stack.pop()
-        index.grow(added)
-        if contains_clash(index.at, added):
+        added, index = stack.pop()
+        if contains_clash(index.grow(added).at, added):
             continue
-        if pending is None:
+        if rec is None:
             if next_application(index) is not None:
                 raise ValueError("trace ends on a branch that is not saturated")
-            return branch
-        if pending.before != branch:
+            return index.branch()
+        if rec.before != index.branch():
             raise ValueError("trace record does not match the branch under expansion")
-        rule = RULES_BY_KIND[pending.kind]
-        if pending.pivot not in index.at or not rule.appcond(pending.pivot, index):
+        rule = RULES_BY_KIND[rec.kind]
+        if rec.pivot not in index.at or not rule.appcond(rec.pivot, index):
             raise ValueError("recorded pivot is not applicable on replay")
-        adds = rule.action(pending.pivot, index)
-        if pending.skipped:
-            if len(adds) < 2 or isinstance(decide_sat_abox(adds[1] + branch), Satisfiable):
+        adds = rule.action(rec.pivot, index)
+        fresh = _witness(adds) if rec.kind is _SOME else None
+        if rec.added != adds or rec.fresh != fresh:
+            raise ValueError("trace record's fronts or witness are not the rule's on replay")
+        if rec.skipped:
+            right = index.copy().grow(adds[1]).branch() if len(adds) > 1 else None
+            if right is None or isinstance(decide_sat_abox(right), Satisfiable):
                 raise ValueError("trace skips no alternative or a satisfiable one")
         elif len(adds) > 1:
-            stack.append((adds[1] + branch, adds[1], index.copy()))
-        stack.append((adds[0] + branch, adds[0], index))
-        pending = next(records, None)
-    if pending is not None:
+            stack.append((adds[1], index.copy()))
+        stack.append((adds[0], index))
+        rec = next(records, None)
+    if rec is not None:
         raise ValueError("trace continues past the end of the search")
     return None
 

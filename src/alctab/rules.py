@@ -65,23 +65,23 @@ class BranchIndex:
 
     `at` maps each fact of the branch to its dependency label, the bit mask
     of the pending ⊔ choices it depends on (`alctab.engine.decide_sat_abox`
-    backjumps by them). A fact's field tuple finds it there, so `at` holds
-    nothing but facts, and the dicts keyed by other tuples are kept apart:
-    `edges` maps (role, source) to the targets of its edges in branch
-    order and `named` to those of them that are named,
-    `holders` maps each concept to the witnesses that hold it in branch
-    order, and `witness` is the allocation index of the next fresh witness.
-    `live` maps each rule kind to a list of the branch's pivots of that
-    kind, less those the search has found can never fire again, in the
-    order they were indexed: read from the end, it is in branch order, so
-    `grow` appends a front's pivots and `alctab.engine.next_application`
-    pops those it prunes. `reached` maps a ∀ pivot's `(subject, concept)`
-    to how many of the oldest successors along its role are known to hold
-    its body; the count only moves forward as the branch grows. A successor that only
-    puts facts in front of its branch takes the branch's index over with
-    `grow`, with its labels; an index shared by two branches is `copy`-ed
-    first, with its live lists, since `grow`, the search's pruning and the
-    ∀ premise change it in place.
+    backjumps by them), in the reverse of branch order, which `branch`
+    undoes. A fact's field tuple finds it there, so `at` holds nothing but
+    facts, and the dicts keyed by other tuples are kept apart: `edges` maps
+    (role, source) to the targets of its edges in branch order and `named`
+    to those of them that are named, `holders` maps each concept to the
+    witnesses that hold it in branch order, and `witness` is the allocation
+    index of the next fresh witness. `live` maps each rule kind to a list
+    of the branch's pivots of that kind, less those the search has found
+    can never fire again, in the order they were indexed: read from the
+    end, it is in branch order, so `grow` appends a front's pivots and
+    `alctab.engine.next_application` pops those it prunes. `reached` maps a
+    ∀ pivot's `(subject, concept)` to how many of the oldest successors
+    along its role are known to hold its body; the count only moves forward
+    as the branch grows. A successor that only puts facts in front of its
+    branch takes the branch's index over with `grow`, with its labels; an
+    index shared by two branches is `copy`-ed first, with its live lists,
+    since `grow`, the search's pruning and the ∀ premise change it in place.
     """
 
     __slots__ = ("at", "edges", "named", "holders", "witness", "live", "reached")
@@ -139,6 +139,10 @@ class BranchIndex:
         twin.reached = dict(self.reached)
         return twin
 
+    def branch(self) -> Abox:
+        """The branch's facts in branch order, newest first."""
+        return tuple(reversed(self.at))
+
     def holds(self, subject: Individual, concept: Concept) -> bool:
         """Whether the branch holds the fact `subject : concept`: its field
         tuple finds it in `at`, so no fact is built."""
@@ -174,12 +178,12 @@ class RuleApplication(Record):
     """Trace record of one rule application on one branch.
 
     `added` holds, per successor, its front: the facts the step adds, none
-    of which the step's branch holds. `before` is that branch, None unless
-    a trace is recorded; `successors` puts each front before it, and
-    `pivot_index` finds the pivot there, on each read. `fresh` is the
-    witness an existential step made; it is None on the other steps and on
-    an existential step that reused a witness. `skipped` marks a
-    disjunction step whose right successor the search discarded
+    of which the step's branch holds. `before` is that branch, read off its
+    index for a recorded trace and None otherwise; `successors` puts each
+    front before it, and `pivot_index` finds the pivot there, on each read.
+    `fresh` is the witness an existential step made; it is None on the
+    other steps and on an existential step that reused a witness. `skipped`
+    marks a disjunction step whose right successor the search discarded
     unexplored, because a clash below the left one did not depend on the
     choice. The record is slotted and not frozen, so one is cheap to build
     on every step and the search marks it skipped in place; it compares by

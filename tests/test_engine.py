@@ -330,6 +330,20 @@ def test_replay_decides_what_a_trace_skips():
         replay_trace(abox, verdict.trace[:1])
 
 
+def test_replay_rejects_a_pivot_whose_premise_fails():
+    abox = (Inst(x0, And(A, B)),)
+    verdict = decide_sat_abox(abox, EngineConfig(record_trace=True))
+    assert isinstance(verdict, Satisfiable) and len(verdict.trace) == 1
+    # the ⊓ step again, on the branch it grew: its pivot is on that branch,
+    # but both parts are asserted, so the premise fails there
+    step = verdict.trace[0]
+    again = copy.copy(step)
+    again.before = step.successors[0]
+    assert again.before == verdict.open_branch and again.pivot in again.before
+    with pytest.raises(ValueError, match="recorded pivot is not applicable on replay"):
+        replay_trace(abox, [step, again])
+
+
 def test_a_reasserted_fact_keeps_its_label():
     concept = parse_concept("((E and G) or Z1) and ((E and F) or Z2) and (not E or not E)")
     verdict = decide_concept_sat(concept, EngineConfig(record_trace=True))

@@ -41,13 +41,16 @@ pairs the trace prints must be the reference's scans. With
 more runs that backjumping prunes, they also gate the jumps: the engine
 must return what a search that tries every alternative returns, after
 closing no more branches, and its trace must replay, while no single flip
-of a ⊔ record's `skipped` flag may change what the replay returns.
+of a ⊔ record's `skipped` flag may change what the replay returns, and no
+record whose fronts or witness are not the rule's may replay.
 """
 
 import copy
 import hashlib
 import random
 from collections import Counter
+
+import pytest
 
 import reference
 from alctab import engine
@@ -414,6 +417,36 @@ def test_a_skipped_flip_never_changes_what_replay_returns():
             except ValueError:
                 outcomes["raised"] += 1
     assert outcomes == {"raised": 824, "replayed": 173}
+
+
+def test_replay_checks_each_record_s_fronts_and_witness():
+    # replay recomputes each step with the rule's action, and a record whose
+    # fronts or witness are not the action's does not replay, while the
+    # genuine trace does
+    forged = Counter()
+    for abox, verdict in zip(golden_inputs(), verdicts()):
+        end = getattr(verdict, "open_branch", None)
+        assert replay_trace(abox, verdict.trace) == end
+        for n, rec in enumerate(verdict.trace):
+            fakes = []
+            for k, front in enumerate(rec.added):
+                # one fact of front k changed
+                fake = copy.copy(rec)
+                changed = (*front[:-1], Inst(X0, Atom("Z")))
+                fake.added = (*rec.added[:k], changed, *rec.added[k + 1 :])
+                fakes.append(fake)
+            # a witness made where the rule reuses one or makes none, or none
+            # where the rule makes one
+            fake = copy.copy(rec)
+            fake.fresh = Anon(0) if rec.fresh is None else None
+            fakes.append(fake)
+            for fake in fakes:
+                trace = list(verdict.trace)
+                trace[n] = fake
+                with pytest.raises(ValueError, match="fronts or witness"):
+                    replay_trace(abox, trace)
+                forged[rec.kind] += 1
+    assert forged.keys() == set(RuleKind)
 
 
 def test_trace_measures_are_the_whole_branch_scans():

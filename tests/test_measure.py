@@ -333,6 +333,18 @@ def test_forged_steps_fail_the_progress_check():
             _forged((Inst(x, A), Inst(y, B)), RuleKind.SOME, (Rel(r, x, y),)),
             "a some-rule step did not lower the branch measure",
         ),
+        # a fresh witness of an individual whose depth bound is already 0
+        (
+            _forged((Inst(x, A),), RuleKind.SOME, (Rel(r, x, Anon(0)), Inst(Anon(0), A)), Anon(0)),
+            "a some-rule step broke the measure's invariant: "
+            "it makes a witness below role depth 0",
+        ),
+        # a fact on the step's witness with no edge into it
+        (
+            _forged((Inst(x, A),), RuleKind.SOME, (Inst(Anon(0), A),), Anon(0)),
+            "a some-rule step broke the measure's invariant: "
+            "it puts a fact on an individual no edge brings in",
+        ),
         # an edge out of the step's witness, which no edge brings in, also
         # changes no weight; the broken invariant is named first
         (

@@ -226,9 +226,9 @@ def next_application(index: BranchIndex) -> Optional[RuleApplication]:
     found not to apply, and the pivot that fires, cannot fire on any branch
     grown from this one, so they are popped off the list as they are
     tested. Universal pivots always stay: a new edge can make them apply
-    again.
+    again. While a ⊔ alternative waits, each pop goes on the index's trail.
     """
-    live = index.live
+    live, trail = index.live, index.trail
     for rule in alc_rules():
         kind, appcond = rule.kind, rule.appcond
         pivots = live[kind]
@@ -241,6 +241,8 @@ def next_application(index: BranchIndex) -> Optional[RuleApplication]:
         else:
             while pivots:
                 fact = pivots.pop()
+                if trail is not None:
+                    trail.append(fact)
                 if appcond(fact, index):
                     break
             else:
@@ -272,16 +274,15 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     concepts are walked.
 
     The search carries no branch tuple: a branch is its `BranchIndex`, and
-    the open branch is read off it once, at the end. Each branch carries its
-    parent's index and the front the step added (`RuleApplication.added`),
-    so that the clash test looks only at those facts, rule selection only
-    at the index's live pivots, and the rules read only the index. The
-    index grows in place by the front: a step's only or left successor
-    takes its parent's index over, and a disjunction step copies it once
-    for the right one. The root is the successor of the empty branch whose
-    front is the input. When the measure is checked, each branch's
-    `MeasureState` is carried and copied the same way. A recorded trace
-    reads each record's `before` off the index when it appends the record.
+    the open branch is read off it once, at the end. One index serves the
+    whole search. Each branch grows it in place by the front its step added
+    (`RuleApplication.added`), so that the clash test looks only at those
+    facts, rule selection only at the index's live pivots, and the rules
+    read only the index. The root is the successor of the empty branch
+    whose front is the input. When the measure is checked, each branch's
+    `MeasureState` is carried, and a disjunction step copies it for its
+    right successor. A recorded trace reads each record's `before` off the
+    index when it appends the record.
 
     The search backjumps. The disjunction steps on the current path whose
     right successors are still to be tried wait in `pending`, oldest first,
@@ -293,8 +294,12 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     branch depends on the labels of its two clashing facts; every pending
     alternative whose bit is not among them is discarded unexplored (its
     record is marked `skipped`), since the same clash would close every
-    branch below it, and the search resumes at the newest one left, whose
-    labels are those of the index the step copied, its pivot's among them.
+    branch below it, and the search resumes at the newest one left. A
+    waiting alternative holds the length of the index's trail and the next
+    witness at its step, and resuming it undoes the index to them, labels
+    included, its pivot's among them: the cost is the changes undone, not
+    the size of the branch. The trail is kept only while an alternative
+    waits.
     """
     cfg = cfg or EngineConfig()
     record, check, max_steps = cfg.record_trace, cfg.check_measure, cfg.max_steps
@@ -303,9 +308,9 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
         if type(fact) is Inst and not is_nnf(fact.concept):
             raise ValueError("abox concepts must be in negation normal form")
     trace: list[RuleApplication] = []
-    # (the ⊔ step's record, the step's branch index, the right successor's
-    # measure state when the measure is checked)
-    pending: list[tuple[RuleApplication, BranchIndex, Optional[MeasureState]]] = []
+    # (the ⊔ step's record, the trail's length and the next witness at the
+    # step, the right successor's measure state when the measure is checked)
+    pending: list[tuple[RuleApplication, int, int, Optional[MeasureState]]] = []
     added, label, index = root, 0, BranchIndex(())
     measure: Optional[MeasureState] = None
     closed = steps = 0
@@ -322,11 +327,14 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             del pending[keep:]
             if not pending:
                 return Unsatisfiable(tuple(trace), closed)
-            app, index, measure = pending.pop()
+            app, mark, witness, measure = pending.pop()
+            index.undo(mark, witness)
+            if not pending:
+                index.trail = None
             added = app.added[1]
             # the right disjunct depends on what its pivot and the left
             # one's clash depended on, less that choice itself
-            label = index.at[app.pivot] | depends & ~(1 << len(pending))
+            label = at[app.pivot] | depends & ~(1 << len(pending))
             continue
         app = next_application(index)
         if app is None:
@@ -350,7 +358,9 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
             right_measure = _check_measures(app, index, measure, cfg)
         added, label = app.added[0], at[app.pivot]
         if app.kind is _OR:
-            pending.append((app, index.copy(), right_measure))
+            if not pending:
+                index.trail = []
+            pending.append((app, len(index.trail), index.witness, right_measure))
             label |= 1 << (len(pending) - 1)
         elif app.kind is _ALL and pending:
             # the new fact also depends on the edge the step followed, whose
@@ -442,16 +452,26 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
     saturated), or None when every branch closed. Raises ValueError if the
     trace does not fit the search or skips a satisfiable alternative.
 
-    As in the search, a branch is its index: it waits with its front and an
-    index of its parent, which it grows by the front; the clash test looks
-    only at the front, and a ⊔ step copies the index for its right successor.
+    As in the search, a branch is its index, and one index serves the
+    replay: each branch grows it by its front, and the clash test looks
+    only at the front. A right successor waits as its front, with the
+    length of the index's trail and the next witness at its step, and
+    resuming it undoes the index to them.
     """
     records = iter(trace)
     rec = next(records, None)
-    stack: list[tuple[Abox, BranchIndex]] = [(dedup_facts(initial), BranchIndex(()))]
-    while stack:
-        added, index = stack.pop()
+    index = BranchIndex(())
+    added = dedup_facts(initial)
+    # the right successors still to replay: (front, trail length, witness)
+    waiting: list[tuple[Abox, int, int]] = []
+    while True:
         if contains_clash(index.grow(added).at, added):
+            if not waiting:
+                break
+            added, mark, witness = waiting.pop()
+            index.undo(mark, witness)
+            if not waiting:
+                index.trail = None
             continue
         if rec is None:
             if next_application(index) is not None:
@@ -467,12 +487,14 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
         if rec.added != adds or rec.fresh != fresh:
             raise ValueError("trace record's fronts or witness are not the rule's on replay")
         if rec.skipped:
-            right = index.copy().grow(adds[1]).branch() if len(adds) > 1 else None
+            right = adds[1] + index.branch() if len(adds) > 1 else None
             if right is None or isinstance(decide_sat_abox(right), Satisfiable):
                 raise ValueError("trace skips no alternative or a satisfiable one")
         elif len(adds) > 1:
-            stack.append((adds[1], index.copy()))
-        stack.append((adds[0], index))
+            if not waiting:
+                index.trail = []
+            waiting.append((adds[1], len(index.trail), index.witness))
+        added = adds[0]
         rec = next(records, None)
     if rec is not None:
         raise ValueError("trace continues past the end of the search")

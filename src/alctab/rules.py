@@ -24,7 +24,8 @@ application against live in the test suite.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from collections import defaultdict
+from typing import Callable, Optional, Sequence
 
 from .record import FrozenRecord, Record, set_field
 from .syntax import (
@@ -67,33 +68,40 @@ class BranchIndex:
     of the pending ⊔ choices it depends on (`alctab.engine.decide_sat_abox`
     backjumps by them), in the reverse of branch order, which `branch`
     undoes. A fact's field tuple finds it there, so `at` holds nothing but
-    facts, and the dicts keyed by other tuples are kept apart: `edges` maps
-    (role, source) to the targets of its edges in branch order and `named`
-    to those of them that are named, `holders` maps each concept to the
-    witnesses that hold it in branch order, and `witness` is the allocation
-    index of the next fresh witness. `live` maps each rule kind to a list
-    of the branch's pivots of that kind, less those the search has found
-    can never fire again, in the order they were indexed: read from the
-    end, it is in branch order, so `grow` appends a front's pivots and
-    `alctab.engine.next_application` pops those it prunes. `reached` maps a
-    ∀ pivot's `(subject, concept)` to how many of the oldest successors
-    along its role are known to hold its body; the count only moves forward
-    as the branch grows. A successor that only puts facts in front of its
-    branch takes the branch's index over with `grow`, with its labels; an
-    index shared by two branches is `copy`-ed first, with its live lists,
-    since `grow`, the search's pruning and the ∀ premise change it in place.
+    facts, and the dicts keyed by other tuples are kept apart. The lists
+    they hold are in the order their entries were indexed, so read from the
+    end they are in branch order: `edges` maps (role, source) to the
+    targets of its edges and `named` to those of them that are named,
+    `holders` maps each concept to the witnesses that hold it, and `live`
+    maps each rule kind to the branch's pivots of that kind, less those the
+    search has found can never fire again; `grow` appends a front's entries
+    and `alctab.engine.next_application` pops the pivots it prunes. The
+    first three are `defaultdict`s, read with `get`, and hold no empty list.
+    `witness` is the allocation index of the next fresh witness. `reached`
+    maps a ∀ pivot's `(subject, concept)` to how many of the oldest
+    successors along its role are known to hold its body; the count only
+    moves forward as the branch grows.
+
+    One index serves a whole search: a successor that only puts facts in
+    front of its branch grows the index in place. While a ⊔ alternative
+    waits, `trail` logs each change, oldest first: each front `grow`
+    indexed, each live pivot selection popped, and each ∀ cursor that
+    moved, as a list `[key, old count]`. `undo` takes the index back to a
+    length of the trail, as the SAT solvers' trail does (Eén & Sörensson
+    2003); with no alternative waiting, `trail` is None and logs nothing.
     """
 
-    __slots__ = ("at", "edges", "named", "holders", "witness", "live", "reached")
+    __slots__ = ("at", "edges", "named", "holders", "witness", "live", "reached", "trail")
 
     def __init__(self, abox: Abox) -> None:
         self.at: dict[Fact, int] = {}
-        self.edges: dict[tuple[Role, Individual], tuple[Individual, ...]] = {}
-        self.named: dict[tuple[Role, Individual], tuple[Named, ...]] = {}
-        self.holders: dict[Concept, tuple[Anon, ...]] = {}
+        self.edges: dict[tuple[Role, Individual], list[Individual]] = defaultdict(list)
+        self.named: dict[tuple[Role, Individual], list[Named]] = defaultdict(list)
+        self.holders: dict[Concept, list[Anon]] = defaultdict(list)
         self.witness = 0
         self.live: dict[RuleKind, list[Inst]] = {kind: [] for kind in RuleKind}
         self.reached: dict[tuple[Individual, All], int] = {}
+        self.trail: Optional[list] = None
         self.grow(abox)
 
     def grow(self, added: Abox, label: int = 0) -> BranchIndex:
@@ -102,15 +110,16 @@ class BranchIndex:
         share it; returns the index itself."""
         at, edges, named, holders = self.at, self.edges, self.named, self.holders
         witness, live, kind_of = self.witness, self.live, _KIND_OF_SHAPE.get
+        if self.trail is not None:
+            self.trail.append(added)
         for fact in reversed(added):
             at[fact] = label
             if type(fact) is Rel:
                 key = (fact.role, fact.source)
-                # a later edge comes before the earlier ones in branch order
-                edges[key] = (fact.target, *edges.get(key, ()))
                 ind = fact.target
+                edges[key].append(ind)
                 if type(ind) is not Anon:
-                    named[key] = (ind, *named.get(key, ()))
+                    named[key].append(ind)
                 elif ind.index >= witness:
                     witness = ind.index + 1
                 ind = fact.source
@@ -122,22 +131,42 @@ class BranchIndex:
                 live[kind].append(fact)
             ind = fact.subject
             if type(ind) is Anon:
-                concept = fact.concept
-                holders[concept] = (ind, *holders.get(concept, ()))
+                holders[fact.concept].append(ind)
                 if ind.index >= witness:
                     witness = ind.index + 1
         self.witness = witness
         return self
 
-    def copy(self) -> BranchIndex:
-        twin = object.__new__(BranchIndex)
-        twin.at = dict(self.at)
-        twin.edges, twin.named = dict(self.edges), dict(self.named)
-        twin.holders = dict(self.holders)
-        twin.witness = self.witness
-        twin.live = {kind: pivots.copy() for kind, pivots in self.live.items()}
-        twin.reached = dict(self.reached)
-        return twin
+    def undo(self, mark: int, witness: int) -> None:
+        """Undo the changes the trail logged after its first `mark` entries,
+        newest first, and set the next witness back to `witness`."""
+        at, edges, named, holders = self.at, self.edges, self.named, self.holders
+        live, reached, trail = self.live, self.reached, self.trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            if type(entry) is Inst:  # a pivot selection popped
+                live[_KIND_OF_SHAPE[type(entry.concept)]].append(entry)
+            elif type(entry) is list:  # a ∀ cursor, with its count before
+                key, count = entry
+                if count:
+                    reached[key] = count
+                else:
+                    del reached[key]
+            else:  # a front, whose facts grow indexed last to first
+                for fact in entry:
+                    del at[fact]
+                    if type(fact) is Rel:
+                        key = (fact.role, fact.source)
+                        _drop_last(edges, key)
+                        if type(fact.target) is not Anon:
+                            _drop_last(named, key)
+                        continue
+                    kind = _KIND_OF_SHAPE.get(type(fact.concept))
+                    if kind is not None:
+                        live[kind].pop()
+                    if type(fact.subject) is Anon:
+                        _drop_last(holders, fact.concept)
+        self.witness = witness
 
     def branch(self) -> Abox:
         """The branch's facts in branch order, newest first."""
@@ -148,9 +177,17 @@ class BranchIndex:
         tuple finds it in `at`, so no fact is built."""
         return (subject, concept) in self.at
 
-    def successors(self, role: Role, source: Individual) -> tuple[Individual, ...]:
-        """Targets of the `role` edges from `source`, in branch order."""
+    def successors(self, role: Role, source: Individual) -> Sequence[Individual]:
+        """Targets of the `role` edges from `source`, oldest first."""
         return self.edges.get((role, source), ())
+
+
+def _drop_last(lists: dict, key: object) -> None:
+    """Pop the newest entry of `lists[key]`, and the key with its last one."""
+    entries = lists[key]
+    entries.pop()
+    if not entries:
+        del lists[key]
 
 
 class TableauRule(FrozenRecord):
@@ -264,10 +301,12 @@ def _all_appcond(fact: Fact, index: BranchIndex) -> bool:
     targets = index.successors(c.role, x)
     n, key = len(targets), (x, c)
     done = start = index.reached.get(key, 0)
-    while done < n and index.holds(targets[n - 1 - done], c.child):
+    while done < n and index.holds(targets[done], c.child):
         done += 1
     if done != start:
         index.reached[key] = done
+        if index.trail is not None:
+            index.trail.append([key, start])
     return done < n
 
 
@@ -275,16 +314,15 @@ def _all_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     # first pending successor in branch order, among those the cursor has
     # not passed; later steps reach the rest
     x, c = pivot.subject, pivot.concept
-    targets = index.successors(c.role, x)
-    unsettled = targets[: len(targets) - index.reached.get((x, c), 0)]
-    y = next(y for y in unsettled if not index.holds(y, c.child))
+    unsettled = index.successors(c.role, x)[index.reached.get((x, c), 0) :]
+    y = next(y for y in reversed(unsettled) if not index.holds(y, c.child))
     return ((Inst(y, c.child),),)
 
 
 def _some_appcond(fact: Fact, index: BranchIndex) -> bool:
     """x : ∃r.C, with no successor along r that holds C. The witnesses that
     hold C and the targets along r are matched from the smaller side; named
-    targets are in no `holders` tuple, so they are always scanned."""
+    targets are in no `holders` list, so they are always scanned."""
     if type(fact) is not Inst or type(c := fact.concept) is not Some:
         return False
     x, role, child = fact.subject, c.role, c.child
@@ -292,10 +330,10 @@ def _some_appcond(fact: Fact, index: BranchIndex) -> bool:
     held = index.holders.get(child, ())
     if len(held) < len(targets):
         at = index.at
-        if any((role, x, y) in at for y in held):
+        if any((role, x, y) in at for y in reversed(held)):
             return False
         targets = index.named.get((role, x), ())
-    return not any(index.holds(y, child) for y in targets)
+    return not any(index.holds(y, child) for y in reversed(targets))
 
 
 def _some_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
@@ -313,7 +351,7 @@ def _some_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
             for g in index.live[RuleKind.ALL]
             if g.subject is x and g.concept.role is role
         ]
-        for y in held:
+        for y in reversed(held):
             if all(index.holds(y, d) for d in bodies):
                 return ((Rel(role, x, y),),)
     witness = Anon(index.witness)

@@ -49,7 +49,7 @@ with. Deciding needs none of them.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterable, Iterator, Mapping, Optional
 
 from alctab.engine import (
@@ -240,7 +240,8 @@ def pending(index: BranchIndex, subject: Individual, concept: All) -> Iterator[I
     """Successors of `subject` that the universal restriction has not reached:
     those along its role that miss its body concept, in branch order."""
     body = concept.child
-    return (y for y in index.successors(concept.role, subject) if not index.holds(y, body))
+    targets = index.successors(concept.role, subject)
+    return (y for y in reversed(targets) if not index.holds(y, body))
 
 
 def all_premise(index: BranchIndex, x: Individual, c: All) -> bool:
@@ -565,15 +566,48 @@ def reference_search(abox: Abox) -> Verdict:
     return Unsatisfiable(closed_branches=closed)
 
 
-def tuple_search(abox: Abox) -> tuple[Verdict, list[Abox], list[Abox]]:
+def copy_index(index: BranchIndex) -> BranchIndex:
+    """A copy of `index` that shares no list or dict with it, as the engine
+    made at each ⊔ step before one index served the whole search."""
+    twin = object.__new__(BranchIndex)
+    twin.at = dict(index.at)
+    twin.edges, twin.named, twin.holders = (
+        defaultdict(list, {key: entries.copy() for key, entries in lists.items()})
+        for lists in (index.edges, index.named, index.holders)
+    )
+    twin.witness = index.witness
+    twin.live = {kind: pivots.copy() for kind, pivots in index.live.items()}
+    twin.reached = dict(index.reached)
+    twin.trail = None
+    return twin
+
+
+def index_fields(index: BranchIndex) -> dict:
+    """Every field of `index` but its trail, each list copied, and `at` as
+    its facts with their labels in the order the index holds them."""
+    lists = {name: getattr(index, name) for name in ("edges", "named", "holders", "live")}
+    return {
+        "at": list(index.at.items()),
+        **{name: {key: list(v) for key, v in d.items()} for name, d in lists.items()},
+        "witness": index.witness,
+        "reached": dict(index.reached),
+    }
+
+
+def tuple_search(
+    abox: Abox, resumed: Optional[list[BranchIndex]] = None
+) -> tuple[Verdict, list[Abox], list[Abox]]:
     """The backjumping search with a branch tuple: the verdict, with every
     step recorded, the branches tested for a clash and the branches a rule
     was chosen on, each list in the order the search reached them.
 
-    It is the engine's loop as it was before the engine dropped the tuple:
-    each step's successor is built as `added + branch`, the clash test is
-    given the tuple, the record's `before` is the tuple, and the open branch
-    is the last tuple built. Labels and jumps are the engine's.
+    It is the engine's loop as it was before the engine dropped the tuple
+    and kept one index: each step's successor is built as `added + branch`,
+    the clash test is given the tuple, the record's `before` is the tuple,
+    the open branch is the last tuple built, and a ⊔ step copies the index
+    for its right successor. Labels and jumps are the engine's. Each jump
+    appends to `resumed`, when given, a copy of the index it resumes from,
+    as the ⊔ step copied it.
     """
     root = dedup_facts(abox)
     trace: list[RuleApplication] = []
@@ -596,6 +630,8 @@ def tuple_search(abox: Abox) -> tuple[Verdict, list[Abox], list[Abox]]:
             if not pending:
                 return Unsatisfiable(tuple(trace), closed), tested, chosen
             app, label, index = pending.pop()
+            if resumed is not None:
+                resumed.append(copy_index(index))
             added = app.added[1]
             branch = added + app.before
             label |= depends & ~(1 << len(pending))
@@ -609,7 +645,7 @@ def tuple_search(abox: Abox) -> tuple[Verdict, list[Abox], list[Abox]]:
         trace.append(app)
         added, label = app.added[0], at[app.pivot]
         if app.kind is RuleKind.OR:
-            pending.append((app, label, index.copy()))
+            pending.append((app, label, copy_index(index)))
             label |= 1 << (len(pending) - 1)
         elif app.kind is RuleKind.ALL and pending:
             label |= at[Rel(app.pivot.concept.role, app.pivot.subject, added[0].subject)]

@@ -56,7 +56,7 @@ from corpus import (
     random_nnf_abox,
     wide_exists,
 )
-from reference import check_run_soundness, reference_search, step_on
+from reference import check_run_soundness, index_fields, reference_search, step_on
 
 A, B = Atom("A"), Atom("B")
 r = Role("r")
@@ -358,6 +358,72 @@ def test_a_reasserted_fact_keeps_its_label():
     assert [n for n, app in enumerate(verdict.trace) if app.skipped] == [4]
     abox = (Inst(x0, nnf(concept)),)
     assert replay_trace(abox, verdict.trace) == verdict.open_branch
+
+
+C, D = Atom("C"), Atom("D")
+s = Role("s")
+
+
+def decide_with_jumps(abox, monkeypatch):
+    """The traced, checked verdict on `abox`, and per backjump the fields of
+    the index just before its undo and just after."""
+    jumps = []
+    undo = BranchIndex.undo
+
+    def recorded_undo(index, mark, witness):
+        before = index_fields(index)
+        undo(index, mark, witness)
+        jumps.append((before, index_fields(index)))
+
+    monkeypatch.setattr(BranchIndex, "undo", recorded_undo)
+    cfg = EngineConfig(record_trace=True, check_measure=True)
+    return decide_sat_abox(abox, cfg), jumps
+
+
+# the left disjunct x : ∀r.¬C refutes the witness of x : ∃r.C
+REFUTED_WITNESS = (Inst(x, Or(All(r, Not(C)), B)), Inst(x, Some(r, C)))
+
+
+def test_a_pivot_popped_after_a_choice_fires_again_on_the_right_alternative(monkeypatch):
+    # selection popped x : ∃r.C when it fired below the choice; the jump
+    # puts it back, so it fires again on the right alternative, x : B
+    verdict, [(before, after)] = decide_with_jumps(REFUTED_WITNESS, monkeypatch)
+    some = REFUTED_WITNESS[1]
+    assert some not in before["live"][RuleKind.SOME] and after["live"][RuleKind.SOME] == [some]
+    assert [app.pivot for app in verdict.trace if app.kind is RuleKind.SOME] == [some, some]
+    assert isinstance(verdict, Satisfiable)
+    assert verdict.open_branch == reference_search(REFUTED_WITNESS).open_branch
+    assert satisfies_abox(verdict.model, REFUTED_WITNESS)
+    assert replay_trace(REFUTED_WITNESS, verdict.trace) == verdict.open_branch
+
+
+def test_a_fresh_witness_on_the_right_alternative_gets_the_parent_s_number(monkeypatch):
+    # the left alternative made _0 and closed; the jump sets the next witness
+    # back, so the right one makes _0 again, as a copy of the parent would
+    verdict, [(before, after)] = decide_with_jumps(REFUTED_WITNESS, monkeypatch)
+    assert (before["witness"], after["witness"]) == (1, 0)
+    fresh = [app.fresh for app in verdict.trace if app.kind is RuleKind.SOME]
+    assert fresh == [Anon(0), Anon(0)]
+    assert {Rel(r, x, Anon(0)), Inst(Anon(0), C)} <= set(verdict.open_branch)
+
+
+def test_a_universal_cursor_moved_after_a_choice_moves_back(monkeypatch):
+    # on the left alternative, x : ∀s.¬D, the cursor of x : ∀r.C passes the
+    # witness of x : ∃r.C, and then the witness of x : ∃s.D clashes. The
+    # jump moves the cursor back, so on the right alternative, x : ∃r.¬C,
+    # the ∀ step reaches that alternative's witness and closes the branch;
+    # a cursor left at 1 would pass the witness unchecked and answer SAT
+    abox = (
+        Inst(x, Or(All(s, Not(D)), Some(r, Not(C)))),
+        Inst(x, Some(r, C)),
+        Inst(x, Some(s, D)),
+        Inst(x, All(r, C)),
+    )
+    verdict, [(before, after)] = decide_with_jumps(abox, monkeypatch)
+    assert before["reached"] == {(x, All(r, C)): 1} and after["reached"] == {}
+    assert isinstance(verdict, Unsatisfiable)
+    assert isinstance(reference_search(abox), Unsatisfiable)
+    assert replay_trace(abox, verdict.trace) is None
 
 
 def test_search_reads_the_index_not_the_branch(monkeypatch):

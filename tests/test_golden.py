@@ -42,7 +42,9 @@ more runs that backjumping prunes, they also gate the jumps: the engine
 must return what a search that tries every alternative returns, after
 closing no more branches, and its trace must replay, while no single flip
 of a ⊔ record's `skipped` flag may change what the replay returns, and no
-record whose fronts or witness are not the rule's may replay.
+record whose fronts or witness are not the rule's may replay. After each
+jump, the one index the search keeps, undone by its trail, must equal
+field by field the copy the tuple search took at the resumed ⊔ step.
 """
 
 import copy
@@ -242,12 +244,12 @@ REFERENCE_PREMISE = {RuleKind.ALL: reference.all_premise, RuleKind.SOME: referen
 
 def assert_index_matches(branch, index):
     """The index holds the branch's facts, its edges, named targets and each
-    concept's witnesses in branch order and its next witness, as scans of
-    the tuple find them, and per rule kind, a list of live pivots of that
-    kind that is in branch order read from its end and includes every pivot
-    the rule applies at. Each ∀ cursor passes only successors that hold the
-    body, and at each live ∃ and ∀ pivot, the indexed premise is the
-    scan's."""
+    concept's witnesses in lists that are in branch order read from their
+    end, and its next witness, as scans of the tuple find them, and per
+    rule kind, a list of live pivots of that kind that is in branch order
+    read from its end and includes every pivot the rule applies at. Each ∀
+    cursor passes only successors that hold the body, and at each live ∃
+    and ∀ pivot, the indexed premise is the scan's."""
     assert index.at.keys() == set(branch)
     edges, named, holders = {}, {}, {}
     for g in branch:
@@ -257,9 +259,9 @@ def assert_index_matches(branch, index):
                 named[g.role, g.source] = (*named.get((g.role, g.source), ()), g.target)
         elif isinstance(g.subject, Anon):
             holders[g.concept] = (*holders.get(g.concept, ()), g.subject)
-    assert index.edges == edges
-    assert index.named == named
-    assert index.holders == holders
+    for lists, scanned in ((index.edges, edges), (index.named, named), (index.holders, holders)):
+        assert all(type(entries) is list for entries in lists.values())
+        assert {key: tuple(reversed(entries)) for key, entries in lists.items()} == scanned
     assert Anon(index.witness) == fresh_individual(branch)
     for (x, c), passed in index.reached.items():
         targets = edges.get((c.role, x), ())
@@ -379,6 +381,58 @@ def test_backjumping_returns_what_the_full_search_returns():
             pruned += verdict.closed_branches < full.closed_branches
             assert replay_trace(abox, verdict.trace) is None
     assert len(kinds) == 2 and pruned > 0
+
+
+def test_a_backjump_undoes_the_index_to_the_copy_taken_at_its_step(monkeypatch):
+    # one index serves the search, and a jump undoes its trail down to the
+    # resumed ⊔ step's mark: the index is then, field by field, the copy the
+    # tuple search took at that step, labels, live pivots and ∀ cursors
+    # included. Replay resumes the same alternatives; it pops no pivot and
+    # labels no fact, so there its facts, lists and next witness are compared
+    undone, nested, kinds = [], [], Counter()
+    undo = BranchIndex.undo
+
+    def recorded_undo(index, mark, witness):
+        if not nested:
+            # what the jump undoes: fronts, popped pivots, moved ∀ cursors
+            kinds.update(type(entry).__name__ for entry in index.trail[mark:])
+            kinds["witnesses"] += index.witness != witness
+        undo(index, mark, witness)
+        assert len(index.trail) == mark
+        if not nested:
+            undone.append(reference.index_fields(index))
+
+    def nested_search(abox, cfg=None):
+        # the search replay runs on a skipped alternative jumps on its own index
+        nested.append(abox)
+        try:
+            return decide_sat_abox(abox, cfg)
+        finally:
+            nested.pop()
+
+    monkeypatch.setattr(BranchIndex, "undo", recorded_undo)
+    monkeypatch.setattr(engine, "decide_sat_abox", nested_search)
+    replayed = ("at", "edges", "named", "holders", "witness")
+    jumps = 0
+    for abox in backjumping_inputs():
+        copies = []
+        reference.tuple_search(abox, copies)
+        expected = [reference.index_fields(index) for index in copies]
+        for cfg in (None, EngineConfig(record_trace=True)):
+            undone.clear()
+            verdict = decide_sat_abox(abox, cfg)
+            assert undone == expected
+        undone.clear()
+        assert replay_trace(abox, verdict.trace) == getattr(verdict, "open_branch", None)
+        for fields in (*undone, *expected):
+            fields["at"] = [fact for fact, _ in fields["at"]]
+        assert [{k: f[k] for k in replayed} for f in undone] == [
+            {k: f[k] for k in replayed} for f in expected
+        ]
+        jumps += len(expected)
+    # the jumps undid fronts, popped pivots, moved cursors and witnesses
+    assert jumps > 500
+    assert (+kinds).keys() == {"tuple", "Inst", "list", "witnesses"}
 
 
 def test_untraced_search_returns_what_the_traced_one_returns():

@@ -40,7 +40,14 @@ EXIT_LIMIT = 4
 
 def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trace", metavar="PATH", help="write the rule-application trace to PATH")
+    common.add_argument(
+        "--trace", metavar="PATH", help="write the trace to PATH, one JSON line per rule application"
+    )
+    common.add_argument(
+        "--trace-measures",
+        action="store_true",
+        help="with --trace, add the paper's measure of each step's branch and first successor",
+    )
     common.add_argument(
         "--check-measure",
         action="store_true",
@@ -90,11 +97,11 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     )
 
 
-def _write_trace(path: Optional[str], verdict: Verdict) -> None:
-    if path is None:
+def _write_trace(args: argparse.Namespace, verdict: Verdict) -> None:
+    if args.trace is None:
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in emit_trace(verdict.trace):
+    with open(args.trace, "w", encoding="utf-8") as handle:
+        for line in emit_trace(verdict.trace, measures=args.trace_measures):
             handle.write(line + "\n")
 
 
@@ -110,7 +117,7 @@ def _cmd_sat(args: argparse.Namespace) -> int:
     text = args.concept if args.concept is not None else _read(args.file)
     concept = parse_concept(text)
     verdict = decide_concept_sat(concept, _engine_config(args))
-    _write_trace(args.trace, verdict)
+    _write_trace(args, verdict)
     if isinstance(verdict, Satisfiable):
         print("SAT")
         if args.model:
@@ -124,7 +131,7 @@ def _cmd_consistent(args: argparse.Namespace) -> int:
     abox = parse_abox(_read(args.file))
     normalized = [Inst(f.subject, nnf(f.concept)) if isinstance(f, Inst) else f for f in abox]
     verdict = decide_sat_abox(normalized, _engine_config(args))
-    _write_trace(args.trace, verdict)
+    _write_trace(args, verdict)
     if isinstance(verdict, Satisfiable):
         print("CONSISTENT")
         return EXIT_POSITIVE
@@ -136,7 +143,7 @@ def _cmd_subsumes(args: argparse.Namespace) -> int:
     sub = parse_concept(args.sub)
     sup = parse_concept(args.sup)
     verdict = decide_concept_sat(And(sub, Not(sup)), _engine_config(args))
-    _write_trace(args.trace, verdict)
+    _write_trace(args, verdict)
     if isinstance(verdict, Satisfiable):
         print("NO")
         return EXIT_NEGATIVE
@@ -168,6 +175,8 @@ def cli(argv: Optional[list[str]] = None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "trace_measures", False) and args.trace is None:
+            parser.error("--trace-measures needs --trace")
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors
         return EXIT_POSITIVE if exc.code in (0, None) else EXIT_USAGE

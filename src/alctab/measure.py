@@ -101,7 +101,7 @@ def measure_abox(abox: Abox) -> Counter:
 
 @lru_cache(maxsize=4)
 def _measure(abox: Abox) -> dict[MeasurePair, int]:
-    # imported here: a run that neither checks nor traces never loads delta
+    # imported here: a run that neither checks nor prints measures never loads delta
     from .delta import branch_measure
 
     if len(set(abox)) < len(abox):

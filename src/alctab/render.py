@@ -38,12 +38,15 @@ def _measure_pairs(abox: Abox) -> list[list[int]]:
     return [list(p) for p in sorted(measure_abox(abox).elements(), reverse=True)]
 
 
-def emit_trace(trace: Iterable[RuleApplication]) -> Iterator[str]:
+def emit_trace(trace: Iterable[RuleApplication], *, measures: bool = False) -> Iterator[str]:
     """One JSON line per rule application, in application order.
 
-    `measure_after` is the measure of the first successor, the branch the
-    depth-first search expands next. `skipped` is true on a disjunction step
-    whose right successor the search discarded unexplored.
+    `skipped` is true on a disjunction step whose right successor the search
+    discarded unexplored. With `measures`, each record also carries the
+    paper's measure of its branch, `measure_before`, and of its first
+    successor, the branch the depth-first search expands next,
+    `measure_after`; they cost two branch scans per record, so a record
+    holds them only on request.
     """
     import json  # on first use, so a run that writes no trace never loads it
 
@@ -56,7 +59,8 @@ def emit_trace(trace: Iterable[RuleApplication]) -> Iterator[str]:
             "successors": len(app.added),
             "fresh": print_individual(app.fresh) if app.fresh is not None else None,
             "skipped": app.skipped,
-            "measure_before": _measure_pairs(app.before),
-            "measure_after": _measure_pairs(app.added[0] + app.before),
         }
+        if measures:
+            record["measure_before"] = _measure_pairs(app.before)
+            record["measure_after"] = _measure_pairs(app.added[0] + app.before)
         yield json.dumps(record, sort_keys=True)

@@ -48,6 +48,9 @@ def test_every_patched_span_is_called():
             cfg = EngineConfig(record_trace=True, check_measure=True, measure_violations=[])
             verdict = api.decide_concept_sat(api.parse_concept(text), cfg)
             api.render_trace(verdict.trace)
+            # the harness renders the default format, which measures no
+            # branch; the span must still wrap what a measured trace calls
+            list(alctab.render.emit_trace(verdict.trace, measures=True))
             kinds.update(app.kind.value for app in verdict.trace)
     for name in (
         "engine.search",

@@ -12,7 +12,7 @@ from alctab.engine import Satisfiable, decide_concept_sat
 from alctab.parser import print_concept
 from alctab.semantics import OracleConfig, oracle_find_model
 from alctab.syntax import Inst, Named, abox_signature
-from corpus import ATOMS2, ROLE1, random_concept
+from corpus import ATOMS2, ROLE1, irrelevant_or, random_concept
 
 
 def run(capsys, *argv):
@@ -165,6 +165,29 @@ def test_trace_flag_writes_records(capsys, tmp_path):
     assert record["rule"] == "and" and record["pivot"] == "x0 : A and B"
 
 
+def test_the_traces_of_irrelevant_or_6_are_pinned(capsys, tmp_path):
+    concept = tmp_path / "or6.txt"
+    concept.write_text(print_concept(irrelevant_or(6)) + "\n")
+    artifacts = Path(__file__).parent / "artifacts"
+    for flags, pinned in (([], "or6_trace_plain.jsonl"), (["--trace-measures"], "or6_trace.jsonl")):
+        trace = tmp_path / pinned
+        argv = ["sat", "--file", str(concept), "--trace", str(trace), "--check-measure", *flags]
+        assert run(capsys, *argv)[:2] == (1, "UNSAT\n")
+        assert trace.read_bytes() == (artifacts / pinned).read_bytes()
+
+
+def test_trace_measures_without_a_trace_is_a_usage_error(capsys, tmp_path):
+    abox = tmp_path / "kb.abox"
+    abox.write_text("x : A\n")
+    for argv in (
+        ["sat", "A and B"],
+        ["consistent", "--file", str(abox)],
+        ["subsumes", "A and B", "A"],
+    ):
+        code, out, err = run(capsys, *argv, "--trace-measures")
+        assert code == 2 and out == "" and "--trace-measures needs --trace" in err
+
+
 def test_consistent_traces_a_repeated_fact_as_stated_once(capsys, tmp_path):
     # the parser rejects a fact stated twice as written, but two statements
     # can have one normal form; the search, not the CLI, drops the repeat
@@ -257,10 +280,13 @@ def test_a_plain_run_does_not_load_the_measure_state(tmp_path):
         assert (run.returncode, run.stdout) == (0, "SAT\n")
         return run.stderr == "True\n"
 
+    trace = str(tmp_path / "trace.jsonl")
     assert not loaded()
-    # the check and the trace's measures are the state's
+    # a trace prints the paper's measures, which the state computes, only
+    # on request
+    assert not loaded("--trace", trace)
+    assert loaded("--trace", trace, "--trace-measures")
     assert loaded("--check-measure")
-    assert loaded("--trace", str(tmp_path / "trace.jsonl"))
 
 
 # the modules only a dataclass, a written trace or a path object needs; a

@@ -6,8 +6,9 @@ The verdict-type digest covers only whether each run is satisfiable. It
 must never change: no change to the search may turn a verdict. The verdict
 digest covers, for every run, the verdict and, for satisfiable
 runs, the printed open branch and the rendered model: what a caller gets.
-The search digest covers the full JSONL trace and, for unsatisfiable runs,
-the number of closed branches: how the search got there. A change that
+The search digest covers the full JSONL trace, with the paper's measures
+each record carries on request, and, for unsatisfiable runs, the number of
+closed branches: how the search got there. A change that
 prunes only closed branches may change the search digest, never the
 verdict digest; one that changes open branches, as witness reuse did, may
 change both, but never the verdict types. The runs are the
@@ -37,7 +38,9 @@ every step the measure state must weigh each individual as the
 whole-branch reference does, before the step and after it, on the branch
 read off the index, and the whole multisets must decrease;
 the progress check must answer as the whole-branch one, and the paper's
-pairs the trace prints must be the reference's scans. With
+pairs the trace prints must be the reference's scans. A default trace
+record is its measured record without the two measures, and rendering it
+measures no branch. With
 more runs that backjumping prunes, they also gate the jumps: the engine
 must return what a search that tries every alternative returns, after
 closing no more branches, and its trace must replay, while no single flip
@@ -49,13 +52,14 @@ field by field the copy the tuple search took at the resumed ⊔ step.
 
 import copy
 import hashlib
+import json
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
 import reference
-from alctab import engine
+from alctab import engine, render
 from alctab.engine import (
     EngineConfig,
     Satisfiable,
@@ -154,7 +158,7 @@ def verdict_lines(verdict):
 def search_lines(verdict):
     if not isinstance(verdict, Satisfiable):
         yield str(verdict.closed_branches)
-    yield from emit_trace(verdict.trace)
+    yield from emit_trace(verdict.trace, measures=True)
 
 
 def digest(lines):
@@ -512,6 +516,38 @@ def test_trace_measures_are_the_whole_branch_scans():
                 assert measure_abox(branch) == reference.measure_abox(branch)
                 measured += 1
     assert measured == 6328
+
+
+def test_a_default_record_is_its_measured_record_without_the_measures():
+    records = 0
+    for verdict in verdicts():
+        measured = emit_trace(verdict.trace, measures=True)
+        for plain, line in zip(emit_trace(verdict.trace), measured, strict=True):
+            record = json.loads(line)
+            del record["measure_before"], record["measure_after"]
+            assert plain == json.dumps(record, sort_keys=True)
+            records += 1
+    assert records == 3164
+
+
+def test_a_trace_measures_branches_only_on_request(monkeypatch):
+    # the cost matches what was asked for: no branch scan by default, and
+    # with the measures one scan each of a record's branch and first successor
+    calls = 0
+
+    def counted(abox):
+        nonlocal calls
+        calls += 1
+        return measure_abox(abox)
+
+    monkeypatch.setattr(render, "measure_abox", counted)
+    traces = [verdict.trace for verdict in verdicts()]
+    for trace in traces:
+        deque(emit_trace(trace), maxlen=0)
+    assert calls == 0
+    for trace in traces:
+        deque(emit_trace(trace, measures=True), maxlen=0)
+    assert calls == 2 * sum(map(len, traces)) == 6328
 
 
 def test_measure_steps_match_whole_branch_measures(monkeypatch):

@@ -215,7 +215,8 @@ def test_measures_on_saturated_branches():
 
 @pytest.mark.parametrize(
     "concept, checked, traced",
-    # the checks measure no whole branch; the trace measures each once
+    # the checks and a default trace measure no whole branch; a trace
+    # rendered with its measures measures each branch once
     [(exists_tree(4), 0, 76), (pigeonhole(3, 2), 0, 42)],
     ids=["T_4", "PHP(3,2)"],
 )
@@ -239,7 +240,8 @@ def test_each_branch_is_measured_once(monkeypatch, concept, checked, traced):
     cfg = EngineConfig(check_measure=True, measure_violations=[])
     assert measures(lambda: decide_concept_sat(concept, cfg)) <= checked
     trace = decide_concept_sat(concept, EngineConfig(record_trace=True)).trace
-    assert measures(lambda: list(emit_trace(trace))) <= traced
+    assert measures(lambda: list(emit_trace(trace))) == 0
+    assert measures(lambda: list(emit_trace(trace, measures=True))) <= traced
 
 
 @pytest.mark.parametrize(

@@ -40,11 +40,15 @@ def test_emit_model_byte_deterministic():
     assert a == b
 
 
+DEFAULT_KEYS = {"step", "rule", "pivot", "pivot_index", "successors", "fresh", "skipped"}
+
+
 def test_emit_trace_and_rule_record():
     verdict = decide_sat_abox((Inst(x, And(A, B)),), EngineConfig(record_trace=True))
-    lines = list(emit_trace(verdict.trace))
+    lines = list(emit_trace(verdict.trace, measures=True))
     assert len(lines) == 1
     record = json.loads(lines[0])
+    assert record.keys() == DEFAULT_KEYS | {"measure_before", "measure_after"}
     assert record["step"] == 0
     assert record["rule"] == "and"
     assert record["pivot"] == "x : A and B"
@@ -54,6 +58,14 @@ def test_emit_trace_and_rule_record():
     assert record["skipped"] is False
     assert record["measure_before"] == [[3, 0]]
     assert record["measure_after"] == [[0, 0], [0, 0], [0, 0]]
+
+
+def test_a_default_record_holds_no_measure():
+    concept = And(Or(A, B), And(Some(r, A), All(r, B)))
+    verdict = decide_sat_abox((Inst(x, concept),), EngineConfig(record_trace=True))
+    records = [json.loads(line) for line in emit_trace(verdict.trace)]
+    assert {rec["rule"] for rec in records} == {"and", "or", "some", "all"}
+    assert all(rec.keys() == DEFAULT_KEYS for rec in records)
 
 
 def test_emit_trace_some_rule_records_witness():
@@ -79,7 +91,7 @@ def test_emit_trace_empty():
 def test_emit_trace_measures_sorted_descending():
     abox = (Inst(x, And(A, And(A, B))), Inst(y, And(A, B)))
     verdict = decide_sat_abox(abox, EngineConfig(record_trace=True))
-    for line in emit_trace(verdict.trace):
+    for line in emit_trace(verdict.trace, measures=True):
         record = json.loads(line)
         for key in ("measure_before", "measure_after"):
             pairs = [tuple(p) for p in record[key]]

@@ -12,7 +12,7 @@ from alctab.engine import Satisfiable, decide_concept_sat
 from alctab.parser import print_concept
 from alctab.semantics import OracleConfig, oracle_find_model
 from alctab.syntax import Inst, Named, abox_signature
-from corpus import ATOMS2, ROLE1, irrelevant_or, random_concept
+from corpus import ATOMS2, ROLE1, random_concept
 
 
 def run(capsys, *argv):
@@ -163,17 +163,6 @@ def test_trace_flag_writes_records(capsys, tmp_path):
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["rule"] == "and" and record["pivot"] == "x0 : A and B"
-
-
-def test_the_traces_of_irrelevant_or_6_are_pinned(capsys, tmp_path):
-    concept = tmp_path / "or6.txt"
-    concept.write_text(print_concept(irrelevant_or(6)) + "\n")
-    artifacts = Path(__file__).parent / "artifacts"
-    for flags, pinned in (([], "or6_trace_plain.jsonl"), (["--trace-measures"], "or6_trace.jsonl")):
-        trace = tmp_path / pinned
-        argv = ["sat", "--file", str(concept), "--trace", str(trace), "--check-measure", *flags]
-        assert run(capsys, *argv)[:2] == (1, "UNSAT\n")
-        assert trace.read_bytes() == (artifacts / pinned).read_bytes()
 
 
 def test_trace_measures_without_a_trace_is_a_usage_error(capsys, tmp_path):

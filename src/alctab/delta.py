@@ -3,7 +3,10 @@
 A `MeasureState` keeps the per-individual termination measure of
 `alctab.measure` as a branch grows, and a checked search carries one with
 each branch, so that a step is checked from the weights of the individuals
-its front changes, not from two whole branches. `branch_measure` gives the
+its front changes, not from two whole branches. `advance` runs on every
+checked step, the input's included, so it costs only the front: it reads
+the state and the index through locals, weighs the individuals it changes
+inline, and builds no function per call. `branch_measure` gives the
 paper's pairs of a whole branch, which the trace prints, from one scan.
 """
 
@@ -15,7 +18,7 @@ from typing import Optional
 
 from .measure import ConceptCounts, MeasurePair, _counts
 from .rules import AND_RULE, OR_RULE, SOME_RULE, BranchIndex
-from .syntax import Abox, All, And, Concept, Individual, Inst, Or, Rel, Some, individuals_of, lookup
+from .syntax import Abox, All, And, Individual, Inst, Or, Rel, Some, individuals_of, lookup
 
 # the index of the empty branch, which nothing grows
 _NO_BRANCH = BranchIndex(())
@@ -44,12 +47,15 @@ class MeasureState:
     def __init__(self, branch: Abox) -> None:
         """The state of the input `branch`, which holds each fact once; its
         individuals have k = K, the largest role depth of its concepts."""
-        self.counts: ConceptCounts = {}
-        concepts = [f.concept for f in branch if type(f) is Inst]
-        top = max((_counts(c, self.counts)[2] for c in concepts), default=0)
+        counts: ConceptCounts = {}
+        top = 0
+        for f in branch:
+            if type(f) is Inst:
+                top = max(top, _counts(f.concept, counts)[2])
         room = [0] * (top + 1)
-        for _, _, depth in self.counts.values():
+        for _, _, depth in counts.values():
             room[depth] += 1
+        self.counts = counts
         self.room = list(accumulate(room))
         self.labels = dict.fromkeys(individuals_of(branch), (top, 0, ()))
         self.somes, self.incoming, self.exists, self.open = {}, {}, {}, set()
@@ -82,84 +88,95 @@ class MeasureState:
         the smaller side: the ∃ facts on the source along the role, or the
         label. A new ∃ fact is open unless a successor holds its body.
         """
-        at, added = index.at, set(front)
-        labels, somes, incoming, exists, opened = (
-            self.labels, self.somes, self.incoming, self.exists, self.open
+        at, added, successors, counts = index.at, set(front), index.edges, self.counts
+        labels, somes, incoming, exists, opened, room = (
+            self.labels, self.somes, self.incoming, self.exists, self.open, self.room
         )
-        weight = self.weight
         before: dict[Individual, Optional[Weight]] = {}  # the changed ones, None if new
-        broken: list[str] = []  # how the step fails the check
-        if len(added) < len(front):
-            broken.append(_INVARIANT + "gives a fact twice")
-
-        def holds(y: Individual, c: Concept) -> bool:
-            return (y, c) in at or (y, c) in added
-
-        def close(g: tuple) -> None:
-            """Close the ∃ fact with field tuple `g`, if it is open."""
-            if g in opened:
-                opened.discard(g)
-                x = g[0]
-                if x not in before:
-                    before[x] = weight(x)
-                somes[x] -= 1
-
-        edges = [f for f in front if type(f) is Rel]
-        for f in edges:
-            if f.target not in labels and f.source in labels:
-                k = labels[f.source][0] - 1
-                if k < 0:
-                    broken.append(_INVARIANT + "makes a witness below role depth 0")
-                before[f.target] = None
-                labels[f.target] = (max(k, 0), 0, ())
+        # the first condition the step is found to break, if any
+        failure = _INVARIANT + "gives a fact twice" if len(added) < len(front) else None
+        edges = []
+        for f in front:
+            if type(f) is Rel:
+                edges.append(f)
+                if f.target not in labels and f.source in labels:
+                    k = labels[f.source][0] - 1
+                    if k < 0:
+                        failure = failure or _INVARIANT + "makes a witness below role depth 0"
+                    before[f.target] = None
+                    labels[f.target] = (max(k, 0), 0, ())
         for f in front:
             if type(f) is Rel:
                 continue
             y, c = f.subject, f.concept
             if y not in labels:
-                broken.append(_INVARIANT + "puts a fact on an individual no edge brings in")
+                failure = failure or _INVARIANT + "puts a fact on an individual no edge brings in"
                 continue
-            if y not in before:
-                before[y] = weight(y)
             k, size, label = labels[y]
-            known = self.counts.get(c)
+            if y not in before:
+                before[y] = (k, room[k] - size, somes.get(y, 0))
+            known = counts.get(c)
             if known is None:
-                broken.append(_INVARIANT + "asserts a concept outside the input's subterms")
+                failure = failure or _INVARIANT + "asserts a concept outside the input's subterms"
             elif known[2] > k:
-                broken.append(_INVARIANT + "asserts a concept above its individual's depth bound")
+                failure = failure or (
+                    _INVARIANT + "asserts a concept above its individual's depth bound"
+                )
             labels[y] = (k, size + 1, (c, label))
             for role, x in incoming.get(y, ()):
-                close((x, lookup(Some, role, c)))
+                if (g := (x, lookup(Some, role, c))) in opened:
+                    self._close(g, before)
             if type(c) is Some:
-                key = (c.role, y)
+                key, child = (c.role, y), c.child
                 exists[key] = (*exists.get(key, ()), f)
-                if not any(holds(z, c.child) for z in index.successors(*key)):
+                for z in successors.get(key, ()):
+                    if (z, child) in at or (z, child) in added:
+                        break
+                else:
                     opened.add(f)
                     somes[y] = somes.get(y, 0) + 1
         # the new edges, once every new fact is in its subject's label
         for f in edges:
             role, x, y = f.role, f.source, f.target
             if x not in labels:
-                broken.append(_INVARIANT + "adds an edge from an individual not on the branch")
+                failure = failure or (
+                    _INVARIANT + "adds an edge from an individual not on the branch"
+                )
                 continue
             incoming[y] = (*incoming.get(y, ()), (role, x))
             facts = exists.get((role, x), ())
             _, size, label = labels[y]
             if len(facts) <= size:
                 for g in facts:
-                    if holds(y, g.concept.child):
-                        close(g)
+                    child = g.concept.child
+                    if g in opened and ((y, child) in at or (y, child) in added):
+                        self._close(g, before)
             else:
                 while label:
                     c, label = label
-                    close((x, lookup(Some, role, c)))
+                    if (g := (x, lookup(Some, role, c))) in opened:
+                        self._close(g, before)
         # the weights are totally ordered, so the multiset after the step is
         # smaller exactly when its changed weights, largest first, are
-        after = sorted(map(weight, before), reverse=True)
+        after = []
+        for x in before:
+            k, size, _ = labels[x]
+            after.append((k, room[k] - size, somes.get(x, 0)))
+        after.sort(reverse=True)
         if not after < sorted(filter(None, before.values()), reverse=True):
-            broken.append("did not lower the branch measure")
-        self.failure = broken[0] if broken else None
-        return not broken
+            failure = failure or "did not lower the branch measure"
+        self.failure = failure
+        return failure is None
+
+    def _close(self, g: tuple, before: dict) -> None:
+        """Close the open ∃ fact with field tuple `g`, first keeping its
+        subject's weight in `before` if the step has not changed it yet; a
+        step closes few, so this one weighs through `weight`."""
+        self.open.discard(g)
+        x = g[0]
+        if x not in before:
+            before[x] = self.weight(x)
+        self.somes[x] -= 1
 
 
 # the ⊓, ⊔ and ∃ pivots weigh their concept size while their rule applies

@@ -260,6 +260,10 @@ def _witness(adds: tuple[Abox, ...]) -> Optional[Individual]:
     return front[1].subject if len(front) == 2 else None
 
 
+# `alctab.delta.MeasureState` once a checked search has imported it
+_MeasureState: Optional[type[MeasureState]] = None
+
+
 def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     """Decide satisfiability of an ABox whose concepts are already normalized.
 
@@ -301,6 +305,7 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
     the size of the branch. The trail is kept only while an alternative
     waits.
     """
+    global _MeasureState
     cfg = cfg or EngineConfig()
     record, check, max_steps = cfg.record_trace, cfg.check_measure, cfg.max_steps
     root = dedup_facts(abox)
@@ -350,11 +355,11 @@ def decide_sat_abox(abox: Abox, cfg: Optional[EngineConfig] = None) -> Verdict:
         right_measure = None
         if check:
             if measure is None:
-                # the first step is the root's; an unchecked search never
-                # imports the state
-                from .delta import MeasureState
-
-                measure = MeasureState(root)
+                # the first step is the root's; the first checked search
+                # imports the state, so an unchecked one never loads it
+                if _MeasureState is None:
+                    from .delta import MeasureState as _MeasureState
+                measure = _MeasureState(root)
             right_measure = _check_measures(app, index, measure, cfg)
         added, label = app.added[0], at[app.pivot]
         if app.kind is _OR:

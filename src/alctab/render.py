@@ -33,9 +33,13 @@ def emit_model(interp: Interpretation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _measure_pairs(abox: Abox) -> list[list[int]]:
-    # descending, with multiplicity
-    return [list(p) for p in sorted(measure_abox(abox).elements(), reverse=True)]
+def _measure_pairs(abox: Abox) -> str:
+    # descending, with multiplicity; a list of int lists prints as its JSON
+    return str([list(p) for p in sorted(measure_abox(abox).elements(), reverse=True)])
+
+
+# json's string escaper, bound by the first trace written
+_quote = None
 
 
 def emit_trace(trace: Iterable[RuleApplication], *, measures: bool = False) -> Iterator[str]:
@@ -46,21 +50,23 @@ def emit_trace(trace: Iterable[RuleApplication], *, measures: bool = False) -> I
     paper's measure of its branch, `measure_before`, and of its first
     successor, the branch the depth-first search expands next,
     `measure_after`; they cost two branch scans per record, so a record
-    holds them only on request.
+    holds them only on request. Each line is `json.dumps(record,
+    sort_keys=True)`, written from one format over the fixed keys, with
+    strings escaped by the escaper `json.dumps` uses.
     """
-    import json  # on first use, so a run that writes no trace never loads it
-
+    global _quote
+    if _quote is None:  # on first use, so a run that writes no trace never loads json
+        from json.encoder import encode_basestring_ascii as _quote
+    quote, pairs = _quote, ""
     for step, app in enumerate(trace):
-        record = {
-            "step": step,
-            "rule": app.kind.value,
-            "pivot": print_fact(app.pivot),
-            "pivot_index": app.pivot_index,
-            "successors": len(app.added),
-            "fresh": print_individual(app.fresh) if app.fresh is not None else None,
-            "skipped": app.skipped,
-        }
         if measures:
-            record["measure_before"] = _measure_pairs(app.before)
-            record["measure_after"] = _measure_pairs(app.added[0] + app.before)
-        yield json.dumps(record, sort_keys=True)
+            before = _measure_pairs(app.before)
+            after = _measure_pairs(app.added[0] + app.before)
+            pairs = f'"measure_after": {after}, "measure_before": {before}, '
+        fresh = "null" if app.fresh is None else quote(print_individual(app.fresh))
+        yield (
+            f'{{"fresh": {fresh}, {pairs}"pivot": {quote(print_fact(app.pivot))}, '
+            f'"pivot_index": {app.pivot_index}, "rule": "{app.kind.value}", '
+            f'"skipped": {"true" if app.skipped else "false"}, "step": {step}, '
+            f'"successors": {len(app.added)}}}'
+        )

@@ -58,6 +58,8 @@ class RuleKind(enum.Enum):
 
 # the rule kind of each pivot's concept constructor
 _KIND_OF_SHAPE = {And: RuleKind.AND, Or: RuleKind.OR, All: RuleKind.ALL, Some: RuleKind.SOME}
+# the kinds in declaration order, iterated without Enum's Python iterator
+_KINDS = tuple(RuleKind)
 
 
 class BranchIndex:
@@ -99,7 +101,7 @@ class BranchIndex:
         self.named: dict[tuple[Role, Individual], list[Named]] = defaultdict(list)
         self.holders: dict[Concept, list[Anon]] = defaultdict(list)
         self.witness = 0
-        self.live: dict[RuleKind, list[Inst]] = {kind: [] for kind in RuleKind}
+        self.live: dict[RuleKind, list[Inst]] = {kind: [] for kind in _KINDS}
         self.reached: dict[tuple[Individual, All], int] = {}
         self.trail: Optional[list] = None
         self.grow(abox)

@@ -43,7 +43,10 @@ per-individual measure, with `role_depth` by structural recursion, which
 the library's `MeasureState` must agree with at every step, and
 `progress_check` checks a step from the whole branches before and after
 it, which the search's progress check from the step alone must agree
-with. Deciding needs none of them.
+with. `advance` is the step check written with closures and a list of
+the conditions a step breaks, which the library's `MeasureState.advance`
+must agree with, in its answer, its `failure` and the state it leaves, at
+every step. Deciding needs none of them.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from alctab.engine import (
     contains_clash,
     next_application,
 )
+from alctab.delta import MeasureState
 from alctab.measure import ConceptCounts, MeasurePair, _counts
 from alctab.parser import KEYWORDS, MAX_NESTING, ParseError, SourceSpan
 from alctab.rules import (
@@ -99,6 +103,7 @@ from alctab.syntax import (
     Top,
     dedup_facts,
     individuals_of,
+    lookup,
     subterms,
 )
 
@@ -398,6 +403,90 @@ def progress_check(before: Abox, after: Abox) -> bool:
     if not new:
         return True
     return new == {fresh_individual(before)}
+
+
+_INVARIANT = "broke the measure's invariant: it "
+
+
+def advance(state: MeasureState, front: Abox, index: BranchIndex) -> bool:
+    """`MeasureState.advance` written with two closures, `holds` and
+    `close`, each weight read through `state.weight`, and a list of the
+    conditions the step breaks, of which `failure` is the first.
+    """
+    at, added = index.at, set(front)
+    labels, somes, incoming, exists, opened = (
+        state.labels, state.somes, state.incoming, state.exists, state.open
+    )
+    weight = state.weight
+    before: dict[Individual, Optional[tuple[int, int, int]]] = {}
+    broken: list[str] = []
+    if len(added) < len(front):
+        broken.append(_INVARIANT + "gives a fact twice")
+
+    def holds(y: Individual, c: Concept) -> bool:
+        return (y, c) in at or (y, c) in added
+
+    def close(g: tuple) -> None:
+        if g in opened:
+            opened.discard(g)
+            x = g[0]
+            if x not in before:
+                before[x] = weight(x)
+            somes[x] -= 1
+
+    edges = [f for f in front if type(f) is Rel]
+    for f in edges:
+        if f.target not in labels and f.source in labels:
+            k = labels[f.source][0] - 1
+            if k < 0:
+                broken.append(_INVARIANT + "makes a witness below role depth 0")
+            before[f.target] = None
+            labels[f.target] = (max(k, 0), 0, ())
+    for f in front:
+        if type(f) is Rel:
+            continue
+        y, c = f.subject, f.concept
+        if y not in labels:
+            broken.append(_INVARIANT + "puts a fact on an individual no edge brings in")
+            continue
+        if y not in before:
+            before[y] = weight(y)
+        k, size, label = labels[y]
+        known = state.counts.get(c)
+        if known is None:
+            broken.append(_INVARIANT + "asserts a concept outside the input's subterms")
+        elif known[2] > k:
+            broken.append(_INVARIANT + "asserts a concept above its individual's depth bound")
+        labels[y] = (k, size + 1, (c, label))
+        for role, x in incoming.get(y, ()):
+            close((x, lookup(Some, role, c)))
+        if type(c) is Some:
+            key = (c.role, y)
+            exists[key] = (*exists.get(key, ()), f)
+            if not any(holds(z, c.child) for z in index.successors(*key)):
+                opened.add(f)
+                somes[y] = somes.get(y, 0) + 1
+    for f in edges:
+        role, x, y = f.role, f.source, f.target
+        if x not in labels:
+            broken.append(_INVARIANT + "adds an edge from an individual not on the branch")
+            continue
+        incoming[y] = (*incoming.get(y, ()), (role, x))
+        facts = exists.get((role, x), ())
+        _, size, label = labels[y]
+        if len(facts) <= size:
+            for g in facts:
+                if holds(y, g.concept.child):
+                    close(g)
+        else:
+            while label:
+                c, label = label
+                close((x, lookup(Some, role, c)))
+    after = sorted(map(weight, before), reverse=True)
+    if not after < sorted(filter(None, before.values()), reverse=True):
+        broken.append("did not lower the branch measure")
+    state.failure = broken[0] if broken else None
+    return not broken
 
 
 def abstract_rule_holds(

@@ -52,6 +52,7 @@ from reference import (
     size_concept,
     step_on,
 )
+from test_golden import golden_inputs
 
 A, B = Atom("A"), Atom("B")
 r, s = Role("r"), Role("s")
@@ -347,6 +348,18 @@ def test_forged_steps_fail_the_progress_check():
             "a some-rule step broke the measure's invariant: "
             "it puts a fact on an individual no edge brings in",
         ),
+        # a step that breaks two invariants is named by the one checked
+        # first: a fact given twice before the concept outside the subterms
+        (
+            _forged((conj,), RuleKind.AND, (Inst(x, Atom("C")), Inst(x, Atom("C")))),
+            "an and-rule step broke the measure's invariant: it gives a fact twice",
+        ),
+        # and a witness below depth 0, an edge's, before the fact on it
+        (
+            _forged((Inst(x, A),), RuleKind.SOME, (Rel(r, x, Anon(0)), Inst(Anon(0), B)), Anon(0)),
+            "a some-rule step broke the measure's invariant: "
+            "it makes a witness below role depth 0",
+        ),
         # an edge out of the step's witness, which no edge brings in, also
         # changes no weight; the broken invariant is named first
         (
@@ -361,18 +374,104 @@ def test_forged_steps_fail_the_progress_check():
         with pytest.raises(MeasureDecreaseError) as exc:
             _check_measures(app, BranchIndex(app.before), MeasureState(app.before), cfg)
         assert str(exc.value) == message
+        # the reference's `advance` names the same condition first
+        index, state = BranchIndex(app.before), MeasureState(app.before)
+        assert not assert_advances_as_the_reference(state, app.added[0], index)
+
+
+def drawn_concepts():
+    rng = random.Random(7)
+    for _ in range(2000):
+        yield random_nnf_concept(rng, 5)
+
+
+def drawn_aboxes():
+    rng = random.Random(7)
+    for _ in range(2000):
+        yield random_nnf_abox(rng)
 
 
 def test_a_correct_run_never_fails_the_check():
     # no sink: a step the check rejects raises
     cfg = EngineConfig(check_measure=True)
-    rng = random.Random(7)
-    for _ in range(2000):
-        concept = random_nnf_concept(rng, 5)
+    for concept in drawn_concepts():
         assert decide_concept_sat(concept, cfg) == decide_concept_sat(concept)
-    rng = random.Random(7)
-    for _ in range(2000):
-        abox = random_nnf_abox(rng)
+    for abox in drawn_aboxes():
         assert decide_sat_abox(abox, cfg) == decide_sat_abox(abox)
     for concept in (exists_tree(10), pigeonhole(4, 3), wide_exists(100)):
         assert decide_concept_sat(concept, cfg) == decide_concept_sat(concept)
+
+
+def twin(state):
+    """A copy of `state` that shares nothing `advance` changes; unlike
+    `MeasureState.copy` it also copies a state whose first step is still
+    running, which has no `failure` yet."""
+    copy = object.__new__(MeasureState)
+    copy.counts, copy.room = state.counts, state.room
+    copy.labels, copy.somes, copy.open = dict(state.labels), dict(state.somes), set(state.open)
+    copy.incoming, copy.exists = dict(state.incoming), dict(state.exists)
+    return copy
+
+
+def fields(state):
+    return state.labels, state.somes, state.incoming, state.exists, state.open
+
+
+def assert_advances_as_the_reference(state, front, index, lean=MeasureState.advance):
+    """Advance `state` by `front` and check the answer, the failure and the
+    state against the reference's `advance` run on a twin of it. `lean` is
+    the library's `advance`, bound here before any test patches it."""
+    expected = twin(state)
+    answer = reference.advance(expected, front, index)
+    assert lean(state, front, index) == answer
+    assert state.failure == expected.failure
+    assert fields(state) == fields(expected)
+    return answer
+
+
+def test_each_checked_step_advances_as_the_reference(monkeypatch):
+    # the input's step included, which `MeasureState` also takes by
+    # `advance`, from the empty branch
+    steps = Counter()
+
+    def compared(state, front, index):
+        steps["roots" if not index.at else "steps"] += 1
+        return assert_advances_as_the_reference(state, front, index)
+
+    monkeypatch.setattr(MeasureState, "advance", compared)
+    cfg = EngineConfig(check_measure=True)
+    for abox in [*golden_inputs(), *drawn_aboxes()]:
+        decide_sat_abox(abox, cfg)
+    for concept in drawn_concepts():
+        decide_concept_sat(concept, cfg)
+    assert steps == {"roots": 4373, "steps": 20408}
+
+
+def test_forged_fronts_advance_as_the_reference():
+    # fronts of the input's subterms, one concept outside them, edges and
+    # witnesses, in any mix: both give the same first failure, and leave
+    # the same state behind
+    rng = random.Random(11)
+    outside, roles = Atom("Q"), [Role(n) for n in ("r", "s")]
+    answers = Counter()
+    for abox in itertools.islice(drawn_aboxes(), 300):
+        root, index = MeasureState(abox), BranchIndex(abox)
+        concepts = [*root.counts, outside]
+        # a witness to bring in, and one that no edge brings in. No edge
+        # leaves a witness that the front brings in: both raise KeyError on
+        # one listed before the edge into it, a front that the progress
+        # check, which runs first, rejects for bringing in two individuals
+        sources, targets = [*root.labels, Anon(1)], [*root.labels, Anon(0)]
+        for _ in range(20):
+            front = tuple(
+                Rel(rng.choice(roles), rng.choice(sources), rng.choice(targets))
+                if rng.random() < 0.3
+                else Inst(rng.choice(sources + targets), rng.choice(concepts))
+                for _ in range(rng.randint(1, 4))
+            )
+            if rng.random() < 0.1:
+                front += front[:1]
+            state = twin(root)
+            answers[assert_advances_as_the_reference(state, front, index), state.failure] += 1
+    # every condition fails first somewhere, and some steps check
+    assert len(answers) == 8

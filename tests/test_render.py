@@ -1,6 +1,8 @@
 import json
 
 from alctab.engine import EngineConfig, Satisfiable, canonical_interpretation, decide_sat_abox
+from alctab.measure import measure_abox
+from alctab.parser import print_fact, print_individual
 from alctab.render import emit_model, emit_trace
 from alctab.syntax import All, And, Atom, Inst, Named, Not, Or, Rel, Role, Some
 
@@ -96,3 +98,37 @@ def test_emit_trace_measures_sorted_descending():
         for key in ("measure_before", "measure_after"):
             pairs = [tuple(p) for p in record[key]]
             assert pairs == sorted(pairs, reverse=True)
+
+
+def test_a_trace_line_is_the_json_of_its_record():
+    # the parser makes no name that JSON must escape, but the library takes
+    # any: a quote, a non-ASCII letter, a backslash and a tab
+    quoted, accented, tab = Atom('say "hi"'), Atom("é"), Atom("a\tb")
+    ab = Named("a\\b")
+    concept = And(Or(quoted, accented), And(Some(r, tab), All(r, Not(tab))))
+    verdict = decide_sat_abox((Inst(ab, concept),), EngineConfig(record_trace=True))
+    for measures in (False, True):
+        lines = list(emit_trace(verdict.trace, measures=measures))
+        expected = []
+        for step, app in enumerate(verdict.trace):
+            record = {
+                "step": step,
+                "rule": app.kind.value,
+                "pivot": print_fact(app.pivot),
+                "pivot_index": app.pivot_index,
+                "successors": len(app.added),
+                "fresh": None if app.fresh is None else print_individual(app.fresh),
+                "skipped": app.skipped,
+            }
+            if measures:
+                branches = {"measure_before": app.before, "measure_after": app.successors[0]}
+                for key, branch in branches.items():
+                    pairs = sorted(measure_abox(branch).elements(), reverse=True)
+                    record[key] = [list(p) for p in pairs]
+            expected.append(json.dumps(record, sort_keys=True))
+        assert lines == expected
+    # each name is escaped somewhere; the clash under the witness does not
+    # depend on the disjunction, so a record is skipped
+    text = "\n".join(lines)
+    assert all(s in text for s in ('say \\"hi\\"', "\\u00e9", "a\\\\b", "a\\tb", '"_0"', "null"))
+    assert '"skipped": true' in text

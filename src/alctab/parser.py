@@ -14,10 +14,12 @@ that follows them:
 IDENT is [A-Za-z_][A-Za-z0-9_]* minus the keywords. So
 "some r. A and B" reads as (some r. A) and B.
 
-The parser does not recurse: one loop over the tokens keeps its own stack
-of open operators and parentheses. At most MAX_NESTING prefix operators
-and open parentheses may enclose any point of the input, a limit on the
-input that a deeper one meets as a ParseError. The normal form, the
+The lexer checks the text in one pass over its bytes. The parser does not
+recurse: one loop over the tokens keeps its own stack of open operators
+and parentheses, and calls each node's constructor function directly. At
+most MAX_NESTING prefix operators and open parentheses may enclose any
+point of the input, a limit on the input that a deeper one meets as a
+ParseError. The normal form, the
 printer and the syntax `repr` keep their own stacks too, and the
 evaluators of `semantics` work bottom-up over a list of subterms.
 
@@ -63,10 +65,19 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[().:,]")
 # the first character no token can hold: one outside the token and space
 # alphabet, or a digit that does not continue a name
 _BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_().:, \t\r\n]|(?<![A-Za-z0-9_])[0-9]")
-# whether there is one, in two faster searches, but for a leading digit
-_OUTSIDE_RE = re.compile(r"[^A-Za-z0-9_().:, \t\r\n]")
-_LOOSE_DIGIT_RE = re.compile(r"[^A-Za-z0-9_][0-9]")
+# whether there is one, in one pass: each byte's class, "a" for a name
+# character, "0" for a digit, " " for a mark or a space and "!" for any
+# other, so a digit that starts no name reads " 0" in the text led by a space
+_CLASSES = bytes(
+    ord("!" if not c.isascii() else "0" if c.isdigit() else "a" if c.isalpha() or c == "_"
+        else " " if c in "().:, \t\r\n" else "!")
+    for c in map(chr, range(256))
+)
 _NOT_NAMES = KEYWORDS | {"(", ")", ".", ":", ",", ""}  # every other token is a name
+# the constructors the parse loop calls, as `_new_and(And, left, right)`
+# for `And(left, right)`, with no `type.__call__`; `_NEW` has a prefix's
+_new_atom, _new_role, _new_and, _new_or = Atom.__new__, Role.__new__, And.__new__, Or.__new__
+_NEW = {Not: Not.__new__, All: All.__new__, Some: Some.__new__}
 # the names witnesses print as, which no named individual may take
 _WITNESS_NAME_RE = re.compile(r"_[0-9]+")
 
@@ -96,10 +107,13 @@ class ParseError(ValueError):
 def _tokenize(text: str, first_line: int = 1) -> list[str]:
     """The token texts of `text`, ending with "" for the end of input.
 
-    Spaces, tabs, carriage returns and newlines separate tokens. Positions,
-    and the first character no token can hold, are found only for an error.
+    Spaces, tabs, carriage returns and newlines separate tokens. One
+    translation of the text's bytes to their classes shows whether a
+    character no token can hold is there; which one, and its position, are
+    found only for an error.
     """
-    if _OUTSIDE_RE.search(text) or _LOOSE_DIGIT_RE.search(text) or "0" <= text[:1] <= "9":
+    shaped = text.isascii() and f" {text}".encode().translate(_CLASSES)
+    if not shaped or b"!" in shaped or b" 0" in shaped:
         bad = _BAD_CHAR_RE.search(text)
         span = _offset_span(text, bad.start(), first_line)
         raise ParseError(span, "a token", f"'{bad.group()}'")
@@ -174,7 +188,7 @@ class _ConceptParser:
         while True:
             tok = tokens[pos]
             if tok not in _NOT_NAMES:
-                value = atoms.get(tok) or atoms.setdefault(tok, Atom(tok))
+                value = atoms.get(tok) or atoms.setdefault(tok, _new_atom(Atom, tok))
             elif tok == "Top" or tok == "Bottom":
                 value = TOP if tok == "Top" else BOTTOM
             else:
@@ -185,7 +199,7 @@ class _ConceptParser:
                     if tokens[pos + 2] != ".":
                         raise self.error("'.'", pos + 2)
                     name = tokens[pos + 1]
-                    role = roles.get(name) or roles.setdefault(name, Role(name))
+                    role = roles.get(name) or roles.setdefault(name, _new_role(Role, name))
                     frame = (All if tok == "all" else Some, role)
                     pos += 2
                 elif tok == "not" or tok == "(":
@@ -201,19 +215,20 @@ class _ConceptParser:
             while True:
                 frame = stack[-1]
                 kind = frame[0]
-                if kind is Not or kind is All or kind is Some:
-                    value = Not(value) if kind is Not else kind(frame[1], value)
+                new = _NEW.get(kind)
+                if new is not None:
+                    value = new(Not, value) if kind is Not else new(kind, frame[1], value)
                     stack.pop()
                     continue
                 tok = tokens[pos]
                 if frame[2] is not None:
-                    value = And(frame[2], value)
+                    value = _new_and(And, frame[2], value)
                 if tok == "and":
                     frame[2] = value
                     break
                 frame[2] = None
                 if frame[1] is not None:
-                    value = Or(frame[1], value)
+                    value = _new_or(Or, frame[1], value)
                 if tok == "or":
                     frame[1] = value
                     break
@@ -239,8 +254,11 @@ def parse_abox(text: str) -> Abox:
     """Parse an ABox file into a branch; raises ParseError with position."""
     facts: list[Fact] = []
     seen: set[Fact] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+    # lines break at "\n", "\r\n" and "\r" only, as text-mode `open` reads them;
+    # any other break or space character is the lexer's error on its line
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip(" \t")
         if not stripped or stripped.startswith("#"):
             continue
         fact = _parse_fact_line(line, lineno)

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 from .measure import measure_abox
 from .parser import print_fact, print_individual
-from .rules import RuleApplication
+from .rules import RuleApplication, RuleKind
 from .semantics import Interpretation
 from .syntax import Abox
 
@@ -40,6 +40,8 @@ def _measure_pairs(abox: Abox) -> str:
 
 # json's string escaper, bound by the first trace written
 _quote = None
+# each rule's name, read without the Python-level `Enum.value` property
+_RULE_NAMES = {kind: kind.value for kind in RuleKind}
 
 
 def emit_trace(trace: Iterable[RuleApplication], *, measures: bool = False) -> Iterator[str]:
@@ -57,7 +59,7 @@ def emit_trace(trace: Iterable[RuleApplication], *, measures: bool = False) -> I
     global _quote
     if _quote is None:  # on first use, so a run that writes no trace never loads json
         from json.encoder import encode_basestring_ascii as _quote
-    quote, pairs = _quote, ""
+    quote, names, pairs = _quote, _RULE_NAMES, ""
     for step, app in enumerate(trace):
         if measures:
             before = _measure_pairs(app.before)
@@ -66,7 +68,7 @@ def emit_trace(trace: Iterable[RuleApplication], *, measures: bool = False) -> I
         fresh = "null" if app.fresh is None else quote(print_individual(app.fresh))
         yield (
             f'{{"fresh": {fresh}, {pairs}"pivot": {quote(print_fact(app.pivot))}, '
-            f'"pivot_index": {app.pivot_index}, "rule": "{app.kind.value}", '
+            f'"pivot_index": {app.pivot_index}, "rule": "{names[app.kind]}", '
             f'"skipped": {"true" if app.skipped else "false"}, "step": {step}, '
             f'"successors": {len(app.added)}}}'
         )

@@ -7,8 +7,10 @@ test checks the pivot's shape, `x : C` with C of the rule's constructor,
 and then its premise; it builds no fact and no witness, and changes the
 index only by moving a ∀ pivot's cursor. A fact is the tuple of its
 fields, so a premise asks for `x : D` as `(x, D) in index.at` and for an
-edge as `(r, x, y) in index.at`. The ∃ premise costs the smaller
-of the body's holders and the edges along the role, plus the named
+edge as `(r, x, y) in index.at`, and it reads the targets along a role
+straight off `index.edges`; the premises are plain loops over these reads,
+so a test enters no generator or helper frame. The ∃ premise costs the
+smaller of the body's holders and the edges along the role, plus the named
 targets; the ∀ premise costs the successors its cursor passes, each once
 on a branch. An action is called only on a pivot where its rule's
 applicability test holds, and returns a tuple of fronts, one per
@@ -284,8 +286,8 @@ def _or_appcond(fact: Fact, index: BranchIndex) -> bool:
     """x : C ⊔ D, with neither alternative asserted yet."""
     if type(fact) is not Inst or type(c := fact.concept) is not Or:
         return False
-    x = fact.subject
-    return not (index.holds(x, c.left) or index.holds(x, c.right))
+    at, x = index.at, fact.subject
+    return (x, c.left) not in at and (x, c.right) not in at
 
 
 def _or_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
@@ -299,11 +301,11 @@ def _all_appcond(fact: Fact, index: BranchIndex) -> bool:
     past each further one that does."""
     if type(fact) is not Inst or type(c := fact.concept) is not All:
         return False
-    x = fact.subject
-    targets = index.successors(c.role, x)
+    at, x, child = index.at, fact.subject, c.child
+    targets = index.edges.get((c.role, x), ())
     n, key = len(targets), (x, c)
     done = start = index.reached.get(key, 0)
-    while done < n and index.holds(targets[done], c.child):
+    while done < n and (targets[done], child) in at:
         done += 1
     if done != start:
         index.reached[key] = done
@@ -315,10 +317,11 @@ def _all_appcond(fact: Fact, index: BranchIndex) -> bool:
 def _all_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     # first pending successor in branch order, among those the cursor has
     # not passed; later steps reach the rest
-    x, c = pivot.subject, pivot.concept
-    unsettled = index.successors(c.role, x)[index.reached.get((x, c), 0) :]
-    y = next(y for y in reversed(unsettled) if not index.holds(y, c.child))
-    return ((Inst(y, c.child),),)
+    at, x, c = index.at, pivot.subject, pivot.concept
+    child = c.child
+    for y in reversed(index.edges.get((c.role, x), ())[index.reached.get((x, c), 0) :]):
+        if (y, child) not in at:
+            return ((Inst(y, child),),)
 
 
 def _some_appcond(fact: Fact, index: BranchIndex) -> bool:
@@ -327,15 +330,18 @@ def _some_appcond(fact: Fact, index: BranchIndex) -> bool:
     targets are in no `holders` list, so they are always scanned."""
     if type(fact) is not Inst or type(c := fact.concept) is not Some:
         return False
-    x, role, child = fact.subject, c.role, c.child
-    targets = index.successors(role, x)
+    at, x, role, child = index.at, fact.subject, c.role, c.child
+    targets = index.edges.get((role, x), ())
     held = index.holders.get(child, ())
     if len(held) < len(targets):
-        at = index.at
-        if any((role, x, y) in at for y in reversed(held)):
-            return False
+        for y in reversed(held):
+            if (role, x, y) in at:
+                return False
         targets = index.named.get((role, x), ())
-    return not any(index.holds(y, child) for y in reversed(targets))
+    for y in reversed(targets):
+        if (y, child) in at:
+            return False
+    return True
 
 
 def _some_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
@@ -348,13 +354,15 @@ def _some_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     x, role, child = pivot.subject, pivot.concept.role, pivot.concept.child
     held = index.holders.get(child)
     if held:
-        bodies = [
-            g.concept.child
-            for g in index.live[RuleKind.ALL]
-            if g.subject is x and g.concept.role is role
-        ]
+        at, bodies = index.at, []
+        for g in index.live[RuleKind.ALL]:
+            if g.subject is x and (d := g.concept).role is role:
+                bodies.append(d.child)
         for y in reversed(held):
-            if all(index.holds(y, d) for d in bodies):
+            for d in bodies:
+                if (y, d) not in at:
+                    break
+            else:
                 return ((Rel(role, x, y),),)
     witness = Anon(index.witness)
     return ((Rel(role, x, witness), Inst(witness, child)),)

@@ -1,15 +1,21 @@
-"""Count the bytecodes the interpreter runs per verdict, per function.
+"""Count the bytecodes and the frames the interpreter runs per verdict,
+per function.
 
     python3 tests/bytecodes.py --workload wide-sat --seed 1 [--top 25]
 
 Run from the root of a checkout. It decides one round of a benchmark
 workload (`perfbench/workloads.py`) through the benchmark's own `Decider`,
 untraced and unchecked, with `sys.settrace` counting every opcode event of
-each Python frame, and prints the bytecodes per verdict in all and for the
-functions that run the most. C functions run no bytecodes and are not
-counted. The counts are exact and repeat from run to run under one Python
-version, so two checkouts can be compared on one machine, but they differ
-between versions; nothing gates on them. pytest does not collect this file.
+each Python frame and every `call` event, one per frame entered (a
+generator's each time it resumes). It prints both per verdict, in all and
+for the functions that run the most bytecodes. Frames show the per-call
+cost that a count of bytecodes misses: code that trades a generator
+expression or a helper call for a plain loop may run more bytecodes in
+fewer frames. C functions run no bytecodes and enter no Python frame, and
+are not counted. The counts are exact and repeat from run to run under one
+Python version, so two checkouts can be compared on one machine, but they
+differ between versions; nothing gates on them. pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -27,21 +33,23 @@ import spans  # noqa: E402
 import workloads  # noqa: E402
 
 
-def count_round(workload: str, seed: int) -> tuple[int, Counter]:
+def count_round(workload: str, seed: int) -> tuple[int, Counter, Counter]:
     """The verdicts of the workload's first round under `seed`, and the
-    opcode events per function while they were decided."""
+    opcode and `call` events per function while they were decided."""
     alctab = harness.import_alctab()
     decider = harness.Decider(alctab, spans.plain_api(alctab), workload == "checked-mix")
     instances = next(workloads.rounds(workload, seed))
     for inst in workloads.self_test_instances():  # import and warm the same paths
         decider.decide(inst)
     counts: Counter = Counter()
+    frames: Counter = Counter()
 
     def trace_opcodes(frame, event, arg):
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
         code = frame.f_code
         name = f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+        frames[name] += 1
 
         def count(frame, event, arg):
             if event == "opcode":
@@ -57,7 +65,7 @@ def count_round(workload: str, seed: int) -> tuple[int, Counter]:
             decide(inst)
     finally:
         sys.settrace(None)
-    return len(instances), counts
+    return len(instances), counts, frames
 
 
 def main(argv=None) -> int:
@@ -66,14 +74,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--top", type=int, default=25, help="functions to list")
     args = parser.parse_args(argv)
-    verdicts, counts = count_round(args.workload, args.seed)
+    verdicts, counts, frames = count_round(args.workload, args.seed)
     total = sum(counts.values())
     print(
         f"{args.workload} seed {args.seed}, Python {sys.version.split()[0]}: "
-        f"{verdicts} verdicts, {total / verdicts:,.0f} bytecodes per verdict"
+        f"{verdicts} verdicts, {total / verdicts:,.0f} bytecodes and "
+        f"{sum(frames.values()) / verdicts:,.0f} frames per verdict"
     )
+    print(f"{'bytecodes':>12} {'share':>7} {'frames':>10}  function (per verdict)")
     for name, n in counts.most_common(args.top):
-        print(f"{n / verdicts:12,.1f} {100 * n / total:6.1f}%  {name}")
+        print(f"{n / verdicts:12,.1f} {100 * n / total:6.1f}% {frames[name] / verdicts:10,.1f}  {name}")
     return 0
 
 

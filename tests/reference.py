@@ -46,7 +46,11 @@ it, which the search's progress check from the step alone must agree
 with. `advance` is the step check written with closures and a list of
 the conditions a step breaks, which the library's `MeasureState.advance`
 must agree with, in its answer, its `failure` and the state it leaves, at
-every step. Deciding needs none of them.
+every step. `or_appcond`, `all_appcond`, `all_action`, `some_appcond` and
+`some_action` are the rule functions written with `any`, `all` and `next`
+over generators and with `BranchIndex.holds` and `successors`, which the
+library's must agree with, in the answer, the fronts, the ∀ cursor and the
+trail, at every application. Deciding needs none of them.
 """
 
 from __future__ import annotations
@@ -259,6 +263,78 @@ def some_premise(index: BranchIndex, x: Individual, c: Some) -> bool:
     """The ∃ premise by a scan of every successor along the role: none holds
     the body concept."""
     return not any(index.holds(y, c.child) for y in index.successors(c.role, x))
+
+
+def or_appcond(fact: Fact, index: BranchIndex) -> bool:
+    """x : C ⊔ D, with neither alternative asserted yet."""
+    if type(fact) is not Inst or type(c := fact.concept) is not Or:
+        return False
+    x = fact.subject
+    return not (index.holds(x, c.left) or index.holds(x, c.right))
+
+
+def all_appcond(fact: Fact, index: BranchIndex) -> bool:
+    """x : ∀r.C, with some successor along r missing C. The pivot's cursor
+    in `reached` skips the oldest successors known to hold it, and moves
+    past each further one that does."""
+    if type(fact) is not Inst or type(c := fact.concept) is not All:
+        return False
+    x = fact.subject
+    targets = index.successors(c.role, x)
+    n, key = len(targets), (x, c)
+    done = start = index.reached.get(key, 0)
+    while done < n and index.holds(targets[done], c.child):
+        done += 1
+    if done != start:
+        index.reached[key] = done
+        if index.trail is not None:
+            index.trail.append([key, start])
+    return done < n
+
+
+def all_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
+    # first pending successor in branch order, among those the cursor has
+    # not passed; later steps reach the rest
+    x, c = pivot.subject, pivot.concept
+    unsettled = index.successors(c.role, x)[index.reached.get((x, c), 0) :]
+    y = next(y for y in reversed(unsettled) if not index.holds(y, c.child))
+    return ((Inst(y, c.child),),)
+
+
+def some_appcond(fact: Fact, index: BranchIndex) -> bool:
+    """x : ∃r.C, with no successor along r that holds C. The witnesses that
+    hold C and the targets along r are matched from the smaller side; named
+    targets are in no `holders` list, so they are always scanned."""
+    if type(fact) is not Inst or type(c := fact.concept) is not Some:
+        return False
+    x, role, child = fact.subject, c.role, c.child
+    targets = index.successors(role, x)
+    held = index.holders.get(child, ())
+    if len(held) < len(targets):
+        at = index.at
+        if any((role, x, y) in at for y in reversed(held)):
+            return False
+        targets = index.named.get((role, x), ())
+    return not any(index.holds(y, child) for y in reversed(targets))
+
+
+def some_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
+    """An edge to the first witness in branch order that holds the body
+    concept and the body of every universal restriction on x along the
+    role, or else an edge to a fresh witness that holds the body concept."""
+    x, role, child = pivot.subject, pivot.concept.role, pivot.concept.child
+    held = index.holders.get(child)
+    if held:
+        bodies = [
+            g.concept.child
+            for g in index.live[RuleKind.ALL]
+            if g.subject is x and g.concept.role is role
+        ]
+        for y in reversed(held):
+            if all(index.holds(y, d) for d in bodies):
+                return ((Rel(role, x, y),),)
+    witness = Anon(index.witness)
+    return ((Rel(role, x, witness), Inst(witness, child)),)
 
 
 def reducible_hidden_ex_count(

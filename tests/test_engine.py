@@ -498,13 +498,18 @@ def test_wide_exists_premises_grow_linearly(monkeypatch):
     # smaller side, and each ∀ pivot's cursor passes a successor once, so
     # the membership tests grow with n, not with n squared
     calls = Counter()
-    holds = rules.BranchIndex.holds
+    init = rules.BranchIndex.__init__
 
-    def counted(index, subject, concept):
-        calls[n] += 1
-        return holds(index, subject, concept)
+    class CountedAt(dict):
+        def __contains__(self, key):
+            calls[n] += 1
+            return dict.__contains__(self, key)
 
-    monkeypatch.setattr(rules.BranchIndex, "holds", counted)
+    def counted(index, abox):
+        init(index, abox)
+        index.at = CountedAt(index.at)
+
+    monkeypatch.setattr(rules.BranchIndex, "__init__", counted)
     for n in (100, 400):
         assert isinstance(decide_concept_sat(wide_exists(n)), Satisfiable)
     assert 0 < calls[400] <= 5 * calls[100]

@@ -254,6 +254,10 @@ ERROR_MESSAGES = [
     (parse_concept, "A_1 and 2", "line 1, column 9: expected a token, found '2'"),
     (parse_abox, "r(x, y)\nx : all r . (B", "line 2, column 15: expected ')', found end of input"),
     (parse_concept, "A\n\nand B C", "line 3, column 7: expected end of input, found 'C'"),
+    # an ABox line breaks only at "\n", "\r\n" and "\r"
+    (parse_abox, "x : A\u2028y : B\n", "line 1, column 6: expected a token, found '\u2028'"),
+    (parse_abox, "x : A\x0cB\n", "line 1, column 6: expected a token, found '\x0c'"),
+    (parse_abox, "x : A\r\n\x0b\r\n", "line 2, column 1: expected a token, found '\x0b'"),
 ]
 
 
@@ -267,8 +271,9 @@ def test_error_messages_are_pinned():
 def lexer_corpus():
     """Texts the lexer must position exactly as the reference lexer: printed
     random concepts, the malformed inputs above, the first round of every
-    benchmark workload (each ABox line alone too), and seeded random
-    strings over token, space and stray characters."""
+    benchmark workload (each ABox line alone too), every ASCII character
+    and four others alone, between two names and before a digit, and
+    seeded random strings over token, space and stray characters."""
     rng = random.Random(72)
     yield from (print_concept(random_concept(rng, 4)) for _ in range(200))
     yield from (text for _, text, _ in ERROR_MESSAGES)
@@ -277,6 +282,8 @@ def lexer_corpus():
             yield inst.text
             yield inst.sup
             yield from inst.text.splitlines()
+    for ch in [*map(chr, range(128)), "\x85", "\u2028", "\xe9", "\U0001d538"]:
+        yield from (ch, f"A{ch}B", f"{ch}7")
     pieces = ["A", "r1", "_x", "and", "(", ")", ".", ":", ",", " ", "\t", "\r", "\n"]
     pieces += ["7", "?", "\xa0", "\f"]  # no token holds these
     for _ in range(500):

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
-from alctab.engine import EngineConfig, decide_sat_abox, next_application
+import reference
+from alctab import engine
+from alctab.engine import EngineConfig, decide_sat_abox, next_application, replay_trace
 from alctab.rules import (
     ALL_RULE,
     AND_RULE,
@@ -8,6 +11,7 @@ from alctab.rules import (
     SOME_RULE,
     BranchIndex,
     RuleKind,
+    TableauRule,
     alc_rules,
 )
 from alctab.semantics import OracleConfig, oracle_find_model, satisfies_abox
@@ -24,8 +28,9 @@ from alctab.syntax import (
     Some,
     individuals_of,
 )
-from corpus import ATOMS2, ROLE1, random_nnf_abox
+from corpus import ATOMS2, ROLE1, random_nnf_abox, random_nnf_concept
 from reference import abstract_rule_holds, apply_srule, step_on
+from test_golden import concept_abox, golden_inputs
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 r = Role("r")
@@ -333,3 +338,84 @@ def test_per_rule_semantic_soundness_and_completeness():
                 )
             checked += 1
     assert checked >= 40
+
+
+def compared(new, old, seen):
+    """The rule function `new`, which first runs the reference's `old` on
+    the same index, takes back the ∀ cursor move and the trail entries it
+    made, and then asserts that `new` gives the same answer or fronts and
+    makes the same moves; `seen` counts the cases met."""
+
+    def call(fact, index):
+        key, reached, trail = (fact[0], fact[1]), index.reached, index.trail
+        mark, had = len(trail or ()), reached.get(key)
+        expected = old(fact, index)
+        moved, logged = reached.get(key), None if trail is None else trail[mark:]
+        if had is None:
+            reached.pop(key, None)
+        else:
+            reached[key] = had
+        if trail is not None:
+            del trail[mark:]
+        got = new(fact, index)
+        assert got == expected
+        assert reached.get(key) == moved
+        assert (None if trail is None else trail[mark:]) == logged
+        seen[new.__name__] += 1
+        seen["a ∀ cursor moved"] += moved != had
+        seen["a ∀ cursor move on the trail"] += bool(logged)
+        if new is SOME_RULE.appcond:
+            c = fact.concept
+            seen["an ∃ premise from the holders' side"] += len(
+                index.holders.get(c.child, ())
+            ) < len(index.edges.get((c.role, fact.subject), ()))
+            seen["an ∃ premise with a named target"] += (c.role, fact.subject) in index.named
+        if new is SOME_RULE.action:
+            seen["an ∃ step that reuses a witness"] += len(got[0]) == 1
+        return got
+
+    return call
+
+
+def test_each_rule_application_matches_the_reference_functions(monkeypatch):
+    # the ⊔ premise and the ∀ and ∃ premises and actions, at every call of
+    # the golden runs, of their replays and of seeded random concepts and
+    # ABoxes, as the search and the replay make them
+    seen = Counter()
+    old = {
+        OR_RULE.appcond: reference.or_appcond,
+        ALL_RULE.appcond: reference.all_appcond,
+        ALL_RULE.action: reference.all_action,
+        SOME_RULE.appcond: reference.some_appcond,
+        SOME_RULE.action: reference.some_action,
+    }
+
+    def checked(new):
+        return compared(new, old[new], seen) if new in old else new
+
+    rules = tuple(
+        TableauRule(rule.kind, checked(rule.appcond), checked(rule.action)) for rule in alc_rules()
+    )
+    monkeypatch.setattr(engine, "alc_rules", lambda: rules)
+    monkeypatch.setattr(engine, "RULES_BY_KIND", {rule.kind: rule for rule in rules})
+    cfg = EngineConfig(record_trace=True)
+    for abox in golden_inputs():
+        verdict = decide_sat_abox(abox, cfg)
+        replay_trace(abox, verdict.trace)
+    rng = random.Random(29)
+    for _ in range(2000):
+        decide_sat_abox(concept_abox(random_nnf_concept(rng, 5)))
+        decide_sat_abox(random_nnf_abox(rng))
+    for name in (
+        "_or_appcond",
+        "_all_appcond",
+        "_all_action",
+        "_some_appcond",
+        "_some_action",
+        "a ∀ cursor moved",
+        "a ∀ cursor move on the trail",
+        "an ∃ premise from the holders' side",
+        "an ∃ premise with a named target",
+        "an ∃ step that reuses a witness",
+    ):
+        assert seen[name] > 0, name

@@ -200,8 +200,8 @@ def branch_measure(branch: Abox) -> Counter:
         size, some, _ = _counts(c, counts)
         kind = type(c)
         if kind is All:
-            targets = index.successors(c.role, f.subject)
-            alls.append((size, sum(not index.holds(y, c.child) for y in targets)))
+            targets = index.edges.get((c.role, f.subject), ())
+            alls.append((size, sum((y, c.child) not in index.at for y in targets)))
             shared += some
             continue
         rule = _RULE_FOR.get(kind)

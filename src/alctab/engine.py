@@ -9,7 +9,7 @@ below its left sibling did not depend on that choice (backjumping). The
 paper runs its rules on list ABoxes; the search and the replay keep each
 list only as the `BranchIndex` the rules read, and read the list off it
 (`BranchIndex.branch`) for a recorded step, a failed measure check and the
-open branch they return.
+open branch they return. They read a fact, as the rules do, by unpacking it.
 
 The existential rule reuses witnesses. On `x : ∃r.C` it first looks for a
 witness y of the branch that holds C and the body D of every `x : ∀r.D`;
@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Optional, Union
 
 from .measure import assert_decrease, progress_check
 from .record import FrozenRecord, Record, set_field
-from .rules import RULES_BY_KIND, BranchIndex, RuleApplication, RuleKind, alc_rules
+from .rules import RULES_BY_KIND, BranchIndex, RuleApplication, RuleKind, alc_rules as _alc_rules
 from .semantics import Interpretation
 from .syntax import (
     Abox,
@@ -188,7 +188,7 @@ def contains_clash(
         added, facts = facts, set(facts)
     for f in added:
         if type(f) is Inst:
-            c = f.concept
+            x, c = f
             kind = type(c)
             # the complement's concept; its fact is looked up, never built
             if kind is Atom:
@@ -204,13 +204,17 @@ def contains_clash(
                 # in negation normal form only atoms are negated, and a whole
                 # branch shows every other clash from its negated side
                 continue
-            if (f.subject, c) in facts:
-                return f, Inst(f.subject, c)
+            if (x, c) in facts:
+                return f, Inst(x, c)
     return None
 
 
 # the rule kinds the search tests for, bound once
 _OR, _ALL, _SOME = RuleKind.OR, RuleKind.ALL, RuleKind.SOME
+
+# the rules in strategy order, as the strategy tuple's own iterator, which
+# enters no frame; a global, looked up on each call so that it can be patched
+alc_rules = _alc_rules().__iter__
 
 
 def next_application(index: BranchIndex) -> Optional[RuleApplication]:
@@ -227,6 +231,8 @@ def next_application(index: BranchIndex) -> Optional[RuleApplication]:
     grown from this one, so they are popped off the list as they are
     tested. Universal pivots always stay: a new edge can make them apply
     again. While a ⊔ alternative waits, each pop goes on the index's trail.
+    A ⊓ step enters six frames: this one, its premise's, its action's, its
+    record's, and the search's `BranchIndex.grow` and `contains_clash`.
     """
     live, trail = index.live, index.trail
     for rule in alc_rules():
@@ -248,16 +254,10 @@ def next_application(index: BranchIndex) -> Optional[RuleApplication]:
             else:
                 continue
         adds = rule.action(fact, index)
-        return RuleApplication(kind, fact, None, adds, _witness(adds) if kind is _SOME else None)
+        # a fresh witness's front is its edge, then its label
+        fresh = adds[0][1][0] if kind is _SOME and len(adds[0]) == 2 else None
+        return RuleApplication(kind, fact, None, adds, fresh)
     return None
-
-
-def _witness(adds: tuple[Abox, ...]) -> Optional[Individual]:
-    """The witness an ∃ step with fronts `adds` makes, or None: a step that
-    makes one adds its edge and its label, one that reuses a witness only
-    the edge."""
-    front = adds[0]
-    return front[1].subject if len(front) == 2 else None
 
 
 # `alctab.delta.MeasureState` once a checked search has imported it
@@ -427,14 +427,21 @@ def canonical_interpretation(abox: Abox, signature: Optional[Signature] = None) 
     concept_map: dict[str, set[int]] = {name: set() for name in atoms}
     role_map: dict[str, set[tuple[int, int]]] = {name: set() for name in roles}
     element: dict[Individual, int] = {}
+    number = element.get
     for fact in abox:
         if type(fact) is Inst:
-            x = element.setdefault(fact.subject, len(element))
-            if type(fact.concept) is Atom:
-                concept_map[fact.concept.name].add(x)
+            x, c = fact
+            if (i := number(x)) is None:
+                i = element[x] = len(element)
+            if type(c) is Atom:
+                concept_map[c.name].add(i)
         else:
-            x = element.setdefault(fact.source, len(element))
-            role_map[fact.role.name].add((x, element.setdefault(fact.target, len(element))))
+            role, x, y = fact
+            if (i := number(x)) is None:
+                i = element[x] = len(element)
+            if (j := number(y)) is None:
+                j = element[y] = len(element)
+            role_map[role.name].add((i, j))
     if not element:
         return Interpretation(frozenset({0}), {}, {}, {})
     return Interpretation(
@@ -488,7 +495,7 @@ def replay_trace(initial: Abox, trace: Iterable[RuleApplication]) -> Optional[Ab
         if rec.pivot not in index.at or not rule.appcond(rec.pivot, index):
             raise ValueError("recorded pivot is not applicable on replay")
         adds = rule.action(rec.pivot, index)
-        fresh = _witness(adds) if rec.kind is _SOME else None
+        fresh = adds[0][1][0] if rec.kind is _SOME and len(adds[0]) == 2 else None
         if rec.added != adds or rec.fresh != fresh:
             raise ValueError("trace record's fronts or witness are not the rule's on replay")
         if rec.skipped:

@@ -9,11 +9,13 @@ index only by moving a ∀ pivot's cursor. A fact is the tuple of its
 fields, so a premise asks for `x : D` as `(x, D) in index.at` and for an
 edge as `(r, x, y) in index.at`, and it reads the targets along a role
 straight off `index.edges`; the premises are plain loops over these reads,
-so a test enters no generator or helper frame. The ∃ premise costs the
-smaller of the body's holders and the edges along the role, plus the named
-targets; the ∀ premise costs the successors its cursor passes, each once
-on a branch. An action is called only on a pivot where its rule's
-applicability test holds, and returns a tuple of fronts, one per
+so a test enters no generator or helper frame. The rules and the index
+read a fact by unpacking it, not through its properties, and the actions
+build facts with `tuple.__new__`, so neither enters a frame. The ∃ premise
+costs the smaller of the body's holders and the edges along the role, plus
+the named targets; the ∀ premise costs the successors its cursor passes,
+each once on a branch. An action is called only on a pivot where its
+rule's applicability test holds, and returns a tuple of fronts, one per
 successor: the facts that successor adds, each new to the branch and given
 once. The engine builds each successor by putting its front before the
 branch, so branches only grow and no fact is ever repeated. Growing a
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .record import FrozenRecord, Record, set_field
 from .syntax import (
@@ -119,25 +121,24 @@ class BranchIndex:
         for fact in reversed(added):
             at[fact] = label
             if type(fact) is Rel:
-                key = (fact.role, fact.source)
-                ind = fact.target
-                edges[key].append(ind)
-                if type(ind) is not Anon:
-                    named[key].append(ind)
-                elif ind.index >= witness:
-                    witness = ind.index + 1
-                ind = fact.source
-                if type(ind) is Anon and ind.index >= witness:
-                    witness = ind.index + 1
+                role, x, y = fact
+                key = (role, x)
+                edges[key].append(y)
+                if type(y) is not Anon:
+                    named[key].append(y)
+                elif y.index >= witness:
+                    witness = y.index + 1
+                if type(x) is Anon and x.index >= witness:
+                    witness = x.index + 1
                 continue
-            kind = kind_of(type(fact.concept))
+            x, c = fact
+            kind = kind_of(type(c))
             if kind is not None:
                 live[kind].append(fact)
-            ind = fact.subject
-            if type(ind) is Anon:
-                holders[fact.concept].append(ind)
-                if ind.index >= witness:
-                    witness = ind.index + 1
+            if type(x) is Anon:
+                holders[c].append(x)
+                if x.index >= witness:
+                    witness = x.index + 1
         self.witness = witness
         return self
 
@@ -149,7 +150,7 @@ class BranchIndex:
         while len(trail) > mark:
             entry = trail.pop()
             if type(entry) is Inst:  # a pivot selection popped
-                live[_KIND_OF_SHAPE[type(entry.concept)]].append(entry)
+                live[_KIND_OF_SHAPE[type(entry[1])]].append(entry)
             elif type(entry) is list:  # a ∀ cursor, with its count before
                 key, count = entry
                 if count:
@@ -160,30 +161,22 @@ class BranchIndex:
                 for fact in entry:
                     del at[fact]
                     if type(fact) is Rel:
-                        key = (fact.role, fact.source)
-                        _drop_last(edges, key)
-                        if type(fact.target) is not Anon:
-                            _drop_last(named, key)
+                        role, x, y = fact
+                        _drop_last(edges, (role, x))
+                        if type(y) is not Anon:
+                            _drop_last(named, (role, x))
                         continue
-                    kind = _KIND_OF_SHAPE.get(type(fact.concept))
+                    x, c = fact
+                    kind = _KIND_OF_SHAPE.get(type(c))
                     if kind is not None:
                         live[kind].pop()
-                    if type(fact.subject) is Anon:
-                        _drop_last(holders, fact.concept)
+                    if type(x) is Anon:
+                        _drop_last(holders, c)
         self.witness = witness
 
     def branch(self) -> Abox:
         """The branch's facts in branch order, newest first."""
         return tuple(reversed(self.at))
-
-    def holds(self, subject: Individual, concept: Concept) -> bool:
-        """Whether the branch holds the fact `subject : concept`: its field
-        tuple finds it in `at`, so no fact is built."""
-        return (subject, concept) in self.at
-
-    def successors(self, role: Role, source: Individual) -> Sequence[Individual]:
-        """Targets of the `role` edges from `source`, oldest first."""
-        return self.edges.get((role, source), ())
 
 
 def _drop_last(lists: dict, key: object) -> None:
@@ -264,44 +257,49 @@ class RuleApplication(Record):
         return self.before.index(self.pivot)
 
 
+# builds `Inst(x, c)` as `_new_fact(Inst, (x, c))`, without a frame; a global, so it can be patched
+_new_fact = tuple.__new__
+
+
 def _and_appcond(fact: Fact, index: BranchIndex) -> bool:
     """x : C ⊓ D, with not both parts asserted yet."""
-    if type(fact) is not Inst or type(c := fact.concept) is not And:
+    if type(fact) is not Inst:
         return False
-    at, x = index.at, fact.subject
-    return (x, c.left) not in at or (x, c.right) not in at
+    at, (x, c) = index.at, fact
+    return type(c) is And and ((x, c.left) not in at or (x, c.right) not in at)
 
 
 def _and_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     """The parts not asserted yet, each once."""
-    at, x, c = index.at, pivot.subject, pivot.concept
+    at, (x, c) = index.at, pivot
     if (x, c.left) in at:
-        return ((Inst(x, c.right),),)
+        return ((_new_fact(Inst, (x, c.right)),),)
     if (x, c.right) in at or c.left is c.right:
-        return ((Inst(x, c.left),),)
-    return ((Inst(x, c.left), Inst(x, c.right)),)
+        return ((_new_fact(Inst, (x, c.left)),),)
+    return ((_new_fact(Inst, (x, c.left)), _new_fact(Inst, (x, c.right))),)
 
 
 def _or_appcond(fact: Fact, index: BranchIndex) -> bool:
     """x : C ⊔ D, with neither alternative asserted yet."""
-    if type(fact) is not Inst or type(c := fact.concept) is not Or:
+    if type(fact) is not Inst:
         return False
-    at, x = index.at, fact.subject
-    return (x, c.left) not in at and (x, c.right) not in at
+    at, (x, c) = index.at, fact
+    return type(c) is Or and (x, c.left) not in at and (x, c.right) not in at
 
 
 def _or_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
-    x, c = pivot.subject, pivot.concept
-    return ((Inst(x, c.left),), (Inst(x, c.right),))
+    x, c = pivot
+    return ((_new_fact(Inst, (x, c.left)),), (_new_fact(Inst, (x, c.right)),))
 
 
 def _all_appcond(fact: Fact, index: BranchIndex) -> bool:
     """x : ∀r.C, with some successor along r missing C. The pivot's cursor
     in `reached` skips the oldest successors known to hold it, and moves
     past each further one that does."""
-    if type(fact) is not Inst or type(c := fact.concept) is not All:
+    if type(fact) is not Inst or type(fact[1]) is not All:
         return False
-    at, x, child = index.at, fact.subject, c.child
+    at, (x, c) = index.at, fact
+    child = c.child
     targets = index.edges.get((c.role, x), ())
     n, key = len(targets), (x, c)
     done = start = index.reached.get(key, 0)
@@ -317,20 +315,21 @@ def _all_appcond(fact: Fact, index: BranchIndex) -> bool:
 def _all_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     # first pending successor in branch order, among those the cursor has
     # not passed; later steps reach the rest
-    at, x, c = index.at, pivot.subject, pivot.concept
+    at, (x, c) = index.at, pivot
     child = c.child
     for y in reversed(index.edges.get((c.role, x), ())[index.reached.get((x, c), 0) :]):
         if (y, child) not in at:
-            return ((Inst(y, child),),)
+            return ((_new_fact(Inst, (y, child)),),)
 
 
 def _some_appcond(fact: Fact, index: BranchIndex) -> bool:
     """x : ∃r.C, with no successor along r that holds C. The witnesses that
     hold C and the targets along r are matched from the smaller side; named
     targets are in no `holders` list, so they are always scanned."""
-    if type(fact) is not Inst or type(c := fact.concept) is not Some:
+    if type(fact) is not Inst or type(fact[1]) is not Some:
         return False
-    at, x, role, child = index.at, fact.subject, c.role, c.child
+    at, (x, c) = index.at, fact
+    role, child = c.role, c.child
     targets = index.edges.get((role, x), ())
     held = index.holders.get(child, ())
     if len(held) < len(targets):
@@ -351,21 +350,22 @@ def _some_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     The universal restrictions are read off the live ∀ pivots, which the
     search never prunes. By the premise, no witness that holds the body
     concept is a successor along the role yet, so the edge is new."""
-    x, role, child = pivot.subject, pivot.concept.role, pivot.concept.child
+    x, c = pivot
+    role, child = c.role, c.child
     held = index.holders.get(child)
     if held:
         at, bodies = index.at, []
-        for g in index.live[RuleKind.ALL]:
-            if g.subject is x and (d := g.concept).role is role:
+        for z, d in index.live[RuleKind.ALL]:
+            if z is x and d.role is role:
                 bodies.append(d.child)
         for y in reversed(held):
             for d in bodies:
                 if (y, d) not in at:
                     break
             else:
-                return ((Rel(role, x, y),),)
+                return ((_new_fact(Rel, (role, x, y)),),)
     witness = Anon(index.witness)
-    return ((Rel(role, x, witness), Inst(witness, child)),)
+    return ((_new_fact(Rel, (role, x, witness)), _new_fact(Inst, (witness, child))),)
 
 
 AND_RULE = TableauRule(RuleKind.AND, _and_appcond, _and_action)

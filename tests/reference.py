@@ -48,7 +48,7 @@ the conditions a step breaks, which the library's `MeasureState.advance`
 must agree with, in its answer, its `failure` and the state it leaves, at
 every step. `or_appcond`, `all_appcond`, `all_action`, `some_appcond` and
 `some_action` are the rule functions written with `any`, `all` and `next`
-over generators and with `BranchIndex.holds` and `successors`, which the
+over generators and with the helpers `holds` and `successors`, which the
 library's must agree with, in the answer, the fronts, the ∀ cursor and the
 trail, at every application. Deciding needs none of them.
 """
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from alctab.engine import (
     Satisfiable,
@@ -245,12 +245,24 @@ def fresh_individual(abox: Abox) -> Anon:
     return Anon(max(taken) + 1 if taken else 0)
 
 
+def holds(index: BranchIndex, subject: Individual, concept: Concept) -> bool:
+    """Whether the branch `index` indexes holds the fact `subject : concept`:
+    its field tuple finds it in `at`, so no fact is built."""
+    return (subject, concept) in index.at
+
+
+def successors(index: BranchIndex, role: Role, source: Individual) -> Sequence[Individual]:
+    """Targets of the `role` edges from `source` on the branch `index`
+    indexes, oldest first."""
+    return index.edges.get((role, source), ())
+
+
 def pending(index: BranchIndex, subject: Individual, concept: All) -> Iterator[Individual]:
     """Successors of `subject` that the universal restriction has not reached:
     those along its role that miss its body concept, in branch order."""
     body = concept.child
-    targets = index.successors(concept.role, subject)
-    return (y for y in reversed(targets) if not index.holds(y, body))
+    targets = successors(index, concept.role, subject)
+    return (y for y in reversed(targets) if not holds(index, y, body))
 
 
 def all_premise(index: BranchIndex, x: Individual, c: All) -> bool:
@@ -262,7 +274,7 @@ def all_premise(index: BranchIndex, x: Individual, c: All) -> bool:
 def some_premise(index: BranchIndex, x: Individual, c: Some) -> bool:
     """The ∃ premise by a scan of every successor along the role: none holds
     the body concept."""
-    return not any(index.holds(y, c.child) for y in index.successors(c.role, x))
+    return not any(holds(index, y, c.child) for y in successors(index, c.role, x))
 
 
 def or_appcond(fact: Fact, index: BranchIndex) -> bool:
@@ -270,7 +282,7 @@ def or_appcond(fact: Fact, index: BranchIndex) -> bool:
     if type(fact) is not Inst or type(c := fact.concept) is not Or:
         return False
     x = fact.subject
-    return not (index.holds(x, c.left) or index.holds(x, c.right))
+    return not (holds(index, x, c.left) or holds(index, x, c.right))
 
 
 def all_appcond(fact: Fact, index: BranchIndex) -> bool:
@@ -280,10 +292,10 @@ def all_appcond(fact: Fact, index: BranchIndex) -> bool:
     if type(fact) is not Inst or type(c := fact.concept) is not All:
         return False
     x = fact.subject
-    targets = index.successors(c.role, x)
+    targets = successors(index, c.role, x)
     n, key = len(targets), (x, c)
     done = start = index.reached.get(key, 0)
-    while done < n and index.holds(targets[done], c.child):
+    while done < n and holds(index, targets[done], c.child):
         done += 1
     if done != start:
         index.reached[key] = done
@@ -296,8 +308,8 @@ def all_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
     # first pending successor in branch order, among those the cursor has
     # not passed; later steps reach the rest
     x, c = pivot.subject, pivot.concept
-    unsettled = index.successors(c.role, x)[index.reached.get((x, c), 0) :]
-    y = next(y for y in reversed(unsettled) if not index.holds(y, c.child))
+    unsettled = successors(index, c.role, x)[index.reached.get((x, c), 0) :]
+    y = next(y for y in reversed(unsettled) if not holds(index, y, c.child))
     return ((Inst(y, c.child),),)
 
 
@@ -308,14 +320,14 @@ def some_appcond(fact: Fact, index: BranchIndex) -> bool:
     if type(fact) is not Inst or type(c := fact.concept) is not Some:
         return False
     x, role, child = fact.subject, c.role, c.child
-    targets = index.successors(role, x)
+    targets = successors(index, role, x)
     held = index.holders.get(child, ())
     if len(held) < len(targets):
         at = index.at
         if any((role, x, y) in at for y in reversed(held)):
             return False
         targets = index.named.get((role, x), ())
-    return not any(index.holds(y, child) for y in reversed(targets))
+    return not any(holds(index, y, child) for y in reversed(targets))
 
 
 def some_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
@@ -331,7 +343,7 @@ def some_action(pivot: Inst, index: BranchIndex) -> tuple[Abox, ...]:
             if g.subject is x and g.concept.role is role
         ]
         for y in reversed(held):
-            if all(index.holds(y, d) for d in bodies):
+            if all(holds(index, y, d) for d in bodies):
                 return ((Rel(role, x, y),),)
     witness = Anon(index.witness)
     return ((Rel(role, x, witness), Inst(witness, child)),)
@@ -539,7 +551,7 @@ def advance(state: MeasureState, front: Abox, index: BranchIndex) -> bool:
         if type(c) is Some:
             key = (c.role, y)
             exists[key] = (*exists.get(key, ()), f)
-            if not any(holds(z, c.child) for z in index.successors(*key)):
+            if not any(holds(z, c.child) for z in successors(index, *key)):
                 opened.add(f)
                 somes[y] = somes.get(y, 0) + 1
     for f in edges:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from alctab import rules
 from alctab.engine import (
     EngineConfig,
     Satisfiable,
@@ -200,6 +201,19 @@ def _count_constructions(cls, counts, monkeypatch):
     monkeypatch.setattr(cls, "__new__", staticmethod(counting))
 
 
+def _count_fact_builds(counts, monkeypatch):
+    """Patch the rules' fact constructor, which builds a fact from its class
+    and field tuple without calling the class, to count in `counts` each
+    fact it builds."""
+    new = rules._new_fact
+
+    def counting(kind, fields):
+        counts[kind.__name__] += 1
+        return new(kind, fields)
+
+    monkeypatch.setattr(rules, "_new_fact", counting)
+
+
 def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):
     branches = []  # every branch the corpus expanded, and every open branch
     for runs, _ in (concept_runs, abox_runs):
@@ -215,6 +229,7 @@ def test_premises_build_nothing(concept_runs, abox_runs, monkeypatch):
     built = {"Inst": 0, "Rel": 0}
     for cls in (Inst, Rel):
         _count_constructions(cls, built, monkeypatch)
+    _count_fact_builds(built, monkeypatch)
     witnesses = _CountingTable(Anon._table)
     monkeypatch.setattr(Anon, "_table", witnesses)
     applicable = 0

@@ -1,7 +1,9 @@
 import copy
 import random
+import sys
 from collections import Counter
 from contextlib import suppress
+from functools import reduce
 
 import pytest
 
@@ -513,3 +515,46 @@ def test_wide_exists_premises_grow_linearly(monkeypatch):
     for n in (100, 400):
         assert isinstance(decide_concept_sat(wide_exists(n)), Satisfiable)
     assert 0 < calls[400] <= 5 * calls[100]
+
+
+def _frames_per_step(concept):
+    """The rule kind and the Python frames entered of each step of an
+    untraced `decide_concept_sat(concept)`: those from a call of
+    `next_application` that returns the step to the next call. A frame
+    whose code name starts with `<`, a comprehension's, is not counted,
+    since 3.12 inlines comprehensions."""
+    select = engine.next_application.__code__
+    steps = []  # [kind, frames] per call of next_application
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and not code.co_name.startswith("<"):
+            if code is select:
+                steps.append([None, 0])
+            if steps:
+                steps[-1][1] += 1
+        elif event == "return" and code is select and arg is not None:
+            steps[-1][0] = arg.kind
+
+    sys.setprofile(profile)
+    try:
+        verdict = decide_concept_sat(concept)
+    finally:
+        sys.setprofile(None)
+    assert isinstance(verdict, Satisfiable)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "concept, and_steps",
+    [(reduce(And, [Atom(f"A{i}") for i in range(40)]), 39), (wide_exists(10), 10)],
+    ids=["chain40", "wide10"],
+)
+def test_a_conjunction_step_enters_at_most_six_frames(concept, and_steps):
+    # selection, the premise, the action and the record, then growing the
+    # index and the clash test: facts are read by unpacking and built by
+    # tuple.__new__, and the strategy is the rule tuple's own iterator, so
+    # none of these calls enters a frame of its own
+    frames = [n for kind, n in _frames_per_step(concept) if kind is RuleKind.AND]
+    assert len(frames) == and_steps
+    assert max(frames) <= 6

@@ -8,11 +8,14 @@ Exit codes separate logical verdicts from tool failures:
     3  internal invariant violation (e.g. a measure-decrease failure) or
        any other internal error
     4  step limit or oracle enumeration ceiling hit
+    5  output failed: a write to stdout or to the --trace file; stdout
+       is flushed at each print, so a failed write is seen before exit
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -36,6 +39,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 EXIT_LIMIT = 4
+EXIT_OUTPUT = 5
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -106,8 +110,13 @@ def _write_trace(args: argparse.Namespace, verdict: Verdict) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    """An input file's text; one that cannot be read is a usage error, a
+    ValueError, so that an OSError from a command is a failed write."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValueError(exc) from None
 
 
 def _cmd_sat(args: argparse.Namespace) -> int:
@@ -119,11 +128,11 @@ def _cmd_sat(args: argparse.Namespace) -> int:
     verdict = decide_concept_sat(concept, _engine_config(args))
     _write_trace(args, verdict)
     if isinstance(verdict, Satisfiable):
-        print("SAT")
+        print("SAT", flush=True)
         if args.model:
-            print(emit_model(verdict.model), end="")
+            print(emit_model(verdict.model), end="", flush=True)
         return EXIT_POSITIVE
-    print("UNSAT")
+    print("UNSAT", flush=True)
     return EXIT_NEGATIVE
 
 
@@ -133,9 +142,9 @@ def _cmd_consistent(args: argparse.Namespace) -> int:
     verdict = decide_sat_abox(normalized, _engine_config(args))
     _write_trace(args, verdict)
     if isinstance(verdict, Satisfiable):
-        print("CONSISTENT")
+        print("CONSISTENT", flush=True)
         return EXIT_POSITIVE
-    print("INCONSISTENT")
+    print("INCONSISTENT", flush=True)
     return EXIT_NEGATIVE
 
 
@@ -145,9 +154,9 @@ def _cmd_subsumes(args: argparse.Namespace) -> int:
     verdict = decide_concept_sat(And(sub, Not(sup)), _engine_config(args))
     _write_trace(args, verdict)
     if isinstance(verdict, Satisfiable):
-        print("NO")
+        print("NO", flush=True)
         return EXIT_NEGATIVE
-    print("YES")
+    print("YES", flush=True)
     return EXIT_POSITIVE
 
 
@@ -157,9 +166,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = OracleConfig(max_domain=args.max_domain, atoms=atoms, roles=roles)
     model = oracle_find_model(abox, cfg)
     if model is not None:
-        print("SAT")
+        print("SAT", flush=True)
         return EXIT_POSITIVE
-    print("UNSAT")
+    print("UNSAT", flush=True)
     return EXIT_NEGATIVE
 
 
@@ -182,9 +191,12 @@ def cli(argv: Optional[list[str]] = None) -> int:
         return EXIT_POSITIVE if exc.code in (0, None) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"output failed: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except (MeasureDecreaseError, ProgressCheckError, AssertionError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -198,7 +210,11 @@ def cli(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli(sys.argv[1:]))
+    code = cli(sys.argv[1:])
+    if code == EXIT_OUTPUT and sys.stdout is not None:  # None when started closed
+        # drop what stdout failed to write, which would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,12 +16,10 @@ IDENT is [A-Za-z_][A-Za-z0-9_]* minus the keywords. So
 
 The lexer checks the text in one pass over its bytes. The parser does not
 recurse: one loop over the tokens keeps its own stack of open operators
-and parentheses, and calls each node's constructor function directly. At
-most MAX_NESTING prefix operators and open parentheses may enclose any
-point of the input, a limit on the input that a deeper one meets as a
-ParseError. The normal form, the
-printer and the syntax `repr` keep their own stacks too, and the
-evaluators of `semantics` work bottom-up over a list of subterms.
+and parentheses, and calls each node's constructor function directly, so
+any nesting that fits in memory parses. The normal form, the printer and
+the syntax `repr` keep their own stacks too, and the evaluators of
+`semantics` work bottom-up over a list of subterms.
 
 ABox files are line oriented: blank lines and lines starting with "#" are
 ignored; every other line is either "x : Concept" or "r(x, y)" with the
@@ -58,8 +56,6 @@ from .syntax import (
 )
 
 KEYWORDS = frozenset({"and", "or", "not", "all", "some", "Top", "Bottom"})
-
-MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[().:,]")
 # the first character no token can hold: one outside the token and space
@@ -192,7 +188,6 @@ class _ConceptParser:
             elif tok == "Top" or tok == "Bottom":
                 value = TOP if tok == "Top" else BOTTOM
             else:
-                at = pos
                 if tok == "all" or tok == "some":
                     if tokens[pos + 1] in _NOT_NAMES:
                         raise self.error("a role name", pos + 1)
@@ -206,8 +201,6 @@ class _ConceptParser:
                     frame = (Not, None) if tok == "not" else ["(", None, None]
                 else:
                     raise self.error("a concept", pos)
-                if len(stack) > MAX_NESTING:
-                    raise self.error(f"at most {MAX_NESTING} nested operators and parentheses", at)
                 stack.append(frame)
                 pos += 1
                 continue
@@ -347,7 +340,6 @@ def print_fact(fact: Fact) -> str:
 
 __all__ = [
     "KEYWORDS",
-    "MAX_NESTING",
     "ParseError",
     "SourceSpan",
     "parse_abox",

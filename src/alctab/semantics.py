@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import and_
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .record import FrozenRecord, set_field
 from .syntax import (
@@ -202,13 +202,18 @@ class OracleConfig(FrozenRecord):
             raise ValueError("duplicate names in oracle configuration")
 
 
-def enumeration_count(abox: Abox, cfg: OracleConfig) -> int:
-    """Number of candidate interpretations the oracle would visit."""
+def _size_counts(abox: Abox, cfg: OracleConfig) -> Iterator[int]:
+    """The number of candidates of each domain size in turn, computed lazily."""
     na, nr, k = len(cfg.atoms), len(cfg.roles), len(individuals_of(abox))
-    return sum(
+    return (
         (1 << (na * m)) * (1 << (nr * m * m)) * (m**k)
         for m in range(1, cfg.max_domain + 1)
     )
+
+
+def enumeration_count(abox: Abox, cfg: OracleConfig) -> int:
+    """Number of candidate interpretations the oracle would visit."""
+    return sum(_size_counts(abox, cfg))
 
 
 def oracle_find_model(
@@ -242,11 +247,9 @@ def oracle_find_model(
             f"oracle configuration (atoms={cfg.atoms!r}, roles={cfg.roles!r}) does not "
             f"cover the abox signature (atoms={need_atoms!r}, roles={need_roles!r})"
         )
-    total = enumeration_count(abox, cfg)
-    if total > ceiling:
-        raise OracleCeilingError(
-            f"enumeration of {total} interpretations exceeds the ceiling of {ceiling}"
-        )
+    for total in itertools.accumulate(_size_counts(abox, cfg)):
+        if total > ceiling:  # stop counting: a whole count can have millions of digits
+            raise OracleCeilingError(f"enumeration exceeds the ceiling of {ceiling} candidates")
 
     inds = individuals_of(abox)
     index_of = {ind: i for i, ind in enumerate(inds)}

@@ -125,6 +125,35 @@ class _Compound(_Concept):
 
     __slots__ = ("normal",)
 
+    def __reduce__(self):
+        """`_unflatten` of the distinct compound subterms in post-order, a
+        compound field written as the index of its entry: a pickle of any
+        depth nests no deeper, and writes a shared subterm once."""
+        index: dict[Concept, int] = {}  # each subterm written, to its entry's index
+        entries: list[tuple] = []
+        todo: list[Concept] = [self]
+        while todo:
+            node = todo.pop()
+            if node in index:
+                continue
+            fields = [getattr(node, name) for name in node.__match_args__]
+            pending = [f for f in fields if isinstance(f, _Compound) and f not in index]
+            if pending:  # back to this node once they are written
+                todo += (node, *pending)
+                continue
+            index[node] = len(entries)
+            entries.append((type(node), *[index.get(f, f) for f in fields]))
+        return _unflatten, (entries,)
+
+
+def _unflatten(entries: list[tuple]) -> Concept:
+    """The concept `_Compound.__reduce__` wrote, built entry by entry, so it
+    comes back as the interned object."""
+    built: list[Concept] = []
+    for kind, *fields in entries:
+        built.append(kind(*[built[f] if type(f) is int else f for f in fields]))
+    return built[-1]
+
 
 # The constructors, one template per arity with placeholder parameters
 # `_0` and `_1`, which `_interned` renames to a class's fields; a field

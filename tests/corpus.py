@@ -130,6 +130,28 @@ def pigeonhole(pigeons: int, holes: int) -> Concept:
     return reduce(And, clauses)
 
 
+DEEP = 10_000
+
+
+def deep_chains(n: int):
+    """(name, concept): n-deep left ⊓ and ⊔ chains, a right ⊓ chain and ¬,
+    ∀ and ∃ towers over the atom A."""
+    r = Role("r")
+    chains = {
+        "and": lambda c, i: And(c, Atom(f"A{i}")),
+        "or": lambda c, i: Or(c, Atom(f"A{i}")),
+        "and-right": lambda c, i: And(Atom(f"A{i}"), c),
+        "not": lambda c, i: Not(c),
+        "all": lambda c, i: All(r, c),
+        "some": lambda c, i: Some(r, c),
+    }
+    for name, grow in chains.items():
+        concept = Atom("A")
+        for i in range(n):
+            concept = grow(concept, i)
+        yield name, concept
+
+
 def random_clash_abox(rng: random.Random) -> Abox:
     """Random branch over two atoms, one role and up to three individuals,
     guaranteed to contain a clash."""

@@ -69,7 +69,7 @@ from alctab.engine import (
 )
 from alctab.delta import MeasureState
 from alctab.measure import ConceptCounts, MeasurePair, _counts
-from alctab.parser import KEYWORDS, MAX_NESTING, ParseError, SourceSpan
+from alctab.parser import KEYWORDS, ParseError, SourceSpan
 from alctab.rules import (
     AND_RULE,
     OR_RULE,
@@ -914,8 +914,8 @@ def _offset_span(text: str, offset: int) -> SourceSpan:
 
 class _RecursiveParser:
     """The grammar of `alctab.parser` by recursive descent, one method per
-    rule, which recurses once per prefix operator and open parenthesis and
-    counts them against MAX_NESTING."""
+    rule, which recurses once per prefix operator and open parenthesis (so
+    its depth is limited by the interpreter's recursion limit)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -924,7 +924,6 @@ class _RecursiveParser:
             raise ParseError(_offset_span(text, bad.start()), "a token", f"'{bad.group()}'")
         self.tokens = _TOKEN_RE.findall(text) + [""]
         self.pos = 0
-        self.depth = 0  # prefix operators and parentheses open here
 
     def error(self, expected: str, k: Optional[int] = None) -> ParseError:
         """What was expected at the k-th token, by default the next one."""
@@ -960,39 +959,27 @@ class _RecursiveParser:
             left = And(left, self.unary())
         return left
 
-    def nested(self, opener: int, parse) -> Concept:
-        """`parse()` one nesting level below the opener, the token at
-        `opener`, within MAX_NESTING."""
-        if self.depth == MAX_NESTING:
-            raise self.error(f"at most {MAX_NESTING} nested operators and parentheses", opener)
-        self.depth += 1
-        inner = parse()
-        self.depth -= 1
-        return inner
-
     def unary(self) -> Concept:
-        at = self.pos
-        tok = self.tokens[at]
+        tok = self.tokens[self.pos]
         if tok == "not":
             self.pos += 1
-            return Not(self.nested(at, self.unary))
+            return Not(self.unary())
         if tok == "all" or tok == "some":
             self.pos += 1
             role = Role(self.ident("a role name"))
             self.expect(".")
-            body = self.nested(at, self.unary)
+            body = self.unary()
             return All(role, body) if tok == "all" else Some(role, body)
         return self.primary()
 
     def primary(self) -> Concept:
-        at = self.pos
-        tok = self.tokens[at]
+        tok = self.tokens[self.pos]
         if tok == "Top" or tok == "Bottom":
             self.pos += 1
             return TOP if tok == "Top" else BOTTOM
         if tok == "(":
             self.pos += 1
-            inner = self.nested(at, self.or_expr)
+            inner = self.or_expr()
             self.expect(")")
             return inner
         return Atom(self.ident("a concept"))

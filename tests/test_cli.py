@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import alctab.cli
 import alctab.engine
 from alctab.cli import cli
@@ -104,6 +106,13 @@ def test_oracle_ceiling_exit(capsys, tmp_path):
     path.write_text("x : A and B and C\nr(x, y)\ns(y, x)\n")
     code, _, err = run(capsys, "oracle", "--file", str(path), "--max-domain", "4")
     assert code == 4 and "ceiling" in err
+    # the count stops at the ceiling, so no domain bound makes it too long
+    # to print or to sum
+    path.write_text("x : some r. A\n")
+    for max_domain in ("130", "2000"):
+        code, out, err = run(capsys, "oracle", "--file", str(path), "--max-domain", max_domain)
+        assert (code, out) == (4, "")
+        assert err == "limit: enumeration exceeds the ceiling of 16777216 candidates\n"
 
 
 def test_parse_error_exit(capsys):
@@ -126,8 +135,9 @@ def test_witness_names_are_a_parse_error(capsys, tmp_path):
 
 
 def test_missing_file_exit(capsys):
+    # an input that cannot be read is a usage error, not an output failure
     code, _, err = run(capsys, "consistent", "--file", "/no/such/file")
-    assert code == 2
+    assert (code, err) == (2, "error: [Errno 2] No such file or directory: '/no/such/file'\n")
 
 
 def test_usage_errors(capsys):
@@ -238,13 +248,62 @@ def test_unexpected_error_exits_3_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_deep_nesting_is_a_parse_error(capsys):
+def test_deep_nesting_decides(capsys):
     for depth in (3_000, 10_000):
         for prefix in ("not ", "some r. "):
-            code, out, err = run(capsys, "sat", prefix * depth + "A")
-            assert code == 2 and out == ""
-            assert err.startswith("error: line 1, column ") and err.count("\n") == 1
-            assert "at most 100 nested" in err and "Traceback" not in err
+            assert run(capsys, "sat", prefix * depth + "A") == (0, "SAT\n", "")
+
+
+def alctab_process(*argv, **kwargs):
+    """`python -m alctab *argv` in a fresh process, with `subprocess.Popen`'s
+    other arguments. Its stdout is buffered, as by default, so a failed
+    write leaves bytes in the buffer that the flush at exit must not retry."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(alctab.cli.__file__).parents[1])
+    return subprocess.Popen([sys.executable, "-m", "alctab", *argv], env=env, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_device_is_an_output_failure():
+    def exit_and_stderr(*argv, stdout):
+        with alctab_process(*argv, stdout=stdout, stderr=subprocess.PIPE, text=True) as proc:
+            return proc.wait(60), proc.stderr.read()
+
+    full = "output failed: [Errno 28] No space left on device\n"
+    with open("/dev/full", "w") as device:
+        assert exit_and_stderr("sat", "A", stdout=device) == (5, full)
+    trace_to_full = ("sat", "A and B", "--trace", "/dev/full")
+    assert exit_and_stderr(*trace_to_full, stdout=subprocess.DEVNULL) == (5, full)
+
+
+def test_a_trace_that_cannot_be_written_is_an_output_failure(capsys, tmp_path):
+    # the trace is written before the verdict, so nothing reaches stdout
+    code, out, err = run(capsys, "sat", "A and B", "--trace", str(tmp_path))
+    assert (code, out) == (5, "")
+    assert err == f"output failed: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_a_pipe_closed_after_the_first_line_is_an_output_failure(tmp_path):
+    # the model of a 10,000-conjunct chain, about 190 kB, fills the pipe's
+    # buffer, so the write after it is closed fails
+    path = tmp_path / "chain.txt"
+    path.write_text(" and ".join(f"A{i}" for i in range(10_000)))
+    argv = ("sat", "--file", str(path), "--model")
+    with alctab_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"SAT\n"
+        proc.stdout.close()
+        closed = b"output failed: [Errno 32] Broken pipe\n"
+        assert (proc.wait(60), proc.stderr.read()) == (5, closed)
+    # a process started with stdout closed prints nothing, and its exit code
+    # is the verdict's, or the trace's failure
+    unwritable = f"output failed: [Errno 21] Is a directory: '{tmp_path}'\n".encode()
+    for argv, code, err in (
+        (("sat", "A"), 0, b""),
+        (("sat", "A and not A"), 1, b""),
+        (("sat", "A and B", "--trace", str(tmp_path)), 5, unwritable),
+    ):
+        with alctab_process(*argv, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1)) as proc:
+            assert (proc.wait(60), proc.stderr.read()) == (code, err)
 
 
 # runs `alctab` as its entry point does and reports, at exit, whether the

@@ -5,10 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from alctab.engine import decide_concept_sat
+from alctab.engine import EngineConfig, Satisfiable, decide_concept_sat, replay_trace
 from alctab.parser import (
     KEYWORDS,
-    MAX_NESTING,
     ParseError,
     _span,
     _tokenize,
@@ -18,6 +17,8 @@ from alctab.parser import (
     print_fact,
     print_individual,
 )
+from alctab.render import emit_trace
+from alctab.semantics import satisfies_abox
 from alctab.syntax import (
     All,
     And,
@@ -34,7 +35,7 @@ from alctab.syntax import (
     TOP,
     nnf,
 )
-from corpus import exists_tree, irrelevant_or, random_concept, wide_exists
+from corpus import DEEP, deep_chains, exists_tree, irrelevant_or, random_concept, wide_exists
 from reference import recursive_print_concept, reference_parse_concept, reference_tokenize
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -95,29 +96,23 @@ def test_parse_concept_errors_carry_positions():
         parse_concept("some Top. A")  # keywords are not role names
 
 
-def test_nesting_limit():
-    n = MAX_NESTING
-    deepest = [
-        "not " * n + "A",
-        "all r. " * n + "A",
-        "(" * n + "A" + ")" * n,
-        "some r. (" * (n // 2) + "A and B" + ")" * (n // 2),
-    ]
-    # at the limit the concept parses, and the walks that still recurse
-    # (normal form, printer, search) handle it
-    for text in deepest:
-        concept = parse_concept(text)
-        assert parse_concept(print_concept(concept)) == concept
-        decide_concept_sat(nnf(concept))
-    # the error points at the first operator or parenthesis past the limit
-    for text, column in (("not " * (n + 1) + "A", 4 * n + 1), ("(" * (n + 1) + "A" + ")" * (n + 1), n + 1)):
-        with pytest.raises(ParseError) as exc:
-            parse_concept(text)
-        assert exc.value.expected == f"at most {n} nested operators and parentheses"
-        assert exc.value.span.column == column
+def test_nesting_has_no_limit():
+    # the parser keeps its own stack, so no depth of prefix operators and
+    # parentheses is an error; at this depth the recursive reference parser
+    # still reads the ∃ over parentheses
+    n = 101
+    assert parse_concept("not " * n + "A") is Not(parse_concept("not " * (n - 1) + "A"))
+    assert parse_concept("(" * n + "A" + ")" * n) is A
+    deep = parse_concept("some r. (" * (n // 2) + "A and B" + ")" * (n // 2))
+    assert deep is reference_parse_concept(print_concept(deep))
+    some = A
+    for _ in range(n):
+        some = Some(r, some)
+    assert parse_abox("x : " + "some r. " * n + "A\n") == (Inst(x, some),)
+    # an error at the bottom of a deep nesting still points at its token
     with pytest.raises(ParseError) as exc:
-        parse_abox("x : " + "some r. " * (n + 1) + "A\n")
-    assert exc.value.found == "'some'"
+        parse_concept("all r. " * 3000 + "some r A")
+    assert (exc.value.span.column, exc.value.expected) == (7 * 3000 + 8, "'.'")
 
 
 def test_parse_determinism():
@@ -198,8 +193,6 @@ def test_print_individual_and_fact():
     assert print_fact(Rel(r, x, Anon(2))) == "r(x, _2)"
 
 
-N = MAX_NESTING
-
 # each malformed input of this file with its message, byte for byte
 ERROR_MESSAGES = [
     (parse_concept, "A and", "line 1, column 6: expected a concept, found end of input"),
@@ -211,24 +204,6 @@ ERROR_MESSAGES = [
     (parse_concept, "A ? B", "line 1, column 3: expected a token, found '?'"),
     (parse_concept, "", "line 1, column 1: expected a concept, found end of input"),
     (parse_concept, "some Top. A", "line 1, column 6: expected a role name, found 'Top'"),
-    (
-        parse_concept,
-        "not " * (N + 1) + "A",
-        f"line 1, column {4 * N + 1}: expected at most {N} nested operators and parentheses, "
-        "found 'not'",
-    ),
-    (
-        parse_concept,
-        "(" * (N + 1) + "A" + ")" * (N + 1),
-        f"line 1, column {N + 1}: expected at most {N} nested operators and parentheses, "
-        "found '('",
-    ),
-    (
-        parse_abox,
-        "x : " + "some r. " * (N + 1) + "A\n",
-        f"line 1, column {8 * N + 5}: expected at most {N} nested operators and parentheses, "
-        "found 'some'",
-    ),
     (
         parse_abox,
         "x : A\nx : A",
@@ -315,8 +290,9 @@ def parser_corpus():
     """Texts the parser must read as the recursive-descent reference does:
     the first round of every benchmark workload (the concept of each ABox
     line too), printed random concepts, seeded random token strings, and
-    nestings one below, at and one above the limit, whose innermost
-    operand may be a quantifier without its role name or "."."""
+    nestings 1 and 120 deep, as deep as the reference parser's recursion
+    safely goes, whose innermost operand may be a quantifier without its
+    role name or "."."""
     for workload in workloads.WORKLOADS:
         for inst in next(workloads.rounds(workload, 1)):
             yield inst.text
@@ -327,7 +303,7 @@ def parser_corpus():
     pieces = ["A", "r1", "_x", *sorted(KEYWORDS), "(", ")", ".", ":", ",", "7", "?", "\n"]
     for _ in range(5000):
         yield rng.choice(("", " ")).join(rng.choice(pieces) for _ in range(rng.randrange(16)))
-    for depth in (N - 1, N, N + 1):
+    for depth in (1, 120):
         for opener, closer in (("not ", ""), ("all r. ", ""), ("some r. ", ""), ("(", ")")):
             for inner in ("A", "A and B or C", "all . A", "some r A", "(A"):
                 yield opener * depth + inner + closer * depth
@@ -347,40 +323,45 @@ def test_parser_matches_reference_parser():
         assert parse_concept(text) is expected
         found["a concept read"] += 1
     assert found["a concept read"] > 2000
-    for expected in ("a role name", "'.'", "')'", f"at most {N} nested operators and parentheses"):
+    for expected in ("a role name", "'.'", "')'"):
         assert found[expected] > 0
-
-
-DEEP = 10_000
-
-
-def deep_chains(n):
-    """n-deep left ⊓ and ⊔ chains, a right ⊓ chain and ¬, ∀ and ∃ towers."""
-    r = Role("r")
-    chains = {
-        "and": lambda c, i: And(c, Atom(f"A{i}")),
-        "or": lambda c, i: Or(c, Atom(f"A{i}")),
-        "and-right": lambda c, i: And(Atom(f"A{i}"), c),
-        "not": lambda c, i: Not(c),
-        "all": lambda c, i: All(r, c),
-        "some": lambda c, i: Some(r, c),
-    }
-    for name, grow in chains.items():
-        concept = A
-        for i in range(n):
-            concept = grow(concept, i)
-        yield name, concept
 
 
 def test_print_concept_does_not_recurse():
     for name, concept in deep_chains(DEEP):
         text = print_concept(concept)
         assert text.count("A") == (DEEP + 1 if name in ("and", "or", "and-right") else 1)
-        if name == "and":
-            assert parse_concept(text) is concept
+        assert parse_concept(text) is concept
     for _, concept in deep_chains(300):
         assert print_concept(concept) == recursive_print_concept(concept)
     rng = random.Random(73)
     families = (exists_tree(5), wide_exists(9), irrelevant_or(6))
     for concept in (*families, *(random_concept(rng, 4) for _ in range(200))):
         assert print_concept(concept) == recursive_print_concept(concept)
+
+
+# each deep shape, as the text of its depth: the three prefix operators,
+# parentheses, and an ∃ over a conjunction in parentheses as deep
+DEEP_SHAPES = {
+    "not": lambda n: "not " * n + "A",
+    "all": lambda n: "all r. " * n + "A",
+    "some": lambda n: "some r. " * n + "A",
+    "parentheses": lambda n: "(" * n + "A" + ")" * n,
+    "some-and": lambda n: "some r. (A and " * n + "B" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_deep_input_goes_through_every_layer(shape):
+    # parse, print, normal form, checked search and model, all without
+    # recursion; the trace too, at a depth where rendering it is still quick
+    for depth, traced in ((DEEP, False), (300, True)):
+        concept = parse_concept(DEEP_SHAPES[shape](depth))
+        assert parse_concept(print_concept(concept)) is concept
+        abox = (Inst(Named("x0"), nnf(concept)),)
+        verdict = decide_concept_sat(concept, EngineConfig(check_measure=True, record_trace=traced))
+        assert isinstance(verdict, Satisfiable)
+        assert satisfies_abox(verdict.model, abox)
+        if traced:
+            assert len(list(emit_trace(verdict.trace))) == len(verdict.trace)
+            assert replay_trace(abox, verdict.trace) == verdict.open_branch

@@ -1,4 +1,5 @@
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -237,6 +238,22 @@ def test_oracle_ceiling():
     assert oracle_find_model(small, OracleConfig(1, atoms=("A",)), ceiling=10) is not None
     with pytest.raises(OracleCeilingError):
         oracle_find_model(small, OracleConfig(1, atoms=("A",)), ceiling=1)
+
+
+def test_oracle_ceiling_stops_counting_at_the_ceiling():
+    # the whole count at 2,000 has over a million digits; the oracle stops
+    # summing once the count passes the ceiling, and its message holds no count
+    abox = (Inst(x, Some(r, A)),)
+    for max_domain in (130, 2000):
+        start = time.perf_counter()
+        with pytest.raises(OracleCeilingError) as exc:
+            oracle_find_model(abox, OracleConfig(max_domain, atoms=("A",), roles=("r",)))
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == "enumeration exceeds the ceiling of 16777216 candidates"
+    # a count equal to the ceiling is within it
+    small = (Inst(x, A),)
+    assert enumeration_count(small, OracleConfig(1, atoms=("A",))) == 2
+    assert oracle_find_model(small, OracleConfig(1, atoms=("A",)), ceiling=2) is not None
 
 
 def test_enumeration_count():

@@ -11,6 +11,7 @@ import pytest
 
 from alctab import syntax
 from alctab.engine import Satisfiable, decide_concept_sat
+from alctab.parser import parse_concept
 from alctab.semantics import interp_concept
 from alctab.syntax import (
     All,
@@ -36,7 +37,15 @@ from alctab.syntax import (
     nnf,
     subterms,
 )
-from corpus import ATOMS2, ROLE1, enumerate_interpretations, exists_tree, random_concept
+from corpus import (
+    ATOMS2,
+    DEEP,
+    ROLE1,
+    deep_chains,
+    enumerate_interpretations,
+    exists_tree,
+    random_concept,
+)
 from reference import (
     existential_count,
     fresh_individual,
@@ -410,10 +419,21 @@ def test_tables_drain():
 
 def test_copy_and_pickle_return_the_interned_object():
     c = And(Some(r, Not(A)), All(s, Or(B, TOP)))
-    for value in (c, Anon(2), r, x, TOP, BOTTOM):
+    # a flat 1,000-conjunct chain, a 500-deep ∃ tower built by the
+    # constructors, the 10,000-deep chains, and a 60-level tower of one
+    # shared conjunct, whose tree has 2^60 leaves: a pickle nests no deeper
+    # than its concept's flat list of distinct subterms
+    chain = parse_concept(" and ".join(f"A{i}" for i in range(1000)))
+    tower = _nest(lambda c: Some(r, c), A, 500)
+    shared = _nest(lambda c: And(c, c), A, 60)
+    deep = [concept for _, concept in deep_chains(DEEP)]
+    for value in (c, Anon(2), r, x, TOP, BOTTOM, chain, tower, shared, *deep):
         assert copy.copy(value) is value
         assert copy.deepcopy(value) is value
         assert pickle.loads(pickle.dumps(value)) is value
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(tower, protocol)) is tower
+    assert len(pickle.dumps(shared)) < 2000  # each distinct subterm written once
 
 
 def test_hash_and_equality_do_not_recurse():
@@ -437,7 +457,6 @@ def _nest(wrap, bottom, depth):
 
 
 def test_walks_do_not_recurse():
-    # built with the constructors, because the parser still recurses
     depth = 10_000
     chain = _nest(lambda c: Some(r, c), Not(A), depth)
     assert size_concept(chain) == depth + 2
@@ -455,7 +474,6 @@ def test_repr():
     assert repr(Rel(r, x, Anon(0))) == (
         "Rel(role=Role(name='r'), source=Named(name='x'), target=Anon(index=0))"
     )
-    # built with the constructors, because the parser limits nesting
     depth = 10_000
     for wrap, head in ((lambda c: And(c, B), "And(left=" * depth), (Not, "Not(child=" * depth)):
         text = repr(_nest(wrap, A, depth))
@@ -465,7 +483,6 @@ def test_repr():
 
 
 def test_nnf_does_not_recurse():
-    # built with the constructors, because the parser limits nesting
     depth = 10_000
     chain = _nest(lambda c: And(c, B), A, depth)
     assert nnf(chain) is chain

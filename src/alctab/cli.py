@@ -4,12 +4,19 @@ Exit codes separate logical verdicts from tool failures:
 
     0  satisfiable / consistent / subsumption holds
     1  unsatisfiable / inconsistent / subsumption does not hold
-    2  parse or usage error
+    2  usage error, or an input that cannot be read or parsed, or a
+       configuration the search or the oracle rejects (`--max-steps 0`)
     3  internal invariant violation (e.g. a measure-decrease failure) or
-       any other internal error
+       any other error raised while deciding, building the model or
+       writing the answer, a ValueError included
     4  step limit or oracle enumeration ceiling hit
     5  output failed: a write to stdout or to the --trace file; stdout
        is flushed at each print, so a failed write is seen before exit
+
+A command reads and parses its input and builds its configuration first,
+and returns the run that decides it; so an error is a usage error only
+when it is raised before the run starts. The renderer is loaded only for
+`--model` or `--trace`, and the oracle only by the `oracle` command.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .engine import (
     EngineConfig,
@@ -30,8 +37,6 @@ from .engine import (
     decide_sat_abox,
 )
 from .parser import parse_abox, parse_concept
-from .render import emit_model, emit_trace
-from .semantics import OracleCeilingError, OracleConfig, oracle_find_model
 from .syntax import And, Inst, Not, abox_signature, nnf
 
 EXIT_POSITIVE = 0
@@ -104,6 +109,8 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
 def _write_trace(args: argparse.Namespace, verdict: Verdict) -> None:
     if args.trace is None:
         return
+    from .render import emit_trace
+
     with open(args.trace, "w", encoding="utf-8") as handle:
         for line in emit_trace(verdict.trace, measures=args.trace_measures):
             handle.write(line + "\n")
@@ -119,57 +126,79 @@ def _read(path: str) -> str:
         raise ValueError(exc) from None
 
 
-def _cmd_sat(args: argparse.Namespace) -> int:
-    if (args.concept is None) == (args.file is None):
-        print("sat: give exactly one of a concept expression or --file", file=sys.stderr)
-        return EXIT_USAGE
-    text = args.concept if args.concept is not None else _read(args.file)
-    concept = parse_concept(text)
-    verdict = decide_concept_sat(concept, _engine_config(args))
-    _write_trace(args, verdict)
-    if isinstance(verdict, Satisfiable):
-        print("SAT", flush=True)
-        if args.model:
+# a command parses its input and returns the run that decides it
+Run = Callable[[], int]
+
+
+def _search(
+    args: argparse.Namespace,
+    decide: Callable[..., Verdict],
+    question,
+    answers: dict,
+    model: bool = False,
+) -> Run:
+    """The run that decides `question` with `decide`, writes the trace and
+    prints the line of `answers[satisfiable]`, and a model if asked; it
+    returns that answer's exit code."""
+    cfg = _engine_config(args)
+
+    def run() -> int:
+        verdict = decide(question, cfg)
+        _write_trace(args, verdict)
+        sat = isinstance(verdict, Satisfiable)
+        line, code = answers[sat]
+        print(line, flush=True)
+        if sat and model:
+            from .render import emit_model
+
             print(emit_model(verdict.model), end="", flush=True)
-        return EXIT_POSITIVE
-    print("UNSAT", flush=True)
-    return EXIT_NEGATIVE
+        return code
+
+    return run
 
 
-def _cmd_consistent(args: argparse.Namespace) -> int:
+def _cmd_sat(args: argparse.Namespace) -> Run:
+    if (args.concept is None) == (args.file is None):
+        raise ValueError("sat: give exactly one of a concept expression or --file")
+    concept = parse_concept(args.concept if args.concept is not None else _read(args.file))
+    answers = {True: ("SAT", EXIT_POSITIVE), False: ("UNSAT", EXIT_NEGATIVE)}
+    return _search(args, decide_concept_sat, concept, answers, model=args.model)
+
+
+def _cmd_consistent(args: argparse.Namespace) -> Run:
     abox = parse_abox(_read(args.file))
     normalized = [Inst(f.subject, nnf(f.concept)) if isinstance(f, Inst) else f for f in abox]
-    verdict = decide_sat_abox(normalized, _engine_config(args))
-    _write_trace(args, verdict)
-    if isinstance(verdict, Satisfiable):
-        print("CONSISTENT", flush=True)
-        return EXIT_POSITIVE
-    print("INCONSISTENT", flush=True)
-    return EXIT_NEGATIVE
+    answers = {True: ("CONSISTENT", EXIT_POSITIVE), False: ("INCONSISTENT", EXIT_NEGATIVE)}
+    return _search(args, decide_sat_abox, normalized, answers)
 
 
-def _cmd_subsumes(args: argparse.Namespace) -> int:
-    sub = parse_concept(args.sub)
-    sup = parse_concept(args.sup)
-    verdict = decide_concept_sat(And(sub, Not(sup)), _engine_config(args))
-    _write_trace(args, verdict)
-    if isinstance(verdict, Satisfiable):
-        print("NO", flush=True)
-        return EXIT_NEGATIVE
-    print("YES", flush=True)
-    return EXIT_POSITIVE
+def _cmd_subsumes(args: argparse.Namespace) -> Run:
+    # sub is subsumed by sup iff sub and not sup is unsatisfiable
+    question = And(parse_concept(args.sub), Not(parse_concept(args.sup)))
+    answers = {True: ("NO", EXIT_NEGATIVE), False: ("YES", EXIT_POSITIVE)}
+    return _search(args, decide_concept_sat, question, answers)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> Run:
+    from .semantics import OracleCeilingError, OracleConfig, oracle_find_model
+
     abox = parse_abox(_read(args.file))
     atoms, roles = abox_signature(abox)
     cfg = OracleConfig(max_domain=args.max_domain, atoms=atoms, roles=roles)
-    model = oracle_find_model(abox, cfg)
-    if model is not None:
-        print("SAT", flush=True)
-        return EXIT_POSITIVE
-    print("UNSAT", flush=True)
-    return EXIT_NEGATIVE
+
+    def run() -> int:
+        try:
+            model = oracle_find_model(abox, cfg)
+        except OracleCeilingError as exc:
+            print(f"limit: {exc}", file=sys.stderr)
+            return EXIT_LIMIT
+        if model is not None:
+            print("SAT", flush=True)
+            return EXIT_POSITIVE
+        print("UNSAT", flush=True)
+        return EXIT_NEGATIVE
+
+    return run
 
 
 _COMMANDS = {
@@ -190,21 +219,24 @@ def cli(argv: Optional[list[str]] = None) -> int:
         # argparse exits 0 for --help and 2 for usage errors
         return EXIT_POSITIVE if exc.code in (0, None) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        try:
+            run = _COMMANDS[args.command](args)
+        except ValueError as exc:  # the input or the configuration
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        return run()
     except OSError as exc:
         print(f"output failed: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
     except (MeasureDecreaseError, ProgressCheckError, AssertionError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (StepLimitExceeded, OracleCeilingError) as exc:
+    except StepLimitExceeded as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except Exception as exc:
-        # any other failure (RecursionError included) must not exit with a verdict code
+        # any other failure (a ValueError from the search or a RecursionError
+        # included) must not exit with a verdict code
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -49,13 +49,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Collection, Iterable, Optional, Union
 
-from .measure import assert_decrease, progress_check
+from .model import Interpretation
 from .record import FrozenRecord, Record, set_field
 from .rules import RULES_BY_KIND, BranchIndex, RuleApplication, RuleKind, alc_rules as _alc_rules
-from .semantics import Interpretation
 from .syntax import (
     Abox,
     And,
+    Anon,
     Atom,
     Bottom,
     Concept,
@@ -68,6 +68,7 @@ from .syntax import (
     abox_signature,
     dedup_facts,
     is_nnf,
+    lookup,
     nnf,
     not_ref,
 )
@@ -396,6 +397,35 @@ def _check_measures(
     return right
 
 
+def progress_check(app: RuleApplication, n: int, index: BranchIndex, state: MeasureState) -> bool:
+    """Unconditional progress witness for the step to `app`'s successor n.
+
+    Requires its front to be non-empty and to hold only facts that the
+    step's branch, indexed by `index`, lacks, and the only individual the
+    front brings in to be the step's witness, which must be the index's
+    next one.
+    """
+    at, known, fresh = index.at, state.labels, app.fresh
+    if fresh is not None and fresh is not lookup(Anon, index.witness):
+        return False
+    front = app.added[n]
+    for f in front:
+        if f in at:
+            return False
+        for ind in (f.subject,) if type(f) is Inst else (f.source, f.target):
+            if ind is not fresh and ind not in known:
+                return False
+    return bool(front)
+
+
+def assert_decrease(app: RuleApplication, n: int, index: BranchIndex, state: MeasureState) -> bool:
+    """Whether the step to `app`'s successor n keeps the measure's invariant
+    and strictly lowers the branch measure; `state`, the measure state of
+    the step's branch, indexed by `index`, is advanced to that successor's.
+    """
+    return state.advance(app.added[n], index)
+
+
 def decide_concept_sat(concept: Concept, cfg: Optional[EngineConfig] = None) -> Verdict:
     """Decide concept satisfiability via the ABox { x0 : nnf(concept) }."""
     return decide_sat_abox((Inst(Named("x0"), nnf(concept)),), cfg)
@@ -522,11 +552,13 @@ __all__ = [
     "StepLimitExceeded",
     "Unsatisfiable",
     "Verdict",
+    "assert_decrease",
     "canonical_interpretation",
     "contains_clash",
     "decide_concept_sat",
     "decide_sat_abox",
     "next_application",
+    "progress_check",
     "replay_trace",
     "subsumes",
 ]

@@ -13,10 +13,14 @@ and ∀ steps grow a label, a fresh ∃ step lowers e(x) and adds a weight with
 a smaller k, a reuse step only lowers e(x), and no step raises another
 individual's e. This holds while each added `y : D` has D among the input's
 subterms at role depth at most k(y), which keeps N_k − |L| a natural
-number. `assert_decrease` checks both from the `alctab.delta.MeasureState`
-that the step's branch carries; `progress_check` is the cheap structural
-witness that runs first (every step adds only new facts, at least one, and
-at most one fresh witness).
+number. `alctab.engine.assert_decrease` checks both from the
+`alctab.delta.MeasureState` that the step's branch carries, and
+`alctab.engine.progress_check` is the cheap structural witness that runs
+first (every step adds only new facts, at least one, and at most one fresh
+witness); both live in the engine, next to the search step that calls
+them, so a search loads this module only when it checks the measure. Here
+are the concept counts the state weighs labels with (`_counts`) and the
+paper's measure.
 
 The trace prints the paper's measure: one pair per fact, compared the same
 way. A ⊓, ⊔ or ∃ fact weighs (size of its concept, 0) while its rule
@@ -33,13 +37,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
-from .rules import BranchIndex, RuleApplication
-from .syntax import Abox, All, And, Anon, Concept, Inst, Not, Or, Some, lookup
-
-if TYPE_CHECKING:
-    from .delta import MeasureState
+from .syntax import Abox, All, And, Concept, Not, Or, Some
 
 MeasurePair = tuple[int, int]
 ConceptCounts = dict  # dict[Concept, tuple[int, int, int]]
@@ -99,40 +98,16 @@ def measure_abox(abox: Abox) -> Counter:
     return Counter(_measure(abox))
 
 
+# `alctab.delta.branch_measure`, bound by the first branch measured, so a
+# run that neither checks nor prints measures never loads delta
+_branch_measure = None
+
+
 @lru_cache(maxsize=4)
 def _measure(abox: Abox) -> dict[MeasurePair, int]:
-    # imported here: a run that neither checks nor prints measures never loads delta
-    from .delta import branch_measure
-
+    global _branch_measure
+    if _branch_measure is None:
+        from .delta import branch_measure as _branch_measure
     if len(set(abox)) < len(abox):
         raise ValueError("a branch holds each fact once")
-    return branch_measure(abox)
-
-
-def progress_check(app: RuleApplication, n: int, index: BranchIndex, state: MeasureState) -> bool:
-    """Unconditional progress witness for the step to `app`'s successor n.
-
-    Requires its front to be non-empty and to hold only facts that the
-    step's branch, indexed by `index`, lacks, and the only individual the
-    front brings in to be the step's witness, which must be the index's
-    next one.
-    """
-    at, known, fresh = index.at, state.labels, app.fresh
-    if fresh is not None and fresh is not lookup(Anon, index.witness):
-        return False
-    front = app.added[n]
-    for f in front:
-        if f in at:
-            return False
-        for ind in (f.subject,) if type(f) is Inst else (f.source, f.target):
-            if ind is not fresh and ind not in known:
-                return False
-    return bool(front)
-
-
-def assert_decrease(app: RuleApplication, n: int, index: BranchIndex, state: MeasureState) -> bool:
-    """Whether the step to `app`'s successor n keeps the measure's invariant
-    and strictly lowers the branch measure; `state`, the measure state of
-    the step's branch, indexed by `index`, is advanced to that successor's.
-    """
-    return state.advance(app.added[n], index)
+    return _branch_measure(abox)

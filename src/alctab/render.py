@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .measure import measure_abox
+from .model import Interpretation
 from .parser import print_fact, print_individual
 from .rules import RuleApplication, RuleKind
-from .semantics import Interpretation
 from .syntax import Abox
 
 

@@ -1,5 +1,6 @@
-"""Finite interpretations, the concept/fact evaluators, and a bounded
+"""The concept/fact evaluators over finite interpretations, and a bounded
 brute-force model search used as an independent satisfiability oracle.
+`Interpretation` lives in `alctab.model` and is re-exported here.
 
 Everything here is relativized to an explicit finite domain: Top denotes the
 whole domain and negation is the complement within it. Names missing from
@@ -11,8 +12,9 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import and_
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
+from .model import Interpretation
 from .record import FrozenRecord, set_field
 from .syntax import (
     Abox,
@@ -32,7 +34,6 @@ from .syntax import (
     Top,
     abox_signature,
     individuals_of,
-    subterms,
 )
 
 #: Refuse oracle searches whose full enumeration is larger than this.
@@ -45,50 +46,6 @@ class OracleCeilingError(RuntimeError):
 
 class SignatureError(ValueError):
     """The oracle configuration does not cover the ABox's names."""
-
-
-class Interpretation(FrozenRecord):
-    """An explicit finite interpretation.
-
-    `domain` is a non-empty set of element ids; `concept_map` and `role_map`
-    give the extensions of atomic concepts and roles; `individual_map`
-    assigns individuals to elements. All maps are normalized to plain dicts
-    with frozenset values at construction and must not be mutated afterwards.
-    """
-
-    __slots__ = __match_args__ = ("domain", "concept_map", "role_map", "individual_map")
-    domain: frozenset[int]
-    concept_map: Mapping[ConceptName, frozenset[int]]
-    role_map: Mapping[RoleName, frozenset[tuple[int, int]]]
-    individual_map: Mapping[Individual, int]
-
-    def __init__(
-        self,
-        domain: frozenset[int],
-        concept_map: Mapping[ConceptName, frozenset[int]],
-        role_map: Mapping[RoleName, frozenset[tuple[int, int]]],
-        individual_map: Mapping[Individual, int],
-    ) -> None:
-        domain = frozenset(domain)
-        concept_map = {name: frozenset(ext) for name, ext in concept_map.items()}
-        role_map = {name: frozenset(pairs) for name, pairs in role_map.items()}
-        individual_map = dict(individual_map)
-        set_field(self, "domain", domain)
-        set_field(self, "concept_map", concept_map)
-        set_field(self, "role_map", role_map)
-        set_field(self, "individual_map", individual_map)
-        if not domain:
-            raise ValueError("interpretation domain must be non-empty")
-        for ext in concept_map.values():
-            if not ext <= domain:
-                raise ValueError("concept extension outside the domain")
-        for pairs in role_map.values():
-            for x, y in pairs:
-                if x not in domain or y not in domain:
-                    raise ValueError("role extension outside the domain")
-        for elem in individual_map.values():
-            if elem not in domain:
-                raise ValueError("individual assigned outside the domain")
 
 
 _EMPTY: frozenset = frozenset()
@@ -260,24 +217,7 @@ def oracle_find_model(
             inst_concepts[index_of[fact.subject]].append(fact.concept)
         else:
             rel_facts.append((fact.role.name, index_of[fact.source], index_of[fact.target]))
-    # each distinct subterm after its own subterms, the order interp_concept
-    # evaluates in, mapped to whether it is a restriction or has one below it
-    dependent = dict.fromkeys(
-        node
-        for fact in abox
-        if isinstance(fact, Inst)
-        for node in reversed(list(subterms(fact.concept)))
-    )
-    for node in dependent:
-        match node:
-            case All() | Some():
-                dependent[node] = True
-            case And(left, right) | Or(left, right):
-                dependent[node] = dependent[left] or dependent[right]
-            case Not(child):
-                dependent[node] = dependent[child]
-            case _:
-                dependent[node] = False
+    dependent = _dependent([c for cs in inst_concepts for c in cs])
     free = [node for node, dep in dependent.items() if not dep]
     bound = [node for node, dep in dependent.items() if dep]
 
@@ -308,6 +248,44 @@ def oracle_find_model(
                             )
                         return witness
     return None
+
+
+def _dependent(concepts: list[Concept]) -> dict[Concept, bool]:
+    """Each distinct subterm of the concepts, after its own subterms, the
+    order `interp_concept` evaluates in, mapped to whether it is a
+    restriction or has one below it.
+
+    One walk over all the concepts, which it takes as its stack, enters
+    each distinct subterm once, so a concept that shares subterms costs
+    its number of distinct subterms, not its tree size.
+    """
+    dependent: dict[Concept, bool] = {}
+    stack = concepts
+    while stack:
+        node = stack[-1]
+        if node in dependent:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is And or kind is Or:
+            left, right = dependent.get(node.left), dependent.get(node.right)
+            if left is None or right is None:
+                if left is None:
+                    stack.append(node.left)
+                if right is None:
+                    stack.append(node.right)
+                continue
+            dependent[node] = left or right
+        elif kind is Not or kind is All or kind is Some:
+            child = dependent.get(node.child)
+            if child is None:
+                stack.append(node.child)
+                continue
+            dependent[node] = child or kind is not Not
+        else:  # an atom, Top or Bottom
+            dependent[node] = False
+        stack.pop()
+    return dependent
 
 
 def _fill_masks(nodes, masks, cbits, rows, m):

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -238,14 +239,47 @@ def test_oracle_on_a_long_conjunction_chain(capsys, tmp_path):
 
 
 def test_unexpected_error_exits_3_without_traceback(capsys, monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("injected failure")
+    # an error raised while deciding is the program's, whatever its type: a
+    # ValueError there is not a usage error
+    for error in (RuntimeError, ValueError):
+        def broken(*args, **kwargs):
+            raise error("injected failure")
 
-    monkeypatch.setattr(alctab.cli, "decide_concept_sat", broken)
-    code, out, err = run(capsys, "sat", "A")
-    assert code == 3 and out == ""
-    assert err == "internal error: RuntimeError: injected failure\n"
-    assert "Traceback" not in err
+        monkeypatch.setattr(alctab.cli, "decide_concept_sat", broken)
+        code, out, err = run(capsys, "sat", "A")
+        assert code == 3 and out == ""
+        assert err == f"internal error: {error.__name__}: injected failure\n"
+        assert "Traceback" not in err
+
+
+def test_an_error_building_the_model_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(alctab.engine, "canonical_interpretation", broken)
+    for argv in (("sat", "A"), ("subsumes", "A", "B")):
+        assert run(capsys, *argv) == (3, "", "internal error: ValueError: injected\n")
+
+
+def test_input_and_configuration_errors_exit_2(capsys, tmp_path):
+    # what is read, parsed or configured before the search starts is the
+    # caller's to mend, so it stays a usage error
+    path = tmp_path / "kb.abox"
+    path.write_text("x : A\n")
+    for argv, err in (
+        (("sat", "A and"), "error: line 1, column 6: expected a concept, found end of input\n"),
+        (("sat", "A", "--max-steps", "0"), "error: max_steps must be at least 1\n"),
+        (("subsumes", "A", "B", "--max-steps", "0"), "error: max_steps must be at least 1\n"),
+        (
+            ("consistent", "--file", str(path), "--max-steps", "-1"),
+            "error: max_steps must be at least 1\n",
+        ),
+        (
+            ("oracle", "--file", str(path), "--max-domain", "0"),
+            "error: max_domain must be at least 1\n",
+        ),
+    ):
+        assert run(capsys, *argv) == (2, "", err)
 
 
 def test_deep_nesting_decides(capsys):
@@ -373,3 +407,67 @@ def test_a_start_up_loads_no_dataclass_machinery_and_no_json(tmp_path):
     layers = ("engine", "render", "rules", "semantics", "parser", "syntax", "measure")
     check = f"import alctab; print(all(hasattr(alctab, name) for name in {layers!r}))"
     assert python("-c", check) == "True\n"
+
+
+# runs `alctab` as its entry point does and reports, at exit, which of the
+# package's modules are loaded
+_MODULES_AT_EXIT = """
+import atexit, runpy, sys
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("alctab."))
+atexit.register(lambda: print(*loaded(), file=sys.stderr))
+sys.argv = ["alctab", *sys.argv[1:]]
+runpy.run_module("alctab", run_name="__main__")
+"""
+
+
+def test_a_call_loads_only_the_layers_it_runs(tmp_path):
+    src = Path(alctab.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def loaded(*argv, code=0):
+        # -S: no site hook loads a module before the package does
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", _MODULES_AT_EXIT, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == code, run.stderr
+        return set(run.stderr.split())
+
+    # the oracle and the evaluators, the renderer, the paper's measure and
+    # the measure state
+    unused = {"alctab.semantics", "alctab.render", "alctab.measure", "alctab.delta"}
+    assert not loaded("sat", "some r. A and all r. B") & unused
+    assert not loaded("sat", "A and (B or C) and not A", code=1) & unused
+    assert loaded("sat", "A", "--model") & unused == {"alctab.render", "alctab.measure"}
+    checked = loaded("sat", "A and B", "--check-measure")
+    assert checked & unused == {"alctab.measure", "alctab.delta"}
+    path = tmp_path / "kb.abox"
+    path.write_text("x : A\n")
+    oracle = loaded("oracle", "--file", str(path), "--max-domain", "1")
+    assert oracle & unused == {"alctab.semantics"}
+
+
+def test_the_package_resolves_its_api_on_first_use():
+    src = Path(alctab.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    readme = (src.parent / "README.md").read_text()
+    listed = readme[readme.index("The package exports this API:") : readme.index("Everything else")]
+    api = set(re.findall(r"`(\w+)`", listed))
+    assert api == set(alctab.__all__) and len(api) == len(alctab.__all__) == 43
+    # in a fresh process, importing the package loads none of its modules,
+    # and dir() lists each name before it is first used
+    check = (
+        "import sys, alctab; "
+        "print(*sorted(m for m in sys.modules if m.startswith('alctab.'))); "
+        "print(set(alctab.__all__) <= set(dir(alctab)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", check], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.stdout == "\nTrue\n", run.stderr
+    # each name is its defining module's object
+    for name in alctab.__all__:
+        home = alctab._HOME[name]
+        assert getattr(alctab, name) is getattr(getattr(alctab, home), name)
+    with pytest.raises(AttributeError):
+        alctab.no_such_name

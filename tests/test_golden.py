@@ -63,13 +63,15 @@ from alctab import engine, render
 from alctab.engine import (
     EngineConfig,
     Satisfiable,
+    assert_decrease,
     canonical_interpretation,
     contains_clash,
     decide_sat_abox,
     next_application,
+    progress_check,
     replay_trace,
 )
-from alctab.measure import assert_decrease, measure_abox, progress_check
+from alctab.measure import measure_abox
 from alctab.parser import print_fact
 from alctab.render import emit_model, emit_trace
 from alctab.rules import RULES_BY_KIND, BranchIndex, RuleKind
